@@ -17,8 +17,15 @@ from hqloc.baselines import (
     fingerprint_predict,
     swap_test_fidelity,
 )
-from hqloc.circuits import feature_state, real_amplitudes_template, zz_feature_map
+from hqloc.circuits import (
+    N_ANSATZ_PARAMS,
+    ansatz_unitaries,
+    feature_state,
+    real_amplitudes,
+    zz_feature_map,
+)
 from hqloc.data import RssiSample, fit_scaler, transform
+from hqloc.statevector import apply_gates, zero_state
 
 ##############################################################################
 # Scaling
@@ -43,26 +50,35 @@ print("scaled features:", np.round(x, 4))
 #
 # The encoding is: H on every qubit, a phase proportional to each feature,
 # then for every neighbouring qubit pair a CX / phase / CX sandwich whose
-# angle mixes the two features. Binding the features produces 12 concrete
-# gates on 3 qubits.
+# angle mixes the two features: 12 concrete gates on 3 qubits.
 
-circuit = zz_feature_map(3, x)
 print("\nfeature map gates:")
-for gate in circuit.concrete_gates():
+for gate in zz_feature_map(x):
     angle = "" if gate.angle is None else f"  angle={gate.angle:+.4f}"
     control = "" if gate.control is None else f"  control={gate.control}"
     print(f"  {gate.kind:<2} target={gate.target}{control}{angle}")
 
+##############################################################################
+# After the H layer every gate is diagonal, so the encoded state has a closed
+# form: each amplitude is a pure phase of modulus 1/sqrt(8). That is how
+# ``feature_state`` computes it; the gate-by-gate simulation agrees.
+
 state = feature_state(x)
 print("\nencoded amplitudes (moduli):", np.round(np.abs(state.amplitudes), 4))
+by_gates = apply_gates(zero_state(3), zz_feature_map(x))
+print("closed form vs gate by gate:", np.abs(state.amplitudes - by_gates.amplitudes).max())
 
 ##############################################################################
 # The trainable ansatz that follows the encoding in the hybrid model is a
 # RY layer, a CX chain, and a second RY layer: 8 gates, 6 angles, and only
 # real amplitudes, which keeps the model's outputs smooth in its parameters.
+# For fixed angles the whole ansatz is one real 8 x 8 matrix.
 
-print("\nansatz template:", len(real_amplitudes_template(3).gates), "gates,",
-      real_amplitudes_template(3).n_params, "trainable angles")
+phi = np.linspace(-1.0, 1.0, N_ANSATZ_PARAMS)
+print("\nansatz:", len(real_amplitudes(3, phi)), "gates,", N_ANSATZ_PARAMS, "trainable angles")
+unitary = ansatz_unitaries(phi)[0]
+print("ansatz matrix is real and orthogonal:",
+      np.allclose(unitary @ unitary.T, np.eye(8)))
 
 ##############################################################################
 # Fidelity as reading similarity

@@ -14,7 +14,7 @@ checks it on a single rotation and then on the full quantum layer.
 
 import numpy as np
 
-from hqloc.qlayer import QuantumLayer, q_forward, q_gradient
+from hqloc.qlayer import QuantumLayer, encode_batch, q_forward, q_gradient, q_gradient_batch
 from hqloc.statevector import apply_gate, expect_z, ry, zero_state
 
 ##############################################################################
@@ -37,7 +37,8 @@ for theta in np.linspace(0.0, 2.0 * np.pi, 7):
 #
 # The layer encodes a scaled RSSI vector, runs the 6-angle ansatz, and
 # reports <Z> on each qubit. ``q_gradient`` assembles the (3, 6) Jacobian
-# from 12 shifted circuit evaluations.
+# from 12 shifted circuit evaluations: the ansatz matrices for
+# phi +- pi/2 e_k, applied to the encoded state in one contraction.
 
 rng = np.random.default_rng(3)
 layer = QuantumLayer(phi=rng.uniform(-np.pi, np.pi, size=6))
@@ -64,6 +65,17 @@ for k in range(layer.phi.size):
     numeric[:, k] = (q_forward(up, x) - q_forward(down, x)) / (2 * h)
 
 print("\nmax |shift rule - finite differences| =", np.abs(jacobian - numeric).max())
+
+##############################################################################
+# Training needs the Jacobian of every row of the training set.
+# ``q_gradient_batch`` takes the encoded rows and returns one (3, 6) matrix
+# per row; ``q_gradient`` above is its batch of one.
+
+X = rng.uniform(0.0, 1.0, size=(5, 3))
+batch = q_gradient_batch(layer, encode_batch(X))
+print("\nbatched Jacobians:", batch.shape,
+      "max |batch row - single| =",
+      max(np.abs(batch[i] - q_gradient(layer, x)).max() for i, x in enumerate(X)))
 
 ##############################################################################
 # Cost model: every angle needs two extra circuit runs per gradient, which

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import feature_state
+from .circuits import encode_batch, feature_state
 from .statevector import (
     MAX_QUBITS,
     Statevector,
@@ -71,7 +71,7 @@ def build_fingerprint_db(features, coords) -> FingerprintDb:
         raise ValueError("features and coords must be matching 2-D arrays")
     if len(features) == 0:
         raise ValueError("fingerprint database needs at least one entry")
-    states = np.stack([feature_state(f).amplitudes for f in features])
+    states = encode_batch(features)
     return FingerprintDb(features, coords, states)
 
 

@@ -1,134 +1,52 @@
-"""Parameterized circuits: the data-encoding feature map and the trainable ansatz.
+"""The circuit layout: the data-encoding feature map and the trainable ansatz.
 
-A :class:`ParamCircuit` holds gate templates whose angles are either concrete
-floats or slot references resolved by :meth:`ParamCircuit.bind`:
+Two views of the same circuits live here:
 
-* :class:`ParamSlot` -- angle taken directly from the trainable vector phi,
-* :class:`FeaturePhase` -- angle ``2 * x[i]`` (angle encoding of one feature),
-* :class:`PairPhase` -- angle ``2 * (pi - x[i]) * (pi - x[j])`` coupling two
-  features on the entangled pair.
+* :func:`zz_feature_map` and :func:`real_amplitudes` list the concrete gates,
+  for the gate-level simulator in :mod:`hqloc.statevector`, which serves as
+  the reference;
+* :func:`encode_batch` and :func:`ansatz_unitaries` are the closed forms the
+  quantum layer runs on. After the H layer the feature map is diagonal, so
+  every encoded amplitude is a pure phase, and for fixed angles the ansatz is
+  one real 2**n x 2**n matrix.
 
-Both public builders return fully bound circuits. Features are expected to be
-pre-scaled to [0, 1] by the data pipeline before encoding.
+Qubit 0 is the least significant bit of the basis index. Features are
+expected to be pre-scaled to [0, 1] by the data pipeline before encoding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .statevector import Gate, Statevector, apply_gates, zero_state
+from .statevector import MAX_QUBITS, Gate, Statevector, cx, h, p, ry
 
 N_FEATURES = 3
 N_ANSATZ_PARAMS = 6
 
 
-@dataclass(frozen=True)
-class ParamSlot:
-    """Angle taken from the trainable parameter vector at ``index``."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class FeaturePhase:
-    """Angle ``2 * x[index]`` for single-qubit phase encoding."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class PairPhase:
-    """Angle ``2 * (pi - x[i]) * (pi - x[j])`` on an entangled qubit pair."""
-
-    i: int
-    j: int
-
-
-AngleSpec = float | ParamSlot | FeaturePhase | PairPhase | None
-
-
-@dataclass(frozen=True)
-class GateTemplate:
-    kind: str
-    target: int
-    control: int | None = None
-    angle: AngleSpec = None
-
-
-@dataclass(frozen=True)
-class ParamCircuit:
-    """Ordered gate templates over ``n_qubits`` with open data/parameter slots."""
-
-    n_qubits: int
-    gates: tuple[GateTemplate, ...]
-    n_features: int = 0
-    n_params: int = 0
-
-    def bind(self, x=None, phi=None) -> "ParamCircuit":
-        """Substitute feature vector ``x`` and/or parameter vector ``phi``.
-
-        Returns a circuit whose touched slots are concrete floats; fully bound
-        once both slot families are resolved.
-        """
-        if self.n_features and x is None:
-            raise ValueError(f"circuit expects a feature vector of length {self.n_features}")
-        if self.n_params and phi is None:
-            raise ValueError(f"circuit expects a parameter vector of length {self.n_params}")
-        if x is not None:
-            x = np.asarray(x, dtype=float)
-            if x.shape != (self.n_features,):
-                raise ValueError(
-                    f"expected {self.n_features} features, got shape {x.shape}"
-                )
-        if phi is not None:
-            phi = np.asarray(phi, dtype=float)
-            if phi.shape != (self.n_params,):
-                raise ValueError(
-                    f"expected {self.n_params} parameters, got shape {phi.shape}"
-                )
-        bound = []
-        for g in self.gates:
-            a = g.angle
-            if isinstance(a, ParamSlot):
-                a = float(phi[a.index])
-            elif isinstance(a, FeaturePhase):
-                a = 2.0 * float(x[a.index])
-            elif isinstance(a, PairPhase):
-                a = 2.0 * (math.pi - float(x[a.i])) * (math.pi - float(x[a.j]))
-            bound.append(replace(g, angle=a))
-        return ParamCircuit(self.n_qubits, tuple(bound), 0, 0)
-
-    def concrete_gates(self) -> list[Gate]:
-        """Materialize a fully bound circuit as simulator gates."""
-        gates = []
-        for g in self.gates:
-            if not (g.angle is None or isinstance(g.angle, float)):
-                raise ValueError(f"unbound angle slot {g.angle!r}; call bind() first")
-            gates.append(Gate(g.kind, g.target, g.control, g.angle))
-        return gates
-
-
-def zz_feature_map_template(n_qubits: int = N_FEATURES) -> ParamCircuit:
+def zz_feature_map(x) -> list[Gate]:
     """Angle-encoding feature map with linearly entangled pair phases, one repetition.
 
-    Layout: H on every qubit, a single-feature phase per qubit, then for each
-    neighbouring pair (i, i+1) the sandwich CX / pair phase on i+1 / CX.
+    Layout: H on every qubit, phase ``2 * x[q]`` on each qubit q, then for each
+    neighbouring pair (i, i+1) the sandwich CX / phase
+    ``2 * (pi - x[i]) * (pi - x[i+1])`` on i+1 / CX. One qubit per feature.
     """
-    if n_qubits < 1:
-        raise ValueError("feature map needs at least one qubit")
-    gates = [GateTemplate("H", q) for q in range(n_qubits)]
-    gates += [GateTemplate("P", q, angle=FeaturePhase(q)) for q in range(n_qubits)]
-    for i in range(n_qubits - 1):
-        gates.append(GateTemplate("CX", i + 1, control=i))
-        gates.append(GateTemplate("P", i + 1, angle=PairPhase(i, i + 1)))
-        gates.append(GateTemplate("CX", i + 1, control=i))
-    return ParamCircuit(n_qubits, tuple(gates), n_features=n_qubits, n_params=0)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError(f"feature map needs a nonempty feature vector, got shape {x.shape}")
+    n = x.size
+    gates = [h(q) for q in range(n)]
+    gates += [p(2.0 * float(x[q]), q) for q in range(n)]
+    for i in range(n - 1):
+        angle = 2.0 * (math.pi - float(x[i])) * (math.pi - float(x[i + 1]))
+        gates += [cx(i, i + 1), p(angle, i + 1), cx(i, i + 1)]
+    return gates
 
 
-def real_amplitudes_template(n_qubits: int = N_FEATURES) -> ParamCircuit:
+def real_amplitudes(n_qubits: int, phi) -> list[Gate]:
     """Trainable ansatz: RY layer, linear CX chain, RY layer; one repetition.
 
     Uses 2 * n_qubits parameters and keeps amplitudes real for real inputs
@@ -136,30 +54,89 @@ def real_amplitudes_template(n_qubits: int = N_FEATURES) -> ParamCircuit:
     """
     if n_qubits < 1:
         raise ValueError("ansatz needs at least one qubit")
-    gates = [GateTemplate("RY", q, angle=ParamSlot(q)) for q in range(n_qubits)]
-    gates += [GateTemplate("CX", i + 1, control=i) for i in range(n_qubits - 1)]
-    gates += [
-        GateTemplate("RY", q, angle=ParamSlot(n_qubits + q)) for q in range(n_qubits)
-    ]
-    return ParamCircuit(n_qubits, tuple(gates), n_features=0, n_params=2 * n_qubits)
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (2 * n_qubits,):
+        raise ValueError(f"expected {2 * n_qubits} parameters, got shape {phi.shape}")
+    gates = [ry(float(phi[q]), q) for q in range(n_qubits)]
+    gates += [cx(i, i + 1) for i in range(n_qubits - 1)]
+    gates += [ry(float(phi[n_qubits + q]), q) for q in range(n_qubits)]
+    return gates
 
 
-def zz_feature_map(n_qubits: int, x) -> ParamCircuit:
-    """Feature map bound to the concrete feature vector ``x``."""
-    return zz_feature_map_template(n_qubits).bind(x=x)
+@lru_cache(maxsize=32)
+def _basis_bits(n_qubits: int) -> np.ndarray:
+    """(n_qubits, 2**n) matrix: entry (q, k) is bit q of basis index k."""
+    bits = (np.arange(2**n_qubits) >> np.arange(n_qubits)[:, None]) & 1
+    bits.flags.writeable = False  # shared by every caller through the cache
+    return bits
 
 
-def real_amplitudes(n_qubits: int, phi) -> ParamCircuit:
-    """Ansatz bound to the concrete parameter vector ``phi``."""
-    return real_amplitudes_template(n_qubits).bind(phi=phi)
+def encode_batch(X) -> np.ndarray:
+    """Encoded feature states of the rows of ``X``, shape (n_rows, 2**n_features).
 
-
-def run_circuit(state: Statevector, circuit: ParamCircuit) -> Statevector:
-    """Apply a fully bound circuit to ``state``."""
-    return apply_gates(state, circuit.concrete_gates())
+    Closed form of :func:`zz_feature_map` applied to |0...0>: amplitude k is
+    ``2**(-n/2) * exp(i * (sum_q 2 x_q b_q + sum_i 2 (pi - x_i)(pi - x_{i+1})
+    (b_i XOR b_{i+1})))`` where b_q is bit q of k.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or not 1 <= X.shape[1] <= MAX_QUBITS:
+        raise ValueError(
+            f"expected a batch of 1 to {MAX_QUBITS} features per row, got shape {X.shape}"
+        )
+    n = X.shape[1]
+    bits = _basis_bits(n)
+    # Accumulate qubit by qubit so each row's phase is summed in the same
+    # order whatever the batch size: feature_state equals its encode_batch row.
+    phase = np.zeros((X.shape[0], bits.shape[1]))
+    for q in range(n):
+        phase += 2.0 * X[:, q : q + 1] * bits[q]
+    for i in range(n - 1):
+        pair = 2.0 * (math.pi - X[:, i : i + 1]) * (math.pi - X[:, i + 1 : i + 2])
+        phase += pair * (bits[i] ^ bits[i + 1])
+    return np.exp(1j * phase) / math.sqrt(2.0**n)
 
 
 def feature_state(x) -> Statevector:
-    """Encode a feature vector into a statevector via the feature map."""
+    """Encode one feature vector into a statevector via the feature map."""
     x = np.asarray(x, dtype=float)
-    return run_circuit(zero_state(x.size), zz_feature_map(x.size, x))
+    if x.ndim != 1:
+        raise ValueError(f"expected one feature vector, got shape {x.shape}")
+    return Statevector(x.size, encode_batch(x[None])[0])
+
+
+@lru_cache(maxsize=32)
+def _cx_chain(n_qubits: int) -> np.ndarray:
+    """Permutation matrix of CX(0, 1), CX(1, 2), ..., applied in that order."""
+    k = np.arange(2**n_qubits)
+    chain = np.eye(k.size)
+    for i in range(n_qubits - 1):
+        flipped = k ^ (((k >> i) & 1) << (i + 1))
+        chain = chain[flipped]
+    chain.flags.writeable = False  # shared by every caller through the cache
+    return chain
+
+
+def _ry_layer(angles: np.ndarray) -> np.ndarray:
+    """Kronecker product of one RY per qubit, per row: (m, n) -> (m, 2**n, 2**n)."""
+    c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
+    ry_mats = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)  # (m, n, 2, 2)
+    layer = ry_mats[:, 0]
+    for q in range(1, angles.shape[1]):
+        # Qubit q is more significant than qubits 0..q-1: kron(RY_q, layer).
+        layer = np.einsum("mab,mcd->macbd", ry_mats[:, q], layer)
+        layer = layer.reshape(len(angles), 2 ** (q + 1), 2 ** (q + 1))
+    return layer
+
+
+def ansatz_unitaries(phis) -> np.ndarray:
+    """Real matrix of :func:`real_amplitudes` for each row of ``phis``.
+
+    ``phis`` has shape (m, 2 * n_qubits); the result has shape (m, 2**n, 2**n).
+    """
+    phis = np.atleast_2d(np.asarray(phis, dtype=float))
+    n_qubits = phis.shape[1] // 2
+    if phis.ndim != 2 or n_qubits < 1 or phis.shape[1] != 2 * n_qubits:
+        raise ValueError(f"expected rows of 2 * n_qubits angles, got shape {phis.shape}")
+    first = _ry_layer(phis[:, :n_qubits])
+    second = _ry_layer(phis[:, n_qubits:])
+    return second @ (_cx_chain(n_qubits) @ first)

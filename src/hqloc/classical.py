@@ -1,9 +1,10 @@
-"""Dense classical layers with ReLU: forward, reverse-mode backward, MSE loss.
+"""Dense classical layers with ReLU: batched forward and backprop, MSE loss.
 
 Two network shapes are used by the toolkit: the small regression head sitting
 on top of the quantum layer (3 -> 32 -> 2) and the wider standalone baseline
 network (3 -> 128 -> 64 -> 2). Output layers are always linear because the
-targets are coordinates in meters.
+targets are coordinates in meters. Forward and backward passes take a batch
+of rows; :func:`forward` is the batch-of-one case.
 """
 
 from __future__ import annotations
@@ -86,50 +87,6 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return z
 
 
-def forward(net: DenseNet, v) -> np.ndarray:
-    """Affine-then-activation composition over all layers."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (net.input_dim,):
-        raise ValueError(f"expected input of shape ({net.input_dim},), got {v.shape}")
-    for layer in net.layers:
-        v = _activate(layer.weight @ v + layer.bias, layer.activation)
-    return v
-
-
-def backward(net: DenseNet, v, upstream) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Exact reverse-mode gradients for one input.
-
-    ``upstream`` is dL/d(output). Returns per-layer (dW, db) aligned with
-    ``net.layers`` plus the gradient with respect to the input. The ReLU
-    subgradient at exactly 0 is taken as 0.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (net.input_dim,):
-        raise ValueError(f"expected input of shape ({net.input_dim},), got {v.shape}")
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (net.output_dim,):
-        raise ValueError(
-            f"expected upstream of shape ({net.output_dim},), got {upstream.shape}"
-        )
-    inputs = [v]
-    pre_acts = []
-    a = v
-    for layer in net.layers:
-        z = layer.weight @ a + layer.bias
-        pre_acts.append(z)
-        a = _activate(z, layer.activation)
-        inputs.append(a)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
-    delta = upstream
-    for i in reversed(range(len(net.layers))):
-        layer = net.layers[i]
-        if layer.activation == "relu":
-            delta = delta * (pre_acts[i] > 0.0)
-        grads[i] = (np.outer(delta, inputs[i]), delta.copy())
-        delta = layer.weight.T @ delta
-    return grads, delta
-
-
 def forward_batch(net: DenseNet, V) -> np.ndarray:
     """Forward pass over a whole (n_samples, input_dim) batch at once."""
     V = np.asarray(V, dtype=float)
@@ -140,13 +97,22 @@ def forward_batch(net: DenseNet, V) -> np.ndarray:
     return V
 
 
+def forward(net: DenseNet, v) -> np.ndarray:
+    """Forward pass for one input vector: a batch of one."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (net.input_dim,):
+        raise ValueError(f"expected input of shape ({net.input_dim},), got {v.shape}")
+    return forward_batch(net, v[None])[0]
+
+
 def backward_batch(
     net: DenseNet, V, upstream
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Batched reverse mode: per-layer (dW, db) summed over the batch.
+    """Exact reverse mode over a batch: per-layer (dW, db) summed over the rows.
 
-    Matches summing :func:`backward` over the rows of ``V`` with the matching
-    rows of ``upstream``. Also returns the per-row input gradients.
+    ``upstream`` holds dL/d(output) per row. Returns the (dW, db) pairs aligned
+    with ``net.layers`` plus the per-row gradients with respect to the inputs.
+    The ReLU subgradient at exactly 0 is taken as 0.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] != net.input_dim:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical
+from .circuits import N_ANSATZ_PARAMS
 from .data import Scaler
 from .qlayer import QuantumLayer
 from .train_eval import HybridModel
@@ -125,6 +126,9 @@ def load_model(path):
         raise ModelFormatError(f"{path}: missing activations line")
     activations = lines[2].split(maxsplit=1)[1].strip().split(",")
     arrays = _parse_arrays(lines, 3)
+    non_finite = sorted(name for name, arr in arrays.items() if not np.all(np.isfinite(arr)))
+    if non_finite:
+        raise ModelFormatError(f"{path}: non-finite values in {non_finite}")
 
     scaler = None
     if "scaler_lo" in arrays or "scaler_hi" in arrays:
@@ -152,7 +156,17 @@ def load_model(path):
     phi = arrays.pop("phi")
     if arrays:
         raise ModelFormatError(f"{path}: unexpected arrays {sorted(arrays)}")
-    return HybridModel(qlayer=QuantumLayer(phi=phi), head=net), scaler
+    if phi.shape != (N_ANSATZ_PARAMS,):
+        raise ModelFormatError(
+            f"{path}: phi has {phi.size} angles, the ansatz takes {N_ANSATZ_PARAMS}"
+        )
+    qlayer = QuantumLayer(phi=phi)
+    if net.input_dim != len(qlayer.observables):
+        raise ModelFormatError(
+            f"{path}: head takes {net.input_dim} inputs, "
+            f"the quantum layer gives {len(qlayer.observables)}"
+        )
+    return HybridModel(qlayer=qlayer, head=net), scaler
 
 
 def file_digest(path) -> str:

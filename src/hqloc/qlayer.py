@@ -1,10 +1,14 @@
 """Estimator-style quantum layer: scaled features in, Pauli-Z expectations out.
 
 The layer runs the feature map followed by the trainable ansatz and measures
-one Z observable per listed qubit. Gradients with respect to the ansatz
-parameters use the two-point shift rule, exact for RY-generated rotations.
-With ``shots`` set, expectations are estimated from sampled measurements
-(evaluation mode only; training requires exact expectations).
+one Z observable per listed qubit. One batched kernel does the work: encoded
+rows from :func:`encode_batch` are multiplied by the ansatz matrix of phi for
+the forward pass, and by the matrices of the shifted angle vectors
+phi +- pi/2 e_k for the two-point shift-rule Jacobian, which is exact for
+RY-generated rotations. :func:`q_forward` and :func:`q_gradient` are
+batch-of-one wrappers. With ``shots`` set, :func:`q_forward` estimates
+expectations from sampled measurements (evaluation mode only; training
+requires exact expectations).
 """
 
 from __future__ import annotations
@@ -14,15 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import feature_state, real_amplitudes, run_circuit
-from .statevector import (
-    Statevector,
-    _cx_pairs,
-    _target_pairs,
-    expect_z,
-    sample_expect_z,
-    single_qubit_matrix,
-)
+# encode_batch is re-exported: callers encode here and pass the rows back in.
+from .circuits import N_ANSATZ_PARAMS, N_FEATURES, ansatz_unitaries, encode_batch, feature_state
+from .statevector import Statevector, sample_expect_z
 
 SHIFT = np.pi / 2.0
 
@@ -31,9 +29,11 @@ SHIFT = np.pi / 2.0
 class QuantumLayer:
     """Trainable quantum layer with one Z observable per entry of ``observables``.
 
-    ``shots=None`` gives exact deterministic expectations. With shots set, a
-    per-(input, observable) seed is derived from ``seed`` so repeated forward
-    passes are reproducible while samples stay decorrelated across inputs.
+    ``phi`` holds the ``N_ANSATZ_PARAMS`` ansatz angles and ``observables``
+    distinct qubits of the ``N_FEATURES``-qubit register. ``shots=None`` gives
+    exact deterministic expectations. With shots set, a per-(input,
+    observable) seed is derived from ``seed`` so repeated forward passes are
+    reproducible while samples stay decorrelated across inputs.
     """
 
     phi: np.ndarray
@@ -43,14 +43,21 @@ class QuantumLayer:
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
-        if self.phi.ndim != 1:
-            raise ValueError("phi must be a flat parameter vector")
+        if self.phi.shape != (N_ANSATZ_PARAMS,):
+            raise ValueError(
+                f"phi must be a flat vector of {N_ANSATZ_PARAMS} angles, "
+                f"got shape {self.phi.shape}"
+            )
+        observables = tuple(self.observables)
+        qubits = all(isinstance(q, (int, np.integer)) and 0 <= q < N_FEATURES for q in observables)
+        if not observables or not qubits or len(set(observables)) != len(observables):
+            raise ValueError(
+                f"observables must be distinct qubits in [0, {N_FEATURES}), "
+                f"got {self.observables!r}"
+            )
+        self.observables = tuple(int(q) for q in observables)
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-
-
-def _ansatz_state(encoded: Statevector, phi: np.ndarray) -> Statevector:
-    return run_circuit(encoded, real_amplitudes(encoded.n_qubits, phi))
 
 
 def _shot_seed(base_seed: int, qubit: int, x: np.ndarray) -> int:
@@ -59,18 +66,39 @@ def _shot_seed(base_seed: int, qubit: int, x: np.ndarray) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
-def q_forward_encoded(layer: QuantumLayer, encoded: Statevector, x) -> np.ndarray:
-    """Forward pass from an already-encoded feature state (cache-friendly path)."""
-    state = _ansatz_state(encoded, layer.phi)
-    if layer.shots is None:
-        return np.array([expect_z(state, q) for q in layer.observables])
-    x = np.asarray(x, dtype=float)
-    return np.array(
-        [
-            sample_expect_z(state, q, layer.shots, _shot_seed(layer.seed, q, x))
-            for q in layer.observables
-        ]
-    )
+def _final_rows(phis: np.ndarray, encoded_rows: np.ndarray) -> np.ndarray:
+    """Amplitudes after the ansatz of each angle row: shape (n_phis, n_rows, 2**n)."""
+    return np.einsum("skj,nj->snk", ansatz_unitaries(phis), encoded_rows)
+
+
+def _expectations(final: np.ndarray, observables: tuple[int, ...]) -> np.ndarray:
+    """Z expectations over the last axis of ``final``, one column per observable."""
+    idx = np.arange(final.shape[-1])
+    signs = np.stack([1.0 - 2.0 * ((idx >> q) & 1) for q in observables], axis=1)
+    return np.clip(np.abs(final) ** 2 @ signs, -1.0, 1.0)
+
+
+def q_forward_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarray:
+    """Exact expectations for every encoded row, shape (batch, n_observables)."""
+    if layer.shots is not None:
+        raise ValueError("batched evaluation is exact only; unset shots")
+    return _expectations(_final_rows(layer.phi, encoded_rows)[0], layer.observables)
+
+
+def q_gradient_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarray:
+    """Shift-rule gradients for every row, shape (batch, n_observables, n_params).
+
+    Entry (i, j, k) = (E_j(phi + pi/2 e_k) - E_j(phi - pi/2 e_k)) / 2 on row i,
+    the exact derivative dE_j/dphi_k. All shifted ansatz matrices act on the
+    rows in one contraction.
+    """
+    if layer.shots is not None:
+        raise ValueError("gradients require exact expectations; unset shots")
+    n_params = layer.phi.size
+    steps = SHIFT * np.eye(n_params)
+    shifted = np.vstack([layer.phi + steps, layer.phi - steps])
+    e = _expectations(_final_rows(shifted, encoded_rows), layer.observables)
+    return 0.5 * (e[:n_params] - e[n_params:]).transpose(1, 2, 0)
 
 
 def q_forward(layer: QuantumLayer, x) -> np.ndarray:
@@ -79,104 +107,18 @@ def q_forward(layer: QuantumLayer, x) -> np.ndarray:
     ``x`` is a feature vector already scaled to [0, 1].
     """
     x = np.asarray(x, dtype=float)
-    return q_forward_encoded(layer, feature_state(x), x)
+    state = feature_state(x)
+    if layer.shots is None:
+        return q_forward_batch(layer, state.amplitudes[None])[0]
+    final = Statevector(state.n_qubits, _final_rows(layer.phi, state.amplitudes[None])[0, 0])
+    return np.array(
+        [
+            sample_expect_z(final, q, layer.shots, _shot_seed(layer.seed, q, x))
+            for q in layer.observables
+        ]
+    )
 
 
-def q_gradient(
-    layer: QuantumLayer, x, shift: float = SHIFT, encoded: Statevector | None = None
-) -> np.ndarray:
-    """Shift-rule gradient matrix, shape (n_observables, n_params).
-
-    Entry (j, k) = (E_j(phi + shift*e_k) - E_j(phi - shift*e_k)) / 2, which for
-    the default shift of pi/2 equals the exact derivative dE_j/dphi_k. Costs
-    two circuit evaluations per parameter beyond the forward pass.
-    """
-    if layer.shots is not None:
-        raise ValueError("gradients require exact expectations; unset shots")
-    if encoded is None:
-        encoded = feature_state(np.asarray(x, dtype=float))
-    n_params = layer.phi.size
-    grad = np.empty((len(layer.observables), n_params))
-    for k in range(n_params):
-        shifted = layer.phi.copy()
-        shifted[k] += shift
-        e_plus = _expectations(encoded, shifted, layer.observables)
-        shifted[k] = layer.phi[k] - shift
-        e_minus = _expectations(encoded, shifted, layer.observables)
-        grad[:, k] = 0.5 * (e_plus - e_minus)
-    return grad
-
-
-def _expectations(
-    encoded: Statevector, phi: np.ndarray, observables: tuple[int, ...]
-) -> np.ndarray:
-    state = _ansatz_state(encoded, phi)
-    return np.array([expect_z(state, q) for q in observables])
-
-
-# --- batched fast path over many inputs (exact expectations only) ------------
-#
-# The ansatz gate sequence depends only on phi, so one gate sweep can act on
-# every sample's encoded state at once. Agrees with the per-sample functions
-# to rounding; the training loop relies on this for full-batch epochs.
-
-
-def encode_batch(X) -> np.ndarray:
-    """Stack the encoded feature states of each row of ``X`` into a matrix."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.vstack([feature_state(x).amplitudes for x in X])
-
-
-def _apply_gates_rows(amps: np.ndarray, gates, n_qubits: int) -> np.ndarray:
-    """Apply a concrete gate list to every row of a (batch, 2**n) array."""
-    amps = amps.copy()
-    for gate in gates:
-        if gate.kind == "CX":
-            i0, i1 = _cx_pairs(n_qubits, gate.control, gate.target)
-            amps[:, i0], amps[:, i1] = amps[:, i1], amps[:, i0].copy()
-            continue
-        u = single_qubit_matrix(gate)
-        i0, i1 = _target_pairs(n_qubits, gate.target)
-        a0, a1 = amps[:, i0], amps[:, i1]
-        amps[:, i0] = u[0, 0] * a0 + u[0, 1] * a1
-        amps[:, i1] = u[1, 0] * a0 + u[1, 1] * a1
-    return amps
-
-
-def _z_signs(n_amplitudes: int, observables: tuple[int, ...]) -> np.ndarray:
-    idx = np.arange(n_amplitudes)
-    return np.stack([1.0 - 2.0 * ((idx >> q) & 1) for q in observables], axis=1)
-
-
-def _expectations_rows(
-    encoded_rows: np.ndarray, phi: np.ndarray, observables: tuple[int, ...]
-) -> np.ndarray:
-    n_qubits = int(np.log2(encoded_rows.shape[1]))
-    circuit = real_amplitudes(n_qubits, phi)
-    final = _apply_gates_rows(encoded_rows, circuit.gates, n_qubits)
-    probs = np.abs(final) ** 2
-    signs = _z_signs(encoded_rows.shape[1], observables)
-    return np.clip(probs @ signs, -1.0, 1.0)
-
-
-def q_forward_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarray:
-    """Exact expectations for every encoded row, shape (batch, n_observables)."""
-    if layer.shots is not None:
-        raise ValueError("batched evaluation is exact only; unset shots")
-    return _expectations_rows(encoded_rows, layer.phi, layer.observables)
-
-
-def q_gradient_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarray:
-    """Shift-rule gradients for every row, shape (batch, n_observables, n_params)."""
-    if layer.shots is not None:
-        raise ValueError("gradients require exact expectations; unset shots")
-    n_params = layer.phi.size
-    grad = np.empty((encoded_rows.shape[0], len(layer.observables), n_params))
-    for k in range(n_params):
-        shifted = layer.phi.copy()
-        shifted[k] += SHIFT
-        e_plus = _expectations_rows(encoded_rows, shifted, layer.observables)
-        shifted[k] = layer.phi[k] - SHIFT
-        e_minus = _expectations_rows(encoded_rows, shifted, layer.observables)
-        grad[:, :, k] = 0.5 * (e_plus - e_minus)
-    return grad
+def q_gradient(layer: QuantumLayer, x) -> np.ndarray:
+    """Shift-rule gradient matrix for one feature vector, shape (n_observables, n_params)."""
+    return q_gradient_batch(layer, feature_state(x).amplitudes[None])[0]

@@ -66,21 +66,13 @@ def set_model_params(model: HybridModel, vec: np.ndarray) -> None:
     classical.set_net_params(model.head, vec[n_q:])
 
 
-def _encoded_rows(X, encoded) -> np.ndarray:
-    if encoded is None:
-        return encode_batch(X)
-    if isinstance(encoded, np.ndarray):
-        return encoded
-    return np.vstack([state.amplitudes for state in encoded])
-
-
 def hqnn_grad(model: HybridModel, X, Z, encoded=None) -> np.ndarray:
     """Gradient of the batch MSE with respect to all trainable parameters.
 
     Head gradients come from reverse mode; quantum gradients chain the head's
     input gradients through the per-sample shift-rule matrices. ``encoded``
-    optionally supplies precomputed feature states (training-loop cache),
-    either as a matrix of amplitude rows or a list of states.
+    optionally supplies the rows of :func:`encode_batch` for ``X``, so a
+    training loop encodes its data once.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -89,7 +81,7 @@ def hqnn_grad(model: HybridModel, X, Z, encoded=None) -> np.ndarray:
         raise ValueError("gradient needs a nonempty batch")
     if len(Z) != n:
         raise ValueError(f"batch mismatch: {n} inputs vs {len(Z)} targets")
-    rows = _encoded_rows(X, encoded)
+    rows = encode_batch(X) if encoded is None else encoded
     U = q_forward_batch(model.qlayer, rows)
     preds = classical.forward_batch(model.head, U)
     upstream = 2.0 * (preds - Z) / n
@@ -144,39 +136,32 @@ class TrainReport:
     epochs_run: int
 
 
-def _model_ops(model):
-    """Uniform (predict, predict_batch, batch_grad, get, set) over model kinds."""
-    if isinstance(model, HybridModel):
-        encoded_cache: dict[int, np.ndarray] = {}
+def _model_ops(model, X):
+    """Uniform (predict, train_preds, train_grad, get, set) for training on ``X``.
 
-        def rows_for(X):
-            key = id(X)
-            if key not in encoded_cache:
-                encoded_cache.clear()  # one training set at a time
-                encoded_cache[key] = encode_batch(X)
-            return encoded_cache[key]
+    A hybrid model's training rows are encoded here, once per training run.
+    """
+    if isinstance(model, HybridModel):
+        rows = encode_batch(X)
 
         def predict(x):
             return hqnn_forward(model, x)
 
-        def predict_batch(X):
-            U = q_forward_batch(model.qlayer, rows_for(X))
+        def train_preds():
+            U = q_forward_batch(model.qlayer, rows)
             return classical.forward_batch(model.head, U)
 
-        def batch_grad(X, Z):
-            return hqnn_grad(model, X, Z, encoded=rows_for(X))
+        def train_grad(Z):
+            return hqnn_grad(model, X, Z, encoded=rows)
 
-        return predict, predict_batch, batch_grad, \
+        return predict, train_preds, train_grad, \
             lambda: model_param_vector(model), lambda v: set_model_params(model, v)
     if isinstance(model, classical.DenseNet):
         def predict(x):
             return classical.forward(model, x)
 
-        def predict_batch(X):
-            return classical.forward_batch(model, X)
-
-        return predict, predict_batch, \
-            lambda X, Z: dense_grad(model, X, Z), \
+        return predict, lambda: classical.forward_batch(model, X), \
+            lambda Z: dense_grad(model, X, Z), \
             lambda: classical.net_param_vector(model), \
             lambda v: classical.set_net_params(model, v)
     raise TypeError(f"cannot train model of type {type(model).__name__}")
@@ -194,15 +179,15 @@ def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if len(X) == 0:
         raise ValueError("training set is empty")
-    predict, predict_batch, batch_grad, get_params, set_params = _model_ops(model)
+    start = time.perf_counter()
+    predict, train_preds, train_grad, get_params, set_params = _model_ops(model, X)
     params = get_params()
     adam_state = optim.init_adam(params.size, eta=config.eta)
-    start = time.perf_counter()
     trace = []
     best = math.inf
     since_improve = 0
     for epoch in range(config.epochs):
-        loss = classical.mse_loss(predict_batch(X), Z)
+        loss = classical.mse_loss(train_preds(), Z)
         if not math.isfinite(loss):
             raise RuntimeError(
                 f"non-finite training loss at epoch {epoch}; "
@@ -219,13 +204,13 @@ def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
             and since_improve >= config.early_stop_patience
         ):
             break
-        grads = batch_grad(X, Z)
+        grads = train_grad(Z)
         if config.optimizer == "adam":
             adam_state, params = optim.adam_step(adam_state, params, grads)
         else:
             params = optim.sgd_step(params, grads, config.eta)
         set_params(params)
-    final_train_mse = classical.mse_loss(predict_batch(X), Z)
+    final_train_mse = classical.mse_loss(train_preds(), Z)
     wall = time.perf_counter() - start
     final_test_rmse = None
     if test is not None:

@@ -1,21 +1,28 @@
-"""Feature map and ansatz structure, binding rules, and encoded-state checks."""
+"""Feature map and ansatz structure, input checks, and the closed-form kernel.
+
+The plain gate lists run on the gate-level simulator and the dense-matrix
+oracle as references; ``encode_batch`` and ``ansatz_unitaries`` must match
+them to 1e-12.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hqloc.circuits import (
     N_ANSATZ_PARAMS,
     N_FEATURES,
+    ansatz_unitaries,
+    encode_batch,
     feature_state,
     real_amplitudes,
-    real_amplitudes_template,
-    run_circuit,
     zz_feature_map,
-    zz_feature_map_template,
 )
-from hqloc.statevector import zero_state
+from hqloc.statevector import apply_gates, zero_state
 
 from oracles import circuit_matrix
 
@@ -23,11 +30,11 @@ from oracles import circuit_matrix
 class TestFeatureMapStructure:
     def test_gate_count_three_qubits(self):
         # 3 H + 3 single phases + 2 pairs x (CX, P, CX)
-        assert len(zz_feature_map_template(3).gates) == 12
+        assert len(zz_feature_map(np.zeros(3))) == 12
 
     def test_layout_and_angles(self):
         x = np.array([0.2, 0.5, 0.8])
-        gates = zz_feature_map(3, x).concrete_gates()
+        gates = zz_feature_map(x)
         kinds = [g.kind for g in gates]
         assert kinds == ["H", "H", "H", "P", "P", "P", "CX", "P", "CX", "CX", "P", "CX"]
         np.testing.assert_allclose([g.angle for g in gates[3:6]], 2.0 * x)
@@ -43,11 +50,11 @@ class TestFeatureMapStructure:
         assert gates[7].target == 1 and gates[10].target == 2
 
     def test_zero_features_pair_phase(self):
-        gates = zz_feature_map(3, np.zeros(3)).concrete_gates()
+        gates = zz_feature_map(np.zeros(3))
         np.testing.assert_allclose(gates[7].angle, 2.0 * math.pi**2)
 
     def test_pi_features_zero_out_pair_phase(self):
-        gates = zz_feature_map(3, np.full(3, math.pi)).concrete_gates()
+        gates = zz_feature_map(np.full(3, math.pi))
         np.testing.assert_allclose([gates[3].angle, gates[7].angle], [2 * math.pi, 0.0])
 
     def test_uniform_probabilities_from_phase_only_encoding(self):
@@ -64,8 +71,7 @@ class TestFeatureMapStructure:
         rng = np.random.default_rng(1)
         for trial in range(20):
             x = rng.uniform(0, 1, size=3)
-            gates = zz_feature_map(3, x).concrete_gates()
-            expected = circuit_matrix(gates, 3)[:, 0]  # applied to |000>
+            expected = circuit_matrix(zz_feature_map(x), 3)[:, 0]  # applied to |000>
             np.testing.assert_allclose(
                 feature_state(x).amplitudes, expected, atol=1e-12
             )
@@ -73,13 +79,12 @@ class TestFeatureMapStructure:
 
 class TestAnsatzStructure:
     def test_gate_count_and_param_count(self):
-        template = real_amplitudes_template(3)
-        assert len(template.gates) == 8
-        assert template.n_params == N_ANSATZ_PARAMS == 6
+        assert N_ANSATZ_PARAMS == 6
+        assert len(real_amplitudes(3, np.zeros(N_ANSATZ_PARAMS))) == 8
 
     def test_layout(self):
         phi = np.arange(6, dtype=float)
-        gates = real_amplitudes(3, phi).concrete_gates()
+        gates = real_amplitudes(3, phi)
         kinds = [g.kind for g in gates]
         assert kinds == ["RY", "RY", "RY", "CX", "CX", "RY", "RY", "RY"]
         np.testing.assert_allclose([g.angle for g in gates[:3]], phi[:3])
@@ -90,56 +95,99 @@ class TestAnsatzStructure:
     def test_pi_rotation_on_qubit_zero_propagates_down_the_chain(self):
         # RY(pi) flips q0; CX(0,1) then flips q1, and CX(1,2) flips q2,
         # leaving |111> = index 7
-        circuit = real_amplitudes(3, np.array([math.pi, 0, 0, 0, 0, 0]))
-        state = run_circuit(zero_state(3), circuit)
+        phi = np.array([math.pi, 0, 0, 0, 0, 0])
+        state = apply_gates(zero_state(3), real_amplitudes(3, phi))
         probs = np.abs(state.amplitudes) ** 2
         np.testing.assert_allclose(probs[7], 1.0, atol=1e-12)
+        np.testing.assert_allclose(ansatz_unitaries(phi)[0, 7, 0] ** 2, 1.0, atol=1e-12)
 
     def test_amplitudes_stay_real(self):
         rng = np.random.default_rng(2)
         for trial in range(20):
             phi = rng.uniform(-np.pi, np.pi, size=6)
-            state = run_circuit(zero_state(3), real_amplitudes(3, phi))
+            state = apply_gates(zero_state(3), real_amplitudes(3, phi))
             np.testing.assert_allclose(state.amplitudes.imag, 0.0, atol=1e-12)
+        assert ansatz_unitaries(rng.uniform(-np.pi, np.pi, size=(4, 6))).dtype == float
 
     def test_zero_parameters_is_identity(self):
-        state = run_circuit(zero_state(3), real_amplitudes(3, np.zeros(6)))
+        state = apply_gates(zero_state(3), real_amplitudes(3, np.zeros(6)))
         np.testing.assert_allclose(np.abs(state.amplitudes[0]), 1.0, atol=1e-15)
+        np.testing.assert_array_equal(ansatz_unitaries(np.zeros(6))[0][:, 0], np.eye(8)[0])
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(3)
         for trial in range(20):
             phi = rng.uniform(-np.pi, np.pi, size=6)
-            gates = real_amplitudes(3, phi).concrete_gates()
-            expected = circuit_matrix(gates, 3)[:, 0]
-            state = run_circuit(zero_state(3), real_amplitudes(3, phi))
+            expected = circuit_matrix(real_amplitudes(3, phi), 3)[:, 0]
+            state = apply_gates(zero_state(3), real_amplitudes(3, phi))
             np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
 
 class TestBinding:
-    def test_unbound_circuit_refuses_to_run(self):
-        with pytest.raises(ValueError):
-            zz_feature_map_template(3).concrete_gates()
+    """Binding concrete feature and angle vectors into gate lists and states."""
 
     def test_bind_requires_expected_vectors(self):
         with pytest.raises(ValueError):
-            zz_feature_map_template(3).bind()
+            zz_feature_map(np.zeros(0))
         with pytest.raises(ValueError):
-            real_amplitudes_template(3).bind()
+            real_amplitudes(3, np.zeros(0))
+        with pytest.raises(ValueError):
+            encode_batch(np.zeros((2, 0)))
 
     def test_bind_rejects_wrong_lengths(self):
         with pytest.raises(ValueError):
-            zz_feature_map_template(3).bind(x=np.zeros(2))
+            zz_feature_map(np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            real_amplitudes_template(3).bind(phi=np.zeros(5))
+            real_amplitudes(3, np.zeros(5))
+        with pytest.raises(ValueError):
+            real_amplitudes(0, np.zeros(0))
+        with pytest.raises(ValueError):
+            ansatz_unitaries(np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            feature_state(np.zeros((1, 3)))
 
     def test_feature_state_dimension_follows_input(self):
         assert feature_state(np.array([0.3])).n_qubits == 1
         assert feature_state(np.array([0.3, 0.4])).n_qubits == 2
         assert feature_state(np.zeros(N_FEATURES)).n_qubits == 3
+        assert encode_batch(np.zeros((5, 2))).shape == (5, 4)
 
     def test_encoding_is_deterministic(self):
         x = np.array([0.1, 0.9, 0.4])
         np.testing.assert_array_equal(
             feature_state(x).amplitudes, feature_state(x).amplitudes
         )
+
+
+unit = st.floats(0.0, 1.0)
+angle = st.floats(-math.pi, math.pi)
+
+
+class TestClosedFormKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: arrays(float, (4, n), elements=unit)))
+    def test_encode_batch_matches_gate_reference(self, X):
+        n = X.shape[1]
+        rows = encode_batch(X)
+        assert rows.shape == (4, 2**n)
+        for row, x in zip(rows, X):
+            gates = zz_feature_map(x)
+            np.testing.assert_allclose(
+                row, apply_gates(zero_state(n), gates).amplitudes, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(row, circuit_matrix(gates, n)[:, 0], rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(float, (3, N_ANSATZ_PARAMS), elements=angle))
+    def test_ansatz_unitaries_match_matrix_oracle(self, phis):
+        for unitary, phi in zip(ansatz_unitaries(phis), phis):
+            expected = circuit_matrix(real_amplitudes(3, phi), 3)
+            np.testing.assert_allclose(unitary, expected.real, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(expected.imag, 0.0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: arrays(float, (2 * n,), elements=angle)))
+    def test_ansatz_unitaries_any_qubit_count(self, phi):
+        n = phi.size // 2
+        expected = circuit_matrix(real_amplitudes(n, phi), n).real
+        np.testing.assert_allclose(ansatz_unitaries(phi)[0], expected, rtol=0, atol=1e-12)

@@ -10,7 +10,6 @@ from hqloc.classical import (
     HEAD_SIZES,
     DenseLayer,
     DenseNet,
-    backward,
     backward_batch,
     baseline_net,
     forward,
@@ -111,7 +110,7 @@ class TestBackwardAgainstFiniteDifferences:
                 set_net_params(probe, vec)
                 return float(upstream @ forward(probe, x))
 
-            grads, _ = backward(net, x, upstream)
+            grads, _ = backward_batch(net, x[None], upstream[None])
             analytic = grads_to_vector(grads)
             numeric = fd_gradient(loss, net_param_vector(net), h=1e-6)
             np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-7)
@@ -126,8 +125,8 @@ class TestBackwardAgainstFiniteDifferences:
             def loss(v):
                 return float(upstream @ forward(net, v))
 
-            _, dx = backward(net, x, upstream)
-            np.testing.assert_allclose(dx, fd_gradient(loss, x, h=1e-6), rtol=0, atol=1e-7)
+            _, dx = backward_batch(net, x[None], upstream[None])
+            np.testing.assert_allclose(dx[0], fd_gradient(loss, x, h=1e-6), rtol=0, atol=1e-7)
 
     def test_relu_dead_units_get_zero_gradient(self):
         net = DenseNet(
@@ -136,17 +135,17 @@ class TestBackwardAgainstFiniteDifferences:
                 DenseLayer(np.array([[2.0]]), np.array([0.0]), "linear"),
             ]
         )
-        grads, dx = backward(net, np.array([-1.0]), np.array([1.0]))
+        grads, dx = backward_batch(net, np.array([[-1.0]]), np.array([[1.0]]))
         # First-layer weight sees no signal through the clipped unit.
         assert grads[0][0][0, 0] == 0.0
-        assert dx[0] == 0.0
+        assert dx[0, 0] == 0.0
 
     def test_gradient_layout_matches_param_vector(self):
         # Perturbing entry i of the flat vector must move the loss by grad[i]*h.
         net = tiny_net()
         x = np.array([0.3, -0.7])
         upstream = np.array([1.0, -2.0])
-        grads, _ = backward(net, x, upstream)
+        grads, _ = backward_batch(net, x[None], upstream[None])
         flat = grads_to_vector(grads)
         vec = net_param_vector(net)
         assert flat.shape == vec.shape
@@ -178,8 +177,8 @@ class TestBatchedPath:
         assert batch_dx.shape == (8, 3)
         summed = None
         for i in range(8):
-            grads, dx = backward(net, V[i], upstream[i])
-            np.testing.assert_allclose(batch_dx[i], dx, rtol=0, atol=1e-12)
+            grads, dx = backward_batch(net, V[i : i + 1], upstream[i : i + 1])
+            np.testing.assert_allclose(batch_dx[i], dx[0], rtol=0, atol=1e-12)
             vec = grads_to_vector(grads)
             summed = vec if summed is None else summed + vec
         np.testing.assert_allclose(grads_to_vector(batch_grads), summed, rtol=0, atol=1e-12)

@@ -1,11 +1,12 @@
 """Persistence tests: parameter file round trips, loss CSV, manifests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from hqloc.classical import baseline_net, forward, net_param_vector
+from hqloc.classical import baseline_net, forward, glorot_net, net_param_vector
 from hqloc.data import Scaler
 from hqloc.model_io import (
     FORMAT_HEADER,
@@ -170,6 +171,44 @@ class TestFormatErrors:
         )
         with pytest.raises(ModelFormatError, match="together"):
             load_model(path)
+
+
+class TestHybridModelChecks:
+    """A saved hybrid model that the quantum layer cannot run fails at load."""
+
+    def load_edited(self, tmp_path, edit):
+        model = init_hybrid_model(seed=1)
+        edit(model)
+        path = tmp_path / "model.params"
+        save_model(path, model)
+        with pytest.raises(ModelFormatError, match=re.escape(str(path))) as err:
+            load_model(path)
+        return str(err.value)
+
+    @pytest.mark.parametrize("n_angles", [5, 7])
+    def test_wrong_angle_count(self, tmp_path, n_angles):
+        def edit(model):
+            model.qlayer.phi = np.linspace(-1.0, 1.0, n_angles)
+
+        assert f"{n_angles} angles" in self.load_edited(tmp_path, edit)
+
+    def test_head_width_must_match_observables(self, tmp_path):
+        def edit(model):
+            model.head = glorot_net((4, 32, 2), 0)
+
+        assert "4 inputs" in self.load_edited(tmp_path, edit)
+
+    def test_non_finite_angle(self, tmp_path):
+        def edit(model):
+            model.qlayer.phi[2] = np.nan
+
+        assert "phi" in self.load_edited(tmp_path, edit)
+
+    def test_non_finite_head_weight(self, tmp_path):
+        def edit(model):
+            model.head.layers[1].weight[0, 0] = np.inf
+
+        assert "layer1_weight" in self.load_edited(tmp_path, edit)
 
 
 class TestLossCsv:

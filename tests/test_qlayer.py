@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hqloc.circuits import feature_state
+from hqloc.circuits import feature_state, real_amplitudes, zz_feature_map
 from hqloc.qlayer import (
     QuantumLayer,
     encode_batch,
@@ -12,13 +15,25 @@ from hqloc.qlayer import (
     q_gradient,
     q_gradient_batch,
 )
-from hqloc.statevector import apply_gate, expect_z, ry, zero_state
+from hqloc.statevector import apply_gate, apply_gates, expect_z, ry, zero_state
 
 from oracles import fd_gradient
 
 
 def make_layer(rng, shots=None):
     return QuantumLayer(phi=rng.uniform(-np.pi, np.pi, size=6), shots=shots)
+
+
+def gate_level_expectations(phi, x):
+    """<Z_q> for q = 0, 1, 2 from the gate-by-gate simulator."""
+    state = apply_gates(zero_state(3), zz_feature_map(x) + real_amplitudes(3, phi))
+    return np.array([expect_z(state, q) for q in range(3)])
+
+
+phis = arrays(float, (6,), elements=st.floats(-np.pi, np.pi))
+batches = st.integers(1, 6).flatmap(
+    lambda n: arrays(float, (n, 3), elements=st.floats(0.0, 1.0))
+)
 
 
 class TestForward:
@@ -87,16 +102,6 @@ class TestShiftRule:
                 fd = fd_gradient(lambda v, j=j: expectation(v, j), layer.phi.copy(), h=1e-5)
                 np.testing.assert_allclose(grad[j], fd, atol=1e-6)
 
-    def test_gradient_antisymmetric_in_shift_sign(self):
-        rng = np.random.default_rng(6)
-        layer = make_layer(rng)
-        x = rng.uniform(0, 1, size=3)
-        np.testing.assert_allclose(
-            q_gradient(layer, x, shift=-np.pi / 2),
-            -q_gradient(layer, x, shift=np.pi / 2),
-            atol=1e-12,
-        )
-
     def test_gradient_refuses_sampled_mode(self):
         rng = np.random.default_rng(7)
         layer = make_layer(rng, shots=100)
@@ -105,21 +110,40 @@ class TestShiftRule:
 
 
 class TestBatchedPath:
-    def test_forward_batch_matches_per_sample(self):
-        rng = np.random.default_rng(8)
-        layer = make_layer(rng)
-        X = rng.uniform(0, 1, size=(17, 3))
+    @settings(max_examples=50, deadline=None)
+    @given(phis, batches)
+    def test_forward_batch_matches_per_sample(self, phi, X):
+        layer = QuantumLayer(phi=phi)
         batch = q_forward_batch(layer, encode_batch(X))
         loop = np.array([q_forward(layer, x) for x in X])
-        np.testing.assert_allclose(batch, loop, atol=1e-14)
+        np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-14)
 
-    def test_gradient_batch_matches_per_sample(self):
-        rng = np.random.default_rng(9)
-        layer = make_layer(rng)
-        X = rng.uniform(0, 1, size=(11, 3))
+    @settings(max_examples=50, deadline=None)
+    @given(phis, batches)
+    def test_gradient_batch_matches_per_sample(self, phi, X):
+        layer = QuantumLayer(phi=phi)
         batch = q_gradient_batch(layer, encode_batch(X))
         loop = np.array([q_gradient(layer, x) for x in X])
-        np.testing.assert_allclose(batch, loop, atol=1e-14)
+        np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-14)
+
+    @settings(max_examples=50, deadline=None)
+    @given(phis, batches)
+    def test_kernel_matches_gate_level_reference(self, phi, X):
+        layer = QuantumLayer(phi=phi)
+        rows = encode_batch(X)
+        forward = q_forward_batch(layer, rows)
+        jacobian = q_gradient_batch(layer, rows)
+        for i, x in enumerate(X):
+            np.testing.assert_allclose(
+                forward[i], gate_level_expectations(phi, x), rtol=0, atol=1e-12
+            )
+            for k in range(6):
+                step = np.eye(6)[k] * np.pi / 2
+                shifted = 0.5 * (
+                    gate_level_expectations(phi + step, x)
+                    - gate_level_expectations(phi - step, x)
+                )
+                np.testing.assert_allclose(jacobian[i, :, k], shifted, rtol=0, atol=1e-12)
 
     def test_batch_refuses_sampled_mode(self):
         rng = np.random.default_rng(10)
@@ -146,3 +170,13 @@ class TestValidation:
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):
             QuantumLayer(phi=np.zeros(6), shots=0)
+
+    @pytest.mark.parametrize("n_angles", [0, 5, 7])
+    def test_rejects_wrong_angle_count(self, n_angles):
+        with pytest.raises(ValueError, match="6 angles"):
+            QuantumLayer(phi=np.zeros(n_angles))
+
+    @pytest.mark.parametrize("observables", [(), (0, 0), (0, 3), (-1,), (0.5,)])
+    def test_rejects_bad_observables(self, observables):
+        with pytest.raises(ValueError, match="observables"):
+            QuantumLayer(phi=np.zeros(6), observables=observables)
