@@ -93,7 +93,11 @@ def forward_batch(net: DenseNet, V) -> np.ndarray:
     if V.ndim != 2 or V.shape[1] != net.input_dim:
         raise ValueError(f"expected batch of shape (n, {net.input_dim}), got {V.shape}")
     for layer in net.layers:
-        V = _activate(V @ layer.weight.T + layer.bias, layer.activation)
+        # Bias and ReLU act in place, so a large batch holds one array per layer.
+        V = V @ layer.weight.T
+        V += layer.bias
+        if layer.activation == "relu":
+            np.maximum(V, 0.0, out=V)
     return V
 
 

@@ -14,8 +14,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import classical, data, model_io, train_eval
 
 
@@ -243,20 +241,19 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, scaler = model_io.load_model(args.model_file)
     samples = _load_samples(args, args.data)
+    X = data.features_matrix(samples)
     if scaler is not None:
-        X = np.array([data.transform(scaler, s.rssi) for s in samples])
-    else:
-        X = data.features_matrix(samples)
+        X = data.transform(scaler, X)
     Z = data.targets_matrix(samples)
     if isinstance(model, train_eval.HybridModel):
         if args.shots is not None:
             predict = train_eval._sampled_predictor(model, args.shots, args.seed)
         else:
-            predict = lambda x: train_eval.hqnn_forward(model, x)
+            predict = lambda batch: train_eval.hqnn_forward_batch(model, batch)
     else:
         if args.shots is not None:
             print("warning: --shots has no effect on a classical model", file=sys.stderr)
-        predict = lambda x: classical.forward(model, x)
+        predict = lambda batch: classical.forward_batch(model, batch)
     rmse = train_eval.evaluate_rmse(predict, X, Z)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

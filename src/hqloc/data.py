@@ -215,7 +215,8 @@ def save_csv(samples, path, header: bool = True) -> None:
 
 
 def features_matrix(samples) -> np.ndarray:
-    return np.array([s.rssi for s in samples], dtype=float)
+    """RSSI triples as an (n, 3) matrix, (0, 3) for no samples."""
+    return np.array([s.rssi for s in samples], dtype=float).reshape(len(samples), 3)
 
 
 def targets_matrix(samples) -> np.ndarray:
@@ -244,15 +245,14 @@ def fit_scaler(train_samples) -> Scaler:
 
 
 def transform(scaler: Scaler, rssi) -> np.ndarray:
-    """Map one RSSI triple into [0, 1]^3, clamping out-of-range values."""
+    """Map RSSI triples (one, or one per row) into [0, 1]^3, clamping out-of-range values."""
     rssi = np.asarray(rssi, dtype=float)
     return np.clip((rssi - scaler.lo) / (scaler.hi - scaler.lo), 0.0, 1.0)
 
 
 def transform_samples(scaler: Scaler, samples) -> tuple[np.ndarray, np.ndarray]:
     """Scaled feature matrix plus target coordinates for a sample list."""
-    feats = np.array([transform(scaler, s.rssi) for s in samples])
-    return feats, targets_matrix(samples)
+    return transform(scaler, features_matrix(samples)), targets_matrix(samples)
 
 
 def default_tx_positions(room: tuple[float, float]) -> tuple[tuple[float, float], ...]:

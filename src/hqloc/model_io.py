@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical
-from .circuits import N_ANSATZ_PARAMS
+from .circuits import N_ANSATZ_PARAMS, N_FEATURES
 from .data import Scaler
 from .qlayer import QuantumLayer
 from .train_eval import HybridModel
@@ -134,7 +134,18 @@ def load_model(path):
     if "scaler_lo" in arrays or "scaler_hi" in arrays:
         if not ("scaler_lo" in arrays and "scaler_hi" in arrays):
             raise ModelFormatError(f"{path}: scaler bounds must appear together")
-        scaler = Scaler(lo=arrays.pop("scaler_lo"), hi=arrays.pop("scaler_hi"))
+        lo, hi = arrays.pop("scaler_lo"), arrays.pop("scaler_hi")
+        if lo.shape != (N_FEATURES,) or hi.shape != (N_FEATURES,):
+            raise ModelFormatError(
+                f"{path}: scaler bounds have {lo.size} and {hi.size} entries, "
+                f"the model takes {N_FEATURES} features"
+            )
+        if not np.all(hi > lo):
+            raise ModelFormatError(
+                f"{path}: scaler_hi must exceed scaler_lo, fails for feature(s) "
+                f"{np.flatnonzero(~(hi > lo)).tolist()}"
+            )
+        scaler = Scaler(lo=lo, hi=hi)
 
     layers = []
     for i, activation in enumerate(activations):

@@ -6,9 +6,11 @@ rows from :func:`encode_batch` are multiplied by the ansatz matrix of phi for
 the forward pass, and by the matrices of the shifted angle vectors
 phi +- pi/2 e_k for the two-point shift-rule Jacobian, which is exact for
 RY-generated rotations. :func:`q_forward` and :func:`q_gradient` are
-batch-of-one wrappers. With ``shots`` set, :func:`q_forward` estimates
-expectations from sampled measurements (evaluation mode only; training
-requires exact expectations).
+batch-of-one wrappers. With ``shots`` set, :func:`q_forward_batch` runs the
+same kernel and then estimates each expectation from sampled measurements,
+seeded per (row, observable) from the layer seed, the qubit and the encoded
+row, so a row's estimate does not depend on the rest of its batch
+(evaluation mode only; training requires exact expectations).
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ class QuantumLayer:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
 
 
-def _shot_seed(base_seed: int, qubit: int, x: np.ndarray) -> int:
+def _shot_seed(base_seed: int, qubit: int, encoded_row: np.ndarray) -> int:
     # Stable across runs: Python's hash() is salted, so hash the bytes instead.
-    payload = np.asarray([base_seed, qubit], dtype=np.int64).tobytes() + x.tobytes()
+    payload = np.asarray([base_seed, qubit], dtype=np.int64).tobytes() + encoded_row.tobytes()
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
@@ -79,10 +81,21 @@ def _expectations(final: np.ndarray, observables: tuple[int, ...]) -> np.ndarray
 
 
 def q_forward_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarray:
-    """Exact expectations for every encoded row, shape (batch, n_observables)."""
-    if layer.shots is not None:
-        raise ValueError("batched evaluation is exact only; unset shots")
-    return _expectations(_final_rows(layer.phi, encoded_rows)[0], layer.observables)
+    """Expectations for every encoded row, shape (batch, n_observables).
+
+    Exact when ``layer.shots`` is None. Otherwise each entry is a
+    :func:`sample_expect_z` estimate seeded from ``layer.seed``, the qubit and
+    the bytes of that encoded row.
+    """
+    final = _final_rows(layer.phi, encoded_rows)[0]
+    if layer.shots is None:
+        return _expectations(final, layer.observables)
+    out = np.empty((len(final), len(layer.observables)))
+    for i, (row, amplitudes) in enumerate(zip(encoded_rows, final)):
+        state = Statevector(N_FEATURES, amplitudes)
+        for j, q in enumerate(layer.observables):
+            out[i, j] = sample_expect_z(state, q, layer.shots, _shot_seed(layer.seed, q, row))
+    return out
 
 
 def q_gradient_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarray:
@@ -106,17 +119,7 @@ def q_forward(layer: QuantumLayer, x) -> np.ndarray:
 
     ``x`` is a feature vector already scaled to [0, 1].
     """
-    x = np.asarray(x, dtype=float)
-    state = feature_state(x)
-    if layer.shots is None:
-        return q_forward_batch(layer, state.amplitudes[None])[0]
-    final = Statevector(state.n_qubits, _final_rows(layer.phi, state.amplitudes[None])[0, 0])
-    return np.array(
-        [
-            sample_expect_z(final, q, layer.shots, _shot_seed(layer.seed, q, x))
-            for q in layer.observables
-        ]
-    )
+    return q_forward_batch(layer, feature_state(x).amplitudes[None])[0]
 
 
 def q_gradient(layer: QuantumLayer, x) -> np.ndarray:

@@ -6,6 +6,8 @@ Conventions used throughout the package:
   state with q0=1, q1=1, q2=0 sits at amplitude index 3.
 * RY(t) = exp(-i t Y/2), RZ(t) = exp(-i t Z/2), P(l) = diag(1, e^{il}).
 * Operations never mutate their input state; they return a fresh one.
+* Sampled expectations draw the count of 1 outcomes from one binomial
+  distribution per (state, qubit) rather than simulating each shot.
 
 The register is capped at ``MAX_QUBITS`` qubits because the dense
 representation needs 2**n complex amplitudes.
@@ -171,14 +173,16 @@ def sample_expect_z(
 ) -> float:
     """Z expectation estimated from ``shots`` sampled measurement outcomes.
 
-    Reproducible for a fixed ``rng_seed``; returns (n_plus - n_minus) / shots.
+    The number of 1 outcomes is one binomial draw with the exact probability
+    of measuring 1, which has the distribution of ``shots`` independent
+    measurements at a cost that does not grow with ``shots``. Reproducible
+    for a fixed ``rng_seed``; returns (n_plus - n_minus) / shots.
     """
     _check_qubit(state, qubit, "measured")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = np.abs(state.amplitudes) ** 2
-    mask = (np.arange(probs.size) >> qubit) & 1 == 1
-    p_one = float(np.clip(probs[mask].sum(), 0.0, 1.0))
-    rng = np.random.default_rng(rng_seed)
-    n_one = int(np.count_nonzero(rng.random(shots) < p_one))
+    _, i1 = _target_pairs(state.n_qubits, qubit)
+    amps_one = state.amplitudes[i1]
+    p_one = min(max(float(np.vdot(amps_one, amps_one).real), 0.0), 1.0)
+    n_one = int(np.random.default_rng(rng_seed).binomial(shots, p_one))
     return 1.0 - 2.0 * n_one / shots

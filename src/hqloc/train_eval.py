@@ -5,6 +5,11 @@ classical regression head (3 -> 32 -> 2), for 200 trainable parameters total.
 Training is full batch: each epoch records the pre-update MSE, computes the
 joint gradient (reverse mode through the head, shift rule through the quantum
 layer), and applies one optimizer step to the concatenated parameter vector.
+
+Evaluation is batched: :func:`evaluate_rmse` calls its predictor once on the
+whole test matrix, and :func:`hqnn_forward_batch` runs every row through one
+quantum kernel pass and one head pass, exact or, for a layer with shots set,
+shot-sampled.
 """
 
 from __future__ import annotations
@@ -50,6 +55,12 @@ def init_hybrid_model(seed: int = 0) -> HybridModel:
 def hqnn_forward(model: HybridModel, x) -> np.ndarray:
     """Predicted (x, y) coordinates in meters for one scaled feature vector."""
     return classical.forward(model.head, q_forward(model.qlayer, x))
+
+
+def hqnn_forward_batch(model: HybridModel, X) -> np.ndarray:
+    """Predicted (x, y) coordinates for every row of a scaled feature matrix."""
+    U = q_forward_batch(model.qlayer, encode_batch(X))
+    return classical.forward_batch(model.head, U)
 
 
 def model_param_vector(model: HybridModel) -> np.ndarray:
@@ -137,15 +148,15 @@ class TrainReport:
 
 
 def _model_ops(model, X):
-    """Uniform (predict, train_preds, train_grad, get, set) for training on ``X``.
+    """Uniform (predict_batch, train_preds, train_grad, get, set) for training on ``X``.
 
     A hybrid model's training rows are encoded here, once per training run.
     """
     if isinstance(model, HybridModel):
         rows = encode_batch(X)
 
-        def predict(x):
-            return hqnn_forward(model, x)
+        def predict(X_eval):
+            return hqnn_forward_batch(model, X_eval)
 
         def train_preds():
             U = q_forward_batch(model.qlayer, rows)
@@ -157,8 +168,8 @@ def _model_ops(model, X):
         return predict, train_preds, train_grad, \
             lambda: model_param_vector(model), lambda v: set_model_params(model, v)
     if isinstance(model, classical.DenseNet):
-        def predict(x):
-            return classical.forward(model, x)
+        def predict(X_eval):
+            return classical.forward_batch(model, X_eval)
 
         return predict, lambda: classical.forward_batch(model, X), \
             lambda Z: dense_grad(model, X, Z), \
@@ -232,29 +243,30 @@ def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
 
 
 def _sampled_predictor(model: HybridModel, shots: int, seed: int):
+    """Batch predictor of ``model`` with expectations sampled from ``shots`` shots."""
     layer = QuantumLayer(
         phi=model.qlayer.phi.copy(),
         observables=model.qlayer.observables,
         shots=shots,
         seed=seed,
     )
-
-    def predict(x):
-        return classical.forward(model.head, q_forward(layer, x))
-
-    return predict
+    sampled = HybridModel(qlayer=layer, head=model.head)
+    return lambda X: hqnn_forward_batch(sampled, X)
 
 
-def evaluate_rmse(predict_fn, X, Z) -> float:
-    """Root mean squared Euclidean position error (m) of ``predict_fn`` on a test set."""
+def evaluate_rmse(predict_batch, X, Z) -> float:
+    """Root mean squared Euclidean position error (m) on a test set.
+
+    ``predict_batch`` maps the whole (n, n_features) matrix ``X`` to an
+    (n, 2) matrix of predicted coordinates in one call.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if len(X) == 0:
         raise ValueError("test set is empty")
     if len(Z) != len(X):
         raise ValueError(f"test mismatch: {len(X)} inputs vs {len(Z)} targets")
-    preds = np.array([predict_fn(x) for x in X])
-    return math.sqrt(classical.mse_loss(preds, Z))
+    return math.sqrt(classical.mse_loss(predict_batch(X), Z))
 
 
 @dataclass(frozen=True)
@@ -335,7 +347,7 @@ def compare_all(
     def run_classical(seed):
         net = classical.baseline_net(seed)
         train(net, X_train, Z_train, _train_config(config, seed))
-        return evaluate_rmse(lambda x: classical.forward(net, x), X_test, Z_test)
+        return evaluate_rmse(lambda X: classical.forward_batch(net, X), X_test, Z_test)
 
     per_seed("classical_nn", run_classical)
 
@@ -345,7 +357,9 @@ def compare_all(
             if k > len(X_train):
                 continue
             knn = baselines.fit_knn(X_train, Z_train, k=k)
-            rmse = evaluate_rmse(lambda x: baselines.knn_predict(knn, x), X_test, Z_test)
+            rmse = evaluate_rmse(
+                lambda X: np.array([baselines.knn_predict(knn, x) for x in X]), X_test, Z_test
+            )
             if best_rmse is None or rmse < best_rmse:
                 best_k, best_rmse = k, rmse
         record("knn", None, best_rmse, note=f"k={best_k}")
@@ -354,7 +368,9 @@ def compare_all(
 
     try:
         db = baselines.build_fingerprint_db(X_train, Z_train)
-        rmse = evaluate_rmse(lambda x: baselines.fingerprint_predict(db, x), X_test, Z_test)
+        rmse = evaluate_rmse(
+            lambda X: np.array([baselines.fingerprint_predict(db, x) for x in X]), X_test, Z_test
+        )
         record("quantum_fingerprint", None, rmse)
     except Exception as exc:
         record("quantum_fingerprint", None, None, note=f"failed: {exc}")
@@ -365,7 +381,7 @@ def compare_all(
         model = init_hybrid_model(seed)
         train(model, X_train, Z_train, _train_config(config, seed))
         trained[seed] = model
-        return evaluate_rmse(lambda x: hqnn_forward(model, x), X_test, Z_test)
+        return evaluate_rmse(lambda X: hqnn_forward_batch(model, X), X_test, Z_test)
 
     per_seed("hqnn_exact", run_hqnn_exact)
 

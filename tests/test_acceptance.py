@@ -44,6 +44,7 @@ from hqloc.train_eval import (
     _sampled_predictor,
     evaluate_rmse,
     hqnn_forward,
+    hqnn_forward_batch,
     hqnn_grad,
     init_hybrid_model,
     model_param_vector,
@@ -112,9 +113,11 @@ def _trained_cell_rmses(scenario, technology):
     for seed in REPRODUCTION_SEEDS:
         model = init_hybrid_model(seed=seed)
         train(model, X_train, Z_train, TrainConfig(seed=seed))
-        hqnn.append(evaluate_rmse(lambda x: hqnn_forward(model, x), X_test, Z_test))
+        hqnn.append(evaluate_rmse(lambda X: hqnn_forward_batch(model, X), X_test, Z_test))
     db = build_fingerprint_db(X_train, Z_train)
-    qfp = evaluate_rmse(lambda x: fingerprint_predict(db, x), X_test, Z_test)
+    qfp = evaluate_rmse(
+        lambda X: np.array([fingerprint_predict(db, x) for x in X]), X_test, Z_test
+    )
     return min(hqnn), qfp
 
 
@@ -346,7 +349,7 @@ def test_criterion_09_sampled_rmse_tracks_exact_rmse():
     for seed in (1, 2, 3, 4, 5):
         model = init_hybrid_model(seed=seed)
         train(model, X_train, Z_train, TrainConfig(seed=seed))
-        exact = evaluate_rmse(lambda x: hqnn_forward(model, x), X_test, Z_test)
+        exact = evaluate_rmse(lambda X: hqnn_forward_batch(model, X), X_test, Z_test)
         sampled = evaluate_rmse(
             _sampled_predictor(model, shots=100_000, seed=seed), X_test, Z_test
         )

@@ -231,6 +231,17 @@ class TestScaler:
             transform(scaler, (-80.0, -70.0, -60.0)), [0.25, 0.5, 0.75], rtol=0, atol=1e-15
         )
 
+    def test_matrix_transform_matches_rows_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        scaler = fit_scaler(make_samples(rng, n=20))
+        # Fresh draws fall outside the fitted range too, so clamping is covered.
+        samples = make_samples(rng, n=50)
+        rows = np.array([transform(scaler, s.rssi) for s in samples])
+        assert np.any(rows == 0.0) and np.any(rows == 1.0)
+        np.testing.assert_array_equal(transform(scaler, features_matrix(samples)), rows)
+        np.testing.assert_array_equal(transform_samples(scaler, samples)[0], rows)
+        assert transform_samples(scaler, [])[0].shape == (0, 3)
+
     def test_constant_column_rejected(self):
         samples = [
             RssiSample((-50.0, -60.0, -70.0), (0.0, 0.0)),

@@ -211,6 +211,28 @@ class TestHybridModelChecks:
         assert "layer1_weight" in self.load_edited(tmp_path, edit)
 
 
+class TestScalerChecks:
+    """A stored scaler that cannot map three readings into [0, 1] fails at load."""
+
+    def load_with_scaler(self, tmp_path, lo, hi):
+        path = tmp_path / "model.params"
+        save_model(path, init_hybrid_model(seed=1), scaler=Scaler(np.array(lo), np.array(hi)))
+        with pytest.raises(ModelFormatError, match=re.escape(str(path))) as err:
+            load_model(path)
+        return str(err.value)
+
+    def test_empty_range_rejected(self, tmp_path):
+        # hi == lo on the third anchor would turn its feature into NaN.
+        message = self.load_with_scaler(
+            tmp_path, [-90.0, -90.0, -60.0], [-40.0, -40.0, -60.0]
+        )
+        assert "feature(s) [2]" in message
+
+    def test_two_entry_scaler_rejected(self, tmp_path):
+        message = self.load_with_scaler(tmp_path, [-90.0, -90.0], [-40.0, -40.0])
+        assert "2 and 2 entries" in message
+
+
 class TestLossCsv:
     def test_rows_and_final_entry(self, tmp_path):
         path = tmp_path / "loss.csv"

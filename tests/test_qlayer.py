@@ -146,13 +146,26 @@ class TestBatchedPath:
                 np.testing.assert_allclose(jacobian[i, :, k], shifted, rtol=0, atol=1e-12)
 
     def test_batch_refuses_sampled_mode(self):
+        # Only the gradient refuses shots; a sampled forward batch equals its rows.
         rng = np.random.default_rng(10)
         layer = make_layer(rng, shots=64)
-        rows = encode_batch(rng.uniform(0, 1, size=(2, 3)))
-        with pytest.raises(ValueError):
-            q_forward_batch(layer, rows)
+        X = rng.uniform(0, 1, size=(2, 3))
+        rows = encode_batch(X)
+        np.testing.assert_array_equal(
+            q_forward_batch(layer, rows), [q_forward(layer, x) for x in X]
+        )
         with pytest.raises(ValueError):
             q_gradient_batch(layer, rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(phis, batches, st.integers(0, 2**62), st.integers(1, 10_000))
+    def test_sampled_forward_batch_matches_per_sample(self, phi, X, seed, shots):
+        layer = QuantumLayer(phi=phi, shots=shots, seed=seed)
+        batch = q_forward_batch(layer, encode_batch(X))
+        loop = np.array([q_forward(layer, x) for x in X])
+        np.testing.assert_array_equal(batch, loop)
+        reversed_batch = q_forward_batch(layer, encode_batch(X[::-1]))
+        np.testing.assert_array_equal(reversed_batch, batch[::-1])
 
     def test_encode_batch_rows_are_feature_states(self):
         rng = np.random.default_rng(11)

@@ -6,6 +6,7 @@ import pytest
 from hqloc.statevector import (
     MAX_QUBITS,
     Gate,
+    Statevector,
     apply_gate,
     apply_gates,
     cx,
@@ -218,3 +219,20 @@ class TestSampledExpectZ:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             sample_expect_z(zero_state(1), 0, shots=0, rng_seed=0)
+
+    def test_certain_outcomes_are_exact(self):
+        # Basis state |10>: qubit 0 reads 0 with p = 1, qubit 1 reads 1 with p = 1.
+        state = Statevector(2, np.array([0.0, 0.0, 1.0, 0.0], dtype=complex))
+        for seed in range(20):
+            assert sample_expect_z(state, 0, shots=4096, rng_seed=seed) == 1.0
+            assert sample_expect_z(state, 1, shots=4096, rng_seed=seed) == -1.0
+
+    def test_mean_over_seeds_within_four_sigma(self):
+        state = apply_gates(zero_state(3), [h(0), ry(1.1, 1), cx(1, 2)])
+        shots, n_seeds = 1000, 200
+        for q in range(3):
+            exact = expect_z(state, q)
+            mean = np.mean([sample_expect_z(state, q, shots, seed) for seed in range(n_seeds)])
+            # One estimate has variance 4 p (1 - p) / shots = (1 - exact^2) / shots.
+            sigma = np.sqrt((1.0 - exact**2) / (shots * n_seeds))
+            assert abs(mean - exact) <= 4.0 * sigma

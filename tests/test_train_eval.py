@@ -214,7 +214,9 @@ class TestTrainingLoop:
         model = init_hybrid_model(seed=8)
         X, Z = small_problem(seed=8, n=8)
         report = train(model, X, Z, TrainConfig(epochs=3), test=(X[:4], Z[:4]))
-        direct = evaluate_rmse(lambda x: hqnn_forward(model, x), X[:4], Z[:4])
+        direct = evaluate_rmse(
+            lambda X: np.array([hqnn_forward(model, x) for x in X]), X[:4], Z[:4]
+        )
         np.testing.assert_allclose(report.final_test_rmse, direct, rtol=0, atol=1e-12)
 
     def test_shots_eval_changes_test_rmse_reproducibly(self):
@@ -252,7 +254,7 @@ class TestEvaluateRmse:
         preds = {(0.0, 0.0, 0.0): np.array([3.0, 4.0]), (1.0, 1.0, 1.0): np.array([1.0, 1.0])}
         X = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         Z = np.array([[0.0, 0.0], [1.0, 1.0]])
-        rmse = evaluate_rmse(lambda x: preds[tuple(x)], X, Z)
+        rmse = evaluate_rmse(lambda X: np.array([preds[tuple(x)] for x in X]), X, Z)
         np.testing.assert_allclose(rmse, np.sqrt(12.5), rtol=0, atol=1e-12)
 
     def test_validation(self):
