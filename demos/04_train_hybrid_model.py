@@ -19,7 +19,6 @@ from hqloc.data import fit_scaler, gen_scenario_standin, transform_samples
 from hqloc.model_io import load_model, save_model
 from hqloc.train_eval import (
     TrainConfig,
-    _sampled_predictor,
     evaluate_rmse,
     hqnn_forward,
     hqnn_forward_batch,
@@ -70,14 +69,18 @@ print(f"  final    : {report.final_train_mse:.4f}")
 # ``evaluate_rmse`` takes a batch predictor: one call maps the whole test
 # matrix to coordinates, so the quantum layer runs once over every row.
 # Evaluating the same trained model with sampled expectations shows what a
-# finite shot budget would add on hardware. Each (row, qubit) estimate is one
-# binomial draw of the 1-outcome count, seeded from the evaluation seed, the
-# qubit and the encoded row, so it does not depend on the other test rows.
+# finite shot budget would add on hardware: the shot count and seed are
+# arguments of the evaluation, not part of the model. Each (row, qubit)
+# estimate is one binomial draw of the 1-outcome count, seeded from the
+# evaluation seed, the qubit and the encoded row, so it does not depend on the
+# other test rows.
 
 exact_rmse = evaluate_rmse(lambda X: hqnn_forward_batch(model, X), X_test, Z_test)
 print(f"\ntest RMSE (exact expectations):  {exact_rmse:.3f} m")
 for shots in (128, 4096, 100_000):
-    sampled = evaluate_rmse(_sampled_predictor(model, shots=shots, seed=1), X_test, Z_test)
+    sampled = evaluate_rmse(
+        lambda X: hqnn_forward_batch(model, X, shots=shots, seed=1), X_test, Z_test
+    )
     print(f"test RMSE ({shots:>6} shots):       {sampled:.3f} m")
 
 ##############################################################################

@@ -244,12 +244,11 @@ def cmd_eval(args) -> int:
     X = data.features_matrix(samples)
     if scaler is not None:
         X = data.transform(scaler, X)
+    elif X.min() < 0.0 or X.max() > 1.0:
+        raise ValueError(f"{args.model_file}: no stored scaler, and {args.data} is not in [0, 1]")
     Z = data.targets_matrix(samples)
     if isinstance(model, train_eval.HybridModel):
-        if args.shots is not None:
-            predict = train_eval._sampled_predictor(model, args.shots, args.seed)
-        else:
-            predict = lambda batch: train_eval.hqnn_forward_batch(model, batch)
+        predict = lambda batch: train_eval.hqnn_forward_batch(model, batch, args.shots, args.seed)
     else:
         if args.shots is not None:
             print("warning: --shots has no effect on a classical model", file=sys.stderr)

@@ -127,6 +127,37 @@ def _resolve_columns(mapping, header, path) -> list[int]:
     return columns
 
 
+def _not_utf8(path) -> DataFormatError:
+    """The error for ``path``, naming the line and value of its first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]  # count line breaks as the csv reader does
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return DataFormatError(
+            f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not valid UTF-8"
+        )
+    return DataFormatError(f"{path}: not valid UTF-8")  # the file changed since it failed
+
+
+def _csv_rows(path):
+    """(line, row) pairs of a UTF-8 CSV file; a row's line is where it starts in the file."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        try:
+            for row in reader:
+                yield line, row
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            # The decoder reads ahead of the rows, so the bad byte is found in the raw file.
+            raise _not_utf8(path) from None
+
+
 def load_csv(
     path,
     has_header: bool = False,
@@ -138,56 +169,53 @@ def load_csv(
     Without a mapping every row must have exactly the five canonical numeric
     fields. ``aggregate_positions`` averages the RSSI triples of rows sharing
     an identical (x, y), keeping first-seen position order. An empty file
-    yields an empty list. Malformed rows raise :class:`DataFormatError`
+    yields an empty list. Malformed rows, bytes that are not UTF-8 and
+    fields past the csv module's size limit raise :class:`DataFormatError`
     naming the line.
     """
     samples: list[RssiSample] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header: list[str] | None = None
-        columns: list[int] | None = None
-        data_started = False
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            row = [cell.strip() for cell in row]
-            if has_header and not data_started:
-                header = row
-                data_started = True
-                continue
+    header: list[str] | None = None
+    columns: list[int] | None = None
+    data_started = False
+    for lineno, row in _csv_rows(path):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        row = [cell.strip() for cell in row]
+        if has_header and not data_started:
+            header = row
             data_started = True
-            if columns is None:
-                if mapping is not None:
-                    columns = _resolve_columns(mapping, header, path)
-                else:
-                    columns = list(range(len(CANONICAL_FIELDS)))
-            if mapping is None and len(row) != len(CANONICAL_FIELDS):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {len(CANONICAL_FIELDS)} "
-                    f"fields, got {len(row)}"
-                )
-            if max(columns) >= len(row):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: row has {len(row)} fields, "
-                    f"mapping needs column {max(columns)}"
-                )
-            values = []
-            for field, col in zip(CANONICAL_FIELDS, columns):
-                try:
-                    value = float(row[col])
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: non-numeric value {row[col]!r} "
-                        f"for field {field!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: non-finite value for field {field!r}"
-                    )
-                values.append(value)
-            samples.append(
-                RssiSample(rssi=tuple(values[:3]), position=tuple(values[3:]))
+            continue
+        data_started = True
+        if columns is None:
+            if mapping is not None:
+                columns = _resolve_columns(mapping, header, path)
+            else:
+                columns = list(range(len(CANONICAL_FIELDS)))
+        if mapping is None and len(row) != len(CANONICAL_FIELDS):
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected {len(CANONICAL_FIELDS)} "
+                f"fields, got {len(row)}"
             )
+        if max(columns) >= len(row):
+            raise DataFormatError(
+                f"{path}: line {lineno}: row has {len(row)} fields, "
+                f"mapping needs column {max(columns)}"
+            )
+        values = []
+        for field, col in zip(CANONICAL_FIELDS, columns):
+            try:
+                value = float(row[col])
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: non-numeric value {row[col]!r} "
+                    f"for field {field!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DataFormatError(
+                    f"{path}: line {lineno}: non-finite value for field {field!r}"
+                )
+            values.append(value)
+        samples.append(RssiSample(rssi=tuple(values[:3]), position=tuple(values[3:])))
     if aggregate_positions:
         samples = _aggregate_by_position(samples)
     return samples

@@ -171,13 +171,9 @@ def load_model(path):
         raise ModelFormatError(
             f"{path}: phi has {phi.size} angles, the ansatz takes {N_ANSATZ_PARAMS}"
         )
-    qlayer = QuantumLayer(phi=phi)
-    if net.input_dim != len(qlayer.observables):
-        raise ModelFormatError(
-            f"{path}: head takes {net.input_dim} inputs, "
-            f"the quantum layer gives {len(qlayer.observables)}"
-        )
-    return HybridModel(qlayer=qlayer, head=net), scaler
+    if net.input_dim != N_FEATURES:
+        raise ModelFormatError(f"{path}: head takes {net.input_dim} inputs, not {N_FEATURES}")
+    return HybridModel(qlayer=QuantumLayer(phi=phi), head=net), scaler
 
 
 def file_digest(path) -> str:

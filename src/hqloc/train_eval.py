@@ -8,8 +8,8 @@ layer), and applies one optimizer step to the concatenated parameter vector.
 
 Evaluation is batched: :func:`evaluate_rmse` calls its predictor once on the
 whole test matrix, and :func:`hqnn_forward_batch` runs every row through one
-quantum kernel pass and one head pass, exact or, for a layer with shots set,
-shot-sampled.
+quantum kernel pass and one head pass, exact or, given a shot budget and a
+seed, shot-sampled. The trained model is the same in both cases.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ import numpy as np
 
 from . import baselines, classical, data, optim
 from .circuits import N_ANSATZ_PARAMS
-from .qlayer import (
-    QuantumLayer,
-    encode_batch,
-    q_forward,
-    q_forward_batch,
-    q_gradient_batch,
-)
+from .qlayer import QuantumLayer, encode_batch, q_forward, q_forward_batch, q_gradient_batch
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -57,9 +51,11 @@ def hqnn_forward(model: HybridModel, x) -> np.ndarray:
     return classical.forward(model.head, q_forward(model.qlayer, x))
 
 
-def hqnn_forward_batch(model: HybridModel, X) -> np.ndarray:
-    """Predicted (x, y) coordinates for every row of a scaled feature matrix."""
-    U = q_forward_batch(model.qlayer, encode_batch(X))
+def hqnn_forward_batch(
+    model: HybridModel, X, shots: int | None = None, seed: int = 0
+) -> np.ndarray:
+    """Predicted (x, y) for every row of a scaled feature matrix; sampled if ``shots`` is set."""
+    U = q_forward_batch(model.qlayer, encode_batch(X), shots, seed)
     return classical.forward_batch(model.head, U)
 
 
@@ -77,6 +73,17 @@ def set_model_params(model: HybridModel, vec: np.ndarray) -> None:
     classical.set_net_params(model.head, vec[n_q:])
 
 
+def _batch(X, Z, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` and ``Z`` as 2-D float arrays; refuses an empty ``name`` or unequal lengths."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    if X.size == 0:  # atleast_2d turns an empty list into shape (1, 0)
+        raise ValueError(f"{name} is empty")
+    if len(Z) != len(X):
+        raise ValueError(f"{name} mismatch: {len(X)} inputs vs {len(Z)} targets")
+    return X, Z
+
+
 def hqnn_grad(model: HybridModel, X, Z, encoded=None) -> np.ndarray:
     """Gradient of the batch MSE with respect to all trainable parameters.
 
@@ -85,13 +92,8 @@ def hqnn_grad(model: HybridModel, X, Z, encoded=None) -> np.ndarray:
     optionally supplies the rows of :func:`encode_batch` for ``X``, so a
     training loop encodes its data once.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    X, Z = _batch(X, Z, "gradient batch")
     n = len(X)
-    if n == 0:
-        raise ValueError("gradient needs a nonempty batch")
-    if len(Z) != n:
-        raise ValueError(f"batch mismatch: {n} inputs vs {len(Z)} targets")
     rows = encode_batch(X) if encoded is None else encoded
     U = q_forward_batch(model.qlayer, rows)
     preds = classical.forward_batch(model.head, U)
@@ -105,13 +107,8 @@ def hqnn_grad(model: HybridModel, X, Z, encoded=None) -> np.ndarray:
 
 def dense_grad(net: classical.DenseNet, X, Z) -> np.ndarray:
     """Batch MSE gradient for a plain dense network (classical baseline)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    X, Z = _batch(X, Z, "gradient batch")
     n = len(X)
-    if n == 0:
-        raise ValueError("gradient needs a nonempty batch")
-    if len(Z) != n:
-        raise ValueError(f"batch mismatch: {n} inputs vs {len(Z)} targets")
     preds = classical.forward_batch(net, X)
     upstream = 2.0 * (preds - Z) / n
     layer_grads, _ = classical.backward_batch(net, X, upstream)
@@ -147,16 +144,17 @@ class TrainReport:
     epochs_run: int
 
 
-def _model_ops(model, X):
+def _model_ops(model, X, config: TrainConfig):
     """Uniform (predict_batch, train_preds, train_grad, get, set) for training on ``X``.
 
-    A hybrid model's training rows are encoded here, once per training run.
+    A hybrid model's training rows are encoded here, once per training run, and
+    its test predictions are sampled when ``config.shots_eval`` is set.
     """
     if isinstance(model, HybridModel):
         rows = encode_batch(X)
 
         def predict(X_eval):
-            return hqnn_forward_batch(model, X_eval)
+            return hqnn_forward_batch(model, X_eval, config.shots_eval, config.seed)
 
         def train_preds():
             U = q_forward_batch(model.qlayer, rows)
@@ -186,12 +184,9 @@ def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
     ``early_stop_patience`` trades that guarantee for stopping once the best
     loss has stalled for that many epochs. Aborts on non-finite loss.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if len(X) == 0:
-        raise ValueError("training set is empty")
+    X, Z = _batch(X, Z, "training set")
     start = time.perf_counter()
-    predict, train_preds, train_grad, get_params, set_params = _model_ops(model, X)
+    predict, train_preds, train_grad, get_params, set_params = _model_ops(model, X, config)
     params = get_params()
     adam_state = optim.init_adam(params.size, eta=config.eta)
     trace = []
@@ -223,15 +218,7 @@ def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
         set_params(params)
     final_train_mse = classical.mse_loss(train_preds(), Z)
     wall = time.perf_counter() - start
-    final_test_rmse = None
-    if test is not None:
-        X_test, Z_test = test
-        if config.shots_eval is not None and isinstance(model, HybridModel):
-            final_test_rmse = evaluate_rmse(
-                _sampled_predictor(model, config.shots_eval, config.seed), X_test, Z_test
-            )
-        else:
-            final_test_rmse = evaluate_rmse(predict, X_test, Z_test)
+    final_test_rmse = None if test is None else evaluate_rmse(predict, *test)
     return TrainReport(
         loss_per_epoch=np.asarray(trace),
         final_train_mse=final_train_mse,
@@ -242,30 +229,13 @@ def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
     )
 
 
-def _sampled_predictor(model: HybridModel, shots: int, seed: int):
-    """Batch predictor of ``model`` with expectations sampled from ``shots`` shots."""
-    layer = QuantumLayer(
-        phi=model.qlayer.phi.copy(),
-        observables=model.qlayer.observables,
-        shots=shots,
-        seed=seed,
-    )
-    sampled = HybridModel(qlayer=layer, head=model.head)
-    return lambda X: hqnn_forward_batch(sampled, X)
-
-
 def evaluate_rmse(predict_batch, X, Z) -> float:
     """Root mean squared Euclidean position error (m) on a test set.
 
     ``predict_batch`` maps the whole (n, n_features) matrix ``X`` to an
     (n, 2) matrix of predicted coordinates in one call.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if len(X) == 0:
-        raise ValueError("test set is empty")
-    if len(Z) != len(X):
-        raise ValueError(f"test mismatch: {len(X)} inputs vs {len(Z)} targets")
+    X, Z = _batch(X, Z, "test set")
     return math.sqrt(classical.mse_loss(predict_batch(X), Z))
 
 
@@ -390,8 +360,9 @@ def compare_all(
         if model is None:
             model = init_hybrid_model(seed)
             train(model, X_train, Z_train, _train_config(config, seed))
-        predict = _sampled_predictor(model, config.shots, seed)
-        return evaluate_rmse(predict, X_test, Z_test)
+        return evaluate_rmse(
+            lambda X: hqnn_forward_batch(model, X, config.shots, seed), X_test, Z_test
+        )
 
     per_seed("hqnn_shots", run_hqnn_shots, note=f"shots={config.shots}")
     return records

@@ -41,7 +41,6 @@ from hqloc.reference import REFERENCE_RMSE_M
 from hqloc.statevector import apply_gate, apply_gates, cx, expect_z, h, p, ry, rz, zero_state
 from hqloc.train_eval import (
     TrainConfig,
-    _sampled_predictor,
     evaluate_rmse,
     hqnn_forward,
     hqnn_forward_batch,
@@ -351,7 +350,7 @@ def test_criterion_09_sampled_rmse_tracks_exact_rmse():
         train(model, X_train, Z_train, TrainConfig(seed=seed))
         exact = evaluate_rmse(lambda X: hqnn_forward_batch(model, X), X_test, Z_test)
         sampled = evaluate_rmse(
-            _sampled_predictor(model, shots=100_000, seed=seed), X_test, Z_test
+            lambda X: hqnn_forward_batch(model, X, shots=100_000, seed=seed), X_test, Z_test
         )
         gaps.append(abs(sampled - exact))
     assert float(np.mean(gaps)) < 0.1, f"mean gap {np.mean(gaps):.4f} m"

@@ -6,9 +6,23 @@ import numpy as np
 import pytest
 
 from hqloc.cli import main
-from hqloc.data import gen_synthetic, load_csv, save_csv, scenario_meta
-from hqloc.model_io import load_model
-from hqloc.train_eval import HybridModel
+from hqloc.data import (
+    RssiSample,
+    fit_scaler,
+    gen_scenario_standin,
+    gen_synthetic,
+    load_csv,
+    save_csv,
+    scenario_meta,
+    transform_samples,
+)
+from hqloc.model_io import load_model, save_model
+from hqloc.train_eval import (
+    HybridModel,
+    evaluate_rmse,
+    hqnn_forward_batch,
+    init_hybrid_model,
+)
 
 
 def make_csv(path, n=20, seed=0, sigma=1.0):
@@ -56,6 +70,18 @@ class TestExitCodes:
         code = main(["train", "--data", str(empty), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert "no samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"-50,-60,-70,1,2\n-50,-6\xff0,-70,1,2\n", "byte 0xff"),
+        (b"-50,-60,-70,1,2\n" + b"1" * 200_000 + b",1,1,1,1\n", "field larger"),
+    ], ids=["invalid_utf8", "oversized_field"])
+    def test_undecodable_csv_is_one_line_error(self, tmp_path, capsys, content, reason):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        code = main(["train", "--data", str(bad), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: line 2: {reason}")
 
 
 class TestGenSynthetic:
@@ -206,6 +232,33 @@ class TestEval:
                          "--seed", "3", "--out-dir", str(out_dir)]) == 0
             outs.append((out_dir / "eval_rmse.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_model_without_scaler_refuses_raw_readings(self, tmp_path, capsys):
+        model_file = tmp_path / "model.params"
+        save_model(model_file, init_hybrid_model(1))
+        _, samples, _ = gen_scenario_standin("Sc-1", "WiFi")
+        data_csv = tmp_path / "raw.csv"
+        save_csv(samples, data_csv, header=False)
+        code = main(["eval", "--model-file", str(model_file), "--data", str(data_csv),
+                     "--out-dir", str(tmp_path / "e")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {model_file}: no stored scaler")
+        assert not (tmp_path / "e").exists()
+
+    def test_model_without_scaler_evaluates_scaled_readings(self, tmp_path):
+        model = init_hybrid_model(1)
+        model_file = tmp_path / "model.params"
+        save_model(model_file, model)
+        _, samples, _ = gen_scenario_standin("Sc-1", "WiFi")
+        X, Z = transform_samples(fit_scaler(samples), samples)
+        data_csv = tmp_path / "scaled.csv"
+        save_csv([RssiSample(tuple(x), tuple(z)) for x, z in zip(X, Z)], data_csv, header=False)
+        out_dir = tmp_path / "e"
+        assert main(["eval", "--model-file", str(model_file), "--data", str(data_csv),
+                     "--out-dir", str(out_dir)]) == 0
+        value = float((out_dir / "eval_rmse.csv").read_text().splitlines()[1])
+        assert value == evaluate_rmse(lambda batch: hqnn_forward_batch(model, batch), X, Z)
 
     def test_shots_on_classical_model_warn(self, tmp_path, train_csv, test_csv, capsys):
         model_file = self.run_train(tmp_path, train_csv, extra=("--model", "classical"))

@@ -1,9 +1,12 @@
 """Dataset layer tests: CSV parsing, scaling, the synthetic channel model."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hqloc.data import (
     SCENARIOS,
@@ -118,6 +121,58 @@ class TestCsvErrors:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")
+
+    def test_line_counts_lines_inside_quoted_fields(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('"-50\n",-60,-70,1,2\n-50,abc,-70,1,2\n', encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 3: non-numeric"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, end):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"-50,-60,-70,1,2" + end + b"-50,-6\xff0,-70,1,2" + end)
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 2: byte 0xff")):
+            load_csv(path)
+
+    def test_oversized_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("-50,-60,-70,1,2\n" + "1" * 200_000 + ",1,1,1,1\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 2: field larger")):
+            load_csv(path)
+
+
+# CSV-like text: number-ish and arbitrary fields, quotes, and every line ending.
+csv_fields = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "-", "1e400", "nan", '"', '"1"', "1_0", "\x00"]),
+    st.text(max_size=6),
+)
+csv_texts = st.lists(
+    st.tuples(st.lists(csv_fields, max_size=7), st.sampled_from(["\n", "\r\n", "\r", ""])),
+    max_size=5,
+).map(lambda rows: "".join(",".join(fields) + end for fields, end in rows))
+
+
+class TestCsvFuzz:
+    """Any file content either parses into finite samples or raises DataFormatError."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(st.binary(max_size=200), csv_texts.map(str.encode)), st.booleans())
+    @example(b"rssi_a,rssi_b,rssi_c,x,y\r\n-50,-60,-70,1,2\r\n", True)
+    @example(b"-50,-60,-70,1,2\n-50,-6\xff0,-70,1,2\n", False)
+    @example(b"-50,-60,-70,1,2\n" + b"1" * 200_000 + b",1,1,1,1\n", False)
+    def test_parses_or_raises_format_error(self, tmp_path, content, has_header):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(content)
+        try:
+            samples = load_csv(path, has_header=has_header)
+        except DataFormatError:
+            return
+        for s in samples:
+            assert len(s.rssi) == 3 and len(s.position) == 2
+            assert all(math.isfinite(v) for v in (*s.rssi, *s.position))
 
 
 class TestMapping:

@@ -5,8 +5,19 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hqloc.classical import baseline_net, forward, glorot_net, net_param_vector
+from hqloc.classical import (
+    ACTIVATIONS,
+    DenseLayer,
+    DenseNet,
+    baseline_net,
+    forward,
+    glorot_net,
+    net_param_vector,
+)
 from hqloc.data import Scaler
 from hqloc.model_io import (
     FORMAT_HEADER,
@@ -18,12 +29,53 @@ from hqloc.model_io import (
     write_loss_csv,
     write_manifest,
 )
+from hqloc.qlayer import QuantumLayer
 from hqloc.train_eval import (
     HybridModel,
     hqnn_forward,
     init_hybrid_model,
     model_param_vector,
 )
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def dense_nets(draw, input_dim=None):
+    n_layers = draw(st.integers(1, 3))
+    sizes = [input_dim or draw(st.integers(1, 5))]
+    sizes += [draw(st.integers(1, 5)) for _ in range(n_layers)]
+    layers = []
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        activation = "linear" if i == n_layers - 1 else draw(st.sampled_from(ACTIVATIONS))
+        weight = draw(arrays(float, (fan_out, fan_in), elements=finite))
+        bias = draw(arrays(float, (fan_out,), elements=finite))
+        layers.append(DenseLayer(weight, bias, activation))
+    return DenseNet(layers)
+
+
+@st.composite
+def models(draw):
+    if draw(st.booleans()):
+        phi = draw(arrays(float, (6,), elements=finite))
+        return HybridModel(qlayer=QuantumLayer(phi=phi), head=draw(dense_nets(input_dim=3)))
+    return draw(dense_nets())
+
+
+@st.composite
+def scalers(draw):
+    a, b = (draw(arrays(float, (3,), elements=finite)) for _ in range(2))
+    assume(np.all(a != b))
+    return Scaler(lo=np.minimum(a, b), hi=np.maximum(a, b))
+
+
+def stored_arrays(model):
+    """Shape and raw bytes (-0.0 differs from 0.0) of each stored array, and the activations."""
+    net = model.head if isinstance(model, HybridModel) else model
+    out = [model.qlayer.phi] if isinstance(model, HybridModel) else []
+    for layer in net.layers:
+        out += [layer.weight, layer.bias]
+    return [(a.shape, a.tobytes()) for a in out], [layer.activation for layer in net.layers]
 
 
 class TestModelRoundTrip:
@@ -50,6 +102,21 @@ class TestModelRoundTrip:
         assert [l.activation for l in loaded.layers] == ["relu", "relu", "linear"]
         x = np.array([0.1, 0.2, 0.3])
         np.testing.assert_array_equal(forward(loaded, x), forward(net, x))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(models(), st.none() | scalers())
+    def test_random_models_round_trip_bit_for_bit(self, tmp_path, model, scaler):
+        path = tmp_path / "model.params"
+        save_model(path, model, scaler)
+        loaded, loaded_scaler = load_model(path)
+        assert type(loaded) is type(model)
+        assert stored_arrays(loaded) == stored_arrays(model)
+        if scaler is None:
+            assert loaded_scaler is None
+        else:
+            assert loaded_scaler.lo.tobytes() == scaler.lo.tobytes()
+            assert loaded_scaler.hi.tobytes() == scaler.hi.tobytes()
 
     def test_scaler_travels_with_model(self, tmp_path):
         model = init_hybrid_model(seed=5)
@@ -192,7 +259,7 @@ class TestHybridModelChecks:
 
         assert f"{n_angles} angles" in self.load_edited(tmp_path, edit)
 
-    def test_head_width_must_match_observables(self, tmp_path):
+    def test_head_width_must_match_feature_count(self, tmp_path):
         def edit(model):
             model.head = glorot_net((4, 32, 2), 0)
 

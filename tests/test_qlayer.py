@@ -20,8 +20,8 @@ from hqloc.statevector import apply_gate, apply_gates, expect_z, ry, zero_state
 from oracles import fd_gradient
 
 
-def make_layer(rng, shots=None):
-    return QuantumLayer(phi=rng.uniform(-np.pi, np.pi, size=6), shots=shots)
+def make_layer(rng):
+    return QuantumLayer(phi=rng.uniform(-np.pi, np.pi, size=6))
 
 
 def gate_level_expectations(phi, x):
@@ -60,18 +60,21 @@ class TestForward:
 
     def test_sampled_forward_reproducible_and_decorrelated(self):
         rng = np.random.default_rng(2)
-        layer = make_layer(rng, shots=512)
+        layer = make_layer(rng)
         x1 = np.array([0.2, 0.5, 0.8])
         x2 = np.array([0.5, 0.2, 0.8])
-        np.testing.assert_array_equal(q_forward(layer, x1), q_forward(layer, x1))
-        assert not np.array_equal(q_forward(layer, x1), q_forward(layer, x2))
+        np.testing.assert_array_equal(
+            q_forward(layer, x1, shots=512), q_forward(layer, x1, shots=512)
+        )
+        assert not np.array_equal(q_forward(layer, x1, shots=512), q_forward(layer, x2, shots=512))
 
     def test_sampled_forward_near_exact_with_many_shots(self):
         rng = np.random.default_rng(3)
         layer = make_layer(rng)
-        noisy = QuantumLayer(phi=layer.phi, shots=100_000, seed=7)
         x = np.array([0.4, 0.1, 0.9])
-        np.testing.assert_allclose(q_forward(noisy, x), q_forward(layer, x), atol=0.02)
+        np.testing.assert_allclose(
+            q_forward(layer, x, shots=100_000, seed=7), q_forward(layer, x), atol=0.02
+        )
 
 
 class TestShiftRule:
@@ -101,12 +104,6 @@ class TestShiftRule:
 
                 fd = fd_gradient(lambda v, j=j: expectation(v, j), layer.phi.copy(), h=1e-5)
                 np.testing.assert_allclose(grad[j], fd, atol=1e-6)
-
-    def test_gradient_refuses_sampled_mode(self):
-        rng = np.random.default_rng(7)
-        layer = make_layer(rng, shots=100)
-        with pytest.raises(ValueError):
-            q_gradient(layer, np.array([0.1, 0.2, 0.3]))
 
 
 class TestBatchedPath:
@@ -146,25 +143,25 @@ class TestBatchedPath:
                 np.testing.assert_allclose(jacobian[i, :, k], shifted, rtol=0, atol=1e-12)
 
     def test_batch_refuses_sampled_mode(self):
-        # Only the gradient refuses shots; a sampled forward batch equals its rows.
+        # Only the forward pass samples; the gradient takes no shot budget.
         rng = np.random.default_rng(10)
-        layer = make_layer(rng, shots=64)
+        layer = make_layer(rng)
         X = rng.uniform(0, 1, size=(2, 3))
         rows = encode_batch(X)
         np.testing.assert_array_equal(
-            q_forward_batch(layer, rows), [q_forward(layer, x) for x in X]
+            q_forward_batch(layer, rows, shots=64), [q_forward(layer, x, shots=64) for x in X]
         )
-        with pytest.raises(ValueError):
-            q_gradient_batch(layer, rows)
+        with pytest.raises(TypeError):
+            q_gradient_batch(layer, rows, shots=64)
 
     @settings(max_examples=50, deadline=None)
     @given(phis, batches, st.integers(0, 2**62), st.integers(1, 10_000))
     def test_sampled_forward_batch_matches_per_sample(self, phi, X, seed, shots):
-        layer = QuantumLayer(phi=phi, shots=shots, seed=seed)
-        batch = q_forward_batch(layer, encode_batch(X))
-        loop = np.array([q_forward(layer, x) for x in X])
+        layer = QuantumLayer(phi=phi)
+        batch = q_forward_batch(layer, encode_batch(X), shots, seed)
+        loop = np.array([q_forward(layer, x, shots, seed) for x in X])
         np.testing.assert_array_equal(batch, loop)
-        reversed_batch = q_forward_batch(layer, encode_batch(X[::-1]))
+        reversed_batch = q_forward_batch(layer, encode_batch(X[::-1]), shots, seed)
         np.testing.assert_array_equal(reversed_batch, batch[::-1])
 
     def test_encode_batch_rows_are_feature_states(self):
@@ -181,15 +178,10 @@ class TestValidation:
             QuantumLayer(phi=np.zeros((2, 3)))
 
     def test_rejects_nonpositive_shots(self):
-        with pytest.raises(ValueError):
-            QuantumLayer(phi=np.zeros(6), shots=0)
+        with pytest.raises(ValueError, match=r"shots must be >= 1, got 0"):
+            q_forward(QuantumLayer(phi=np.zeros(6)), np.array([0.1, 0.2, 0.3]), shots=0)
 
     @pytest.mark.parametrize("n_angles", [0, 5, 7])
     def test_rejects_wrong_angle_count(self, n_angles):
         with pytest.raises(ValueError, match="6 angles"):
             QuantumLayer(phi=np.zeros(n_angles))
-
-    @pytest.mark.parametrize("observables", [(), (0, 0), (0, 3), (-1,), (0.5,)])
-    def test_rejects_bad_observables(self, observables):
-        with pytest.raises(ValueError, match="observables"):
-            QuantumLayer(phi=np.zeros(6), observables=observables)

@@ -245,6 +245,14 @@ class TestTrainingLoop:
     def test_rejects_empty_training_set(self):
         with pytest.raises(ValueError):
             train(init_hybrid_model(), np.zeros((0, 3)), np.zeros((0, 2)), TrainConfig())
+        with pytest.raises(ValueError, match="training set is empty"):
+            train(init_hybrid_model(), [], [], TrainConfig())
+
+    @pytest.mark.parametrize("make_model", [init_hybrid_model, baseline_net])
+    def test_rejects_target_count_mismatch(self, make_model):
+        X, Z = small_problem(n=6)
+        with pytest.raises(ValueError, match="training set mismatch: 6 inputs vs 4 targets"):
+            train(make_model(0), X, Z[:4], TrainConfig(epochs=1))
 
 
 class TestEvaluateRmse:
