@@ -8,7 +8,8 @@ Two views of the same circuits live here:
 * :func:`encode_batch` and :func:`ansatz_unitaries` are the closed forms the
   quantum layer runs on. After the H layer the feature map is diagonal, so
   every encoded amplitude is a pure phase, and for fixed angles the ansatz is
-  one real 2**n x 2**n matrix.
+  one real 2**n x 2**n matrix: each RY layer is one gather from the half-angle
+  cosines and sines and a product over qubits, then the CX chain joins them.
 
 Qubit 0 is the least significant bit of the basis index. Features are
 expected to be pre-scaled to [0, 1] by the data pipeline before encoding.
@@ -116,27 +117,27 @@ def _cx_chain(n_qubits: int) -> np.ndarray:
     return chain
 
 
-def _ry_layer(angles: np.ndarray) -> np.ndarray:
-    """Kronecker product of one RY per qubit, per row: (m, n) -> (m, 2**n, 2**n)."""
-    c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
-    ry_mats = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)  # (m, n, 2, 2)
-    layer = ry_mats[:, 0]
-    for q in range(1, angles.shape[1]):
-        # Qubit q is more significant than qubits 0..q-1: kron(RY_q, layer).
-        layer = np.einsum("mab,mcd->macbd", ry_mats[:, q], layer)
-        layer = layer.reshape(len(angles), 2 ** (q + 1), 2 ** (q + 1))
-    return layer
+@lru_cache(maxsize=32)
+def _ry_entries(n_qubits: int) -> np.ndarray:
+    """(n, 2**n, 2**n) index of RY_q[bit q of r, bit q of c] in (cos, -sin, sin, cos) of q."""
+    bits = _basis_bits(n_qubits)
+    entries = 2 * bits[:, :, None] + bits[:, None, :] + 4 * np.arange(n_qubits)[:, None, None]
+    entries.flags.writeable = False  # shared by every caller through the cache
+    return entries
 
 
 def ansatz_unitaries(phis) -> np.ndarray:
     """Real matrix of :func:`real_amplitudes` for each row of ``phis``.
 
     ``phis`` has shape (m, 2 * n_qubits); the result has shape (m, 2**n, 2**n).
+    Entry (r, c) of an RY layer is the product over qubits of the gathered
+    RY_q[bit q of r, bit q of c]; both layers of every row are built at once.
     """
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
     n_qubits = phis.shape[1] // 2
     if phis.ndim != 2 or n_qubits < 1 or phis.shape[1] != 2 * n_qubits:
         raise ValueError(f"expected rows of 2 * n_qubits angles, got shape {phis.shape}")
-    first = _ry_layer(phis[:, :n_qubits])
-    second = _ry_layer(phis[:, n_qubits:])
-    return second @ (_cx_chain(n_qubits) @ first)
+    c, s = np.cos(phis / 2.0), np.sin(phis / 2.0)
+    ry = np.stack([c, -s, s, c], -1).reshape(2 * len(phis), 4 * n_qubits)
+    layers = ry[:, _ry_entries(n_qubits)].prod(axis=1).reshape(len(phis), 2, 2**n_qubits, -1)
+    return layers[:, 1] @ (_cx_chain(n_qubits) @ layers[:, 0])

@@ -273,8 +273,12 @@ def fit_scaler(train_samples) -> Scaler:
 
 
 def transform(scaler: Scaler, rssi) -> np.ndarray:
-    """Map RSSI triples (one, or one per row) into [0, 1]^3, clamping out-of-range values."""
+    """Map finite RSSI triples (one, or one per row) into [0, 1]^3, clamping out-of-range values."""
     rssi = np.asarray(rssi, dtype=float)
+    if rssi.shape[-1:] != scaler.lo.shape:
+        raise ValueError(f"a scaler maps {scaler.lo.size} RSSI features, got shape {rssi.shape}")
+    if not np.isfinite(rssi).all():
+        raise ValueError("RSSI readings must be finite, got NaN or inf")
     return np.clip((rssi - scaler.lo) / (scaler.hi - scaler.lo), 0.0, 1.0)
 
 

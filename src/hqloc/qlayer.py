@@ -1,16 +1,18 @@
 """Estimator-style quantum layer: scaled features in, Pauli-Z expectations out.
 
 The layer runs the feature map followed by the trainable ansatz and measures
-Z on each of the ``N_FEATURES`` qubits. One batched kernel does the work:
-encoded rows from :func:`encode_batch` are multiplied by the ansatz matrix of
-phi for the forward pass, and by the matrices of the shifted angle vectors
-phi +- pi/2 e_k for the two-point shift-rule Jacobian, which is exact for
-RY-generated rotations. :func:`q_forward` and :func:`q_gradient` are
-batch-of-one wrappers. Sampling belongs to an evaluation, not to the layer:
-given ``shots``, :func:`q_forward_batch` runs the same kernel and then
-estimates each expectation from sampled measurements, seeded per (row, qubit)
-from ``seed``, the qubit and the encoded row, so a row's estimate does not
-depend on the rest of its batch. Gradients are always exact.
+Z on each of the ``N_FEATURES`` qubits. One batched kernel in real arithmetic
+does the work: the real and imaginary parts of the encoded rows from
+:func:`encode_batch` form one real matrix, and one matrix product applies the
+real ansatz matrix of phi for the forward pass, or those of all shifted angle
+vectors phi +- pi/2 e_k for the two-point shift-rule Jacobian (exact for
+RY-generated rotations); probabilities are re**2 + im**2. :func:`q_forward`
+and :func:`q_gradient` are batch-of-one wrappers. Sampling belongs to an
+evaluation, not to the layer: given ``shots``, :func:`q_forward_batch` runs
+the same kernel and then estimates each expectation from sampled
+measurements, seeded per (row, qubit) from ``seed``, the qubit and the
+encoded row, so a row's estimate does not depend on the rest of its batch.
+Gradients are always exact.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .statevector import Statevector, sample_expect_z
 
 SHIFT = np.pi / 2.0
 
-# Z eigenvalue of every basis state on every qubit, shape (2**n, n).
-_Z_SIGNS = 1.0 - 2.0 * ((np.arange(2**N_FEATURES)[:, None] >> np.arange(N_FEATURES)) & 1)
+# Z eigenvalue of every basis state on every qubit, shape (n, 2**n).
+_Z_SIGNS = 1.0 - 2.0 * ((np.arange(2**N_FEATURES) >> np.arange(N_FEATURES)[:, None]) & 1)
 
 
 @dataclass
@@ -51,14 +53,19 @@ def _shot_seed(base_seed: int, qubit: int, encoded_row: np.ndarray) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
-def _final_rows(phis: np.ndarray, encoded_rows: np.ndarray) -> np.ndarray:
-    """Amplitudes after the ansatz of each angle row: shape (n_phis, n_rows, 2**n)."""
-    return np.einsum("skj,nj->snk", ansatz_unitaries(phis), encoded_rows)
+def _sweep(phis: np.ndarray, encoded_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ansatz of each angle row on every encoded row, in real arithmetic.
 
-
-def _expectations(final: np.ndarray) -> np.ndarray:
-    """Z expectations over the last axis of ``final``, one column per qubit."""
-    return np.clip(np.abs(final) ** 2 @ _Z_SIGNS, -1.0, 1.0)
+    Returns the Z expectations, shape (n_phis, n_rows, N_FEATURES), and the
+    final amplitudes, shape (n_phis, 2**n, 2, n_rows): real parts at [:, :, 0].
+    """
+    unitaries = ansatz_unitaries(phis)
+    dim = unitaries.shape[-1]
+    parts = np.concatenate([encoded_rows.real, encoded_rows.imag]).T  # (2**n, 2 * n_rows)
+    final = (unitaries.reshape(-1, dim) @ parts).reshape(len(unitaries), dim, 2, -1)
+    squares = final * final
+    probabilities = squares[:, :, 0] + squares[:, :, 1]
+    return np.clip((_Z_SIGNS @ probabilities).transpose(0, 2, 1), -1.0, 1.0), final
 
 
 def q_forward_batch(
@@ -70,12 +77,13 @@ def q_forward_batch(
     :func:`sample_expect_z` estimate from ``shots`` shots, seeded from
     ``seed``, the qubit and the bytes of that encoded row.
     """
-    final = _final_rows(layer.phi, encoded_rows)[0]
+    expectations, final = _sweep(layer.phi, encoded_rows)
     if shots is None:
-        return _expectations(final)
-    out = np.empty((len(final), N_FEATURES))
-    for i, (row, amplitudes) in enumerate(zip(encoded_rows, final)):
-        state = Statevector(N_FEATURES, amplitudes)
+        return expectations[0]
+    amplitudes = (final[0, :, 0] + 1j * final[0, :, 1]).T
+    out = np.empty((len(amplitudes), N_FEATURES))
+    for i, (row, final_row) in enumerate(zip(encoded_rows, amplitudes)):
+        state = Statevector(N_FEATURES, final_row)
         for q in range(N_FEATURES):
             out[i, q] = sample_expect_z(state, q, shots, _shot_seed(seed, q, row))
     return out
@@ -86,12 +94,12 @@ def q_gradient_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarra
 
     Entry (i, j, k) = (E_j(phi + pi/2 e_k) - E_j(phi - pi/2 e_k)) / 2 on row i,
     the exact derivative dE_j/dphi_k. All shifted ansatz matrices act on the
-    rows in one contraction.
+    rows in one product.
     """
     n_params = layer.phi.size
     steps = SHIFT * np.eye(n_params)
     shifted = np.vstack([layer.phi + steps, layer.phi - steps])
-    e = _expectations(_final_rows(shifted, encoded_rows))
+    e, _ = _sweep(shifted, encoded_rows)
     return 0.5 * (e[:n_params] - e[n_params:]).transpose(1, 2, 0)
 
 

@@ -128,8 +128,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.eta < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.eta}")
+        if not 0 <= self.eta < math.inf:  # also refuses NaN
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.eta}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 

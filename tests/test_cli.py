@@ -83,6 +83,15 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: line 2: {reason}")
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_one_line_error(self, train_csv, tmp_path, capsys, lr):
+        code = main(["train", "--data", str(train_csv), "--lr", lr, "--epochs", "2",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: learning rate must be finite")
+        assert not (tmp_path / "out").exists()
+
 
 class TestGenSynthetic:
     def test_row_count_and_schema(self, tmp_path, capsys):

@@ -297,6 +297,24 @@ class TestScaler:
         np.testing.assert_array_equal(transform_samples(scaler, samples)[0], rows)
         assert transform_samples(scaler, [])[0].shape == (0, 3)
 
+    @pytest.mark.parametrize("rssi", [
+        np.zeros((2, 4)), np.zeros(2), np.zeros((3, 1)), -50.0,
+    ], ids=["four_columns", "two_features", "column_vector", "scalar"])
+    def test_rejects_wrong_feature_count(self, rssi):
+        scaler = fit_scaler(make_samples(np.random.default_rng(4)))
+        with pytest.raises(ValueError, match="maps 3 RSSI features"):
+            transform(scaler, rssi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_readings(self, bad):
+        scaler = fit_scaler(make_samples(np.random.default_rng(5)))
+        with pytest.raises(ValueError, match="must be finite"):
+            transform(scaler, [bad, -50.0, -60.0])
+        rows = np.full((4, 3), -60.0)
+        rows[2, 1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            transform(scaler, rows)
+
     def test_constant_column_rejected(self):
         samples = [
             RssiSample((-50.0, -60.0, -70.0), (0.0, 0.0)),

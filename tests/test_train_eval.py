@@ -1,5 +1,7 @@
 """Hybrid training tests: joint gradient, the loop's contracts, comparison records."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,9 @@ class TestTrainConfig:
             TrainConfig(optimizer="adagrad")
         with pytest.raises(ValueError):
             TrainConfig(eta=-0.1)
+        for eta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning rate must be finite"):
+                TrainConfig(eta=eta)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
