@@ -50,12 +50,14 @@ X_test, Z_test = transform_samples(scaler, test_samples)
 # full-batch Adam at lr 0.001 is the reference protocol.
 
 model = init_hybrid_model(seed=1)
-print(f"\nmodel has {model.n_params} parameters "
-      f"({model.qlayer.phi.size} quantum + {model.n_params - model.qlayer.phi.size} classical)")
+# All 200 parameters live in one flat vector; phi and the head's weights are
+# views into it, so training updates them all with one optimizer step.
+print(f"\nmodel has {model.params.size} parameters "
+      f"({model.qlayer.phi.size} quantum + {model.head.params.size} classical)")
 
 report = train(model, X_train, Z_train, TrainConfig(epochs=300, eta=0.001, seed=1))
 
-print(f"\ntrained {report.epochs_run} epochs in {report.wall_time_s:.2f} s")
+print(f"\ntrained {report.config.epochs} epochs in {report.wall_time_s:.2f} s")
 print("loss milestones (train MSE, m^2):")
 for epoch in (0, 50, 100, 200, 299):
     print(f"  epoch {epoch:>3}: {report.loss_per_epoch[epoch]:.4f}")

@@ -5,12 +5,17 @@ on top of the quantum layer (3 -> 32 -> 2) and the wider standalone baseline
 network (3 -> 128 -> 64 -> 2). Output layers are always linear because the
 targets are coordinates in meters. Forward and backward passes take a batch
 of rows; :func:`forward` is the batch-of-one case.
+
+A network owns one flat ``params`` vector laid out per layer as the weight
+(row-major) then the bias; each layer's ``weight`` and ``bias`` are views into
+it, cut by :func:`layer_views`. :func:`backward_batch` returns its parameter
+gradient in the same layout, so an optimizer updates ``params`` in place.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +43,7 @@ class DenseLayer:
 @dataclass
 class DenseNet:
     layers: list[DenseLayer]
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -45,6 +51,15 @@ class DenseNet:
                 raise ValueError("adjacent layer dimensions do not chain")
         if self.layers and self.layers[-1].activation != "linear":
             raise ValueError("output layer must be linear")
+        self.bind(np.empty(sum(layer.weight.size + layer.bias.size for layer in self.layers)))
+
+    def bind(self, params: np.ndarray) -> None:
+        """Copy the current weights into ``params`` and make the layers views of it."""
+        for layer, (weight, bias) in zip(self.layers, layer_views(self, params)):
+            weight[...] = layer.weight
+            bias[...] = layer.bias
+            layer.weight, layer.bias = weight, bias
+        self.params = params
 
     @property
     def input_dim(self) -> int:
@@ -53,6 +68,22 @@ class DenseNet:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].weight.shape[0]
+
+
+def layer_views(net: DenseNet, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views into ``flat``, one pair per layer of ``net``, in ``params`` layout."""
+    size = sum(layer.weight.size + layer.bias.size for layer in net.layers)
+    if flat.shape != (size,):
+        raise ValueError(f"expected {size} parameters, got shape {flat.shape}")
+    views = []
+    offset = 0
+    for layer in net.layers:
+        n_out, n_in = layer.weight.shape
+        weight = flat[offset : offset + n_out * n_in].reshape(n_out, n_in)
+        offset += n_out * n_in
+        views.append((weight, flat[offset : offset + n_out]))
+        offset += n_out
+    return views
 
 
 def glorot_net(sizes, rng, hidden_activation: str = "relu") -> DenseNet:
@@ -109,14 +140,12 @@ def forward(net: DenseNet, v) -> np.ndarray:
     return forward_batch(net, v[None])[0]
 
 
-def backward_batch(
-    net: DenseNet, V, upstream
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Exact reverse mode over a batch: per-layer (dW, db) summed over the rows.
+def backward_batch(net: DenseNet, V, upstream) -> tuple[np.ndarray, np.ndarray]:
+    """Exact reverse mode over a batch: the parameter gradient summed over the rows.
 
-    ``upstream`` holds dL/d(output) per row. Returns the (dW, db) pairs aligned
-    with ``net.layers`` plus the per-row gradients with respect to the inputs.
-    The ReLU subgradient at exactly 0 is taken as 0.
+    ``upstream`` holds dL/d(output) per row. Returns the flat gradient, laid
+    out like ``net.params``, plus the per-row gradients with respect to the
+    inputs. The ReLU subgradient at exactly 0 is taken as 0.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] != net.input_dim:
@@ -135,15 +164,18 @@ def backward_batch(
         pre_acts.append(z)
         a = _activate(z, layer.activation)
         inputs.append(a)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
+    grad = np.empty_like(net.params)
+    grad_views = layer_views(net, grad)
     delta = upstream
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         if layer.activation == "relu":
             delta = delta * (pre_acts[i] > 0.0)
-        grads[i] = (delta.T @ inputs[i], delta.sum(axis=0))
+        grad_weight, grad_bias = grad_views[i]
+        np.matmul(delta.T, inputs[i], out=grad_weight)
+        delta.sum(axis=0, out=grad_bias)
         delta = delta @ layer.weight
-    return grads, delta
+    return grad, delta
 
 
 def mse_loss(pred, truth) -> float:
@@ -155,42 +187,3 @@ def mse_loss(pred, truth) -> float:
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
     return float(np.mean(np.sum((pred - truth) ** 2, axis=1)))
-
-
-def net_num_params(net: DenseNet) -> int:
-    return sum(layer.weight.size + layer.bias.size for layer in net.layers)
-
-
-def net_param_vector(net: DenseNet) -> np.ndarray:
-    """Flatten all weights and biases, layer by layer (weight then bias)."""
-    parts = []
-    for layer in net.layers:
-        parts.append(layer.weight.ravel())
-        parts.append(layer.bias)
-    return np.concatenate(parts)
-
-
-def set_net_params(net: DenseNet, vec: np.ndarray) -> None:
-    """Write a flat parameter vector back into the network, in place."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (net_num_params(net),):
-        raise ValueError(
-            f"expected {net_num_params(net)} parameters, got shape {vec.shape}"
-        )
-    offset = 0
-    for layer in net.layers:
-        w_size = layer.weight.size
-        layer.weight = vec[offset : offset + w_size].reshape(layer.weight.shape).copy()
-        offset += w_size
-        b_size = layer.bias.size
-        layer.bias = vec[offset : offset + b_size].copy()
-        offset += b_size
-
-
-def grads_to_vector(grads) -> np.ndarray:
-    """Flatten per-layer (dW, db) pairs in the same order as net_param_vector."""
-    parts = []
-    for dw, db in grads:
-        parts.append(dw.ravel())
-        parts.append(db)
-    return np.concatenate(parts)

@@ -229,7 +229,7 @@ def cmd_train(args) -> int:
         out_dir, "train", {**asdict(config), "model": args.model},
         inputs, [loss_path, model_path, out_dir / "manifest.json"],
     )
-    print(f"trained {args.model} for {report.epochs_run} epochs "
+    print(f"trained {args.model} for {config.epochs} epochs "
           f"in {report.wall_time_s:.1f}s")
     print(f"final train MSE: {report.final_train_mse:.6f} m^2")
     if report.final_test_rmse is not None:

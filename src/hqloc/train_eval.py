@@ -2,9 +2,12 @@
 
 The hybrid model is the quantum layer (6 trainable angles) followed by the
 classical regression head (3 -> 32 -> 2), for 200 trainable parameters total.
-Training is full batch: each epoch records the pre-update MSE, computes the
-joint gradient (reverse mode through the head, shift rule through the quantum
-layer), and applies one optimizer step to the concatenated parameter vector.
+The model owns them as one flat ``params`` vector, the angles first and then
+the head's ``params`` layout; phi and every head weight and bias are views
+into it. Training is full batch: each epoch records the pre-update MSE,
+computes the joint gradient (reverse mode through the head, shift rule
+through the quantum layer) in that same layout, and writes one optimizer step
+into ``params`` in place.
 
 Evaluation is batched: :func:`evaluate_rmse` calls its predictor once on the
 whole test matrix, and :func:`hqnn_forward_batch` runs every row through one
@@ -18,7 +21,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,10 +36,13 @@ OPTIMIZERS = ("adam", "sgd")
 class HybridModel:
     qlayer: QuantumLayer
     head: classical.DenseNet
+    params: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def n_params(self) -> int:
-        return self.qlayer.phi.size + classical.net_num_params(self.head)
+    def __post_init__(self):
+        self.params = np.concatenate([self.qlayer.phi, self.head.params])
+        n_angles = self.qlayer.phi.size
+        self.qlayer.phi = self.params[:n_angles]
+        self.head.bind(self.params[n_angles:])
 
 
 def init_hybrid_model(seed: int = 0) -> HybridModel:
@@ -60,17 +66,16 @@ def hqnn_forward_batch(
 
 
 def model_param_vector(model: HybridModel) -> np.ndarray:
-    """Quantum angles first, then the flattened head parameters."""
-    return np.concatenate([model.qlayer.phi, classical.net_param_vector(model.head)])
+    """A copy of ``model.params``: quantum angles first, then the head parameters."""
+    return model.params.copy()
 
 
 def set_model_params(model: HybridModel, vec: np.ndarray) -> None:
+    """Write ``vec`` into ``model.params`` in place."""
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (model.n_params,):
-        raise ValueError(f"expected {model.n_params} parameters, got shape {vec.shape}")
-    n_q = model.qlayer.phi.size
-    model.qlayer.phi = vec[:n_q].copy()
-    classical.set_net_params(model.head, vec[n_q:])
+    if vec.shape != model.params.shape:
+        raise ValueError(f"expected {model.params.size} parameters, got shape {vec.shape}")
+    model.params[:] = vec
 
 
 def _batch(X, Z, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -98,8 +103,7 @@ def hqnn_grad(model: HybridModel, X, Z, encoded=None) -> np.ndarray:
     U = q_forward_batch(model.qlayer, rows)
     preds = classical.forward_batch(model.head, U)
     upstream = 2.0 * (preds - Z) / n
-    layer_grads, input_grads = classical.backward_batch(model.head, U, upstream)
-    head_grad = classical.grads_to_vector(layer_grads)
+    head_grad, input_grads = classical.backward_batch(model.head, U, upstream)
     shift_matrices = q_gradient_batch(model.qlayer, rows)
     phi_grad = np.einsum("nj,njk->k", input_grads, shift_matrices)
     return np.concatenate([phi_grad, head_grad])
@@ -111,8 +115,7 @@ def dense_grad(net: classical.DenseNet, X, Z) -> np.ndarray:
     n = len(X)
     preds = classical.forward_batch(net, X)
     upstream = 2.0 * (preds - Z) / n
-    layer_grads, _ = classical.backward_batch(net, X, upstream)
-    return classical.grads_to_vector(layer_grads)
+    return classical.backward_batch(net, X, upstream)[0]
 
 
 @dataclass
@@ -122,8 +125,6 @@ class TrainConfig:
     epochs: int = 300
     seed: int = 0
     shots_eval: int | None = None
-    early_stop_patience: int | None = None
-    early_stop_min_delta: float = 1e-7
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -136,16 +137,15 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    loss_per_epoch: np.ndarray  # pre-update MSE, one entry per epoch run
+    loss_per_epoch: np.ndarray  # pre-update MSE, one entry per epoch
     final_train_mse: float
     final_test_rmse: float | None
     config: TrainConfig
     wall_time_s: float
-    epochs_run: int
 
 
 def _model_ops(model, X, config: TrainConfig):
-    """Uniform (predict_batch, train_preds, train_grad, get, set) for training on ``X``.
+    """Uniform (predict_batch, train_preds, train_grad) for training on ``X``.
 
     A hybrid model's training rows are encoded here, once per training run, and
     its test predictions are sampled when ``config.shots_eval`` is set.
@@ -163,16 +163,12 @@ def _model_ops(model, X, config: TrainConfig):
         def train_grad(Z):
             return hqnn_grad(model, X, Z, encoded=rows)
 
-        return predict, train_preds, train_grad, \
-            lambda: model_param_vector(model), lambda v: set_model_params(model, v)
+        return predict, train_preds, train_grad
     if isinstance(model, classical.DenseNet):
         def predict(X_eval):
             return classical.forward_batch(model, X_eval)
 
-        return predict, lambda: classical.forward_batch(model, X), \
-            lambda Z: dense_grad(model, X, Z), \
-            lambda: classical.net_param_vector(model), \
-            lambda v: classical.set_net_params(model, v)
+        return predict, lambda: classical.forward_batch(model, X), lambda Z: dense_grad(model, X, Z)
     raise TypeError(f"cannot train model of type {type(model).__name__}")
 
 
@@ -180,18 +176,15 @@ def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
     """Full-batch training; deterministic given the (already seeded) model.
 
     Records the pre-update MSE each epoch, so entry 0 reflects the quality of
-    the initialization and the trace length equals the epoch count. Setting
-    ``early_stop_patience`` trades that guarantee for stopping once the best
-    loss has stalled for that many epochs. Aborts on non-finite loss.
+    the initialization and the trace length equals the epoch count. Each step
+    is written into ``model.params`` in place. Aborts on non-finite loss.
     """
     X, Z = _batch(X, Z, "training set")
     start = time.perf_counter()
-    predict, train_preds, train_grad, get_params, set_params = _model_ops(model, X, config)
-    params = get_params()
+    predict, train_preds, train_grad = _model_ops(model, X, config)
+    params = model.params
     adam_state = optim.init_adam(params.size, eta=config.eta)
     trace = []
-    best = math.inf
-    since_improve = 0
     for epoch in range(config.epochs):
         loss = classical.mse_loss(train_preds(), Z)
         if not math.isfinite(loss):
@@ -200,22 +193,11 @@ def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
                 f"lower the learning rate (eta={config.eta})"
             )
         trace.append(loss)
-        if loss < best - config.early_stop_min_delta:
-            best = loss
-            since_improve = 0
-        else:
-            since_improve += 1
-        if (
-            config.early_stop_patience is not None
-            and since_improve >= config.early_stop_patience
-        ):
-            break
         grads = train_grad(Z)
         if config.optimizer == "adam":
-            adam_state, params = optim.adam_step(adam_state, params, grads)
+            adam_state, params[:] = optim.adam_step(adam_state, params, grads)
         else:
-            params = optim.sgd_step(params, grads, config.eta)
-        set_params(params)
+            params[:] = optim.sgd_step(params, grads, config.eta)
     final_train_mse = classical.mse_loss(train_preds(), Z)
     wall = time.perf_counter() - start
     final_test_rmse = None if test is None else evaluate_rmse(predict, *test)
@@ -225,7 +207,6 @@ def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
         final_test_rmse=final_test_rmse,
         config=config,
         wall_time_s=wall,
-        epochs_run=len(trace),
     )
 
 
@@ -247,8 +228,11 @@ class CompareConfig:
     optimizer: str = "adam"
     shots: int = 4096
     knn_ks: tuple[int, ...] = (1, 3, 5)
-    early_stop_patience: int | None = None
-    early_stop_min_delta: float = 1e-7
+
+    def __post_init__(self):
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
+        _train_config(self, self.seeds[0])  # the checks every training run applies
 
 
 def config_digest(meta: data.ScenarioMeta, config: CompareConfig) -> str:
@@ -262,8 +246,6 @@ def _train_config(config: CompareConfig, seed: int) -> TrainConfig:
         eta=config.eta,
         epochs=config.epochs,
         seed=seed,
-        early_stop_patience=config.early_stop_patience,
-        early_stop_min_delta=config.early_stop_min_delta,
     )
 
 
@@ -345,26 +327,25 @@ def compare_all(
     except Exception as exc:
         record("quantum_fingerprint", None, None, note=f"failed: {exc}")
 
-    trained: dict[int, HybridModel] = {}
+    # Each seed's hybrid model trains once; its exact and sampled rows share
+    # the model, or the exception its training raised.
+    trained: dict[int, HybridModel | Exception] = {}
 
-    def run_hqnn_exact(seed):
-        model = init_hybrid_model(seed)
-        train(model, X_train, Z_train, _train_config(config, seed))
-        trained[seed] = model
-        return evaluate_rmse(lambda X: hqnn_forward_batch(model, X), X_test, Z_test)
-
-    per_seed("hqnn_exact", run_hqnn_exact)
-
-    def run_hqnn_shots(seed):
-        model = trained.get(seed)
-        if model is None:
+    def run_hqnn(seed, shots=None):
+        if seed not in trained:
             model = init_hybrid_model(seed)
-            train(model, X_train, Z_train, _train_config(config, seed))
-        return evaluate_rmse(
-            lambda X: hqnn_forward_batch(model, X, config.shots, seed), X_test, Z_test
-        )
+            try:
+                train(model, X_train, Z_train, _train_config(config, seed))
+                trained[seed] = model
+            except Exception as exc:
+                trained[seed] = exc
+        model = trained[seed]
+        if isinstance(model, Exception):
+            raise model
+        return evaluate_rmse(lambda X: hqnn_forward_batch(model, X, shots, seed), X_test, Z_test)
 
-    per_seed("hqnn_shots", run_hqnn_shots, note=f"shots={config.shots}")
+    per_seed("hqnn_exact", run_hqnn)
+    per_seed("hqnn_shots", lambda seed: run_hqnn(seed, config.shots), note=f"shots={config.shots}")
     return records
 
 

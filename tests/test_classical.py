@@ -1,4 +1,4 @@
-"""Dense network tests: init bounds, backprop vs finite differences, batching."""
+"""Dense network tests: init bounds, backprop vs finite differences, batching, flat params."""
 
 import math
 
@@ -15,12 +15,9 @@ from hqloc.classical import (
     forward,
     forward_batch,
     glorot_net,
-    grads_to_vector,
     hqnn_head,
+    layer_views,
     mse_loss,
-    net_num_params,
-    net_param_vector,
-    set_net_params,
 )
 
 from oracles import fd_gradient
@@ -68,8 +65,8 @@ class TestGlorotInit:
         assert (head.input_dim, head.output_dim) == (HEAD_SIZES[0], HEAD_SIZES[-1])
         assert (base.input_dim, base.output_dim) == (BASELINE_SIZES[0], BASELINE_SIZES[-1])
         # 3*32+32 + 32*2+2 and 3*128+128 + 128*64+64 + 64*2+2.
-        assert net_num_params(head) == 194
-        assert net_num_params(base) == 8898
+        assert head.params.size == 194
+        assert base.params.size == 8898
 
 
 class TestForward:
@@ -107,12 +104,11 @@ class TestBackwardAgainstFiniteDifferences:
 
             def loss(vec):
                 probe = glorot_net((3, 6, 4, 2), 0)
-                set_net_params(probe, vec)
+                probe.params[:] = vec
                 return float(upstream @ forward(probe, x))
 
-            grads, _ = backward_batch(net, x[None], upstream[None])
-            analytic = grads_to_vector(grads)
-            numeric = fd_gradient(loss, net_param_vector(net), h=1e-6)
+            analytic, _ = backward_batch(net, x[None], upstream[None])
+            numeric = fd_gradient(loss, net.params.copy(), h=1e-6)
             np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-7)
 
     def test_input_gradients(self):
@@ -135,26 +131,23 @@ class TestBackwardAgainstFiniteDifferences:
                 DenseLayer(np.array([[2.0]]), np.array([0.0]), "linear"),
             ]
         )
-        grads, dx = backward_batch(net, np.array([[-1.0]]), np.array([[1.0]]))
+        grad, dx = backward_batch(net, np.array([[-1.0]]), np.array([[1.0]]))
         # First-layer weight sees no signal through the clipped unit.
-        assert grads[0][0][0, 0] == 0.0
+        assert layer_views(net, grad)[0][0][0, 0] == 0.0
         assert dx[0, 0] == 0.0
 
     def test_gradient_layout_matches_param_vector(self):
-        # Perturbing entry i of the flat vector must move the loss by grad[i]*h.
+        # Bumping entry i of net.params in place must move the loss by grad[i]*h.
         net = tiny_net()
         x = np.array([0.3, -0.7])
         upstream = np.array([1.0, -2.0])
-        grads, _ = backward_batch(net, x[None], upstream[None])
-        flat = grads_to_vector(grads)
-        vec = net_param_vector(net)
-        assert flat.shape == vec.shape
-        for i in [0, 5, 8, len(vec) - 1]:
-            bumped = vec.copy()
-            bumped[i] += 1e-6
-            probe = tiny_net()
-            set_net_params(probe, bumped)
-            delta = upstream @ forward(probe, x) - upstream @ forward(net, x)
+        flat, _ = backward_batch(net, x[None], upstream[None])
+        assert flat.shape == net.params.shape
+        base = upstream @ forward(net, x)
+        for i in range(net.params.size):
+            net.params[i] += 1e-6
+            delta = upstream @ forward(net, x) - base
+            net.params[i] -= 1e-6
             np.testing.assert_allclose(delta / 1e-6, flat[i], rtol=0, atol=1e-5)
 
 
@@ -173,15 +166,14 @@ class TestBatchedPath:
         net = glorot_net((3, 7, 4, 2), rng)
         V = rng.uniform(-1.0, 1.0, size=(8, 3))
         upstream = rng.normal(size=(8, 2))
-        batch_grads, batch_dx = backward_batch(net, V, upstream)
+        batch_grad, batch_dx = backward_batch(net, V, upstream)
         assert batch_dx.shape == (8, 3)
-        summed = None
+        summed = np.zeros_like(net.params)
         for i in range(8):
-            grads, dx = backward_batch(net, V[i : i + 1], upstream[i : i + 1])
+            grad, dx = backward_batch(net, V[i : i + 1], upstream[i : i + 1])
             np.testing.assert_allclose(batch_dx[i], dx[0], rtol=0, atol=1e-12)
-            vec = grads_to_vector(grads)
-            summed = vec if summed is None else summed + vec
-        np.testing.assert_allclose(grads_to_vector(batch_grads), summed, rtol=0, atol=1e-12)
+            summed += grad
+        np.testing.assert_allclose(batch_grad, summed, rtol=0, atol=1e-12)
 
     def test_batch_shape_validation(self):
         net = tiny_net()
@@ -197,24 +189,38 @@ class TestParamVector:
     def test_round_trip(self):
         rng = np.random.default_rng(6)
         net = glorot_net((3, 10, 2), rng)
-        vec = net_param_vector(net)
         other = glorot_net((3, 10, 2), 99)
-        set_net_params(other, vec)
-        np.testing.assert_array_equal(net_param_vector(other), vec)
+        other.params[:] = net.params
+        np.testing.assert_array_equal(other.params, net.params)
         for la, lb in zip(net.layers, other.layers):
             np.testing.assert_array_equal(la.weight, lb.weight)
             np.testing.assert_array_equal(la.bias, lb.bias)
 
     def test_vector_is_a_copy(self):
+        # The net copies the arrays it is built from into its own params.
+        weight, bias = np.array([[1.0, 2.0]]), np.array([3.0])
+        net = DenseNet([DenseLayer(weight, bias, "linear")])
+        weight[0, 0] = bias[0] = 100.0
+        np.testing.assert_array_equal(net.params, [1.0, 2.0, 3.0])
+
+    def test_layout_is_weight_then_bias_per_layer(self):
         net = tiny_net()
-        vec = net_param_vector(net)
-        vec[0] += 100.0
-        assert net.layers[0].weight[0, 0] == 1.0
+        expected = np.concatenate([a.ravel() for l in net.layers for a in (l.weight, l.bias)])
+        np.testing.assert_array_equal(net.params, expected)
+        np.testing.assert_array_equal(net.params[:6], [1.0, 0.0, 0.0, 1.0, 1.0, -1.0])
+        for layer, (weight, bias) in zip(net.layers, layer_views(net, net.params)):
+            assert np.shares_memory(layer.weight, net.params)
+            assert np.shares_memory(layer.bias, net.params)
+            np.testing.assert_array_equal(weight, layer.weight)
+            np.testing.assert_array_equal(bias, layer.bias)
 
     def test_wrong_length_rejected(self):
         net = tiny_net()
-        with pytest.raises(ValueError):
-            set_net_params(net, np.zeros(net_num_params(net) + 1))
+        for size in (net.params.size - 1, net.params.size + 1):
+            with pytest.raises(ValueError, match=f"expected {net.params.size} parameters"):
+                layer_views(net, np.zeros(size))
+            with pytest.raises(ValueError):
+                net.bind(np.zeros(size))
 
 
 class TestMseLoss:

@@ -304,6 +304,17 @@ class TestCompare:
             tables.append((out_dir / "comparison.csv").read_bytes())
         assert tables[0] == tables[1]
 
+    @pytest.mark.parametrize("lr", ["nan", "-1"])
+    def test_invalid_learning_rate_is_one_line_error(
+        self, tmp_path, train_csv, test_csv, capsys, lr
+    ):
+        out_dir = tmp_path / "cmp"
+        code = main(self.compare_args(train_csv, test_csv, out_dir) + ["--lr", lr])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: learning rate must be finite")
+        assert not (out_dir / "comparison.csv").exists()
+
     def test_unknown_scenario_rejected(self, tmp_path, train_csv, test_csv):
         code = main(["compare", "--train", str(train_csv), "--test", str(test_csv),
                      "--scenario", "Sc-9", "--out-dir", str(tmp_path / "c")])

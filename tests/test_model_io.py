@@ -16,7 +16,6 @@ from hqloc.classical import (
     baseline_net,
     forward,
     glorot_net,
-    net_param_vector,
 )
 from hqloc.data import Scaler
 from hqloc.model_io import (
@@ -98,7 +97,7 @@ class TestModelRoundTrip:
         save_model(path, net)
         loaded, scaler = load_model(path)
         assert scaler is None
-        np.testing.assert_array_equal(net_param_vector(loaded), net_param_vector(net))
+        np.testing.assert_array_equal(loaded.params, net.params)
         assert [l.activation for l in loaded.layers] == ["relu", "relu", "linear"]
         x = np.array([0.1, 0.2, 0.3])
         np.testing.assert_array_equal(forward(loaded, x), forward(net, x))

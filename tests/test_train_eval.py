@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hqloc.classical import forward as dense_forward
-from hqloc.classical import baseline_net, mse_loss, net_param_vector, set_net_params
+from hqloc.classical import baseline_net, mse_loss
 from hqloc.data import fit_scaler, gen_scenario_standin, scenario_meta, gen_synthetic, transform_samples
 from hqloc.train_eval import (
     CompareConfig,
@@ -44,7 +44,7 @@ def batch_mse(model, X, Z):
 class TestHybridModel:
     def test_parameter_count_is_200(self):
         # 6 ansatz angles + (3*32+32) + (32*2+2) head parameters.
-        assert init_hybrid_model(seed=0).n_params == 200
+        assert init_hybrid_model(seed=0).params.size == 200
 
     def test_init_is_seeded(self):
         a = init_hybrid_model(seed=5)
@@ -123,12 +123,12 @@ class TestHybridGradient:
 
         def loss(vec):
             probe = baseline_net(0)
-            set_net_params(probe, vec)
+            probe.params[:] = vec
             preds = np.array([dense_forward(probe, x) for x in X])
             return mse_loss(preds, Z)
 
         analytic = dense_grad(net, X, Z)
-        numeric = fd_gradient(loss, net_param_vector(net), h=1e-5)
+        numeric = fd_gradient(loss, net.params.copy(), h=1e-5)
         np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-6)
 
 
@@ -138,7 +138,7 @@ class TestTrainConfig:
         assert config.optimizer == "adam"
         assert config.eta == 0.001
         assert config.epochs == 300
-        assert config.early_stop_patience is None
+        assert config.shots_eval is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -152,12 +152,30 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
 
 
+class TestCompareConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"eta": math.nan}, "learning rate must be finite"),
+            ({"eta": -1.0}, "learning rate must be finite"),
+            ({"epochs": 0}, "epochs must be >= 1"),
+            ({"optimizer": "adagrad"}, "optimizer must be one of"),
+            ({"seeds": ()}, "seeds must not be empty"),
+        ],
+    )
+    def test_invalid_config_raises_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            CompareConfig(**kwargs)
+
+    def test_defaults_are_valid(self):
+        assert CompareConfig().seeds == (1, 2, 3)
+
+
 class TestTrainingLoop:
     def test_loss_trace_length_equals_epochs(self):
         model = init_hybrid_model(seed=0)
         X, Z = small_problem()
         report = train(model, X, Z, TrainConfig(epochs=12))
-        assert report.epochs_run == 12
         assert report.loss_per_epoch.shape == (12,)
 
     def test_loss_decreases_on_trainable_problem(self):
@@ -205,15 +223,6 @@ class TestTrainingLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="learning rate"):
                 train(model, X, Z, TrainConfig(epochs=400, eta=1e6, optimizer="sgd"))
-
-    def test_early_stopping_is_opt_in(self):
-        model = init_hybrid_model(seed=7)
-        X, Z = small_problem(seed=7)
-        config = TrainConfig(epochs=500, eta=0.0, optimizer="sgd", early_stop_patience=4)
-        report = train(model, X, Z, config)
-        # Constant loss never improves, so the run stops after the patience.
-        assert report.epochs_run == 5
-        assert len(report.loss_per_epoch) == 5
 
     def test_test_split_reports_rmse(self):
         model = init_hybrid_model(seed=8)
@@ -355,6 +364,32 @@ class TestCompareAll:
         for row, r in zip(rows[1:], records):
             if r["rmse_m"] is not None:
                 assert float(row[4]) == r["rmse_m"]
+
+    def test_failed_hybrid_training_runs_once_per_seed(self, monkeypatch):
+        # The exact and sampled rows share one training per seed, also when it fails.
+        import hqloc.train_eval as train_eval
+
+        hybrid_seeds = []
+        real_train = train_eval.train
+
+        def probe_train(model, X, Z, config, test=None):
+            if isinstance(model, HybridModel):
+                hybrid_seeds.append(config.seed)
+                if config.seed == 2:
+                    raise RuntimeError("probe failure")
+            return real_train(model, X, Z, config, test)
+
+        monkeypatch.setattr(train_eval, "train", probe_train)
+        meta, train_s, test_s = gen_scenario_standin("Sc-2", "WiFi", seed=0)
+        config = CompareConfig(seeds=(1, 2), epochs=2, shots=32, knn_ks=(1,))
+        records = compare_all(meta, train_s, test_s, config)
+        assert hybrid_seeds == [1, 2]
+        for method in ("hqnn_exact", "hqnn_shots"):
+            rows = {r["seed"]: r for r in records if r["method"] == method}
+            assert rows[1]["rmse_m"] is not None
+            assert rows[2]["rmse_m"] is None
+            assert rows[2]["note"] == "failed: probe failure"
+            assert rows["mean"]["rmse_m"] == rows[1]["rmse_m"]
 
     def test_failed_method_recorded_not_raised(self):
         # A k sweep larger than the training set leaves KNN without a result.
