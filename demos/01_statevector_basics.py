@@ -70,9 +70,12 @@ print(f"RY({theta}) gives <Z> = {expect_z(rotated, 0):+.6f}"
 # ~~~~~~~~~~~~~~~~~~~~
 #
 # Hardware estimates <Z> from repeated measurements. ``sample_expect_z``
-# reproduces that: it draws basis states from |amplitude|^2 and averages
-# the observed eigenvalues. The estimate converges at the usual
-# 1/sqrt(shots) rate toward the exact value.
+# reproduces that: the number of 1 outcomes among ``shots`` measurements is
+# one binomial draw with the exact probability of measuring 1. The draw
+# comes from one shared PCG64 generator, re-keyed from a hash of
+# ``rng_seed`` on every call, so the same seed always gives the same
+# estimate. The estimate converges at the usual 1/sqrt(shots) rate toward
+# the exact value.
 
 exact = expect_z(rotated, 0)
 print("\nshots     estimate     |error|")

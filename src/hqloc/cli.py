@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import argparse
 import os
+import platform
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import classical, data, model_io, train_eval
+import numpy as np
+
+from . import __version__, classical, data, model_io, train_eval
+
+# Seeds and counts reach numpy as int64; larger flag values are usage errors.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class UsageError(Exception):
@@ -26,9 +32,9 @@ def _env_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"HQLOC_SEED must be an integer, got {raw!r}") from None
+        return _seed(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"HQLOC_SEED must be an int64 integer, got {raw!r}") from None
 
 
 _SCENARIO_ALIASES = {"sc-1": "Sc-1", "sc1": "Sc-1", "sc-2": "Sc-2", "sc2": "Sc-2",
@@ -79,8 +85,17 @@ def _point(value: str) -> tuple[float, float]:
 
 def _positive_int(value: str) -> int:
     n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    if not 1 <= n <= _INT64_MAX:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer no larger than 2**63 - 1, got {value}"
+        )
+    return n
+
+
+def _seed(value: str) -> int:
+    n = int(value)
+    if not _INT64_MIN <= n <= _INT64_MAX:
+        raise argparse.ArgumentTypeError(f"seed must fit in int64, got {value}")
     return n
 
 
@@ -113,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, default=0.001,
                          help="learning rate; 0 is allowed but leaves parameters frozen")
     p_train.add_argument("--optimizer", choices=train_eval.OPTIMIZERS, default="adam")
-    p_train.add_argument("--seed", type=int, default=seed_default)
+    p_train.add_argument("--seed", type=_seed, default=seed_default)
     p_train.add_argument("--shots-eval", type=_positive_int, default=None,
                          help="sample expectations with this many shots for the test RMSE")
     p_train.add_argument("--out-dir", default="hqloc_train")
@@ -126,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True, help="test CSV (canonical schema)")
     p_eval.add_argument("--shots", type=_positive_int, default=None,
                         help="sample expectations instead of computing them exactly")
-    p_eval.add_argument("--seed", type=int, default=seed_default,
+    p_eval.add_argument("--seed", type=_seed, default=seed_default,
                         help="seed for sampled expectations")
     p_eval.add_argument("--out-dir", default="hqloc_eval")
     _add_io_flags(p_eval)
@@ -138,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--test", required=True, dest="test_csv", help="test CSV")
     p_cmp.add_argument("--scenario", type=_scenario, default="Sc-1")
     p_cmp.add_argument("--technology", type=_technology, default="Bluetooth")
-    p_cmp.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    p_cmp.add_argument("--seeds", type=_seed, nargs="+", default=[1, 2, 3])
     p_cmp.add_argument("--epochs", type=_positive_int, default=300)
     p_cmp.add_argument("--lr", type=float, default=0.001)
     p_cmp.add_argument("--optimizer", choices=train_eval.OPTIMIZERS, default="adam")
@@ -155,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=_positive_int, required=True, help="number of samples")
     p_gen.add_argument("--sigma", type=float, default=1.0,
                        help="shadowing standard deviation in dB")
-    p_gen.add_argument("--seed", type=int, default=seed_default)
+    p_gen.add_argument("--seed", type=_seed, default=seed_default)
     p_gen.add_argument("--tx", type=_point, nargs=3, default=None, metavar="X,Y",
                        help="three transmitter positions (default: wall-mounted layout)")
     p_gen.add_argument("--pl0", type=float, default=-40.0,
@@ -180,15 +195,21 @@ def _load_samples(args, path) -> list[data.RssiSample]:
     return samples
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, outputs) -> None:
+def _write_manifest(
+    out_dir: Path, command: str, config: dict, inputs: dict, outputs, **extra
+) -> None:
     payload = {
         "command": command,
+        "hqloc_version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "config": config,
         "inputs": {
             name: {"path": str(p), "sha256": model_io.file_digest(p)}
             for name, p in inputs.items()
         },
         "outputs": sorted(str(p) for p in outputs),
+        **extra,
     }
     model_io.write_manifest(out_dir / "manifest.json", payload)
 
@@ -242,10 +263,15 @@ def cmd_eval(args) -> int:
     model, scaler = model_io.load_model(args.model_file)
     samples = _load_samples(args, args.data)
     X = data.features_matrix(samples)
+    clamped = 0
     if scaler is not None:
-        X = data.transform(scaler, X)
+        raw, X = X, data.transform(scaler, X)
+        clamped = int(((raw < scaler.lo) | (raw > scaler.hi)).sum())
     elif X.min() < 0.0 or X.max() > 1.0:
         raise ValueError(f"{args.model_file}: no stored scaler, and {args.data} is not in [0, 1]")
+    if clamped:
+        print(f"warning: {clamped} feature value(s) in {args.data} lie outside the model's "
+              "training range and were clamped into [0, 1]", file=sys.stderr)
     Z = data.targets_matrix(samples)
     if isinstance(model, train_eval.HybridModel):
         predict = lambda batch: train_eval.hqnn_forward_batch(model, batch, args.shots, args.seed)
@@ -263,6 +289,7 @@ def cmd_eval(args) -> int:
         {"model_file": args.model_file, "shots": args.shots, "seed": args.seed},
         {"model_file": args.model_file, "data": args.data},
         [rmse_path, out_dir / "manifest.json"],
+        clamped_features=clamped,
     )
     print(f"RMSE: {rmse:.6f} m")
     print(f"wrote {rmse_path}")

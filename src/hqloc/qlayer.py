@@ -12,7 +12,9 @@ evaluation, not to the layer: given ``shots``, :func:`q_forward_batch` runs
 the same kernel and then estimates each expectation from sampled
 measurements, seeded per (row, qubit) from ``seed``, the qubit and the
 encoded row, so a row's estimate does not depend on the rest of its batch.
-Gradients are always exact.
+Each seed is a blake2b digest; :func:`sample_expect_z` re-keys one shared
+PCG64 stream from it, so sampling builds no generator per draw. Gradients
+are always exact.
 """
 
 from __future__ import annotations
@@ -47,10 +49,16 @@ class QuantumLayer:
             )
 
 
-def _shot_seed(base_seed: int, qubit: int, encoded_row: np.ndarray) -> int:
+def _seed_prefixes(base_seed: int) -> list[bytes]:
+    """The int64 bytes of (base_seed, qubit) that open each qubit's shot seed."""
+    if not -(2**63) <= base_seed < 2**63:
+        raise ValueError(f"seed must fit in int64, got {base_seed}")
+    return [np.asarray([base_seed, q], dtype=np.int64).tobytes() for q in range(N_FEATURES)]
+
+
+def _shot_seed(prefix: bytes, row_bytes: bytes) -> int:
     # Stable across runs: Python's hash() is salted, so hash the bytes instead.
-    payload = np.asarray([base_seed, qubit], dtype=np.int64).tobytes() + encoded_row.tobytes()
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+    return int.from_bytes(hashlib.blake2b(prefix + row_bytes, digest_size=8).digest(), "little")
 
 
 def _sweep(phis: np.ndarray, encoded_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,12 +88,14 @@ def q_forward_batch(
     expectations, final = _sweep(layer.phi, encoded_rows)
     if shots is None:
         return expectations[0]
+    prefixes = _seed_prefixes(seed)
     amplitudes = (final[0, :, 0] + 1j * final[0, :, 1]).T
     out = np.empty((len(amplitudes), N_FEATURES))
     for i, (row, final_row) in enumerate(zip(encoded_rows, amplitudes)):
         state = Statevector(N_FEATURES, final_row)
-        for q in range(N_FEATURES):
-            out[i, q] = sample_expect_z(state, q, shots, _shot_seed(seed, q, row))
+        row_bytes = row.tobytes()
+        for q, prefix in enumerate(prefixes):
+            out[i, q] = sample_expect_z(state, q, shots, _shot_seed(prefix, row_bytes))
     return out
 
 

@@ -7,7 +7,10 @@ Conventions used throughout the package:
 * RY(t) = exp(-i t Y/2), RZ(t) = exp(-i t Z/2), P(l) = diag(1, e^{il}).
 * Operations never mutate their input state; they return a fresh one.
 * Sampled expectations draw the count of 1 outcomes from one binomial
-  distribution per (state, qubit) rather than simulating each shot.
+  distribution per (state, qubit) rather than simulating each shot. Every
+  draw comes from one module-level PCG64 stream that is re-keyed from a
+  blake2b digest of the draw's seed, so a draw depends only on its seed,
+  shot budget and probability, never on earlier draws or other threads.
 
 The register is capped at ``MAX_QUBITS`` qubits because the dense
 representation needs 2**n complex amplitudes.
@@ -15,13 +18,18 @@ representation needs 2**n complex amplitudes.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 MAX_QUBITS = 20
+
+# Largest shot budget a binomial draw takes (numpy counts in int64).
+MAX_SHOTS = 2**63 - 1
 
 GATE_KINDS = ("H", "RY", "RZ", "P", "CX")
 
@@ -168,6 +176,21 @@ def expect_z(state: Statevector, qubit: int) -> float:
     return float(np.clip(probs @ signs, -1.0, 1.0))
 
 
+def check_shots(shots: int) -> None:
+    """Raise ValueError unless ``shots`` is a budget in [1, MAX_SHOTS]."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be <= 2**63 - 1, got {shots}")
+
+
+# The one stream behind every sampled expectation. Each draw re-keys it under
+# the lock, so the key and the draw it feeds are never split by another thread.
+_SHOT_BITS = np.random.PCG64()
+_SHOT_RNG = np.random.Generator(_SHOT_BITS)
+_SHOT_LOCK = threading.Lock()
+
+
 def sample_expect_z(
     state: Statevector, qubit: int, shots: int, rng_seed: int
 ) -> float:
@@ -175,14 +198,30 @@ def sample_expect_z(
 
     The number of 1 outcomes is one binomial draw with the exact probability
     of measuring 1, which has the distribution of ``shots`` independent
-    measurements at a cost that does not grow with ``shots``. Reproducible
-    for a fixed ``rng_seed``; returns (n_plus - n_minus) / shots.
+    measurements at a cost that does not grow with ``shots``. The draw comes
+    from a shared PCG64 generator keyed by a 32-byte blake2b digest of
+    ``rng_seed`` (in [0, 2**64)): the first 16 bytes set the 128-bit state,
+    the last 16 the increment, forced odd. No generator is built per call,
+    and the result depends only on ``rng_seed``, ``shots`` and the state.
+    Returns (n_plus - n_minus) / shots.
     """
     _check_qubit(state, qubit, "measured")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
+    if not 0 <= rng_seed < 2**64:
+        raise ValueError(f"rng_seed must be in [0, 2**64), got {rng_seed}")
     _, i1 = _target_pairs(state.n_qubits, qubit)
     amps_one = state.amplitudes[i1]
     p_one = min(max(float(np.vdot(amps_one, amps_one).real), 0.0), 1.0)
-    n_one = int(np.random.default_rng(rng_seed).binomial(shots, p_one))
+    key = hashlib.blake2b(int(rng_seed).to_bytes(8, "little"), digest_size=32).digest()
+    with _SHOT_LOCK:
+        _SHOT_BITS.state = {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": int.from_bytes(key[:16], "little"),
+                "inc": int.from_bytes(key[16:], "little") | 1,
+            },
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        n_one = int(_SHOT_RNG.binomial(shots, p_one))
     return 1.0 - 2.0 * n_one / shots

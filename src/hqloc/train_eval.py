@@ -28,6 +28,7 @@ import numpy as np
 from . import baselines, classical, data, optim
 from .circuits import N_ANSATZ_PARAMS
 from .qlayer import QuantumLayer, encode_batch, q_forward, q_forward_batch, q_gradient_batch
+from .statevector import check_shots
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -133,6 +134,8 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and >= 0, got {self.eta}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.shots_eval is not None:
+            check_shots(self.shots_eval)
 
 
 @dataclass
@@ -232,6 +235,7 @@ class CompareConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must not be empty")
+        check_shots(self.shots)
         _train_config(self, self.seeds[0])  # the checks every training run applies
 
 

@@ -1,9 +1,12 @@
 """Command-line interface tests: exit codes, artifacts, determinism, seeding."""
 
 import json
+import platform
 
 import numpy as np
 import pytest
+
+import hqloc
 
 from hqloc.cli import main
 from hqloc.data import (
@@ -199,6 +202,20 @@ class TestTrain:
         assert doc["config"]["epochs"] == 2
         assert "sha256" in doc["inputs"]["data"]
         assert any(p.endswith("model.params") for p in doc["outputs"])
+        assert doc["hqloc_version"] == hqloc.__version__
+        assert doc["python"] == platform.python_version()
+        assert doc["numpy"] == np.__version__
+
+    def test_versions_stay_out_of_the_artifacts(self, tmp_path, train_csv, test_csv):
+        out_dir = tmp_path / "run"
+        assert main(["train", "--data", str(train_csv), "--epochs", "2",
+                     "--out-dir", str(out_dir)]) == 0
+        assert main(["eval", "--model-file", str(out_dir / "model.params"),
+                     "--data", str(test_csv), "--out-dir", str(tmp_path / "e")]) == 0
+        for path in (out_dir / "model.params", out_dir / "loss_trace.csv",
+                     tmp_path / "e" / "eval_rmse.csv"):
+            text = path.read_text()
+            assert "hqloc_version" not in text and np.__version__ not in text
 
     def test_same_flags_same_model_file(self, tmp_path, train_csv):
         dirs = [tmp_path / "a", tmp_path / "b"]
@@ -269,6 +286,26 @@ class TestEval:
         value = float((out_dir / "eval_rmse.csv").read_text().splitlines()[1])
         assert value == evaluate_rmse(lambda batch: hqnn_forward_batch(model, batch), X, Z)
 
+    def test_clamped_features_are_counted_and_reported(self, tmp_path, train_csv, capsys):
+        model_file = self.run_train(tmp_path, train_csv)
+        samples = load_csv(train_csv)
+        in_range = tmp_path / "in_range.csv"
+        save_csv(samples, in_range, header=False)
+        rssi = samples[0].rssi
+        samples[0] = RssiSample((rssi[0], rssi[1] - 100.0, rssi[2]), samples[0].position)
+        out_of_range = tmp_path / "out_of_range.csv"
+        save_csv(samples, out_of_range, header=False)
+        capsys.readouterr()
+        for data_csv, name, count in ((in_range, "e0", 0), (out_of_range, "e1", 1)):
+            assert main(["eval", "--model-file", str(model_file), "--data", str(data_csv),
+                         "--out-dir", str(tmp_path / name)]) == 0
+            doc = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert doc["clamped_features"] == count
+            warnings = [line for line in capsys.readouterr().err.splitlines()
+                        if line.startswith("warning:")]
+            assert len(warnings) == count
+        assert "1 feature value(s)" in warnings[0]
+
     def test_shots_on_classical_model_warn(self, tmp_path, train_csv, test_csv, capsys):
         model_file = self.run_train(tmp_path, train_csv, extra=("--model", "classical"))
         code = main(["eval", "--model-file", str(model_file), "--data", str(test_csv),
@@ -321,6 +358,53 @@ class TestCompare:
         assert code == 2
 
 
+class TestOutOfRangeFlags:
+    """Shot budgets and seeds numpy cannot hold in int64 fail as one error line."""
+
+    @pytest.fixture()
+    def survey(self, tmp_path):
+        paths = {}
+        for name, seed in (("train", "1"), ("test", "2")):
+            paths[name] = tmp_path / f"{name}.csv"
+            assert main(["gen-synthetic", "--room", "6x5.5", "--n", "60", "--seed", seed,
+                         "--out", str(paths[name])]) == 0
+        assert main(["train", "--data", str(paths["train"]), "--has-header", "--epochs", "2",
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        paths["model"] = tmp_path / "run" / "model.params"
+        return paths
+
+    @pytest.mark.parametrize("probe", [
+        ["eval", "--shots", "100000000000000000000"],
+        ["eval", "--shots", "10", "--seed", "9223372036854775808"],
+        ["train", "--shots-eval", "100000000000000000000"],
+        ["compare", "--shots", "100000000000000000000"],
+    ], ids=["eval_shots", "eval_seed", "train_shots_eval", "compare_shots"])
+    def test_one_error_line(self, survey, tmp_path, capsys, probe):
+        command, *flags = probe
+        out_dir = tmp_path / "out"
+        inputs = {
+            "eval": ["--model-file", str(survey["model"]), "--data", str(survey["test"])],
+            "train": ["--data", str(survey["train"]), "--test", str(survey["test"]),
+                      "--epochs", "2"],
+            "compare": ["--train", str(survey["train"]), "--test", str(survey["test"]),
+                        "--seeds", "1", "--epochs", "2", "--knn-k", "1"],
+        }[command]
+        capsys.readouterr()
+        code = main([command, *inputs, "--has-header", *flags, "--out-dir", str(out_dir)])
+        assert code in (1, 2)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert not (out_dir / "comparison.csv").exists()
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seed", ["9223372036854775807", "-9223372036854775808"])
+    def test_int64_seed_limits_accepted(self, survey, tmp_path, seed):
+        assert main(["eval", "--model-file", str(survey["model"]), "--data",
+                     str(survey["test"]), "--has-header", "--shots", "10", "--seed", seed,
+                     "--out-dir", str(tmp_path / "e")]) == 0
+
+
 class TestEnvSeed:
     def test_env_seed_matches_explicit_flag(self, tmp_path, train_csv, monkeypatch):
         flag_dir = tmp_path / "flag"
@@ -344,6 +428,13 @@ class TestEnvSeed:
 
     def test_malformed_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HQLOC_SEED", "not-a-number")
+        code = main(["gen-synthetic", "--room", "6x5.5", "--n", "5",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "HQLOC_SEED" in capsys.readouterr().err
+
+    def test_env_seed_outside_int64_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HQLOC_SEED", "9223372036854775808")
         code = main(["gen-synthetic", "--room", "6x5.5", "--n", "5",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hqloc import qlayer
 from hqloc.circuits import feature_state, real_amplitudes, zz_feature_map
 from hqloc.qlayer import (
     QuantumLayer,
@@ -163,6 +164,37 @@ class TestBatchedPath:
         np.testing.assert_array_equal(batch, loop)
         reversed_batch = q_forward_batch(layer, encode_batch(X[::-1]), shots, seed)
         np.testing.assert_array_equal(reversed_batch, batch[::-1])
+
+    @pytest.mark.parametrize("n_rows", [1, 7])
+    def test_sampled_batch_draws_three_times_per_row_and_builds_no_generator(
+        self, monkeypatch, n_rows
+    ):
+        # The benchmark pins sample_expect_z at N_FEATURES calls per fix.
+        calls = []
+        real = qlayer.sample_expect_z
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("sampling built a fresh generator")
+
+        rng = np.random.default_rng(12)
+        layer = make_layer(rng)
+        rows = encode_batch(rng.uniform(0, 1, size=(n_rows, 3)))
+        monkeypatch.setattr(qlayer, "sample_expect_z", counting)
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        out = q_forward_batch(layer, rows, shots=256, seed=4)
+        assert out.shape == (n_rows, 3)
+        assert calls == [0, 1, 2] * n_rows
+
+    def test_seed_outside_int64_rejected(self):
+        rows = encode_batch(np.array([[0.1, 0.2, 0.3]]))
+        layer = QuantumLayer(phi=np.zeros(6))
+        with pytest.raises(ValueError, match="seed must fit in int64"):
+            q_forward_batch(layer, rows, shots=8, seed=2**63)
+        q_forward_batch(layer, rows, shots=8, seed=-(2**63))
 
     def test_encode_batch_rows_are_feature_states(self):
         rng = np.random.default_rng(11)

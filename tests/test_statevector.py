@@ -1,10 +1,16 @@
 """Statevector engine tests against dense matrix-product oracles."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqloc.statevector import (
     MAX_QUBITS,
+    MAX_SHOTS,
     Gate,
     Statevector,
     apply_gate,
@@ -236,3 +242,81 @@ class TestSampledExpectZ:
             # One estimate has variance 4 p (1 - p) / shots = (1 - exact^2) / shots.
             sigma = np.sqrt((1.0 - exact**2) / (shots * n_seeds))
             assert abs(mean - exact) <= 4.0 * sigma
+
+
+def _bell_like_state():
+    return apply_gates(zero_state(3), [h(0), ry(1.1, 1), cx(1, 2)])
+
+
+seeds_64 = st.integers(0, 2**64 - 1)
+draws = st.tuples(st.integers(0, 2), st.integers(1, 100_000), seeds_64)
+
+
+class TestSharedShotStream:
+    """The re-keyed shared generator: each draw depends on its arguments alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2), st.integers(1, 100_000), seeds_64, st.lists(draws, max_size=8),
+           st.data())
+    def test_draw_ignores_history_and_order(self, qubit, shots, seed, others, data):
+        state = _bell_like_state()
+        alone = sample_expect_z(state, qubit, shots, seed)
+        for other in others:
+            sample_expect_z(state, *other)
+        assert sample_expect_z(state, qubit, shots, seed) == alone
+        calls = [(qubit, shots, seed), *others]
+        expected = [sample_expect_z(state, *call) for call in calls]
+        order = data.draw(st.permutations(range(len(calls))))
+        assert [sample_expect_z(state, *calls[i]) for i in order] == [expected[i] for i in order]
+
+    def test_threads_match_a_serial_run(self):
+        state = _bell_like_state()
+        seeds = [range(0, 1000, 2), range(1, 1000, 2)]  # 500 interleaved seeds each
+        serial = [[sample_expect_z(state, s % 3, 1000 + s, s) for s in part] for part in seeds]
+        results = [None, None]
+        barrier = threading.Barrier(2)
+
+        def work(k):
+            barrier.wait()
+            results[k] = [sample_expect_z(state, s % 3, 1000 + s, s) for s in seeds[k]]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_consecutive_seeds_are_independent_draws(self, qubit):
+        # A poorly mixed or reused stream shows as a wrong spread or as
+        # correlation between neighbouring seeds.
+        state = _bell_like_state()
+        shots, n = 1000, 400
+        exact = expect_z(state, qubit)
+        est = np.array([sample_expect_z(state, qubit, shots, seed) for seed in range(n)])
+        # (n - 1) s^2 / sigma^2 is chi-squared with k = n - 1 degrees of freedom;
+        # Wilson-Hilferty quantiles at +-4 standard normal deviations.
+        k = n - 1
+        sigma2 = (1.0 - exact**2) / shots
+        lo, hi = (k * (1 - 2 / (9 * k) + z * np.sqrt(2 / (9 * k))) ** 3 for z in (-4.0, 4.0))
+        assert lo <= k * est.var(ddof=1) / sigma2 <= hi
+        lag1 = np.corrcoef(est[:-1], est[1:])[0, 1]
+        assert abs(lag1) <= 4.0 / np.sqrt(n - 1)
+
+    def test_shot_budget_above_int64_rejected(self):
+        state = _bell_like_state()
+        with pytest.raises(ValueError, match=r"shots must be <= 2\*\*63 - 1"):
+            sample_expect_z(state, 0, MAX_SHOTS + 1, 0)
+        assert -1.0 <= sample_expect_z(state, 0, MAX_SHOTS, 0) <= 1.0
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="rng_seed must be in"):
+            sample_expect_z(zero_state(1), 0, 10, seed)

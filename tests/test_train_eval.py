@@ -171,6 +171,16 @@ class TestCompareConfig:
         assert CompareConfig().seeds == (1, 2, 3)
 
 
+@pytest.mark.parametrize("shots, message", [(0, "shots must be >= 1"),
+                                            (2**63, r"shots must be <= 2\*\*63 - 1")])
+def test_configs_refuse_shot_budgets_outside_int64(shots, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(shots_eval=shots)
+    with pytest.raises(ValueError, match=message):
+        CompareConfig(shots=shots)
+    assert TrainConfig(shots_eval=2**63 - 1).shots_eval == CompareConfig(shots=2**63 - 1).shots
+
+
 class TestTrainingLoop:
     def test_loss_trace_length_equals_epochs(self):
         model = init_hybrid_model(seed=0)
