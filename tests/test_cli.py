@@ -1,7 +1,11 @@
 """Command-line interface tests: exit codes, artifacts, determinism, seeding."""
 
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +89,23 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: line 2: {reason}")
+
+    @pytest.mark.parametrize("model", ["classical", "hqnn"])
+    def test_divergence_is_one_line_error(self, train_csv, tmp_path, model):
+        # A subprocess, so numpy's overflow warnings would reach stderr as they do for users.
+        paths = [str(Path(hqloc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        out_dir = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hqloc.cli", "train", "--data", str(train_csv), "--model", model,
+             "--optimizer", "sgd", "--lr", "1e6", "--out-dir", str(out_dir)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1, proc.stderr
+        assert err[0].startswith("error: non-finite training loss at epoch ")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_learning_rate_is_one_line_error(self, train_csv, tmp_path, capsys, lr):
@@ -352,6 +373,25 @@ class TestCompare:
         assert len(err) == 1 and err[0].startswith("error: learning rate must be finite")
         assert not (out_dir / "comparison.csv").exists()
 
+    def test_clamped_features_are_counted_and_reported(self, tmp_path, train_csv, capsys):
+        samples = load_csv(train_csv)
+        rssi = samples[0].rssi
+        samples[0] = RssiSample((rssi[0] + 100.0, rssi[1], rssi[2] - 100.0), samples[0].position)
+        out_of_range = tmp_path / "out_of_range.csv"
+        save_csv(samples, out_of_range, header=False)
+        capsys.readouterr()
+        for test_csv, name, count in ((train_csv, "c0", 0), (out_of_range, "c1", 2)):
+            out_dir = tmp_path / name
+            assert main(self.compare_args(train_csv, test_csv, out_dir)) == 0
+            doc = json.loads((out_dir / "manifest.json").read_text())
+            assert doc["clamped_features"] == count
+            warnings = [line for line in capsys.readouterr().err.splitlines()
+                        if line.startswith("warning:")]
+            assert len(warnings) == min(count, 1)
+            header = (out_dir / "comparison.csv").read_text().splitlines()[0]
+            assert header == "scenario,technology,method,seed,rmse_m,note,config_digest"
+        assert warnings[0].startswith(f"warning: 2 feature value(s) in {out_of_range} lie outside")
+
     def test_unknown_scenario_rejected(self, tmp_path, train_csv, test_csv):
         code = main(["compare", "--train", str(train_csv), "--test", str(test_csv),
                      "--scenario", "Sc-9", "--out-dir", str(tmp_path / "c")])
@@ -398,7 +438,33 @@ class TestOutOfRangeFlags:
         assert not (out_dir / "comparison.csv").exists()
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("seed", ["9223372036854775807", "-9223372036854775808"])
+    @pytest.mark.parametrize("probe", [
+        ["gen-synthetic", "--room", "6x5.5", "--n", "5", "--seed", "-1"],
+        ["train", "--seed", "-1"],
+        ["eval", "--seed", "-1"],
+        ["eval", "--shots", "10", "--seed", "-1"],
+        ["compare", "--seeds", "2", "-1"],
+    ], ids=["gen_synthetic", "train", "eval", "eval_shots", "compare"])
+    def test_negative_seed_is_usage_error(self, survey, tmp_path, capsys, probe):
+        command, *flags = probe
+        out_dir = tmp_path / "out"
+        inputs = {
+            "gen-synthetic": ["--out", str(out_dir)],
+            "eval": ["--model-file", str(survey["model"]), "--data", str(survey["test"]),
+                     "--has-header", "--out-dir", str(out_dir)],
+            "train": ["--data", str(survey["train"]), "--has-header", "--epochs", "2",
+                      "--out-dir", str(out_dir)],
+            "compare": ["--train", str(survey["train"]), "--test", str(survey["test"]),
+                        "--has-header", "--epochs", "2", "--knn-k", "1", "--out-dir", str(out_dir)],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *inputs, *flags]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "seed must be an integer in [0, 2**63 - 1]" in errors[0]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seed", ["9223372036854775807", "0"])
     def test_int64_seed_limits_accepted(self, survey, tmp_path, seed):
         assert main(["eval", "--model-file", str(survey["model"]), "--data",
                      str(survey["test"]), "--has-header", "--shots", "10", "--seed", seed,
@@ -439,3 +505,13 @@ class TestEnvSeed:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "HQLOC_SEED" in capsys.readouterr().err
+
+    def test_negative_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HQLOC_SEED", "-1")
+        code = main(["gen-synthetic", "--room", "6x5.5", "--n", "5",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: HQLOC_SEED must be an integer in [0, 2**63 - 1], got '-1'\n"
+        )
+        assert not (tmp_path / "x.csv").exists()

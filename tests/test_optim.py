@@ -1,9 +1,12 @@
-"""Optimizer tests: the Adam recursion traced by hand, SGD, and validation."""
+"""Optimizer tests: the Adam recursion traced by hand and against its textbook form,
+SGD, and validation."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqloc.optim import AdamState, adam_step, init_adam, sgd_step
 
@@ -117,6 +120,40 @@ class TestAdamValidation:
         state = init_adam(2)
         with pytest.raises(ValueError):
             adam_step(state, np.zeros(2), np.array([0.0, bad]))
+
+
+class TestAdamTextbook:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 300),
+        steps=st.integers(1, 6),
+        eta=st.floats(1e-4, 0.5),
+        beta1=st.floats(0.0, 0.99),
+        beta2=st.floats(0.5, 0.9999),
+    )
+    def test_matches_the_textbook_expression_bit_for_bit(self, seed, size, steps, eta, beta1, beta2):
+        # Kingma & Ba (arXiv:1412.6980), Algorithm 1, started from a random state.
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=size)
+        v = rng.uniform(0.0, 2.0, size=size)
+        t = int(rng.integers(0, 50))
+        theta = rng.normal(size=size)
+        state = AdamState(m=m.copy(), v=v.copy(), t=t, beta1=beta1, beta2=beta2, eta=eta)
+        params = theta.copy()
+        for _ in range(steps):
+            g = rng.normal(scale=rng.uniform(1e-3, 1e3), size=size)
+            t += 1
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g**2
+            m_hat = m / (1.0 - beta1**t)
+            v_hat = v / (1.0 - beta2**t)
+            theta = theta - eta * m_hat / (np.sqrt(v_hat) + 1e-8)
+            state, params = adam_step(state, params, g)
+            assert state.t == t
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+            np.testing.assert_array_equal(params, theta)
 
 
 class TestSgd:

@@ -181,6 +181,16 @@ def test_configs_refuse_shot_budgets_outside_int64(shots, message):
     assert TrainConfig(shots_eval=2**63 - 1).shots_eval == CompareConfig(shots=2**63 - 1).shots
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63])
+def test_configs_refuse_seeds_outside_the_seed_range(seed):
+    message = r"seed must be an integer in \[0, 2\*\*63 - 1\]"
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(seed=seed)
+    with pytest.raises(ValueError, match=message):
+        CompareConfig(seeds=(1, seed))
+    assert TrainConfig(seed=2**63 - 1).seed == CompareConfig(seeds=(0, 2**63 - 1)).seeds[1]
+
+
 class TestTrainingLoop:
     def test_loss_trace_length_equals_epochs(self):
         model = init_hybrid_model(seed=0)

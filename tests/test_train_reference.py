@@ -6,6 +6,10 @@ here from the circuit description (feature map: H, P(2 x_q), CX-P-CX pairs;
 ansatz: RY layer, CX chain, RY layer). The head is plain numpy with
 hand-written backprop, the angle gradient is the two-point shift rule, and
 the update is the Adam or the plain gradient-descent formula written out.
+
+The dense baseline has its own reference: a plain numpy loop with a separate
+forward pass for the loss, textbook backprop and the same update formulas,
+which training must match bit for bit.
 """
 
 import math
@@ -14,6 +18,8 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+import hqloc.classical as classical
+from hqloc.classical import baseline_net
 from hqloc.train_eval import TrainConfig, init_hybrid_model, model_param_vector, train
 
 from oracles import circuit_matrix, expect_z_oracle
@@ -113,3 +119,101 @@ def test_training_matches_dense_reference_loop(optimizer, eta):
     assert losses[-1] < 0.8 * losses[0]  # the run really trains
     np.testing.assert_allclose(report.loss_per_epoch, losses, rtol=1e-10, atol=0)
     np.testing.assert_allclose(report.final_train_mse, final, rtol=1e-10, atol=0)
+
+
+def dense_unpack(params, sizes=(3, 128, 64, 2)):
+    """(weight, bias) per layer, cut from ``params`` (per layer: weight row-major, then bias)."""
+    layers, offset = [], 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        weight = params[offset : offset + n_out * n_in].reshape(n_out, n_in)
+        offset += n_out * n_in
+        layers.append((weight, params[offset : offset + n_out]))
+        offset += n_out
+    return layers
+
+
+def dense_forward(params, X):
+    (w1, b1), (w2, b2), (w3, b3) = dense_unpack(params)
+    h1 = np.maximum(X @ w1.T + b1, 0.0)
+    h2 = np.maximum(h1 @ w2.T + b2, 0.0)
+    return h2 @ w3.T + b3
+
+
+def dense_grad(params, X, Z):
+    (w1, b1), (w2, b2), (w3, b3) = dense_unpack(params)
+    pre1 = X @ w1.T + b1
+    h1 = np.maximum(pre1, 0.0)
+    pre2 = h1 @ w2.T + b2
+    h2 = np.maximum(pre2, 0.0)
+    pred = h2 @ w3.T + b3
+    d3 = 2.0 * (pred - Z) / len(Z)
+    d2 = (d3 @ w3) * (pre2 > 0.0)
+    d1 = (d2 @ w2) * (pre1 > 0.0)
+    return np.concatenate([
+        (d1.T @ X).ravel(), d1.sum(axis=0), (d2.T @ h1).ravel(), d2.sum(axis=0),
+        (d3.T @ h2).ravel(), d3.sum(axis=0),
+    ])
+
+
+def dense_reference_training(params, X, Z, epochs, eta, optimizer, beta1=0.9, beta2=0.999,
+                             eps=1e-8):
+    """Pre-update losses, the loss after the last update, and the final parameters."""
+    def loss(p):
+        return float(np.mean(np.sum((dense_forward(p, X) - Z) ** 2, axis=1)))
+
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    losses = []
+    for t in range(1, epochs + 1):
+        losses.append(loss(params))
+        grad = dense_grad(params, X, Z)
+        if optimizer == "sgd":
+            params = params - eta * grad
+            continue
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad**2
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        params = params - eta * m_hat / (np.sqrt(v_hat) + eps)
+    return np.array(losses), loss(params), params
+
+
+@pytest.mark.parametrize("optimizer, eta", [("adam", 0.01), ("sgd", 0.01)])
+def test_dense_training_matches_numpy_loop_bit_for_bit(optimizer, eta):
+    rng = np.random.default_rng(23)
+    X = rng.uniform(0.0, 1.0, size=(40, 3))
+    Z = rng.uniform(0.0, 6.0, size=(40, 2))
+    net = baseline_net(5)
+    initial = net.params.copy()
+    report = train(net, X, Z, TrainConfig(optimizer=optimizer, epochs=20, eta=eta))
+    losses, final, params = dense_reference_training(initial, X, Z, 20, eta, optimizer)
+    assert losses[-1] < 0.8 * losses[0]  # the run really trains
+    np.testing.assert_array_equal(report.loss_per_epoch, losses)
+    assert report.final_train_mse == final
+    np.testing.assert_array_equal(net.params, params)
+
+
+def test_dense_training_makes_one_pass_per_epoch(monkeypatch):
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    def forbidden(*args):
+        raise AssertionError("dense training ran a separate backward pass")
+
+    monkeypatch.setattr(classical, "loss_and_grad", counting("pass", classical.loss_and_grad))
+    monkeypatch.setattr(classical, "forward_batch", counting("forward", classical.forward_batch))
+    monkeypatch.setattr(classical, "backward_batch", forbidden)
+    rng = np.random.default_rng(29)
+    X = rng.uniform(0.0, 1.0, size=(16, 3))
+    Z = rng.uniform(0.0, 6.0, size=(16, 2))
+    for optimizer in ("adam", "sgd"):
+        calls.clear()
+        train(baseline_net(1), X, Z, TrainConfig(optimizer=optimizer, epochs=7, eta=0.01))
+        # One fused pass per epoch, then one forward for the final training MSE.
+        assert calls == ["pass"] * 7 + ["forward"]
