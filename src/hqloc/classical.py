@@ -91,8 +91,8 @@ def layer_views(net: DenseNet, flat: np.ndarray) -> list[tuple[np.ndarray, np.nd
     return views
 
 
-def glorot_net(sizes, rng, hidden_activation: str = "relu") -> DenseNet:
-    """Seeded uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases.
+def glorot_net(sizes, rng) -> DenseNet:
+    """Seeded uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases; ReLU hidden layers.
 
     ``rng`` is a numpy Generator or an integer seed.
     """
@@ -102,7 +102,7 @@ def glorot_net(sizes, rng, hidden_activation: str = "relu") -> DenseNet:
     for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         weight = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        activation = "linear" if i == len(sizes) - 2 else hidden_activation
+        activation = "linear" if i == len(sizes) - 2 else "relu"
         layers.append(DenseLayer(weight, np.zeros(fan_out), activation))
     return DenseNet(layers)
 
@@ -142,18 +142,15 @@ def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray):
 
     The ReLU subgradient at exactly 0 is taken as 0; ``upstream`` is not modified.
     """
-    grad = np.empty_like(net.params)
-    grad_views = layer_views(net, grad)
+    pieces = []  # per layer from the last: bias grad, then weight grad
     delta = upstream
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         if layer.activation == "relu":
             delta = delta * (acts[i + 1] > 0.0)
-        grad_weight, grad_bias = grad_views[i]
-        np.matmul(delta.T, acts[i], out=grad_weight)
-        delta.sum(axis=0, out=grad_bias)
+        pieces += [delta.sum(axis=0), (delta.T @ acts[i]).ravel()]
         delta = delta @ layer.weight
-    return grad, delta
+    return np.concatenate(pieces[::-1]), delta
 
 
 def forward_batch(net: DenseNet, V) -> np.ndarray:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical, data, model_io, train_eval
+from .qlayer import check_seed
 
 # Counts reach numpy as int64; larger flag values are usage errors.
 _INT64_MAX = 2**63 - 1
@@ -97,7 +98,7 @@ def _positive_int(value: str) -> int:
 def _seed(value: str) -> int:
     n = int(value)
     try:
-        train_eval.check_seed(n)
+        check_seed(n)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return n
@@ -227,13 +228,32 @@ def _count_clamped(scaler: data.Scaler, raw: np.ndarray, path) -> int:
     return clamped
 
 
+def _test_rmse(model, X, Z, shots, seed, shots_flag: str) -> float:
+    """Test RMSE on scaled features; the one place a predictor is picked by model kind.
+
+    A hybrid model is sampled when ``shots`` is set; a dense net warns that ``shots_flag`` is moot.
+    """
+    if isinstance(model, train_eval.HybridModel):
+        predict = lambda batch: train_eval.hqnn_forward_batch(model, batch, shots, seed)
+    else:
+        if shots is not None:
+            print(f"warning: {shots_flag} has no effect on a classical model", file=sys.stderr)
+        predict = lambda batch: classical.forward_batch(model, batch)
+    return train_eval.evaluate_rmse(predict, X, Z)
+
+
 def cmd_train(args) -> int:
     train_samples = _load_samples(args, args.data)
+    test_samples = _load_samples(args, args.test) if args.test else None
+    config = train_eval.TrainConfig(
+        optimizer=args.optimizer, eta=args.lr, epochs=args.epochs, seed=args.seed
+    )
     scaler = data.fit_scaler(train_samples)
     X, Z = data.transform_samples(scaler, train_samples)
-    test = None
-    if args.test:
-        test = data.transform_samples(scaler, _load_samples(args, args.test))
+    clamped, test = 0, None
+    if test_samples is not None:
+        clamped = _count_clamped(scaler, data.features_matrix(test_samples), args.test)
+        test = data.transform_samples(scaler, test_samples)
     if args.lr == 0:
         print("warning: learning rate is 0; parameters stay at their initialization",
               file=sys.stderr)
@@ -241,14 +261,10 @@ def cmd_train(args) -> int:
         model = train_eval.init_hybrid_model(args.seed)
     else:
         model = classical.baseline_net(args.seed)
-    config = train_eval.TrainConfig(
-        optimizer=args.optimizer,
-        eta=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        shots_eval=args.shots_eval,
-    )
-    report = train_eval.train(model, X, Z, config, test=test)
+    report = train_eval.train(model, X, Z, config)
+    test_rmse = None
+    if test is not None:
+        test_rmse = _test_rmse(model, *test, args.shots_eval, args.seed, "--shots-eval")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -260,14 +276,15 @@ def cmd_train(args) -> int:
     if args.test:
         inputs["test"] = args.test
     _write_manifest(
-        out_dir, "train", {**asdict(config), "model": args.model},
+        out_dir, "train", {**asdict(config), "model": args.model, "shots_eval": args.shots_eval},
         inputs, [loss_path, model_path, out_dir / "manifest.json"],
+        clamped_features=clamped,
     )
     print(f"trained {args.model} for {config.epochs} epochs "
           f"in {report.wall_time_s:.1f}s")
     print(f"final train MSE: {report.final_train_mse:.6f} m^2")
-    if report.final_test_rmse is not None:
-        print(f"test RMSE: {report.final_test_rmse:.6f} m")
+    if test_rmse is not None:
+        print(f"test RMSE: {test_rmse:.6f} m")
     print(f"wrote {loss_path} and {model_path}")
     return 0
 
@@ -282,14 +299,7 @@ def cmd_eval(args) -> int:
         clamped = _count_clamped(scaler, raw, args.data)
     elif X.min() < 0.0 or X.max() > 1.0:
         raise ValueError(f"{args.model_file}: no stored scaler, and {args.data} is not in [0, 1]")
-    Z = data.targets_matrix(samples)
-    if isinstance(model, train_eval.HybridModel):
-        predict = lambda batch: train_eval.hqnn_forward_batch(model, batch, args.shots, args.seed)
-    else:
-        if args.shots is not None:
-            print("warning: --shots has no effect on a classical model", file=sys.stderr)
-        predict = lambda batch: classical.forward_batch(model, batch)
-    rmse = train_eval.evaluate_rmse(predict, X, Z)
+    rmse = _test_rmse(model, X, data.targets_matrix(samples), args.shots, args.seed, "--shots")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rmse_path = out_dir / "eval_rmse.csv"

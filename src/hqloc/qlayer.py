@@ -30,6 +30,10 @@ from .statevector import Statevector, sample_expect_z
 
 SHIFT = np.pi / 2.0
 
+# Seeds reach numpy generators, which take only non-negative integers, and the
+# shot seeds pack them as int64.
+MAX_SEED = 2**63 - 1
+
 # Z eigenvalue of every basis state on every qubit, shape (n, 2**n).
 _Z_SIGNS = 1.0 - 2.0 * ((np.arange(2**N_FEATURES) >> np.arange(N_FEATURES)[:, None]) & 1)
 
@@ -49,10 +53,15 @@ class QuantumLayer:
             )
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is an integer in [0, MAX_SEED]."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be an integer in [0, 2**63 - 1], got {seed}")
+
+
 def _seed_prefixes(base_seed: int) -> list[bytes]:
     """The int64 bytes of (base_seed, qubit) that open each qubit's shot seed."""
-    if not -(2**63) <= base_seed < 2**63:
-        raise ValueError(f"seed must fit in int64, got {base_seed}")
+    check_seed(base_seed)
     return [np.asarray([base_seed, q], dtype=np.int64).tobytes() for q in range(N_FEATURES)]
 
 
@@ -83,7 +92,8 @@ def q_forward_batch(
 
     Exact when ``shots`` is None. Otherwise each entry is a
     :func:`sample_expect_z` estimate from ``shots`` shots, seeded from
-    ``seed``, the qubit and the bytes of that encoded row.
+    ``seed``, the qubit and the bytes of that encoded row; ``seed`` must
+    pass :func:`check_seed`, the rule every seeded entry point applies.
     """
     expectations, final = _sweep(layer.phi, encoded_rows)
     if shots is None:

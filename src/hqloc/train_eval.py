@@ -10,10 +10,11 @@ through the head, shift rule through the quantum layer) in that same layout,
 then writes one optimizer step into ``params`` in place. A dense network's
 pass is one forward and one backward run of :func:`classical.loss_and_grad`.
 
-Evaluation is batched: :func:`evaluate_rmse` calls its predictor once on the
-whole test matrix, and :func:`hqnn_forward_batch` runs every row through one
-quantum kernel pass and one head pass, exact or, given a shot budget and a
-seed, shot-sampled. The trained model is the same in both cases.
+:func:`train` only trains; it never sees a test set. Evaluation is a separate,
+batched step on the trained model: :func:`evaluate_rmse` calls its predictor
+once on the whole test matrix, and :func:`hqnn_forward_batch` runs every row
+through one quantum kernel pass and one head pass, exact or, given a shot
+budget and a seed, shot-sampled. The trained model is the same in both cases.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import baselines, classical, data, optim
 from .circuits import N_ANSATZ_PARAMS
-from .qlayer import QuantumLayer, encode_batch, q_forward, q_forward_batch, q_gradient_batch
+from .qlayer import QuantumLayer, check_seed, encode_batch
+from .qlayer import q_forward, q_forward_batch, q_gradient_batch
 from .statevector import check_shots
 
 OPTIMIZERS = ("adam", "sgd")
@@ -114,24 +116,12 @@ def dense_grad(net: classical.DenseNet, X, Z) -> np.ndarray:
     return classical.loss_and_grad(net, X, Z)[1]
 
 
-# Seeds reach numpy generators, which take only non-negative integers, and the
-# shot seeds pack them as int64.
-MAX_SEED = 2**63 - 1
-
-
-def check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is an integer in [0, MAX_SEED]."""
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be an integer in [0, 2**63 - 1], got {seed}")
-
-
 @dataclass
 class TrainConfig:
     optimizer: str = "adam"
     eta: float = 0.001
     epochs: int = 300
     seed: int = 0
-    shots_eval: int | None = None
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -141,32 +131,25 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         check_seed(self.seed)
-        if self.shots_eval is not None:
-            check_shots(self.shots_eval)
 
 
 @dataclass
 class TrainReport:
     loss_per_epoch: np.ndarray  # pre-update MSE, one entry per epoch
     final_train_mse: float
-    final_test_rmse: float | None
     config: TrainConfig
     wall_time_s: float
 
 
-def _model_ops(model, X, Z, config: TrainConfig):
-    """(predict_batch, train_mse, loss_and_grad) for training on (``X``, ``Z``).
+def _model_ops(model, X, Z):
+    """(train_mse, loss_and_grad) for training on (``X``, ``Z``).
 
     ``loss_and_grad()`` gives one epoch's pre-update MSE and gradient;
     ``train_mse()`` gives the MSE alone. A hybrid model's training rows are
-    encoded here, once per training run, and its test predictions are sampled
-    when ``config.shots_eval`` is set.
+    encoded here, once per training run.
     """
     if isinstance(model, HybridModel):
         rows = encode_batch(X)
-
-        def predict(X_eval):
-            return hqnn_forward_batch(model, X_eval, config.shots_eval, config.seed)
 
         def train_mse():
             U = q_forward_batch(model.qlayer, rows)
@@ -179,18 +162,15 @@ def _model_ops(model, X, Z, config: TrainConfig):
             # count drops when that pin moves.
             return train_mse(), hqnn_grad(model, X, Z, encoded=rows)
 
-        return predict, train_mse, loss_and_grad
+        return train_mse, loss_and_grad
     if isinstance(model, classical.DenseNet):
-        def predict(X_eval):
-            return classical.forward_batch(model, X_eval)
-
         def train_mse():
-            return classical.mse_loss(predict(X), Z)
+            return classical.mse_loss(classical.forward_batch(model, X), Z)
 
         def loss_and_grad():
             return classical.loss_and_grad(model, X, Z)[:2]
 
-        return predict, train_mse, loss_and_grad
+        return train_mse, loss_and_grad
     raise TypeError(f"cannot train model of type {type(model).__name__}")
 
 
@@ -201,18 +181,19 @@ def _check_loss(loss: float, epoch: int, eta: float) -> None:
         )
 
 
-def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
+def train(model, X, Z, config: TrainConfig) -> TrainReport:
     """Full-batch training; deterministic given the (already seeded) model.
 
     Records the pre-update MSE each epoch, so entry 0 reflects the quality of
     the initialization and the trace length equals the epoch count. Each step
     is written into ``model.params`` in place. Aborts with a RuntimeError
     naming the epoch on a non-finite loss, checked before that epoch's step;
-    epoch ``config.epochs`` is the loss after the last step.
+    epoch ``config.epochs`` is the loss after the last step. Evaluating the
+    trained model on a test set is the caller's step (:func:`evaluate_rmse`).
     """
     X, Z = _batch(X, Z, "training set")
     start = time.perf_counter()
-    predict, train_mse, loss_and_grad = _model_ops(model, X, Z, config)
+    train_mse, loss_and_grad = _model_ops(model, X, Z)
     params = model.params
     adam_state = optim.init_adam(params.size, eta=config.eta)
     trace = []
@@ -229,14 +210,11 @@ def train(model, X, Z, config: TrainConfig, test=None) -> TrainReport:
                 params[:] = optim.sgd_step(params, grads, config.eta)
         final_train_mse = train_mse()
         _check_loss(final_train_mse, config.epochs, config.eta)
-    wall = time.perf_counter() - start
-    final_test_rmse = None if test is None else evaluate_rmse(predict, *test)
     return TrainReport(
         loss_per_epoch=np.asarray(trace),
         final_train_mse=final_train_mse,
-        final_test_rmse=final_test_rmse,
         config=config,
-        wall_time_s=wall,
+        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -346,6 +324,9 @@ def compare_all(
             )
             if best_rmse is None or rmse < best_rmse:
                 best_k, best_rmse = k, rmse
+        if best_k is None:
+            raise ValueError(f"every k in {list(config.knn_ks)} exceeds the "
+                             f"{len(X_train)} training rows")
         record("knn", None, best_rmse, note=f"k={best_k}")
     except Exception as exc:
         record("knn", None, None, note=f"failed: {exc}")

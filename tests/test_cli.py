@@ -39,6 +39,11 @@ def make_csv(path, n=20, seed=0, sigma=1.0):
     return path
 
 
+def printed_test_rmse(stdout):
+    (line,) = [line for line in stdout.splitlines() if line.startswith("test RMSE:")]
+    return line
+
+
 @pytest.fixture()
 def train_csv(tmp_path):
     return make_csv(tmp_path / "train.csv", n=20, seed=1)
@@ -202,6 +207,41 @@ class TestTrain:
         assert code == 0
         assert "test RMSE:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sampling", [[], ["--seed", "5", "--shots-eval", "64"]],
+                             ids=["exact", "shots"])
+    def test_test_rmse_equals_eval_of_saved_model(
+        self, tmp_path, train_csv, test_csv, capsys, sampling
+    ):
+        # train --test and eval share one evaluation path, shots and seed included.
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(train_csv), "--test", str(test_csv),
+                     "--epochs", "2", "--out-dir", str(run), *sampling]) == 0
+        printed = printed_test_rmse(capsys.readouterr().out)
+        eval_flags = [flag.replace("--shots-eval", "--shots") for flag in sampling]
+        assert main(["eval", "--model-file", str(run / "model.params"), "--data", str(test_csv),
+                     "--out-dir", str(tmp_path / "e"), *eval_flags]) == 0
+        value = float((tmp_path / "e" / "eval_rmse.csv").read_text().splitlines()[1])
+        assert printed == f"test RMSE: {value:.6f} m"
+        if sampling:
+            assert main(["eval", "--model-file", str(run / "model.params"),
+                         "--data", str(test_csv), "--out-dir", str(tmp_path / "x")]) == 0
+            exact = float((tmp_path / "x" / "eval_rmse.csv").read_text().splitlines()[1])
+            assert exact != value
+
+    def test_shots_eval_on_classical_model_warns(self, tmp_path, train_csv, test_csv, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--model", "classical", "--data", str(train_csv),
+                     "--test", str(test_csv), "--shots-eval", "8", "--epochs", "2",
+                     "--out-dir", str(run)]) == 0
+        captured = capsys.readouterr()
+        assert [line for line in captured.err.splitlines() if "no effect" in line] == [
+            "warning: --shots-eval has no effect on a classical model"
+        ]
+        assert main(["eval", "--model-file", str(run / "model.params"), "--data", str(test_csv),
+                     "--out-dir", str(tmp_path / "e")]) == 0
+        value = float((tmp_path / "e" / "eval_rmse.csv").read_text().splitlines()[1])
+        assert printed_test_rmse(captured.out) == f"test RMSE: {value:.6f} m"
+
     def test_zero_lr_warns(self, tmp_path, train_csv, capsys):
         code = main(["train", "--data", str(train_csv), "--epochs", "2",
                      "--lr", "0", "--out-dir", str(tmp_path / "run")])
@@ -221,6 +261,8 @@ class TestTrain:
         doc = json.loads((out_dir / "manifest.json").read_text())
         assert doc["command"] == "train"
         assert doc["config"]["epochs"] == 2
+        assert set(doc["config"]) == {"optimizer", "eta", "epochs", "seed", "model", "shots_eval"}
+        assert doc["clamped_features"] == 0  # no --test file, nothing to clamp
         assert "sha256" in doc["inputs"]["data"]
         assert any(p.endswith("model.params") for p in doc["outputs"])
         assert doc["hqloc_version"] == hqloc.__version__
@@ -317,15 +359,21 @@ class TestEval:
         out_of_range = tmp_path / "out_of_range.csv"
         save_csv(samples, out_of_range, header=False)
         capsys.readouterr()
-        for data_csv, name, count in ((in_range, "e0", 0), (out_of_range, "e1", 1)):
-            assert main(["eval", "--model-file", str(model_file), "--data", str(data_csv),
-                         "--out-dir", str(tmp_path / name)]) == 0
-            doc = json.loads((tmp_path / name / "manifest.json").read_text())
-            assert doc["clamped_features"] == count
-            warnings = [line for line in capsys.readouterr().err.splitlines()
-                        if line.startswith("warning:")]
-            assert len(warnings) == count
-        assert "1 feature value(s)" in warnings[0]
+        # eval's --data and train's --test are counted against the same training range.
+        commands = {
+            "eval": ["eval", "--model-file", str(model_file), "--data"],
+            "train": ["train", "--data", str(train_csv), "--epochs", "2", "--test"],
+        }
+        for data_csv, count in ((in_range, 0), (out_of_range, 1)):
+            for name, command in commands.items():
+                out_dir = tmp_path / f"{name}{count}"
+                assert main([*command, str(data_csv), "--out-dir", str(out_dir)]) == 0
+                doc = json.loads((out_dir / "manifest.json").read_text())
+                assert doc["clamped_features"] == count
+                warnings = [line for line in capsys.readouterr().err.splitlines()
+                            if line.startswith("warning:")]
+                assert len(warnings) == count
+        assert warnings[0].startswith(f"warning: 1 feature value(s) in {out_of_range} lie outside")
 
     def test_shots_on_classical_model_warn(self, tmp_path, train_csv, test_csv, capsys):
         model_file = self.run_train(tmp_path, train_csv, extra=("--model", "classical"))

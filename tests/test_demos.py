@@ -1,6 +1,7 @@
-"""Smoke test: every script under demos/ runs to completion against src/."""
+"""Smoke test: every script under demos/ and every Python block in README.md runs against src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,20 +10,34 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S
+)
 
 
-def test_demos_exist():
-    assert DEMOS
-
-
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo, tmp_path):
+def run_python(argv, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, *argv], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_demos_exist():
+    assert DEMOS
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    run_python([str(demo)], tmp_path)
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block, tmp_path):
+    run_python(["-c", block], tmp_path)

@@ -192,9 +192,11 @@ class TestBatchedPath:
     def test_seed_outside_int64_rejected(self):
         rows = encode_batch(np.array([[0.1, 0.2, 0.3]]))
         layer = QuantumLayer(phi=np.zeros(6))
-        with pytest.raises(ValueError, match="seed must fit in int64"):
-            q_forward_batch(layer, rows, shots=8, seed=2**63)
-        q_forward_batch(layer, rows, shots=8, seed=-(2**63))
+        # The rule every seeded entry point applies: an integer in [0, 2**63 - 1].
+        for seed in (2**63, -1, -(2**63)):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*63 - 1\]"):
+                q_forward_batch(layer, rows, shots=8, seed=seed)
+        q_forward_batch(layer, rows, shots=8, seed=2**63 - 1)
 
     def test_encode_batch_rows_are_feature_states(self):
         rng = np.random.default_rng(11)

@@ -1,5 +1,6 @@
 """Hybrid training tests: joint gradient, the loop's contracts, comparison records."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -138,7 +139,11 @@ class TestTrainConfig:
         assert config.optimizer == "adam"
         assert config.eta == 0.001
         assert config.epochs == 300
-        assert config.shots_eval is None
+        assert config.seed == 0
+        # Training has no test set, so no evaluation settings either.
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "optimizer", "eta", "epochs", "seed"
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -175,10 +180,8 @@ class TestCompareConfig:
                                             (2**63, r"shots must be <= 2\*\*63 - 1")])
 def test_configs_refuse_shot_budgets_outside_int64(shots, message):
     with pytest.raises(ValueError, match=message):
-        TrainConfig(shots_eval=shots)
-    with pytest.raises(ValueError, match=message):
         CompareConfig(shots=shots)
-    assert TrainConfig(shots_eval=2**63 - 1).shots_eval == CompareConfig(shots=2**63 - 1).shots
+    assert CompareConfig(shots=2**63 - 1).shots == 2**63 - 1
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63])
@@ -243,28 +246,6 @@ class TestTrainingLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="learning rate"):
                 train(model, X, Z, TrainConfig(epochs=400, eta=1e6, optimizer="sgd"))
-
-    def test_test_split_reports_rmse(self):
-        model = init_hybrid_model(seed=8)
-        X, Z = small_problem(seed=8, n=8)
-        report = train(model, X, Z, TrainConfig(epochs=3), test=(X[:4], Z[:4]))
-        direct = evaluate_rmse(
-            lambda X: np.array([hqnn_forward(model, x) for x in X]), X[:4], Z[:4]
-        )
-        np.testing.assert_allclose(report.final_test_rmse, direct, rtol=0, atol=1e-12)
-
-    def test_shots_eval_changes_test_rmse_reproducibly(self):
-        X, Z = small_problem(seed=9, n=8)
-        rmses = []
-        for _ in range(2):
-            model = init_hybrid_model(seed=9)
-            config = TrainConfig(epochs=3, shots_eval=256, seed=11)
-            report = train(model, X, Z, config, test=(X[:4], Z[:4]))
-            rmses.append(report.final_test_rmse)
-        assert rmses[0] == rmses[1]
-        model = init_hybrid_model(seed=9)
-        exact = train(model, X, Z, TrainConfig(epochs=3), test=(X[:4], Z[:4]))
-        assert rmses[0] != exact.final_test_rmse
 
     def test_trains_plain_dense_net(self):
         net = baseline_net(1)
@@ -392,12 +373,12 @@ class TestCompareAll:
         hybrid_seeds = []
         real_train = train_eval.train
 
-        def probe_train(model, X, Z, config, test=None):
+        def probe_train(model, X, Z, config):
             if isinstance(model, HybridModel):
                 hybrid_seeds.append(config.seed)
                 if config.seed == 2:
                     raise RuntimeError("probe failure")
-            return real_train(model, X, Z, config, test)
+            return real_train(model, X, Z, config)
 
         monkeypatch.setattr(train_eval, "train", probe_train)
         meta, train_s, test_s = gen_scenario_standin("Sc-2", "WiFi", seed=0)
@@ -419,3 +400,4 @@ class TestCompareAll:
         knn_rows = [r for r in records if r["method"] == "knn"]
         assert len(knn_rows) == 1
         assert knn_rows[0]["rmse_m"] is None
+        assert knn_rows[0]["note"] == "failed: every k in [99] exceeds the 16 training rows"
