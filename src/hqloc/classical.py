@@ -11,6 +11,15 @@ A network owns one flat ``params`` vector laid out per layer as the weight
 it, cut by :func:`layer_views`. :func:`backward_batch` returns its parameter
 gradient in the same layout, so an optimizer updates ``params`` in place.
 
+:func:`stack` turns S networks of one shape into one network with a leading
+seed axis: its ``params`` is (S, P), row s a copy of network s's vector, its
+weights are (S, out, in) and its biases (S, out). The batched functions take
+such a stack as they take one network. Products run through ``np.matmul`` on
+the stacked arrays, one matrix product per network, and a batch may be shared
+by the stack, (n, in), or have one slice per network, (S, n, in). Network s
+of a stack computes bit for bit what it computes alone; losses and gradients
+gain the leading axis.
+
 One forward trace keeps every layer's input and output, and one backprop reads
 it: :func:`backward_batch` runs both for a given upstream gradient, and
 :func:`loss_and_grad` takes the MSE and its gradient from a single forward
@@ -32,14 +41,14 @@ BASELINE_SIZES = (3, 128, 64, 2)
 
 @dataclass
 class DenseLayer:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
+    weight: np.ndarray  # (out, in); (S, out, in) in a stack of S networks
+    bias: np.ndarray  # (out,); (S, out) in a stack
     activation: str
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=float)
         self.bias = np.asarray(self.bias, dtype=float)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
+        if self.weight.ndim not in (2, 3) or self.bias.shape != self.weight.shape[:-1]:
             raise ValueError("weight must be (out, in) with matching bias length")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
@@ -52,11 +61,12 @@ class DenseNet:
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
-            if nxt.weight.shape[1] != prev.weight.shape[0]:
+            # Each input width is the previous output width, in one stack size throughout.
+            if nxt.weight.shape[:-2] + nxt.weight.shape[-1:] != prev.weight.shape[:-1]:
                 raise ValueError("adjacent layer dimensions do not chain")
         if self.layers and self.layers[-1].activation != "linear":
             raise ValueError("output layer must be linear")
-        self.bind(np.empty(sum(layer.weight.size + layer.bias.size for layer in self.layers)))
+        self.bind(np.empty(_params_shape(self)))
 
     def bind(self, params: np.ndarray) -> None:
         """Copy the current weights into ``params`` and make the layers views of it."""
@@ -68,27 +78,47 @@ class DenseNet:
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        return self.layers[0].weight.shape[-1]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
+        return self.layers[-1].weight.shape[-2]
+
+
+def _params_shape(net: DenseNet) -> tuple[int, ...]:
+    """(P,) for one network, (S, P) for a stack of S."""
+    lead = net.layers[0].weight.shape[:-2] if net.layers else ()
+    return (*lead, sum(layer.bias.shape[-1] * (layer.weight.shape[-1] + 1) for layer in net.layers))
 
 
 def layer_views(net: DenseNet, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weight, bias) views into ``flat``, one pair per layer of ``net``, in ``params`` layout."""
-    size = sum(layer.weight.size + layer.bias.size for layer in net.layers)
-    if flat.shape != (size,):
-        raise ValueError(f"expected {size} parameters, got shape {flat.shape}")
+    shape = _params_shape(net)
+    if flat.shape != shape:
+        expected = " x ".join(map(str, shape))
+        raise ValueError(f"expected {expected} parameters, got shape {flat.shape}")
+    lead = shape[:-1]
     views = []
     offset = 0
     for layer in net.layers:
-        n_out, n_in = layer.weight.shape
-        weight = flat[offset : offset + n_out * n_in].reshape(n_out, n_in)
+        n_out, n_in = layer.weight.shape[-2:]
+        weight = flat[..., offset : offset + n_out * n_in].reshape(*lead, n_out, n_in)
         offset += n_out * n_in
-        views.append((weight, flat[offset : offset + n_out]))
+        views.append((weight, flat[..., offset : offset + n_out]))
         offset += n_out
     return views
+
+
+def stack(nets) -> DenseNet:
+    """One network holding ``nets`` as a stack; its ``params`` row s copies ``nets[s].params``."""
+    layouts = {tuple((lay.weight.shape, lay.activation) for lay in net.layers) for net in nets}
+    if len(layouts) != 1:
+        raise ValueError("a stack holds networks of one shape")
+    return DenseNet([
+        DenseLayer(np.stack([net.layers[i].weight for net in nets]),
+                   np.stack([net.layers[i].bias for net in nets]), layer.activation)
+        for i, layer in enumerate(nets[0].layers)
+    ])
 
 
 def glorot_net(sizes, rng) -> DenseNet:
@@ -117,20 +147,25 @@ def baseline_net(rng) -> DenseNet:
     return glorot_net(BASELINE_SIZES, rng)
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last two axes swapped, per network of a stack; 2-D takes the cheap ``.T``."""
+    return a.T if a.ndim == 2 else a.swapaxes(1, 2)
+
+
 def _trace(net: DenseNet, V) -> list[np.ndarray]:
     """Each layer's input and, last, the network output, for an (n, input_dim) batch.
 
-    Bias and ReLU act in place on each layer's fresh product. A ReLU output is
-    > 0 exactly where its pre-activation is, so backprop reads each ReLU mask
-    off the stored outputs.
+    A stack also takes an (S, n, input_dim) batch. Bias and ReLU act in place
+    on each layer's fresh product. A ReLU output is > 0 exactly where its
+    pre-activation is, so backprop reads each ReLU mask off the stored outputs.
     """
     V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[1] != net.input_dim:
+    if V.ndim not in (2, net.layers[0].weight.ndim) or V.shape[-1] != net.input_dim:
         raise ValueError(f"expected batch of shape (n, {net.input_dim}), got {V.shape}")
     acts = [V]
     for layer in net.layers:
-        V = V @ layer.weight.T
-        V += layer.bias
+        V = V @ _t(layer.weight)
+        V += layer.bias if layer.bias.ndim == 1 else layer.bias[:, None]
         if layer.activation == "relu":
             np.maximum(V, 0.0, out=V)
         acts.append(V)
@@ -148,9 +183,14 @@ def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray):
         layer = net.layers[i]
         if layer.activation == "relu":
             delta = delta * (acts[i + 1] > 0.0)
-        pieces += [delta.sum(axis=0), (delta.T @ acts[i]).ravel()]
+        weight_grad = _t(delta) @ acts[i]
+        if weight_grad.ndim == 2:
+            weight_grad = weight_grad.ravel()
+        else:  # one flat gradient row per network of a stack
+            weight_grad = weight_grad.reshape(len(weight_grad), -1)
+        pieces += [delta.sum(axis=-2), weight_grad]
         delta = delta @ layer.weight
-    return np.concatenate(pieces[::-1]), delta
+    return np.concatenate(pieces[::-1], axis=-1), delta
 
 
 def forward_batch(net: DenseNet, V) -> np.ndarray:
@@ -187,33 +227,40 @@ def loss_and_grad(net: DenseNet, V, Z) -> tuple[float, np.ndarray, np.ndarray]:
 
     Returns the loss, the flat parameter gradient and the per-row input
     gradients. They equal ``mse_loss(forward_batch(net, V), Z)`` and
-    ``backward_batch(net, V, 2 * (pred - Z) / n)`` bit for bit.
+    ``backward_batch(net, V, 2 * (pred - Z) / n)`` bit for bit. A stack
+    shares the targets and returns an (S,) array of losses.
     """
     acts = _trace(net, V)
     pred = acts[-1]
     Z = np.asarray(Z, dtype=float)
-    if Z.shape != pred.shape:
-        raise ValueError(f"expected targets of shape {pred.shape}, got {Z.shape}")
-    if len(pred) == 0:
+    if Z.shape != pred.shape[-2:]:
+        raise ValueError(f"expected targets of shape {pred.shape[-2:]}, got {Z.shape}")
+    if pred.shape[-2] == 0:
         raise ValueError("loss_and_grad needs at least one sample")
     diff = pred - Z
     loss = _mean_squared_norm(diff)
     diff *= 2.0
-    diff /= len(diff)
+    diff /= diff.shape[-2]
     return (loss, *_backprop(net, acts, diff))
 
 
-def _mean_squared_norm(diff: np.ndarray) -> float:
+def _mean_squared_norm(diff: np.ndarray):
     # np.mean's own sum and division, without its per-call overhead.
-    return float(np.sum(diff**2, axis=1).sum() / len(diff))
+    if diff.ndim == 2:
+        return float(np.sum(diff**2, axis=1).sum() / len(diff))
+    return np.sum(diff**2, axis=2).sum(axis=1) / diff.shape[1]  # one loss per network
 
 
-def mse_loss(pred, truth) -> float:
-    """Mean over samples of the squared Euclidean coordinate error (m^2)."""
+def mse_loss(pred, truth):
+    """Mean over samples of the squared Euclidean coordinate error (m^2).
+
+    ``pred`` may be an (S, n, 2) stack against shared (n, 2) ``truth``; the
+    result is then an (S,) array, one loss per network.
+    """
     pred = np.atleast_2d(np.asarray(pred, dtype=float))
     truth = np.atleast_2d(np.asarray(truth, dtype=float))
-    if pred.shape[0] == 0:
+    if pred.shape[-2] == 0:
         raise ValueError("mse_loss needs at least one sample")
-    if pred.shape != truth.shape:
+    if pred.shape[-2:] != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
     return _mean_squared_norm(pred - truth)

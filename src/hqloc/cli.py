@@ -257,6 +257,8 @@ def cmd_train(args) -> int:
     if args.lr == 0:
         print("warning: learning rate is 0; parameters stay at their initialization",
               file=sys.stderr)
+    if args.shots_eval is not None and test is None:
+        print("warning: --shots-eval has no effect without --test", file=sys.stderr)
     if args.model == "hqnn":
         model = train_eval.init_hybrid_model(args.seed)
     else:

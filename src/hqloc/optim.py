@@ -1,7 +1,9 @@
 """Parameter update rules: Adam (primary) and plain SGD.
 
 One optimizer state spans the full flat parameter vector, so quantum angles
-and classical weights are updated jointly by the same rule.
+and classical weights are updated jointly by the same rule. Both rules act
+elementwise, so an (S, P) stack of parameter vectors takes one step for all
+S vectors, each row as it would alone.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ class AdamState:
 
 
 def init_adam(
-    n_params: int,
+    n_params: int | tuple[int, ...],
     eta: float = 0.001,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """Fresh moment estimates (all zero) for a parameter vector of length ``n_params``."""
+    """Fresh moment estimates (all zero) for parameters of length (or shape) ``n_params``."""
     return AdamState(
         m=np.zeros(n_params), v=np.zeros(n_params), t=0,
         beta1=beta1, beta2=beta2, eps=eps, eta=eta,

@@ -15,6 +15,13 @@ encoded row, so a row's estimate does not depend on the rest of its batch.
 Each seed is a blake2b digest; :func:`sample_expect_z` re-keys one shared
 PCG64 stream from it, so sampling builds no generator per draw. Gradients
 are always exact.
+
+A layer may also hold a stack of S angle vectors, phi of shape (S, n_params),
+as the seed-stacked training loop does: one kernel call then covers all S
+(or, for the Jacobian, all 2 * n_params * S) ansatz matrices over the shared
+encoded rows, and every result gains a leading axis of length S. Row s of a
+stack computes what the layer of phi[s] computes alone. Sampling takes one
+layer, not a stack.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ from .circuits import N_ANSATZ_PARAMS, N_FEATURES, ansatz_unitaries, encode_batc
 from .statevector import Statevector, sample_expect_z
 
 SHIFT = np.pi / 2.0
+# Row k shifts angle k: every layer has N_ANSATZ_PARAMS angles, so built once.
+_SHIFT_STEPS = SHIFT * np.eye(N_ANSATZ_PARAMS)
+_SHIFT_STEPS.flags.writeable = False
 
 # Seeds reach numpy generators, which take only non-negative integers, and the
 # shot seeds pack them as int64.
@@ -40,15 +50,18 @@ _Z_SIGNS = 1.0 - 2.0 * ((np.arange(2**N_FEATURES) >> np.arange(N_FEATURES)[:, No
 
 @dataclass
 class QuantumLayer:
-    """Trainable quantum layer: the ``N_ANSATZ_PARAMS`` ansatz angles ``phi``."""
+    """Trainable quantum layer: the ``N_ANSATZ_PARAMS`` ansatz angles ``phi``.
+
+    ``phi`` of shape (S, N_ANSATZ_PARAMS) makes a stack of S layers.
+    """
 
     phi: np.ndarray
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
-        if self.phi.shape != (N_ANSATZ_PARAMS,):
+        if self.phi.ndim not in (1, 2) or self.phi.shape[-1] != N_ANSATZ_PARAMS:
             raise ValueError(
-                f"phi must be a flat vector of {N_ANSATZ_PARAMS} angles, "
+                f"phi must be a flat vector of {N_ANSATZ_PARAMS} angles or a stack of them, "
                 f"got shape {self.phi.shape}"
             )
 
@@ -88,16 +101,19 @@ def _sweep(phis: np.ndarray, encoded_rows: np.ndarray) -> tuple[np.ndarray, np.n
 def q_forward_batch(
     layer: QuantumLayer, encoded_rows: np.ndarray, shots: int | None = None, seed: int = 0
 ) -> np.ndarray:
-    """Expectations for every encoded row, shape (batch, N_FEATURES).
+    """Expectations for every encoded row, shape (batch, N_FEATURES); a stack's are (S, batch, ...).
 
     Exact when ``shots`` is None. Otherwise each entry is a
     :func:`sample_expect_z` estimate from ``shots`` shots, seeded from
     ``seed``, the qubit and the bytes of that encoded row; ``seed`` must
     pass :func:`check_seed`, the rule every seeded entry point applies.
     """
+    stacked = layer.phi.ndim == 2
+    if shots is not None and stacked:
+        raise ValueError("shot sampling takes one layer, not a stack")
     expectations, final = _sweep(layer.phi, encoded_rows)
     if shots is None:
-        return expectations[0]
+        return expectations if stacked else expectations[0]
     prefixes = _seed_prefixes(seed)
     amplitudes = (final[0, :, 0] + 1j * final[0, :, 1]).T
     out = np.empty((len(amplitudes), N_FEATURES))
@@ -114,13 +130,19 @@ def q_gradient_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarra
 
     Entry (i, j, k) = (E_j(phi + pi/2 e_k) - E_j(phi - pi/2 e_k)) / 2 on row i,
     the exact derivative dE_j/dphi_k. All shifted ansatz matrices act on the
-    rows in one product.
+    rows in one product; a stack's gradients have shape
+    (S, batch, N_FEATURES, n_params).
     """
-    n_params = layer.phi.size
-    steps = SHIFT * np.eye(n_params)
-    shifted = np.vstack([layer.phi + steps, layer.phi - steps])
-    e, _ = _sweep(shifted, encoded_rows)
-    return 0.5 * (e[:n_params] - e[n_params:]).transpose(1, 2, 0)
+    n_params = N_ANSATZ_PARAMS
+    phis = layer.phi.reshape(-1, n_params)
+    n_stack = len(phis)
+    shifted = np.concatenate(
+        [phis[:, None] + _SHIFT_STEPS, phis[:, None] - _SHIFT_STEPS], axis=1
+    )
+    e, _ = _sweep(shifted.reshape(-1, n_params), encoded_rows)
+    e = e.reshape(n_stack, 2 * n_params, *e.shape[1:])
+    grads = 0.5 * (e[:, :n_params] - e[:, n_params:]).transpose(0, 2, 3, 1)
+    return grads if layer.phi.ndim == 2 else grads[0]
 
 
 def q_forward(layer: QuantumLayer, x, shots: int | None = None, seed: int = 0) -> np.ndarray:

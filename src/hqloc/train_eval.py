@@ -10,11 +10,22 @@ through the head, shift rule through the quantum layer) in that same layout,
 then writes one optimizer step into ``params`` in place. A dense network's
 pass is one forward and one backward run of :func:`classical.loss_and_grad`.
 
-:func:`train` only trains; it never sees a test set. Evaluation is a separate,
-batched step on the trained model: :func:`evaluate_rmse` calls its predictor
-once on the whole test matrix, and :func:`hqnn_forward_batch` runs every row
-through one quantum kernel pass and one head pass, exact or, given a shot
-budget and a seed, shot-sampled. The trained model is the same in both cases.
+There is one training loop, :func:`train_stack`. It trains S models of one
+kind as one stack with a leading seed axis: their vectors become the rows of
+one (S, P) ``params`` array, the stacked quantum layer holds phi as (S, 6),
+and each epoch makes one kernel call per sweep over all S models, one
+``np.matmul`` chain through the stacked head or network, and one optimizer
+step over (S, P). Each model computes bit for bit what it computes alone; a
+model whose loss or gradient turns non-finite leaves the stack with the error
+its solo run raises, and the rest go on. :func:`train` is the stack of one,
+which is the model itself with no seed axis, and :func:`compare_all` trains
+each method's seeds as one stack.
+
+Training never sees a test set. Evaluation is a separate, batched step on
+the trained model: :func:`evaluate_rmse` calls its predictor once on the
+whole test matrix, and :func:`hqnn_forward_batch` runs every row through one
+quantum kernel pass and one head pass, exact or, given a shot budget and a
+seed, shot-sampled. The trained model is the same in both cases.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -38,15 +49,17 @@ OPTIMIZERS = ("adam", "sgd")
 
 @dataclass
 class HybridModel:
+    """Quantum layer then head; a stacked layer and head make a stack of S models."""
+
     qlayer: QuantumLayer
     head: classical.DenseNet
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.params = np.concatenate([self.qlayer.phi, self.head.params])
-        n_angles = self.qlayer.phi.size
-        self.qlayer.phi = self.params[:n_angles]
-        self.head.bind(self.params[n_angles:])
+        self.params = np.concatenate([self.qlayer.phi, self.head.params], axis=-1)
+        n_angles = self.qlayer.phi.shape[-1]
+        self.qlayer.phi = self.params[..., :n_angles]
+        self.head.bind(self.params[..., n_angles:])
 
 
 def init_hybrid_model(seed: int = 0) -> HybridModel:
@@ -99,15 +112,26 @@ def hqnn_grad(model: HybridModel, X, Z, encoded=None) -> np.ndarray:
     Head gradients come from reverse mode; quantum gradients chain the head's
     input gradients through the per-sample shift-rule matrices. ``encoded``
     optionally supplies the rows of :func:`encode_batch` for ``X``, so a
-    training loop encodes its data once.
+    training loop encodes its data once. A stacked model gives one gradient
+    row per model.
     """
     X, Z = _batch(X, Z, "gradient batch")
     rows = encode_batch(X) if encoded is None else encoded
     U = q_forward_batch(model.qlayer, rows)
     _, head_grad, input_grads = classical.loss_and_grad(model.head, U, Z)
     shift_matrices = q_gradient_batch(model.qlayer, rows)
-    phi_grad = np.einsum("nj,njk->k", input_grads, shift_matrices)
-    return np.concatenate([phi_grad, head_grad])
+    return np.concatenate([_phi_grad(input_grads, shift_matrices), head_grad], axis=-1)
+
+
+def _phi_grad(input_grads: np.ndarray, shift_matrices: np.ndarray) -> np.ndarray:
+    """dL/dphi from the head's input gradients; one contraction per model of a stack.
+
+    A single contraction over the stack would sum in another order than a
+    model trained alone.
+    """
+    if input_grads.ndim == 3:
+        return np.array([_phi_grad(g, m) for g, m in zip(input_grads, shift_matrices)])
+    return np.einsum("nj,njk->k", input_grads, shift_matrices)
 
 
 def dense_grad(net: classical.DenseNet, X, Z) -> np.ndarray:
@@ -141,81 +165,179 @@ class TrainReport:
     wall_time_s: float
 
 
-def _model_ops(model, X, Z):
-    """(train_mse, loss_and_grad) for training on (``X``, ``Z``).
+def _stack(models):
+    """One model whose ``params`` row s is a copy of ``models[s].params``.
 
-    ``loss_and_grad()`` gives one epoch's pre-update MSE and gradient;
-    ``train_mse()`` gives the MSE alone. A hybrid model's training rows are
-    encoded here, once per training run.
+    A stack of one is the model itself, with no seed axis, so it trains in
+    place at the cost of a solo run.
+    """
+    kinds = {type(model) for model in models}
+    if len(kinds) != 1:
+        raise TypeError("a training stack holds models of one kind")
+    (kind,) = kinds
+    if kind not in (HybridModel, classical.DenseNet):
+        raise TypeError(f"cannot train model of type {kind.__name__}")
+    if len(models) == 1:
+        return models[0]
+    if kind is HybridModel:
+        phi = np.stack([model.qlayer.phi for model in models])
+        return HybridModel(QuantumLayer(phi), classical.stack([model.head for model in models]))
+    return classical.stack(models)
+
+
+def _model_ops(model, X, Z):
+    """(train_mse, loss_and_grad) for training models like ``model`` on (``X``, ``Z``).
+
+    Each takes a stack: ``loss_and_grad(stack)`` gives one epoch's pre-update
+    MSE and gradient per model, ``train_mse(stack)`` the MSE alone. A hybrid
+    model's training rows are encoded here, once per training run.
     """
     if isinstance(model, HybridModel):
         rows = encode_batch(X)
 
-        def train_mse():
-            U = q_forward_batch(model.qlayer, rows)
-            return classical.mse_loss(classical.forward_batch(model.head, U), Z)
+        def train_mse(stack):
+            U = q_forward_batch(stack.qlayer, rows)
+            return classical.mse_loss(classical.forward_batch(stack.head, U), Z)
 
-        def loss_and_grad():
+        def loss_and_grad(stack):
             # The loss keeps its own exact sweep, so an epoch runs 14 ansatz
             # sweeps where reading it off hqnn_grad's forward would take 13.
             # perfbench/test_perfbench.py pins sweeps_per_epoch at 14; the
             # count drops when that pin moves.
-            return train_mse(), hqnn_grad(model, X, Z, encoded=rows)
+            return train_mse(stack), hqnn_grad(stack, X, Z, encoded=rows)
 
         return train_mse, loss_and_grad
-    if isinstance(model, classical.DenseNet):
-        def train_mse():
-            return classical.mse_loss(classical.forward_batch(model, X), Z)
 
-        def loss_and_grad():
-            return classical.loss_and_grad(model, X, Z)[:2]
+    def train_mse(stack):
+        return classical.mse_loss(classical.forward_batch(stack, X), Z)
 
-        return train_mse, loss_and_grad
-    raise TypeError(f"cannot train model of type {type(model).__name__}")
+    def loss_and_grad(stack):
+        return classical.loss_and_grad(stack, X, Z)[:2]
 
-
-def _check_loss(loss: float, epoch: int, eta: float) -> None:
-    if not math.isfinite(loss):
-        raise RuntimeError(
-            f"non-finite training loss at epoch {epoch}; lower the learning rate (eta={eta})"
-        )
+    return train_mse, loss_and_grad
 
 
-def train(model, X, Z, config: TrainConfig) -> TrainReport:
-    """Full-batch training; deterministic given the (already seeded) model.
+def _all_finite(losses) -> bool:
+    # A model trained alone has a float loss, which math checks far faster than numpy.
+    return math.isfinite(losses) if isinstance(losses, float) else bool(np.isfinite(losses).all())
 
-    Records the pre-update MSE each epoch, so entry 0 reflects the quality of
-    the initialization and the trace length equals the epoch count. Each step
-    is written into ``model.params`` in place. Aborts with a RuntimeError
-    naming the epoch on a non-finite loss, checked before that epoch's step;
-    epoch ``config.epochs`` is the loss after the last step. Evaluating the
-    trained model on a test set is the caller's step (:func:`evaluate_rmse`).
+
+def _loss_error(epoch: int, eta: float) -> RuntimeError:
+    return RuntimeError(
+        f"non-finite training loss at epoch {epoch}; lower the learning rate (eta={eta})"
+    )
+
+
+def train_stack(models, X, Z, configs) -> list[TrainReport | Exception]:
+    """Full-batch training of models of one kind as one stack; one result per model.
+
+    ``configs[s]`` belongs to ``models[s]``; they may differ in seed only.
+    Each epoch runs one loss-and-gradient pass and one optimizer step over the
+    stack's (S, P) parameters, and the steps are written back into each
+    ``model.params`` in place. Model s trains bit for bit as it would alone,
+    whichever models share its stack. Its result is its :class:`TrainReport`
+    (with the stack's wall time), or the exception its solo run raises: a
+    RuntimeError naming the epoch of a non-finite loss, checked before that
+    epoch's step (epoch ``epochs`` is the loss after the last step), or
+    ``adam_step``'s ValueError on a non-finite gradient. A failed model
+    leaves the stack with its parameters as they stood; the others go on.
+    A stack of one trains the model itself, with no seed axis.
     """
     X, Z = _batch(X, Z, "training set")
+    if len(configs) != len(models) or not models:
+        raise ValueError(f"expected one config per model, got {len(configs)} for {len(models)}")
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("models in one training stack must share optimizer, eta and epochs")
     start = time.perf_counter()
-    train_mse, loss_and_grad = _model_ops(model, X, Z)
-    params = model.params
-    adam_state = optim.init_adam(params.size, eta=config.eta)
-    trace = []
+    stack = _stack(models)
+    train_mse, loss_and_grad = _model_ops(stack, X, Z)
+    adam_state = optim.init_adam(stack.params.shape, eta=config.eta)
+    trace = np.empty((config.epochs, len(models)))  # one column per stack row
+    results: list = [None] * len(models)
+    alive = list(range(len(models)))  # the model index of each stack row
+
+    def row(a, i):
+        """Row ``i`` of a per-model array of the stack, which may have no seed axis."""
+        return a.reshape(len(alive), -1)[i]
+
+    def kept(a, keep):
+        """The ``keep`` rows of a per-model array, shaped like the restacked ``params``."""
+        return a.reshape(len(keep), -1)[keep].reshape(stack.params.shape)
+
+    def leave(failed, error):
+        """Drop the ``failed`` rows, recording ``error`` for their models; returns the kept rows."""
+        nonlocal stack, adam_state, alive, trace
+        failed = np.reshape(failed, -1)
+        for i, s in enumerate(alive):
+            models[s].params[:] = row(stack.params, i)
+            if failed[i]:
+                results[s] = error
+        keep = ~failed
+        alive = [s for s, kept_row in zip(alive, keep) if kept_row]
+        trace = trace[:, keep]
+        if alive:
+            stack = _stack([models[s] for s in alive])
+            adam_state = replace(adam_state, m=kept(adam_state.m, keep), v=kept(adam_state.v, keep))
+        return keep
+
     # A diverging run overflows on its way to a non-finite loss; numpy stays
     # quiet, and the loss check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            loss, grads = loss_and_grad()
-            _check_loss(loss, epoch, config.eta)
-            trace.append(loss)
-            if config.optimizer == "adam":
-                adam_state, params[:] = optim.adam_step(adam_state, params, grads)
-            else:
-                params[:] = optim.sgd_step(params, grads, config.eta)
-        final_train_mse = train_mse()
-        _check_loss(final_train_mse, config.epochs, config.eta)
-    return TrainReport(
-        loss_per_epoch=np.asarray(trace),
-        final_train_mse=final_train_mse,
-        config=config,
-        wall_time_s=time.perf_counter() - start,
-    )
+            losses, grads = loss_and_grad(stack)
+            trace[epoch] = losses
+            if not _all_finite(losses):
+                keep = leave(~np.isfinite(losses), _loss_error(epoch, config.eta))
+                if not alive:
+                    break
+                grads = kept(grads, keep)
+            if config.optimizer == "sgd":
+                stack.params[:] = optim.sgd_step(stack.params, grads, config.eta)
+                continue
+            try:
+                adam_state, stack.params[:] = optim.adam_step(adam_state, stack.params, grads)
+            except ValueError as exc:  # a row it refuses: its gradient is not finite
+                failed = ~np.isfinite(grads).all(axis=-1)
+                if not failed.any():
+                    raise
+                keep = leave(failed, exc)
+                if not alive:
+                    break
+                grads = kept(grads, keep)
+                adam_state, stack.params[:] = optim.adam_step(adam_state, stack.params, grads)
+        if alive:
+            final = np.reshape(train_mse(stack), -1)
+            failed = ~np.isfinite(final)
+            if failed.any():
+                final = final[leave(failed, _loss_error(config.epochs, config.eta))]
+    wall_time_s = time.perf_counter() - start
+    for i, s in enumerate(alive):
+        models[s].params[:] = row(stack.params, i)
+        results[s] = TrainReport(
+            loss_per_epoch=trace[:, i].copy(),
+            final_train_mse=float(final[i]),
+            config=configs[s],
+            wall_time_s=wall_time_s,
+        )
+    return results
+
+
+def train(model, X, Z, config: TrainConfig) -> TrainReport:
+    """Full-batch training of one model: the stack of one of :func:`train_stack`.
+
+    Deterministic given the (already seeded) model. Records the pre-update MSE
+    each epoch, so entry 0 reflects the quality of the initialization and the
+    trace length equals the epoch count. Each step is written into
+    ``model.params`` in place. Raises what :func:`train_stack` records for a
+    failed model, such as the RuntimeError naming the epoch of a non-finite
+    loss. Evaluating the trained model on a test set is the caller's step
+    (:func:`evaluate_rmse`).
+    """
+    (result,) = train_stack([model], X, Z, [config])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def evaluate_rmse(predict_batch, X, Z) -> float:
@@ -293,11 +415,24 @@ def compare_all(
             }
         )
 
-    def per_seed(method, run, note=""):
+    train_configs = [_train_config(config, seed) for seed in config.seeds]
+
+    def train_seeds(init):
+        """Each seed's model, trained in one stack, or the exception its training raised."""
+        models = [init(seed) for seed in config.seeds]
+        try:
+            results = train_stack(models, X_train, Z_train, train_configs)
+        except Exception as exc:  # record the failure, keep comparing
+            results = [exc] * len(models)
+        return [r if isinstance(r, Exception) else m for m, r in zip(models, results)]
+
+    def per_seed(method, trained, predictor, note=""):
         values = []
-        for seed in config.seeds:
+        for seed, model in zip(config.seeds, trained):
             try:
-                rmse = run(seed)
+                if isinstance(model, Exception):
+                    raise model
+                rmse = evaluate_rmse(predictor(model, seed), X_test, Z_test)
             except Exception as exc:  # record the failure, keep comparing
                 record(method, seed, None, note=f"failed: {exc}")
                 continue
@@ -306,17 +441,14 @@ def compare_all(
         if len(config.seeds) > 1 and values:
             record(method, "mean", float(np.mean(values)), note=note)
 
-    def run_classical(seed):
-        net = classical.baseline_net(seed)
-        train(net, X_train, Z_train, _train_config(config, seed))
-        return evaluate_rmse(lambda X: classical.forward_batch(net, X), X_test, Z_test)
-
-    per_seed("classical_nn", run_classical)
+    per_seed("classical_nn", train_seeds(classical.baseline_net),
+             lambda net, seed: lambda X: classical.forward_batch(net, X))
 
     try:
+        n_train = len(X_train)
         best_k, best_rmse = None, None
         for k in config.knn_ks:
-            if k > len(X_train):
+            if k > n_train:
                 continue
             knn = baselines.fit_knn(X_train, Z_train, k=k)
             rmse = evaluate_rmse(
@@ -326,8 +458,14 @@ def compare_all(
                 best_k, best_rmse = k, rmse
         if best_k is None:
             raise ValueError(f"every k in {list(config.knn_ks)} exceeds the "
-                             f"{len(X_train)} training rows")
-        record("knn", None, best_rmse, note=f"k={best_k}")
+                             f"{n_train} training rows")
+        note = f"k={best_k}"
+        skipped = [k for k in config.knn_ks if k > n_train]
+        if skipped:
+            verb = "exceeds" if len(skipped) == 1 else "exceed"
+            note += (f"; skipped {', '.join(f'k={k}' for k in skipped)} "
+                     f"({verb} the {n_train} training rows)")
+        record("knn", None, best_rmse, note=note)
     except Exception as exc:
         record("knn", None, None, note=f"failed: {exc}")
 
@@ -342,23 +480,12 @@ def compare_all(
 
     # Each seed's hybrid model trains once; its exact and sampled rows share
     # the model, or the exception its training raised.
-    trained: dict[int, HybridModel | Exception] = {}
-
-    def run_hqnn(seed, shots=None):
-        if seed not in trained:
-            model = init_hybrid_model(seed)
-            try:
-                train(model, X_train, Z_train, _train_config(config, seed))
-                trained[seed] = model
-            except Exception as exc:
-                trained[seed] = exc
-        model = trained[seed]
-        if isinstance(model, Exception):
-            raise model
-        return evaluate_rmse(lambda X: hqnn_forward_batch(model, X, shots, seed), X_test, Z_test)
-
-    per_seed("hqnn_exact", run_hqnn)
-    per_seed("hqnn_shots", lambda seed: run_hqnn(seed, config.shots), note=f"shots={config.shots}")
+    hybrids = train_seeds(init_hybrid_model)
+    per_seed("hqnn_exact", hybrids,
+             lambda model, seed: lambda X: hqnn_forward_batch(model, X, None, seed))
+    per_seed("hqnn_shots", hybrids,
+             lambda model, seed: lambda X: hqnn_forward_batch(model, X, config.shots, seed),
+             note=f"shots={config.shots}")
     return records
 
 

@@ -22,6 +22,7 @@ from hqloc.classical import (
     layer_views,
     loss_and_grad,
     mse_loss,
+    stack,
 )
 
 from oracles import fd_gradient
@@ -314,3 +315,33 @@ class TestStructureValidation:
     def test_output_layer_must_be_linear(self):
         with pytest.raises(ValueError):
             DenseNet([DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu")])
+
+
+class TestStack:
+    def test_rows_copy_each_network_and_layers_view_them(self):
+        nets = [glorot_net(HEAD_SIZES, seed) for seed in (1, 2, 3)]
+        stacked = stack(nets)
+        assert stacked.params.shape == (3, nets[0].params.size)
+        for row, net in zip(stacked.params, nets):
+            np.testing.assert_array_equal(row, net.params)
+        for layer in stacked.layers:
+            assert np.shares_memory(layer.weight, stacked.params)
+            assert np.shares_memory(layer.bias, stacked.params)
+
+    @pytest.mark.parametrize("per_network_batch", [False, True])
+    def test_each_network_computes_what_it_computes_alone(self, per_network_batch):
+        rng = np.random.default_rng(8)
+        nets = [glorot_net(BASELINE_SIZES, seed) for seed in (4, 5)]
+        shape = (2, 9, 3) if per_network_batch else (9, 3)
+        V = rng.uniform(-1.0, 1.0, size=shape)
+        Z = rng.uniform(-3.0, 3.0, size=(9, 2))
+        losses, grads, input_grads = loss_and_grad(stack(nets), V, Z)
+        for s, net in enumerate(nets):
+            loss, grad, input_grad = loss_and_grad(net, V[s] if per_network_batch else V, Z)
+            assert losses[s] == loss
+            np.testing.assert_array_equal(grads[s], grad)
+            np.testing.assert_array_equal(input_grads[s], input_grad)
+
+    def test_refuses_networks_of_different_shapes(self):
+        with pytest.raises(ValueError, match="networks of one shape"):
+            stack([glorot_net(HEAD_SIZES, 1), glorot_net(BASELINE_SIZES, 1)])

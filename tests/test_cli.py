@@ -242,6 +242,22 @@ class TestTrain:
         value = float((tmp_path / "e" / "eval_rmse.csv").read_text().splitlines()[1])
         assert printed_test_rmse(captured.out) == f"test RMSE: {value:.6f} m"
 
+    def test_shots_eval_without_test_warns(self, tmp_path, train_csv, capsys):
+        runs = {}
+        for name, extra in (("plain", []), ("shots", ["--shots-eval", "64"])):
+            runs[name] = tmp_path / name
+            assert main(["train", "--data", str(train_csv), "--epochs", "2", "--seed", "3",
+                         "--out-dir", str(runs[name]), *extra]) == 0
+            runs[name + "_err"] = capsys.readouterr().err
+        assert runs["plain_err"] == ""
+        assert runs["shots_err"].splitlines() == [
+            "warning: --shots-eval has no effect without --test"
+        ]
+        for artifact in ("model.params", "loss_trace.csv"):
+            assert (runs["plain"] / artifact).read_bytes() == (runs["shots"] / artifact).read_bytes()
+        doc = json.loads((runs["shots"] / "manifest.json").read_text())
+        assert doc["config"]["shots_eval"] == 64  # the manifest still records the flag
+
     def test_zero_lr_warns(self, tmp_path, train_csv, capsys):
         code = main(["train", "--data", str(train_csv), "--epochs", "2",
                      "--lr", "0", "--out-dir", str(tmp_path / "run")])

@@ -219,3 +219,23 @@ class TestValidation:
     def test_rejects_wrong_angle_count(self, n_angles):
         with pytest.raises(ValueError, match="6 angles"):
             QuantumLayer(phi=np.zeros(n_angles))
+
+
+class TestStackedLayer:
+    @settings(max_examples=30, deadline=None)
+    @given(stacked=arrays(float, (3, 6), elements=st.floats(-np.pi, np.pi)), X=batches)
+    def test_each_row_equals_its_own_layer(self, stacked, X):
+        rows = encode_batch(X)
+        layer = QuantumLayer(phi=stacked)
+        forward, gradient = q_forward_batch(layer, rows), q_gradient_batch(layer, rows)
+        assert forward.shape == (3, len(X), 3) and gradient.shape == (3, len(X), 3, 6)
+        for s, phi in enumerate(stacked):
+            alone = QuantumLayer(phi=phi.copy())
+            np.testing.assert_array_equal(forward[s], q_forward_batch(alone, rows))
+            np.testing.assert_array_equal(gradient[s], q_gradient_batch(alone, rows))
+
+    def test_shapes_and_shots_are_refused(self):
+        with pytest.raises(ValueError, match="or a stack of them"):
+            QuantumLayer(phi=np.zeros((2, 2, 6)))
+        with pytest.raises(ValueError, match="one layer, not a stack"):
+            q_forward_batch(QuantumLayer(phi=np.zeros((2, 6))), encode_batch(np.zeros((1, 3))), 8)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqloc.classical import forward as dense_forward
 from hqloc.classical import baseline_net, mse_loss
@@ -25,6 +27,7 @@ from hqloc.train_eval import (
     records_to_csv_rows,
     set_model_params,
     train,
+    train_stack,
 )
 
 from oracles import fd_gradient
@@ -367,30 +370,57 @@ class TestCompareAll:
                 assert float(row[4]) == r["rmse_m"]
 
     def test_failed_hybrid_training_runs_once_per_seed(self, monkeypatch):
-        # The exact and sampled rows share one training per seed, also when it fails.
+        # The exact and sampled rows share one training per seed, also when it
+        # fails: seed 2 starts from a NaN angle and leaves its stack with the
+        # error of its solo run, while seed 1 trains as it does alone.
         import hqloc.train_eval as train_eval
 
-        hybrid_seeds = []
-        real_train = train_eval.train
+        real_init = train_eval.init_hybrid_model
 
-        def probe_train(model, X, Z, config):
-            if isinstance(model, HybridModel):
-                hybrid_seeds.append(config.seed)
-                if config.seed == 2:
-                    raise RuntimeError("probe failure")
-            return real_train(model, X, Z, config)
+        def init_with_nan_angle(seed):
+            model = real_init(seed)
+            if seed == 2:
+                model.qlayer.phi[0] = np.nan
+            return model
 
-        monkeypatch.setattr(train_eval, "train", probe_train)
         meta, train_s, test_s = gen_scenario_standin("Sc-2", "WiFi", seed=0)
         config = CompareConfig(seeds=(1, 2), epochs=2, shots=32, knn_ks=(1,))
+        alone = compare_all(meta, train_s, test_s, dataclasses.replace(config, seeds=(1,)))
+        monkeypatch.setattr(train_eval, "init_hybrid_model", init_with_nan_angle)
         records = compare_all(meta, train_s, test_s, config)
-        assert hybrid_seeds == [1, 2]
-        for method in ("hqnn_exact", "hqnn_shots"):
+
+        X, Z = transform_samples(fit_scaler(train_s), train_s)
+        with pytest.raises(RuntimeError) as solo:
+            train(init_with_nan_angle(2), X, Z, TrainConfig(epochs=2, seed=2))
+        assert "non-finite training loss at epoch 0" in str(solo.value)
+        for method in ("classical_nn", "hqnn_exact", "hqnn_shots"):
             rows = {r["seed"]: r for r in records if r["method"] == method}
-            assert rows[1]["rmse_m"] is not None
+            (seed_1_alone,) = [r for r in alone if r["method"] == method]
+            assert (rows[1]["rmse_m"], rows[1]["note"]) == (
+                seed_1_alone["rmse_m"], seed_1_alone["note"]
+            )
+            if method == "classical_nn":
+                continue
             assert rows[2]["rmse_m"] is None
-            assert rows[2]["note"] == "failed: probe failure"
+            assert rows[2]["note"] == f"failed: {solo.value}"
             assert rows["mean"]["rmse_m"] == rows[1]["rmse_m"]
+
+    @pytest.mark.parametrize("ks, skipped", [
+        ((1, 100), "skipped k=100 (exceeds the 16 training rows)"),
+        ((1, 50, 3, 100), "skipped k=50, k=100 (exceed the 16 training rows)"),
+    ])
+    def test_knn_note_names_skipped_ks(self, ks, skipped):
+        meta, train_s, test_s = gen_scenario_standin("Sc-2", "WiFi", seed=0)
+
+        def knn_row(knn_ks):
+            config = CompareConfig(seeds=(1,), epochs=1, shots=32, knn_ks=knn_ks)
+            (row,) = [r for r in compare_all(meta, train_s, test_s, config) if r["method"] == "knn"]
+            return row
+
+        fitting = knn_row(tuple(k for k in ks if k <= 16))
+        row = knn_row(ks)
+        assert row["rmse_m"] == fitting["rmse_m"]
+        assert row["note"] == f"{fitting['note']}; {skipped}"
 
     def test_failed_method_recorded_not_raised(self):
         # A k sweep larger than the training set leaves KNN without a result.
@@ -401,3 +431,97 @@ class TestCompareAll:
         assert len(knn_rows) == 1
         assert knn_rows[0]["rmse_m"] is None
         assert knn_rows[0]["note"] == "failed: every k in [99] exceeds the 16 training rows"
+
+
+def solo_outcome(model, X, Z, config):
+    """What ``train`` gives one model: (report, params) or the exception it raises."""
+    try:
+        return train(model, X, Z, config), model.params.copy()
+    except (RuntimeError, ValueError) as exc:
+        return exc, model.params.copy()
+
+
+def assert_same_outcome(result, model, solo):
+    expected, params = solo
+    np.testing.assert_array_equal(model.params, params)
+    if isinstance(expected, Exception):
+        assert type(result) is type(expected) and str(result) == str(expected)
+        return
+    np.testing.assert_array_equal(result.loss_per_epoch, expected.loss_per_epoch)
+    assert result.final_train_mse == expected.final_train_mse
+    assert result.config == expected.config
+
+
+class TestTrainStack:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["hybrid", "dense"]),
+        optimizer=st.sampled_from(["adam", "sgd"]),
+        eta=st.sampled_from([0.01, 1e8]),  # 1e8 makes some dense seeds diverge
+        epochs=st.integers(1, 6),
+        n=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_each_model_trains_as_it_would_alone(self, kind, optimizer, eta, epochs, n, data):
+        make = init_hybrid_model if kind == "hybrid" else baseline_net
+        seeds = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True))
+        X, Z = small_problem(seed=n, n=n)
+        configs = {s: TrainConfig(optimizer=optimizer, eta=eta, epochs=epochs, seed=s)
+                   for s in seeds}
+        solo = {s: solo_outcome(make(s), X, Z, configs[s]) for s in seeds}
+        # Which seeds share the stack, and in which order, changes nothing.
+        order = data.draw(st.permutations(seeds))
+        models = [make(s) for s in order]
+        results = train_stack(models, X, Z, [configs[s] for s in order])
+        for s, model, result in zip(order, models, results):
+            assert_same_outcome(result, model, solo[s])
+
+    def test_a_refused_gradient_fails_only_its_model(self, monkeypatch):
+        # A finite loss with a non-finite gradient: Adam refuses it, that model
+        # leaves the stack with the solo run's error and parameters, and the
+        # others train on as they do alone.
+        import hqloc.train_eval as train_eval
+
+        mark = 123.0
+        epochs_run = []
+        real_grad = train_eval.hqnn_grad
+
+        def poisoned_grad(model, X, Z, encoded=None):
+            grads = real_grad(model, X, Z, encoded=encoded)
+            epochs_run.append(1)
+            if len(epochs_run) > 2:  # from epoch 2 on
+                grads[model.head.layers[0].weight[..., 0, 0] == mark] = np.nan
+            return grads
+
+        def make(seed):
+            model = init_hybrid_model(seed)
+            if seed == 2:
+                # A dead hidden unit never gets a gradient, so its weight keeps the mark.
+                model.head.layers[0].bias[0] = -1e3
+                model.head.layers[0].weight[0, 0] = mark
+            return model
+
+        monkeypatch.setattr(train_eval, "hqnn_grad", poisoned_grad)
+        X, Z = small_problem(seed=7, n=9)
+        seeds = (1, 2, 3)
+        configs = [TrainConfig(epochs=5, eta=0.05, seed=s) for s in seeds]
+        solo = {}
+        for s, config in zip(seeds, configs):
+            epochs_run.clear()
+            solo[s] = solo_outcome(make(s), X, Z, config)
+        assert str(solo[2][0]) == "non-finite gradient entries"
+        epochs_run.clear()
+        models = [make(s) for s in seeds]
+        results = train_stack(models, X, Z, configs)
+        for s, model, result in zip(seeds, models, results):
+            assert_same_outcome(result, model, solo[s])
+
+    def test_configs_may_differ_in_seed_only(self):
+        X, Z = small_problem()
+        models = [init_hybrid_model(1), init_hybrid_model(2)]
+        with pytest.raises(ValueError, match="must share optimizer, eta and epochs"):
+            train_stack(models, X, Z, [TrainConfig(epochs=2), TrainConfig(epochs=3)])
+        with pytest.raises(ValueError, match="one config per model"):
+            train_stack(models, X, Z, [TrainConfig()])
+        with pytest.raises(TypeError, match="models of one kind"):
+            train_stack([init_hybrid_model(1), baseline_net(1)], X, Z, [TrainConfig()] * 2)

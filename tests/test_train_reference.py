@@ -19,8 +19,11 @@ import numpy as np
 import pytest
 
 import hqloc.classical as classical
+import hqloc.optim as optim
 from hqloc.classical import baseline_net
-from hqloc.train_eval import TrainConfig, init_hybrid_model, model_param_vector, train
+from hqloc.data import gen_scenario_standin
+from hqloc.train_eval import CompareConfig, TrainConfig, compare_all
+from hqloc.train_eval import init_hybrid_model, model_param_vector, train
 
 from oracles import circuit_matrix, expect_z_oracle
 
@@ -217,3 +220,21 @@ def test_dense_training_makes_one_pass_per_epoch(monkeypatch):
         train(baseline_net(1), X, Z, TrainConfig(optimizer=optimizer, epochs=7, eta=0.01))
         # One fused pass per epoch, then one forward for the final training MSE.
         assert calls == ["pass"] * 7 + ["forward"]
+
+
+def test_compare_makes_one_optimizer_step_per_epoch_per_method(monkeypatch):
+    # Each method's seeds train as one (S, P) stack: one compare cell makes
+    # `epochs` steps per method, not seeds x epochs.
+    steps = []
+    real_step = optim.adam_step
+
+    def counting(state, params, grads):
+        steps.append(params.shape)
+        return real_step(state, params, grads)
+
+    monkeypatch.setattr(optim, "adam_step", counting)
+    meta, train_s, test_s = gen_scenario_standin("Sc-1", "WiFi", seed=1)
+    config = CompareConfig(seeds=(1, 2, 3), epochs=4, shots=16, knn_ks=(1,))
+    compare_all(meta, train_s, test_s, config)
+    n_baseline, n_hybrid = baseline_net(0).params.size, init_hybrid_model(0).params.size
+    assert steps == [(3, n_baseline)] * 4 + [(3, n_hybrid)] * 4
