@@ -5,6 +5,7 @@ training row is encoded once into a statevector, and a query is matched to the
 entry with the highest state fidelity |<psi_i|psi>|^2. It has no trainable
 parameters. Fidelity is computed classically from the statevectors; a
 swap-test circuit with one ancilla is provided to validate that shortcut.
+Both predictors take one query (d,) or a batch (m, d), so a test matrix is one call.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import encode_batch, feature_state
+from .circuits import encode_batch
 from .statevector import (
     MAX_QUBITS,
     Statevector,
@@ -47,12 +48,20 @@ def fit_knn(features, targets, k: int = 3) -> KnnModel:
     return KnnModel(k, features, targets)
 
 
-def knn_predict(model: KnnModel, x) -> np.ndarray:
-    """Mean target of the k rows closest to ``x``; ties go to the lower row index."""
+def _queries(x, width: int) -> np.ndarray:
+    """``x`` as one float query (width,) or a batch (m, width); refuses any other shape."""
     x = np.asarray(x, dtype=float)
-    dists = np.sum((model.features - x) ** 2, axis=1)
-    order = np.argsort(dists, kind="stable")
-    return model.targets[order[: model.k]].mean(axis=0)
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise ValueError(f"expected queries of {width} features, got shape {x.shape}")
+    return x
+
+
+def knn_predict(model: KnnModel, x) -> np.ndarray:
+    """Mean target of the k rows closest to each query; ties go to the lower row index."""
+    x = _queries(x, model.features.shape[1])
+    dists = np.sum((model.features - x[..., None, :]) ** 2, axis=-1)
+    order = np.argsort(dists, axis=-1, kind="stable")
+    return model.targets[order[..., : model.k]].mean(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -76,15 +85,16 @@ def build_fingerprint_db(features, coords) -> FingerprintDb:
 
 
 def fingerprint_fidelities(db: FingerprintDb, x) -> np.ndarray:
-    """Fidelity of the encoded query against every cached entry."""
-    psi = feature_state(np.asarray(x, dtype=float)).amplitudes
-    return np.abs(db.states.conj() @ psi) ** 2
+    """Fidelity of each encoded query against every cached entry, shape (..., n)."""
+    x = _queries(x, db.features.shape[1])
+    psi = encode_batch(x).reshape(*x.shape[:-1], -1)
+    # One matrix-vector product per query sums as a single query's does.
+    return np.abs((db.states.conj() @ psi[..., None])[..., 0]) ** 2
 
 
 def fingerprint_predict(db: FingerprintDb, x) -> np.ndarray:
-    """Coordinates of the max-fidelity entry; ties go to the lower index."""
-    fids = fingerprint_fidelities(db, x)
-    return db.coords[int(np.argmax(fids))]
+    """Coordinates of each query's max-fidelity entry; ties go to the lower index."""
+    return db.coords[np.argmax(fingerprint_fidelities(db, x), axis=-1)]
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

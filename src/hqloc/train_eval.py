@@ -16,10 +16,11 @@ one (S, P) ``params`` array, the stacked quantum layer holds phi as (S, 6),
 and each epoch makes one kernel call per sweep over all S models, one
 ``np.matmul`` chain through the stacked head or network, and one optimizer
 step over (S, P). Each model computes bit for bit what it computes alone; a
-model whose loss or gradient turns non-finite leaves the stack with the error
-its solo run raises, and the rest go on. :func:`train` is the stack of one,
-which is the model itself with no seed axis, and :func:`compare_all` trains
-each method's seeds as one stack.
+model whose loss or gradient turns non-finite gets the error its solo run
+raises, and its row is frozen in place while the rest go on, so the stack
+keeps its shape. :func:`train` is the stack of one, which is the model itself
+with no seed axis, and :func:`compare_all` trains each method's seeds as one
+stack and runs each baseline's predictor once over the whole test matrix.
 
 Training never sees a test set. Evaluation is a separate, batched step on
 the trained model: :func:`evaluate_rmse` calls its predictor once on the
@@ -35,6 +36,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -217,17 +219,6 @@ def _model_ops(model, X, Z):
     return train_mse, loss_and_grad
 
 
-def _all_finite(losses) -> bool:
-    # A model trained alone has a float loss, which math checks far faster than numpy.
-    return math.isfinite(losses) if isinstance(losses, float) else bool(np.isfinite(losses).all())
-
-
-def _loss_error(epoch: int, eta: float) -> RuntimeError:
-    return RuntimeError(
-        f"non-finite training loss at epoch {epoch}; lower the learning rate (eta={eta})"
-    )
-
-
 def train_stack(models, X, Z, configs) -> list[TrainReport | Exception]:
     """Full-batch training of models of one kind as one stack; one result per model.
 
@@ -239,9 +230,10 @@ def train_stack(models, X, Z, configs) -> list[TrainReport | Exception]:
     (with the stack's wall time), or the exception its solo run raises: a
     RuntimeError naming the epoch of a non-finite loss, checked before that
     epoch's step (epoch ``epochs`` is the loss after the last step), or
-    ``adam_step``'s ValueError on a non-finite gradient. A failed model
-    leaves the stack with its parameters as they stood; the others go on.
-    A stack of one trains the model itself, with no seed axis.
+    ``adam_step``'s ValueError on a non-finite gradient. A failed model keeps
+    its parameters as they stood, and its row is frozen: params, Adam moments
+    and gradient held at zero, so no step moves it, and its loss ignored. A
+    stack of one trains the model itself and stops at its failure.
     """
     X, Z = _batch(X, Z, "training set")
     if len(configs) != len(models) or not models:
@@ -251,35 +243,35 @@ def train_stack(models, X, Z, configs) -> list[TrainReport | Exception]:
         raise ValueError("models in one training stack must share optimizer, eta and epochs")
     start = time.perf_counter()
     stack = _stack(models)
+    rows = stack.params.reshape(len(models), -1)  # a view: row s is model s
     train_mse, loss_and_grad = _model_ops(stack, X, Z)
     adam_state = optim.init_adam(stack.params.shape, eta=config.eta)
-    trace = np.empty((config.epochs, len(models)))  # one column per stack row
-    results: list = [None] * len(models)
-    alive = list(range(len(models)))  # the model index of each stack row
+    trace = np.empty((config.epochs, len(models)))  # one column per model
+    results: list = [None] * len(models)  # None while a model trains
+    frozen = None  # the failed rows' mask; None until one fails, so success asks no numpy
 
-    def row(a, i):
-        """Row ``i`` of a per-model array of the stack, which may have no seed axis."""
-        return a.reshape(len(alive), -1)[i]
-
-    def kept(a, keep):
-        """The ``keep`` rows of a per-model array, shaped like the restacked ``params``."""
-        return a.reshape(len(keep), -1)[keep].reshape(stack.params.shape)
-
-    def leave(failed, error):
-        """Drop the ``failed`` rows, recording ``error`` for their models; returns the kept rows."""
-        nonlocal stack, adam_state, alive, trace
-        failed = np.reshape(failed, -1)
-        for i, s in enumerate(alive):
-            models[s].params[:] = row(stack.params, i)
-            if failed[i]:
+    def freeze(failed, error) -> bool:
+        """Record ``error`` for newly ``failed`` rows and freeze them; True once all have failed."""
+        nonlocal frozen
+        for s in np.flatnonzero(failed):
+            if results[s] is None:
+                models[s].params[:] = rows[s]
                 results[s] = error
-        keep = ~failed
-        alive = [s for s, kept_row in zip(alive, keep) if kept_row]
-        trace = trace[:, keep]
-        if alive:
-            stack = _stack([models[s] for s in alive])
-            adam_state = replace(adam_state, m=kept(adam_state.m, keep), v=kept(adam_state.v, keep))
-        return keep
+        frozen = np.array([result is not None for result in results])
+        if frozen.all():  # a stack of one stops here: its row is the caller's model
+            return True
+        for a in (stack.params, adam_state.m, adam_state.v):
+            a[frozen] = 0.0
+        return False
+
+    def loss_failed(losses, epoch: int) -> bool:
+        """Freeze the rows whose ``losses`` are not finite; True once all have failed."""
+        # A stack of one has a float loss, which math checks far faster than numpy.
+        finite = math.isfinite(losses) if isinstance(losses, float) else np.isfinite(losses).all()
+        if finite:
+            return False
+        message = f"non-finite training loss at epoch {epoch}; lower the learning rate"
+        return freeze(~np.isfinite(losses), RuntimeError(f"{message} (eta={config.eta})"))
 
     # A diverging run overflows on its way to a non-finite loss; numpy stays
     # quiet, and the loss check reports it.
@@ -287,36 +279,32 @@ def train_stack(models, X, Z, configs) -> list[TrainReport | Exception]:
         for epoch in range(config.epochs):
             losses, grads = loss_and_grad(stack)
             trace[epoch] = losses
-            if not _all_finite(losses):
-                keep = leave(~np.isfinite(losses), _loss_error(epoch, config.eta))
-                if not alive:
-                    break
-                grads = kept(grads, keep)
+            if loss_failed(losses, epoch):
+                break
+            if frozen is not None:
+                grads[frozen] = 0.0
             if config.optimizer == "sgd":
                 stack.params[:] = optim.sgd_step(stack.params, grads, config.eta)
                 continue
             try:
                 adam_state, stack.params[:] = optim.adam_step(adam_state, stack.params, grads)
             except ValueError as exc:  # a row it refuses: its gradient is not finite
-                failed = ~np.isfinite(grads).all(axis=-1)
-                if not failed.any():
+                refused = ~np.isfinite(grads).all(axis=-1)
+                if not refused.any():
                     raise
-                keep = leave(failed, exc)
-                if not alive:
+                if freeze(refused, exc):
                     break
-                grads = kept(grads, keep)
+                grads[frozen] = 0.0
                 adam_state, stack.params[:] = optim.adam_step(adam_state, stack.params, grads)
-        if alive:
+        if None in results:
             final = np.reshape(train_mse(stack), -1)
-            failed = ~np.isfinite(final)
-            if failed.any():
-                final = final[leave(failed, _loss_error(config.epochs, config.eta))]
+            loss_failed(final, config.epochs)
     wall_time_s = time.perf_counter() - start
-    for i, s in enumerate(alive):
-        models[s].params[:] = row(stack.params, i)
+    for s in [s for s, result in enumerate(results) if result is None]:
+        models[s].params[:] = rows[s]
         results[s] = TrainReport(
-            loss_per_epoch=trace[:, i].copy(),
-            final_train_mse=float(final[i]),
+            loss_per_epoch=trace[:, s].copy(),
+            final_train_mse=float(final[s]),
             config=configs[s],
             wall_time_s=wall_time_s,
         )
@@ -362,6 +350,10 @@ class CompareConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must not be empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
+        if not self.knn_ks or min(self.knn_ks) < 1:
+            raise ValueError(f"knn_ks must be one or more k >= 1, got {list(self.knn_ks)}")
         check_shots(self.shots)
         for seed in self.seeds:
             _train_config(self, seed)  # the checks every training run applies
@@ -451,9 +443,7 @@ def compare_all(
             if k > n_train:
                 continue
             knn = baselines.fit_knn(X_train, Z_train, k=k)
-            rmse = evaluate_rmse(
-                lambda X: np.array([baselines.knn_predict(knn, x) for x in X]), X_test, Z_test
-            )
+            rmse = evaluate_rmse(partial(baselines.knn_predict, knn), X_test, Z_test)
             if best_rmse is None or rmse < best_rmse:
                 best_k, best_rmse = k, rmse
         if best_k is None:
@@ -471,9 +461,7 @@ def compare_all(
 
     try:
         db = baselines.build_fingerprint_db(X_train, Z_train)
-        rmse = evaluate_rmse(
-            lambda X: np.array([baselines.fingerprint_predict(db, x) for x in X]), X_test, Z_test
-        )
+        rmse = evaluate_rmse(partial(baselines.fingerprint_predict, db), X_test, Z_test)
         record("quantum_fingerprint", None, rmse)
     except Exception as exc:
         record("quantum_fingerprint", None, None, note=f"failed: {exc}")

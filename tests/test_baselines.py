@@ -59,6 +59,24 @@ class TestKnn:
         model = fit_knn(feats, targs, k=1)
         np.testing.assert_array_equal(knn_predict(model, [0.0, 0.0]), [10.0, 0.0])
 
+    def test_batch_equals_one_query_at_a_time(self):
+        rng = np.random.default_rng(10)
+        feats = rng.integers(0, 3, size=(12, 3)).astype(float)  # many distance ties
+        targs = rng.uniform(0.0, 6.0, size=(12, 2))
+        queries = rng.integers(0, 3, size=(40, 3)).astype(float)
+        for k in (1, 3, 12):
+            model = fit_knn(feats, targs, k=k)
+            batch = knn_predict(model, queries)
+            assert batch.shape == (40, 2)
+            np.testing.assert_array_equal(batch, [knn_predict(model, q) for q in queries])
+            np.testing.assert_array_equal(batch, [knn_oracle(feats, targs, q, k) for q in queries])
+
+    @pytest.mark.parametrize("query", [[0.5], [[0.5, 0.2]], np.zeros((2, 2, 3)), 0.5])
+    def test_refuses_queries_of_the_wrong_shape(self, query):
+        model = fit_knn(np.zeros((4, 3)), np.zeros((4, 2)), k=1)
+        with pytest.raises(ValueError, match="expected queries of 3 features, got shape"):
+            knn_predict(model, query)
+
     def test_validation(self):
         feats = np.zeros((4, 3))
         targs = np.zeros((4, 2))
@@ -190,6 +208,30 @@ class TestFingerprint:
             np.testing.assert_allclose(
                 fingerprint_fidelities(db, x), fids, rtol=0, atol=1e-12
             )
+
+    def test_batch_equals_one_query_at_a_time(self):
+        rng = np.random.default_rng(11)
+        feats = rng.uniform(0.0, 1.0, size=(15, 3))
+        feats[7] = feats[2]  # a fidelity tie goes to the lower index
+        coords = rng.uniform(0.0, 6.0, size=(15, 2))
+        db = build_fingerprint_db(feats, coords)
+        queries = np.vstack([rng.uniform(0.0, 1.0, size=(30, 3)), feats[2]])
+        fids = fingerprint_fidelities(db, queries)
+        assert fids.shape == (31, 15)
+        # The per-query loop, one statevector at a time, is the reference.
+        loop = [np.abs(db.states.conj() @ feature_state(q).amplitudes) ** 2 for q in queries]
+        np.testing.assert_array_equal(fids, loop)
+        np.testing.assert_array_equal(fids, [fingerprint_fidelities(db, q) for q in queries])
+        batch = fingerprint_predict(db, queries)
+        np.testing.assert_array_equal(batch, [fingerprint_predict(db, q) for q in queries])
+        np.testing.assert_array_equal(batch[-1], coords[2])
+
+    @pytest.mark.parametrize("query", [[0.5, 0.2], [[0.5, 0.2]], np.zeros((2, 2, 3)), 0.5])
+    def test_refuses_queries_of_the_wrong_shape(self, query):
+        db = build_fingerprint_db(np.zeros((4, 3)), np.zeros((4, 2)))
+        for predict in (fingerprint_fidelities, fingerprint_predict):
+            with pytest.raises(ValueError, match="expected queries of 3 features, got shape"):
+                predict(db, query)
 
     def test_validation(self):
         with pytest.raises(ValueError):

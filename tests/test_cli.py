@@ -437,6 +437,15 @@ class TestCompare:
         assert len(err) == 1 and err[0].startswith("error: learning rate must be finite")
         assert not (out_dir / "comparison.csv").exists()
 
+    def test_repeated_seed_is_one_line_error(self, tmp_path, train_csv, test_csv, capsys):
+        # Two rows for one model would make a "mean" over a single training.
+        out_dir = tmp_path / "cmp"
+        code = main(self.compare_args(train_csv, test_csv, out_dir) + ["--seeds", "1", "1"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seeds must be distinct, got [1, 1]"]
+        assert not (out_dir / "comparison.csv").exists()
+
     def test_clamped_features_are_counted_and_reported(self, tmp_path, train_csv, capsys):
         samples = load_csv(train_csv)
         rssi = samples[0].rssi

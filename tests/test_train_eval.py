@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqloc import classical, optim
 from hqloc.classical import forward as dense_forward
 from hqloc.classical import baseline_net, mse_loss
 from hqloc.data import fit_scaler, gen_scenario_standin, scenario_meta, gen_synthetic, transform_samples
@@ -169,6 +170,11 @@ class TestCompareConfig:
             ({"epochs": 0}, "epochs must be >= 1"),
             ({"optimizer": "adagrad"}, "optimizer must be one of"),
             ({"seeds": ()}, "seeds must not be empty"),
+            # compare_all could only misreport these: a false failure note, a
+            # failed KNN row although k=3 is valid, a "mean" over one model.
+            ({"knn_ks": ()}, r"knn_ks must be one or more k >= 1, got \[\]"),
+            ({"knn_ks": (-1, 3)}, r"knn_ks must be one or more k >= 1, got \[-1, 3\]"),
+            ({"seeds": (1, 1)}, r"seeds must be distinct, got \[1, 1\]"),
         ],
     )
     def test_invalid_config_raises_at_construction(self, kwargs, message):
@@ -513,6 +519,71 @@ class TestTrainStack:
         epochs_run.clear()
         models = [make(s) for s in seeds]
         results = train_stack(models, X, Z, configs)
+        for s, model, result in zip(seeds, models, results):
+            assert_same_outcome(result, model, solo[s])
+
+    @pytest.mark.parametrize("poison, steps", [("gradient", 5), ("loss", 4)])
+    def test_a_failed_row_stays_in_the_stack(self, monkeypatch, poison, steps):
+        # Model 2 fails at epoch 2 and its row is frozen in place: every step
+        # covers all three models, and a refused gradient costs one retried step.
+        real_pass, real_adam = classical.loss_and_grad, optim.adam_step
+        poison_row, passes, step_shapes = [None], [], []
+
+        def failing_pass(net, V, Z):
+            loss, grad, input_grads = real_pass(net, V, Z)
+            passes.append(1)
+            row = poison_row[0]
+            if len(passes) == 3 and row is not None:  # epoch 2
+                if poison == "gradient":
+                    grad.reshape(-1, grad.shape[-1])[row, 0] = np.nan
+                elif np.ndim(loss):
+                    loss[row] = np.nan
+                else:
+                    loss = math.nan
+            return loss, grad, input_grads
+
+        def recording_adam(state, params, grads):
+            step_shapes.append(np.shape(params))
+            return real_adam(state, params, grads)
+
+        monkeypatch.setattr(classical, "loss_and_grad", failing_pass)
+        monkeypatch.setattr(optim, "adam_step", recording_adam)
+        X, Z = small_problem(seed=3, n=8)
+        seeds = (1, 2, 3)
+        configs = [TrainConfig(epochs=4, eta=0.01, seed=s) for s in seeds]
+        solo = {}
+        for s, config in zip(seeds, configs):
+            poison_row[0] = 0 if s == 2 else None
+            passes.clear()
+            solo[s] = solo_outcome(baseline_net(s), X, Z, config)
+        assert type(solo[2][0]) is (ValueError if poison == "gradient" else RuntimeError)
+        poison_row[0] = 1
+        passes.clear()
+        step_shapes.clear()
+        models = [baseline_net(s) for s in seeds]
+        results = train_stack(models, X, Z, configs)
+        assert step_shapes == [(3, models[0].params.size)] * steps
+        for s, model, result in zip(seeds, models, results):
+            assert_same_outcome(result, model, solo[s])
+
+    def test_a_loss_that_fails_after_the_last_step_fails_only_its_model(self):
+        # One SGD step at eta=1e30 leaves every loss huge, but only the model
+        # that starts 1e5 times larger overflows to a non-finite final loss.
+        X, Z = small_problem(seed=5, n=8)
+        seeds = (1, 2, 3)
+        configs = [TrainConfig(optimizer="sgd", eta=1e30, epochs=1, seed=s) for s in seeds]
+
+        def make(seed):
+            net = baseline_net(seed)
+            if seed == 2:
+                net.params *= 1e5
+            return net
+
+        solo = {s: solo_outcome(make(s), X, Z, c) for s, c in zip(seeds, configs)}
+        assert str(solo[2][0]).startswith("non-finite training loss at epoch 1;")
+        models = [make(s) for s in seeds]
+        results = train_stack(models, X, Z, configs)
+        assert [isinstance(r, RuntimeError) for r in results] == [False, True, False]
         for s, model, result in zip(seeds, models, results):
             assert_same_outcome(result, model, solo[s])
 
