@@ -20,6 +20,7 @@ from .statevector import (
     MAX_QUBITS,
     Statevector,
     apply_gates,
+    check_integer,
     cx,
     expect_z,
     h,
@@ -43,6 +44,7 @@ def fit_knn(features, targets, k: int = 3) -> KnnModel:
         raise ValueError("features and targets must be matching 2-D arrays")
     if len(features) == 0:
         raise ValueError("knn model needs at least one training row")
+    check_integer("k", k)
     if not 1 <= k <= len(features):
         raise ValueError(f"k must be in [1, {len(features)}], got {k}")
     return KnnModel(k, features, targets)

@@ -13,12 +13,12 @@ gradient in the same layout, so an optimizer updates ``params`` in place.
 
 :func:`stack` turns S networks of one shape into one network with a leading
 seed axis: its ``params`` is (S, P), row s a copy of network s's vector, its
-weights are (S, out, in) and its biases (S, out). The batched functions take
-such a stack as they take one network. Products run through ``np.matmul`` on
-the stacked arrays, one matrix product per network, and a batch may be shared
-by the stack, (n, in), or have one slice per network, (S, n, in). Network s
-of a stack computes bit for bit what it computes alone; losses and gradients
-gain the leading axis.
+weights are (S, out, in) and its biases (S, out). A network and a stack run
+the same lines: every pass works on the trailing axes only, and
+``np.matmul`` and broadcasting carry the seed axis when it is there, one
+matrix product per network. A batch may be shared by the stack, (n, in), or
+have one slice per network, (S, n, in). Network s of a stack computes bit for
+bit what it computes alone; losses and gradients gain the leading axis.
 
 One forward trace keeps every layer's input and output, and one backprop reads
 it: :func:`backward_batch` runs both for a given upstream gradient, and
@@ -97,12 +97,11 @@ def layer_views(net: DenseNet, flat: np.ndarray) -> list[tuple[np.ndarray, np.nd
     if flat.shape != shape:
         expected = " x ".join(map(str, shape))
         raise ValueError(f"expected {expected} parameters, got shape {flat.shape}")
-    lead = shape[:-1]
     views = []
     offset = 0
     for layer in net.layers:
         n_out, n_in = layer.weight.shape[-2:]
-        weight = flat[..., offset : offset + n_out * n_in].reshape(*lead, n_out, n_in)
+        weight = flat[..., offset : offset + n_out * n_in].reshape(*shape[:-1], n_out, n_in)
         offset += n_out * n_in
         views.append((weight, flat[..., offset : offset + n_out]))
         offset += n_out
@@ -147,11 +146,6 @@ def baseline_net(rng) -> DenseNet:
     return glorot_net(BASELINE_SIZES, rng)
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    """``a`` with its last two axes swapped, per network of a stack; 2-D takes the cheap ``.T``."""
-    return a.T if a.ndim == 2 else a.swapaxes(1, 2)
-
-
 def _trace(net: DenseNet, V) -> list[np.ndarray]:
     """Each layer's input and, last, the network output, for an (n, input_dim) batch.
 
@@ -164,8 +158,8 @@ def _trace(net: DenseNet, V) -> list[np.ndarray]:
         raise ValueError(f"expected batch of shape (n, {net.input_dim}), got {V.shape}")
     acts = [V]
     for layer in net.layers:
-        V = V @ _t(layer.weight)
-        V += layer.bias if layer.bias.ndim == 1 else layer.bias[:, None]
+        V = V @ layer.weight.swapaxes(-1, -2)
+        V += layer.bias[..., None, :]
         if layer.activation == "relu":
             np.maximum(V, 0.0, out=V)
         acts.append(V)
@@ -183,12 +177,8 @@ def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray):
         layer = net.layers[i]
         if layer.activation == "relu":
             delta = delta * (acts[i + 1] > 0.0)
-        weight_grad = _t(delta) @ acts[i]
-        if weight_grad.ndim == 2:
-            weight_grad = weight_grad.ravel()
-        else:  # one flat gradient row per network of a stack
-            weight_grad = weight_grad.reshape(len(weight_grad), -1)
-        pieces += [delta.sum(axis=-2), weight_grad]
+        weight_grad = delta.swapaxes(-1, -2) @ acts[i]
+        pieces += [delta.sum(axis=-2), weight_grad.reshape(*weight_grad.shape[:-2], -1)]
         delta = delta @ layer.weight
     return np.concatenate(pieces[::-1], axis=-1), delta
 
@@ -245,10 +235,8 @@ def loss_and_grad(net: DenseNet, V, Z) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _mean_squared_norm(diff: np.ndarray):
-    # np.mean's own sum and division, without its per-call overhead.
-    if diff.ndim == 2:
-        return float(np.sum(diff**2, axis=1).sum() / len(diff))
-    return np.sum(diff**2, axis=2).sum(axis=1) / diff.shape[1]  # one loss per network
+    # np.mean's own sum and division, without its per-call overhead; one loss per network.
+    return np.sum(diff**2, axis=-1).sum(axis=-1) / diff.shape[-2]
 
 
 def mse_loss(pred, truth):

@@ -177,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shadowing standard deviation in dB")
     p_gen.add_argument("--seed", type=_seed, default=seed_default)
     p_gen.add_argument("--tx", type=_point, nargs=3, default=None, metavar="X,Y",
-                       help="three transmitter positions (default: wall-mounted layout)")
+                       help="three transmitter positions (default: (0.5, 0.5), (W - 0.5, 0.5) "
+                            "and (W / 2, H - 0.5) in a W x H room)")
     p_gen.add_argument("--pl0", type=float, default=-40.0,
                        help="received power in dBm at the 1 m reference distance")
     p_gen.add_argument("--path-loss-exp", type=float, default=2.5)

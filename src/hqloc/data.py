@@ -288,7 +288,7 @@ def transform_samples(scaler: Scaler, samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_tx_positions(room: tuple[float, float]) -> tuple[tuple[float, float], ...]:
-    """Three transmitters: two bottom corners and the top-middle wall."""
+    """Three transmitters 0.5 m inside a W x H room: (0.5, 0.5), (W - 0.5, 0.5), (W / 2, H - 0.5)."""
     w, h_ = room
     return ((0.5, 0.5), (w - 0.5, 0.5), (w / 2.0, h_ - 0.5))
 

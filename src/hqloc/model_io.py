@@ -28,15 +28,11 @@ FORMAT_HEADER = "hqloc-params v1"
 
 def _format_array(name: str, arr: np.ndarray) -> list[str]:
     arr = np.asarray(arr, dtype=float)
-    if arr.ndim == 1:
-        lines = [f"array {name} {arr.shape[0]}"]
-        lines.append(" ".join(repr(float(v)) for v in arr))
-        return lines
-    if arr.ndim == 2:
-        lines = [f"array {name} {arr.shape[0]} {arr.shape[1]}"]
-        lines.extend(" ".join(repr(float(v)) for v in row) for row in arr)
-        return lines
-    raise ValueError(f"array {name!r} has unsupported ndim {arr.ndim}")
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"array {name!r} has unsupported ndim {arr.ndim}")
+    lines = [" ".join(["array", name, *map(str, arr.shape)])]
+    lines.extend(" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(arr))
+    return lines
 
 
 def _model_arrays(model) -> tuple[str, list[str], list[tuple[str, np.ndarray]]]:

@@ -33,11 +33,12 @@ import numpy as np
 
 # encode_batch is re-exported: callers encode here and pass the rows back in.
 from .circuits import N_ANSATZ_PARAMS, N_FEATURES, ansatz_unitaries, encode_batch, feature_state
-from .statevector import Statevector, sample_expect_z
+from .statevector import Statevector, check_integer, sample_expect_z
 
 SHIFT = np.pi / 2.0
-# Row k shifts angle k: every layer has N_ANSATZ_PARAMS angles, so built once.
-_SHIFT_STEPS = SHIFT * np.eye(N_ANSATZ_PARAMS)
+# Rows k and N_ANSATZ_PARAMS + k shift angle k up and down: every layer has
+# N_ANSATZ_PARAMS angles, so built once.
+_SHIFT_STEPS = SHIFT * np.concatenate([np.eye(N_ANSATZ_PARAMS), -np.eye(N_ANSATZ_PARAMS)])
 _SHIFT_STEPS.flags.writeable = False
 
 # Seeds reach numpy generators, which take only non-negative integers, and the
@@ -68,6 +69,7 @@ class QuantumLayer:
 
 def check_seed(seed: int) -> None:
     """Raise ValueError unless ``seed`` is an integer in [0, MAX_SEED]."""
+    check_integer("seed", seed)
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be an integer in [0, 2**63 - 1], got {seed}")
 
@@ -108,12 +110,11 @@ def q_forward_batch(
     ``seed``, the qubit and the bytes of that encoded row; ``seed`` must
     pass :func:`check_seed`, the rule every seeded entry point applies.
     """
-    stacked = layer.phi.ndim == 2
-    if shots is not None and stacked:
+    if shots is not None and layer.phi.ndim == 2:
         raise ValueError("shot sampling takes one layer, not a stack")
     expectations, final = _sweep(layer.phi, encoded_rows)
     if shots is None:
-        return expectations if stacked else expectations[0]
+        return expectations.reshape(*layer.phi.shape[:-1], *expectations.shape[1:])
     prefixes = _seed_prefixes(seed)
     amplitudes = (final[0, :, 0] + 1j * final[0, :, 1]).T
     out = np.empty((len(amplitudes), N_FEATURES))
@@ -135,14 +136,10 @@ def q_gradient_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarra
     """
     n_params = N_ANSATZ_PARAMS
     phis = layer.phi.reshape(-1, n_params)
-    n_stack = len(phis)
-    shifted = np.concatenate(
-        [phis[:, None] + _SHIFT_STEPS, phis[:, None] - _SHIFT_STEPS], axis=1
-    )
-    e, _ = _sweep(shifted.reshape(-1, n_params), encoded_rows)
-    e = e.reshape(n_stack, 2 * n_params, *e.shape[1:])
+    e, _ = _sweep((phis[:, None] + _SHIFT_STEPS).reshape(-1, n_params), encoded_rows)
+    e = e.reshape(len(phis), 2 * n_params, *e.shape[1:])
     grads = 0.5 * (e[:, :n_params] - e[:, n_params:]).transpose(0, 2, 3, 1)
-    return grads if layer.phi.ndim == 2 else grads[0]
+    return grads.reshape(*layer.phi.shape[:-1], *grads.shape[1:])
 
 
 def q_forward(layer: QuantumLayer, x, shots: int | None = None, seed: int = 0) -> np.ndarray:

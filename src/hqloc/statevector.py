@@ -78,10 +78,15 @@ class Statevector:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError naming ``value`` unless it is an int or a numpy integer; bool is refused."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def zero_state(n_qubits: int) -> Statevector:
     """All-qubits-|0> state; ``n_qubits`` must be in [1, MAX_QUBITS]."""
-    if not isinstance(n_qubits, (int, np.integer)) or isinstance(n_qubits, bool):
-        raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
+    check_integer("n_qubits", n_qubits)
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     amps = np.zeros(2**n_qubits, dtype=complex)
@@ -177,7 +182,8 @@ def expect_z(state: Statevector, qubit: int) -> float:
 
 
 def check_shots(shots: int) -> None:
-    """Raise ValueError unless ``shots`` is a budget in [1, MAX_SHOTS]."""
+    """Raise ValueError unless ``shots`` is an integer budget in [1, MAX_SHOTS]."""
+    check_integer("shots", shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:

@@ -44,7 +44,7 @@ from . import baselines, classical, data, optim
 from .circuits import N_ANSATZ_PARAMS
 from .qlayer import QuantumLayer, check_seed, encode_batch
 from .qlayer import q_forward, q_forward_batch, q_gradient_batch
-from .statevector import check_shots
+from .statevector import check_integer, check_shots
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -144,6 +144,11 @@ def dense_grad(net: classical.DenseNet, X, Z) -> np.ndarray:
 
 @dataclass
 class TrainConfig:
+    """How to train. ``seed`` seeds nothing: a model is seeded where it is built
+    (``init_hybrid_model(seed)``, ``baseline_net(seed)``), and this seed is only
+    recorded (``TrainReport.config``, the manifest) and compared across a stack.
+    """
+
     optimizer: str = "adam"
     eta: float = 0.001
     epochs: int = 300
@@ -154,6 +159,7 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if not 0 <= self.eta < math.inf:  # also refuses NaN
             raise ValueError(f"learning rate must be finite and >= 0, got {self.eta}")
+        check_integer("epochs", self.epochs)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         check_seed(self.seed)
@@ -352,6 +358,8 @@ class CompareConfig:
             raise ValueError("seeds must not be empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
+        for k in self.knn_ks:
+            check_integer("each k in knn_ks", k)
         if not self.knn_ks or min(self.knn_ks) < 1:
             raise ValueError(f"knn_ks must be one or more k >= 1, got {list(self.knn_ks)}")
         check_shots(self.shots)
@@ -360,7 +368,8 @@ class CompareConfig:
 
 
 def config_digest(meta: data.ScenarioMeta, config: CompareConfig) -> str:
-    payload = json.dumps({"meta": asdict(meta), "config": asdict(config)}, sort_keys=True)
+    payload = json.dumps({"meta": asdict(meta), "config": asdict(config)},
+                         sort_keys=True, default=int)  # a numpy integer setting as its int
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 

@@ -1,5 +1,7 @@
 """Baseline method tests: KNN vs brute force, fingerprint matching, swap test."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,14 @@ class TestKnn:
             fit_knn(feats, np.zeros((3, 2)), k=1)
         with pytest.raises(ValueError):
             fit_knn(np.zeros((0, 3)), np.zeros((0, 2)), k=1)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(2.0), True, "2"])
+    def test_non_integer_k_rejected(self, k):
+        # 2.5 passes the range check, then fails inside knn_predict's slicing.
+        feats, targs = np.zeros((4, 3)), np.zeros((4, 2))
+        with pytest.raises(ValueError, match=f"k must be an integer, got {re.escape(repr(k))}"):
+            fit_knn(feats, targs, k=k)
+        assert fit_knn(feats, targs, k=np.int64(2)).k == 2
 
 
 class TestFidelity:

@@ -331,16 +331,30 @@ class TestStack:
     @pytest.mark.parametrize("per_network_batch", [False, True])
     def test_each_network_computes_what_it_computes_alone(self, per_network_batch):
         rng = np.random.default_rng(8)
-        nets = [glorot_net(BASELINE_SIZES, seed) for seed in (4, 5)]
-        shape = (2, 9, 3) if per_network_batch else (9, 3)
-        V = rng.uniform(-1.0, 1.0, size=shape)
-        Z = rng.uniform(-3.0, 3.0, size=(9, 2))
-        losses, grads, input_grads = loss_and_grad(stack(nets), V, Z)
-        for s, net in enumerate(nets):
-            loss, grad, input_grad = loss_and_grad(net, V[s] if per_network_batch else V, Z)
-            assert losses[s] == loss
-            np.testing.assert_array_equal(grads[s], grad)
-            np.testing.assert_array_equal(input_grads[s], input_grad)
+        for n_stack in range(1, 5):  # a stack of one keeps its seed axis too
+            nets = [glorot_net(BASELINE_SIZES, seed) for seed in range(4, 4 + n_stack)]
+            stacked = stack(nets)
+            shape = (n_stack, 9, 3) if per_network_batch else (9, 3)
+            V = rng.uniform(-1.0, 1.0, size=shape)
+            Z = rng.uniform(-3.0, 3.0, size=(9, 2))
+            upstream = rng.uniform(-1.0, 1.0, size=(n_stack, 9, 2))
+            preds = forward_batch(stacked, V)
+            losses, grads, input_grads = loss_and_grad(stacked, V, Z)
+            back_grads, back_input_grads = backward_batch(stacked, V, upstream)
+            assert preds.shape == (n_stack, 9, 2) and grads.shape == stacked.params.shape
+            mse = mse_loss(preds, Z)
+            for s, net in enumerate(nets):
+                V_s = V[s] if per_network_batch else V
+                loss, grad, input_grad = loss_and_grad(net, V_s, Z)
+                assert losses[s] == loss
+                np.testing.assert_array_equal(grads[s], grad)
+                np.testing.assert_array_equal(input_grads[s], input_grad)
+                pred = forward_batch(net, V_s)
+                np.testing.assert_array_equal(preds[s], pred)
+                assert mse[s] == mse_loss(pred, Z)
+                back_grad, back_input_grad = backward_batch(net, V_s, upstream[s])
+                np.testing.assert_array_equal(back_grads[s], back_grad)
+                np.testing.assert_array_equal(back_input_grads[s], back_input_grad)
 
     def test_refuses_networks_of_different_shapes(self):
         with pytest.raises(ValueError, match="networks of one shape"):

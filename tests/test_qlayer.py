@@ -1,5 +1,7 @@
 """Quantum layer forward/gradient tests, including the shift-rule identities."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hqloc import qlayer
 from hqloc.circuits import feature_state, real_amplitudes, zz_feature_map
 from hqloc.qlayer import (
     QuantumLayer,
+    check_seed,
     encode_batch,
     q_forward,
     q_forward_batch,
@@ -198,6 +201,17 @@ class TestBatchedPath:
                 q_forward_batch(layer, rows, shots=8, seed=seed)
         q_forward_batch(layer, rows, shots=8, seed=2**63 - 1)
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, np.float64(2.0), True, "2"])
+    def test_non_integer_seed_rejected(self, seed):
+        # The int64 packing of the shot seeds would sample 2.5 exactly as seed 2.
+        message = f"seed must be an integer, got {re.escape(repr(seed))}"
+        with pytest.raises(ValueError, match=message):
+            check_seed(seed)
+        rows = encode_batch(np.array([[0.1, 0.2, 0.3]]))
+        with pytest.raises(ValueError, match=message):
+            q_forward_batch(QuantumLayer(phi=np.zeros(6)), rows, shots=8, seed=seed)
+        check_seed(np.int64(2))
+
     def test_encode_batch_rows_are_feature_states(self):
         rng = np.random.default_rng(11)
         X = rng.uniform(0, 1, size=(5, 3))
@@ -223,12 +237,19 @@ class TestValidation:
 
 class TestStackedLayer:
     @settings(max_examples=30, deadline=None)
-    @given(stacked=arrays(float, (3, 6), elements=st.floats(-np.pi, np.pi)), X=batches)
+    @given(
+        stacked=st.integers(1, 4).flatmap(
+            lambda n_stack: arrays(float, (n_stack, 6), elements=st.floats(-np.pi, np.pi))
+        ),
+        X=batches,
+    )
     def test_each_row_equals_its_own_layer(self, stacked, X):
         rows = encode_batch(X)
         layer = QuantumLayer(phi=stacked)
         forward, gradient = q_forward_batch(layer, rows), q_gradient_batch(layer, rows)
-        assert forward.shape == (3, len(X), 3) and gradient.shape == (3, len(X), 3, 6)
+        n_stack = len(stacked)  # a stack of one keeps its seed axis too
+        assert forward.shape == (n_stack, len(X), 3)
+        assert gradient.shape == (n_stack, len(X), 3, 6)
         for s, phi in enumerate(stacked):
             alone = QuantumLayer(phi=phi.copy())
             np.testing.assert_array_equal(forward[s], q_forward_batch(alone, rows))

@@ -1,5 +1,6 @@
 """Statevector engine tests against dense matrix-product oracles."""
 
+import re
 import sys
 import threading
 
@@ -15,6 +16,7 @@ from hqloc.statevector import (
     Statevector,
     apply_gate,
     apply_gates,
+    check_shots,
     cx,
     expect_z,
     h,
@@ -315,6 +317,16 @@ class TestSharedShotStream:
         with pytest.raises(ValueError, match=r"shots must be <= 2\*\*63 - 1"):
             sample_expect_z(state, 0, MAX_SHOTS + 1, 0)
         assert -1.0 <= sample_expect_z(state, 0, MAX_SHOTS, 0) <= 1.0
+
+    @pytest.mark.parametrize("shots", [64.7, 64.0, np.float64(64.0), True, "64"])
+    def test_non_integer_shot_budget_rejected(self, shots):
+        # Each estimate divides by the budget, so 64.7 would skew every one.
+        message = f"shots must be an integer, got {re.escape(repr(shots))}"
+        with pytest.raises(ValueError, match=message):
+            check_shots(shots)
+        with pytest.raises(ValueError, match=message):
+            sample_expect_z(_bell_like_state(), 0, shots, 0)
+        check_shots(np.int32(64))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("epochs", [2.5, 3.0, np.float64(3.0), True, "3"])
+    def test_non_integer_epochs_rejected(self, epochs):
+        # 2.5 would otherwise pass and fail later inside train's np.empty.
+        message = f"epochs must be an integer, got {re.escape(repr(epochs))}"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(epochs=epochs)
+        assert TrainConfig(epochs=np.int64(3)).epochs == 3
+
 
 class TestCompareConfig:
     @pytest.mark.parametrize(
@@ -175,6 +184,14 @@ class TestCompareConfig:
             ({"knn_ks": ()}, r"knn_ks must be one or more k >= 1, got \[\]"),
             ({"knn_ks": (-1, 3)}, r"knn_ks must be one or more k >= 1, got \[-1, 3\]"),
             ({"seeds": (1, 1)}, r"seeds must be distinct, got \[1, 1\]"),
+            # Non-integers would fail late: a KNN row lost to k=2.5 although k=3
+            # is valid, numpy's raw SeedSequence error, a budget of 64.7 shots.
+            ({"knn_ks": (2.5, 3)}, "each k in knn_ks must be an integer, got 2.5"),
+            ({"knn_ks": (True,)}, "each k in knn_ks must be an integer, got True"),
+            ({"knn_ks": ("3",)}, "each k in knn_ks must be an integer, got '3'"),
+            ({"seeds": (1.5,)}, "seed must be an integer, got 1.5"),
+            ({"shots": 64.7}, "shots must be an integer, got 64.7"),
+            ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
         ],
     )
     def test_invalid_config_raises_at_construction(self, kwargs, message):
@@ -362,6 +379,12 @@ class TestCompareAll:
         c = config_digest(scenario_meta("Sc-1", "Bluetooth"), CompareConfig())
         assert a != b and a != c
         assert a == config_digest(scenario_meta("Sc-1", "WiFi"), CompareConfig())
+
+    def test_digest_takes_numpy_integer_settings_as_ints(self):
+        meta = scenario_meta("Sc-1", "WiFi")
+        as_numpy = CompareConfig(seeds=tuple(np.arange(1, 4)), epochs=np.int64(300),
+                                 shots=np.int32(4096), knn_ks=(np.int64(1), 3, 5))
+        assert config_digest(meta, as_numpy) == config_digest(meta, CompareConfig())
 
     def test_formatting_and_csv_rows(self, records):
         text = format_comparison(records)
