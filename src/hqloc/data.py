@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .statevector import check_integer
+
 CANONICAL_FIELDS = ("rssi_a", "rssi_b", "rssi_c", "x", "y")
 REFERENCE_DISTANCE_M = 1.0
 
@@ -340,7 +342,8 @@ def gen_synthetic(
         raise ValueError(f"transmitter positions must lie inside the {w}x{h_} room")
     rng = np.random.default_rng(rng_seed)
     if positions is None:
-        n = meta.n_train + meta.n_test if n_points is None else int(n_points)
+        n = meta.n_train + meta.n_test if n_points is None else n_points
+        check_integer("n_points", n)
         if n < 1:
             raise ValueError(f"need at least one point, got {n}")
         positions = rng.uniform((0.0, 0.0), (w, h_), size=(n, 2))
@@ -361,6 +364,10 @@ def gen_synthetic(
 
 def train_test_split(samples, n_train: int, n_test: int, seed: int = 0):
     """Seeded shuffle, then the first ``n_train`` / next ``n_test`` samples."""
+    for name, count in (("n_train", n_train), ("n_test", n_test)):
+        check_integer(name, count)
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     if n_train + n_test > len(samples):
         raise ValueError(
             f"split {n_train}+{n_test} exceeds the {len(samples)} available samples"
@@ -391,6 +398,6 @@ def gen_scenario_standin(name: str, technology: str, seed: int = 0, n_test: int 
     )
     test = gen_synthetic(
         meta, pl0=pl0, n_exp=n_exp, sigma=sigma, rng_seed=[*cell, 1],
-        n_points=meta.n_test if n_test is None else int(n_test),
+        n_points=meta.n_test if n_test is None else n_test,
     )
     return meta, train, test

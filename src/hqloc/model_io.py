@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -85,9 +86,11 @@ def _parse_arrays(lines: list[str], start: int) -> dict[str, np.ndarray]:
         try:
             dims = [int(d) for d in parts[2:]]
         except ValueError:
-            raise ModelFormatError(f"line {i + 1}: bad dimensions in {lines[i]!r}") from None
-        n_rows = 1 if len(dims) == 1 else dims[0]
-        row_len = dims[0] if len(dims) == 1 else dims[1]
+            dims = [0]  # refused below with the other bad dimensions
+        if min(dims) < 1:
+            raise ModelFormatError(f"line {i + 1}: bad dimensions in {lines[i]!r}")
+        *lead, row_len = dims
+        n_rows = math.prod(lead)
         rows = []
         for r in range(n_rows):
             j = i + 1 + r
@@ -102,8 +105,7 @@ def _parse_arrays(lines: list[str], start: int) -> dict[str, np.ndarray]:
                     f"line {j + 1}: expected {row_len} values, got {len(row)}"
                 )
             rows.append(row)
-        arr = np.asarray(rows, dtype=float)
-        arrays[name] = arr[0] if len(dims) == 1 else arr
+        arrays[name] = np.asarray(rows, dtype=float).reshape(dims)
         i += 1 + n_rows
     return arrays
 

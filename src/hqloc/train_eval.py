@@ -15,10 +15,10 @@ kind as one stack with a leading seed axis: their vectors become the rows of
 one (S, P) ``params`` array, the stacked quantum layer holds phi as (S, 6),
 and each epoch makes one kernel call per sweep over all S models, one
 ``np.matmul`` chain through the stacked head or network, and one optimizer
-step over (S, P). Each model computes bit for bit what it computes alone; a
-model whose loss or gradient turns non-finite gets the error its solo run
-raises, and its row is frozen in place while the rest go on, so the stack
-keeps its shape. :func:`train` is the stack of one, which is the model itself
+step over (S, P). Each model computes bit for bit what it computes alone. A
+stack whose loss or gradient turns non-finite for any model stops there, and
+each of its models trains alone, so each result is still what its solo run
+gives. :func:`train` is the stack of one, which is the model itself
 with no seed axis, and :func:`compare_all` trains each method's seeds as one
 stack and runs each baseline's predictor once over the whole test matrix.
 
@@ -236,10 +236,11 @@ def train_stack(models, X, Z, configs) -> list[TrainReport | Exception]:
     (with the stack's wall time), or the exception its solo run raises: a
     RuntimeError naming the epoch of a non-finite loss, checked before that
     epoch's step (epoch ``epochs`` is the loss after the last step), or
-    ``adam_step``'s ValueError on a non-finite gradient. A failed model keeps
-    its parameters as they stood, and its row is frozen: params, Adam moments
-    and gradient held at zero, so no step moves it, and its loss ignored. A
-    stack of one trains the model itself and stops at its failure.
+    ``adam_step``'s ValueError on a non-finite gradient. A stack of one trains
+    the model itself and stops at its failure, with its parameters as they
+    stood. A larger stack that meets a failure is dropped, and each model
+    trains alone, so every result is still what its solo run gives; a
+    survivor's report then carries its own solo wall time.
     """
     X, Z = _batch(X, Z, "training set")
     if len(configs) != len(models) or not models:
@@ -248,36 +249,18 @@ def train_stack(models, X, Z, configs) -> list[TrainReport | Exception]:
     if any(replace(c, seed=config.seed) != config for c in configs):
         raise ValueError("models in one training stack must share optimizer, eta and epochs")
     start = time.perf_counter()
-    stack = _stack(models)
-    rows = stack.params.reshape(len(models), -1)  # a view: row s is model s
+    stack = _stack(models)  # copies the models' params unless it is a stack of one
     train_mse, loss_and_grad = _model_ops(stack, X, Z)
     adam_state = optim.init_adam(stack.params.shape, eta=config.eta)
     trace = np.empty((config.epochs, len(models)))  # one column per model
-    results: list = [None] * len(models)  # None while a model trains
-    frozen = None  # the failed rows' mask; None until one fails, so success asks no numpy
 
-    def freeze(failed, error) -> bool:
-        """Record ``error`` for newly ``failed`` rows and freeze them; True once all have failed."""
-        nonlocal frozen
-        for s in np.flatnonzero(failed):
-            if results[s] is None:
-                models[s].params[:] = rows[s]
-                results[s] = error
-        frozen = np.array([result is not None for result in results])
-        if frozen.all():  # a stack of one stops here: its row is the caller's model
-            return True
-        for a in (stack.params, adam_state.m, adam_state.v):
-            a[frozen] = 0.0
-        return False
-
-    def loss_failed(losses, epoch: int) -> bool:
-        """Freeze the rows whose ``losses`` are not finite; True once all have failed."""
+    def loss_failure(losses, epoch: int) -> RuntimeError | None:
+        """The error of a non-finite loss at ``epoch``, or None if every loss is finite."""
         # A stack of one has a float loss, which math checks far faster than numpy.
-        finite = math.isfinite(losses) if isinstance(losses, float) else np.isfinite(losses).all()
-        if finite:
-            return False
+        if math.isfinite(losses) if isinstance(losses, float) else np.isfinite(losses).all():
+            return None
         message = f"non-finite training loss at epoch {epoch}; lower the learning rate"
-        return freeze(~np.isfinite(losses), RuntimeError(f"{message} (eta={config.eta})"))
+        return RuntimeError(f"{message} (eta={config.eta})")
 
     # A diverging run overflows on its way to a non-finite loss; numpy stays
     # quiet, and the loss check reports it.
@@ -285,36 +268,31 @@ def train_stack(models, X, Z, configs) -> list[TrainReport | Exception]:
         for epoch in range(config.epochs):
             losses, grads = loss_and_grad(stack)
             trace[epoch] = losses
-            if loss_failed(losses, epoch):
+            if failure := loss_failure(losses, epoch):
                 break
-            if frozen is not None:
-                grads[frozen] = 0.0
             if config.optimizer == "sgd":
                 stack.params[:] = optim.sgd_step(stack.params, grads, config.eta)
                 continue
             try:
                 adam_state, stack.params[:] = optim.adam_step(adam_state, stack.params, grads)
-            except ValueError as exc:  # a row it refuses: its gradient is not finite
-                refused = ~np.isfinite(grads).all(axis=-1)
-                if not refused.any():
+            except ValueError as exc:
+                if np.isfinite(grads).all():  # not a gradient it refuses
                     raise
-                if freeze(refused, exc):
-                    break
-                grads[frozen] = 0.0
-                adam_state, stack.params[:] = optim.adam_step(adam_state, stack.params, grads)
-        if None in results:
-            final = np.reshape(train_mse(stack), -1)
-            loss_failed(final, config.epochs)
+                failure = exc
+                break
+        else:
+            final = train_mse(stack)
+            failure = loss_failure(final, config.epochs)
+    if failure is not None:
+        if len(models) == 1:
+            return [failure]
+        return [train_stack([m], X, Z, [c])[0] for m, c in zip(models, configs)]
     wall_time_s = time.perf_counter() - start
-    for s in [s for s, result in enumerate(results) if result is None]:
-        models[s].params[:] = rows[s]
-        results[s] = TrainReport(
-            loss_per_epoch=trace[:, s].copy(),
-            final_train_mse=float(final[s]),
-            config=configs[s],
-            wall_time_s=wall_time_s,
-        )
-    return results
+    for model, row in zip(models, stack.params.reshape(len(models), -1)):
+        model.params[:] = row
+    final = np.reshape(final, -1)
+    return [TrainReport(trace[:, s].copy(), float(final[s]), configs[s], wall_time_s)
+            for s in range(len(models))]
 
 
 def train(model, X, Z, config: TrainConfig) -> TrainReport:

@@ -429,6 +429,12 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError):
             gen_synthetic(meta, positions=np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("n_points", [2.7, 3.0, True, "5"])
+    def test_non_integer_point_count_rejected(self, n_points):
+        meta = scenario_meta("Sc-1", "WiFi")
+        with pytest.raises(ValueError, match=re.escape(f"n_points must be an integer, got {n_points!r}")):
+            gen_synthetic(meta, n_points=n_points)
+
 
 class TestTrainTestSplit:
     def test_sizes_and_disjointness(self):
@@ -452,6 +458,18 @@ class TestTrainTestSplit:
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
             train_test_split(make_samples(rng, n=5), 4, 2)
+
+    @pytest.mark.parametrize("n_train, n_test, message", [
+        (-1, 5, "n_train must be >= 0, got -1"),
+        (3, -2, "n_test must be >= 0, got -2"),
+        (2.5, 3, "n_train must be an integer, got 2.5"),
+        (3, 2.5, "n_test must be an integer, got 2.5"),
+        (True, 3, "n_train must be an integer, got True"),
+    ])
+    def test_bad_counts_rejected(self, n_train, n_test, message):
+        samples = make_samples(np.random.default_rng(9), n=10)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_test_split(samples, n_train, n_test)
 
 
 class TestScenarioStandins:

@@ -238,6 +238,21 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="together"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind, body, line", [
+        ("dense", ["array layer0_weight 2 3", "0.1 0.2 0.3", "0.4 0.5 0.6",
+                   "array layer0_bias -2 1", "0.0", "0.0"], 7),
+        ("hqnn", ["array phi -6", "0.1 0.2 0.3 0.4 0.5 0.6"], 4),
+        ("dense", ["array layer0_weight 0 3", "array layer0_bias 1", "0.0"], 4),
+    ])
+    def test_dimensions_below_one_rejected(self, tmp_path, kind, body, line):
+        # The header names the bad dimensions; the parser neither walks back
+        # over good lines nor builds an empty array.
+        text = "\n".join([FORMAT_HEADER, f"kind {kind}", "activations linear", *body])
+        path = self.write(tmp_path, text + "\n")
+        message = f"line {line}: bad dimensions in {body[line - 4]!r}"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+
 
 class TestHybridModelChecks:
     """A saved hybrid model that the quantum layer cannot run fails at load."""

@@ -296,6 +296,50 @@ class TestTrainingLoop:
             train(make_model(0), X, Z[:4], TrainConfig(epochs=1))
 
 
+class TestCircuitCounts:
+    """The circuit work per epoch and per fix that the benchmark's traced runs pin."""
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_each_epoch_runs_two_forwards_and_one_gradient(self, monkeypatch, optimizer, epochs):
+        # One forward for the loss and one inside the gradient pass, each
+        # epoch, and one for the final loss: 1 + 1 + 2 * 6 shifted angle sets
+        # make the 14 sweeps per epoch.
+        import hqloc.train_eval as train_eval
+
+        def layer_shapes(name):
+            real, shapes = getattr(train_eval, name), []
+
+            def counted(layer, *args):
+                shapes.append(layer.phi.shape)
+                return real(layer, *args)
+
+            monkeypatch.setattr(train_eval, name, counted)
+            return shapes
+
+        forwards, gradients = layer_shapes("q_forward_batch"), layer_shapes("q_gradient_batch")
+        X, Z = small_problem(seed=2, n=7)
+        train(init_hybrid_model(2), X, Z, TrainConfig(optimizer=optimizer, epochs=epochs))
+        assert forwards == [(6,)] * (2 * epochs + 1)
+        assert gradients == [(6,)] * epochs
+
+    def test_a_fix_encodes_its_features_once(self, monkeypatch):
+        import hqloc.qlayer as qlayer
+
+        real_state, states = qlayer.feature_state, []
+
+        def counted(x):
+            states.append(1)
+            return real_state(x)
+
+        monkeypatch.setattr(qlayer, "feature_state", counted)
+        model = init_hybrid_model(3)
+        X, _ = small_problem(seed=3, n=5)
+        for n_fixes, x in enumerate(X, start=1):
+            hqnn_forward(model, x)
+            assert len(states) == n_fixes
+
+
 class TestEvaluateRmse:
     def test_hand_value(self):
         # Predictions off by (3, 4) on one point and exact on another:
@@ -507,19 +551,21 @@ class TestTrainStack:
 
     def test_a_refused_gradient_fails_only_its_model(self, monkeypatch):
         # A finite loss with a non-finite gradient: Adam refuses it, that model
-        # leaves the stack with the solo run's error and parameters, and the
-        # others train on as they do alone.
+        # gets the solo run's error and parameters, and the others train as
+        # they do alone. The poison follows model 2's own state, so it strikes
+        # the same epoch in the stack and in a solo run.
         import hqloc.train_eval as train_eval
 
         mark = 123.0
-        epochs_run = []
+        start_phi = init_hybrid_model(2).qlayer.phi.copy()
         real_grad = train_eval.hqnn_grad
 
         def poisoned_grad(model, X, Z, encoded=None):
             grads = real_grad(model, X, Z, encoded=encoded)
-            epochs_run.append(1)
-            if len(epochs_run) > 2:  # from epoch 2 on
-                grads[model.head.layers[0].weight[..., 0, 0] == mark] = np.nan
+            # Model 2 once its phi has left its start value: from epoch 1 on.
+            marked = model.head.layers[0].weight[..., 0, 0] == mark
+            moved = (model.qlayer.phi != start_phi).any(axis=-1)
+            grads[marked & moved] = np.nan
             return grads
 
         def make(seed):
@@ -534,33 +580,38 @@ class TestTrainStack:
         X, Z = small_problem(seed=7, n=9)
         seeds = (1, 2, 3)
         configs = [TrainConfig(epochs=5, eta=0.05, seed=s) for s in seeds]
-        solo = {}
-        for s, config in zip(seeds, configs):
-            epochs_run.clear()
-            solo[s] = solo_outcome(make(s), X, Z, config)
+        solo = {s: solo_outcome(make(s), X, Z, c) for s, c in zip(seeds, configs)}
         assert str(solo[2][0]) == "non-finite gradient entries"
-        epochs_run.clear()
+        assert not np.array_equal(solo[2][1][:6], start_phi)  # it failed after a step
         models = [make(s) for s in seeds]
         results = train_stack(models, X, Z, configs)
         for s, model, result in zip(seeds, models, results):
             assert_same_outcome(result, model, solo[s])
 
-    @pytest.mark.parametrize("poison, steps", [("gradient", 5), ("loss", 4)])
-    def test_a_failed_row_stays_in_the_stack(self, monkeypatch, poison, steps):
-        # Model 2 fails at epoch 2 and its row is frozen in place: every step
-        # covers all three models, and a refused gradient costs one retried step.
+    @pytest.mark.parametrize("poison, steps", [("gradient", 3), ("loss", 2)])
+    def test_a_failed_model_stops_the_stack(self, monkeypatch, poison, steps):
+        # Model 2 fails at epoch 2. Every step up to there covers all three
+        # models (a refused gradient is one more); then the stack is dropped
+        # and each model trains alone, to the outcome of its solo run.
+        X, Z = small_problem(seed=3, n=8)
+        seeds = (1, 2, 3)
+        configs = [TrainConfig(epochs=4, eta=0.01, seed=s) for s in seeds]
+        # Model 2's params after two clean steps: the poison strikes the pass
+        # that starts from them, in the stack or alone.
+        two_steps = baseline_net(2)
+        train(two_steps, X, Z, dataclasses.replace(configs[1], epochs=2))
         real_pass, real_adam = classical.loss_and_grad, optim.adam_step
-        poison_row, passes, step_shapes = [None], [], []
+        step_shapes = []
 
         def failing_pass(net, V, Z):
             loss, grad, input_grads = real_pass(net, V, Z)
-            passes.append(1)
-            row = poison_row[0]
-            if len(passes) == 3 and row is not None:  # epoch 2
+            rows = net.params.reshape(-1, net.params.shape[-1])
+            struck = (rows == two_steps.params).all(axis=-1)
+            if struck.any():
                 if poison == "gradient":
-                    grad.reshape(-1, grad.shape[-1])[row, 0] = np.nan
+                    grad.reshape(rows.shape)[struck, 0] = np.nan
                 elif np.ndim(loss):
-                    loss[row] = np.nan
+                    loss[struck] = np.nan
                 else:
                     loss = math.nan
             return loss, grad, input_grads
@@ -571,21 +622,14 @@ class TestTrainStack:
 
         monkeypatch.setattr(classical, "loss_and_grad", failing_pass)
         monkeypatch.setattr(optim, "adam_step", recording_adam)
-        X, Z = small_problem(seed=3, n=8)
-        seeds = (1, 2, 3)
-        configs = [TrainConfig(epochs=4, eta=0.01, seed=s) for s in seeds]
-        solo = {}
-        for s, config in zip(seeds, configs):
-            poison_row[0] = 0 if s == 2 else None
-            passes.clear()
-            solo[s] = solo_outcome(baseline_net(s), X, Z, config)
+        solo = {s: solo_outcome(baseline_net(s), X, Z, c) for s, c in zip(seeds, configs)}
         assert type(solo[2][0]) is (ValueError if poison == "gradient" else RuntimeError)
-        poison_row[0] = 1
-        passes.clear()
         step_shapes.clear()
         models = [baseline_net(s) for s in seeds]
         results = train_stack(models, X, Z, configs)
-        assert step_shapes == [(3, models[0].params.size)] * steps
+        stacked = (3, models[0].params.size)
+        assert step_shapes[:steps] == [stacked] * steps
+        assert stacked not in step_shapes[steps:]
         for s, model, result in zip(seeds, models, results):
             assert_same_outcome(result, model, solo[s])
 
