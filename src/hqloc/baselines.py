@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import encode_batch
+from .circuits import check_features, encode_batch
 from .statevector import (
     MAX_QUBITS,
     Statevector,
@@ -50,17 +50,9 @@ def fit_knn(features, targets, k: int = 3) -> KnnModel:
     return KnnModel(k, features, targets)
 
 
-def _queries(x, width: int) -> np.ndarray:
-    """``x`` as one float query (width,) or a batch (m, width); refuses any other shape."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != width:
-        raise ValueError(f"expected queries of {width} features, got shape {x.shape}")
-    return x
-
-
 def knn_predict(model: KnnModel, x) -> np.ndarray:
     """Mean target of the k rows closest to each query; ties go to the lower row index."""
-    x = _queries(x, model.features.shape[1])
+    x = check_features(x, model.features.shape[1])
     dists = np.sum((model.features - x[..., None, :]) ** 2, axis=-1)
     order = np.argsort(dists, axis=-1, kind="stable")
     return model.targets[order[..., : model.k]].mean(axis=-2)
@@ -88,7 +80,7 @@ def build_fingerprint_db(features, coords) -> FingerprintDb:
 
 def fingerprint_fidelities(db: FingerprintDb, x) -> np.ndarray:
     """Fidelity of each encoded query against every cached entry, shape (..., n)."""
-    x = _queries(x, db.features.shape[1])
+    x = check_features(x, db.features.shape[1])
     psi = encode_batch(x).reshape(*x.shape[:-1], -1)
     # One matrix-vector product per query sums as a single query's does.
     return np.abs((db.states.conj() @ psi[..., None])[..., 0]) ** 2

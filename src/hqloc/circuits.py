@@ -72,17 +72,31 @@ def _basis_bits(n_qubits: int) -> np.ndarray:
     return bits
 
 
+def check_features(x, width: int) -> np.ndarray:
+    """``x`` as one float query (width,) or a batch (m, width); refuses any other shape."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise ValueError(f"expected queries of {width} features, got shape {x.shape}")
+    return x
+
+
 def encode_batch(X) -> np.ndarray:
     """Encoded feature states of the rows of ``X``, shape (n_rows, 2**n_features).
 
     Closed form of :func:`zz_feature_map` applied to |0...0>: amplitude k is
     ``2**(-n/2) * exp(i * (sum_q 2 x_q b_q + sum_i 2 (pi - x_i)(pi - x_{i+1})
-    (b_i XOR b_{i+1})))`` where b_q is bit q of k.
+    (b_i XOR b_{i+1})))`` where b_q is bit q of k. Raises ValueError for NaN or
+    infinite features, which would otherwise encode to NaN amplitudes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2 or not 1 <= X.shape[1] <= MAX_QUBITS:
         raise ValueError(
             f"expected a batch of 1 to {MAX_QUBITS} features per row, got shape {X.shape}"
+        )
+    if not np.isfinite(X).all():
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        raise ValueError(
+            f"features must be finite, got NaN or inf in {bad.size} row(s), first row {bad[0]}"
         )
     n = X.shape[1]
     bits = _basis_bits(n)

@@ -7,7 +7,9 @@ does the work: the real and imaginary parts of the encoded rows from
 real ansatz matrix of phi for the forward pass, or those of all shifted angle
 vectors phi +- pi/2 e_k for the two-point shift-rule Jacobian (exact for
 RY-generated rotations); probabilities are re**2 + im**2. :func:`q_forward`
-and :func:`q_gradient` are batch-of-one wrappers. Sampling belongs to an
+and :func:`q_gradient` are batch-of-one wrappers. Every entry point refuses
+rows that do not hold ``N_FEATURES`` features before any product, and a
+layer refuses non-finite angles. Sampling belongs to an
 evaluation, not to the layer: given ``shots``, :func:`q_forward_batch` runs
 the same kernel and then estimates each expectation from sampled
 measurements, seeded per (row, qubit) from ``seed``, the qubit and the
@@ -15,6 +17,14 @@ encoded row, so a row's estimate does not depend on the rest of its batch.
 Each seed is a blake2b digest; :func:`sample_expect_z` re-keys one shared
 PCG64 stream from it, so sampling builds no generator per draw. Gradients
 are always exact.
+
+The forward pass takes its ansatz matrices from a one-entry cache keyed on
+the shape and bytes of phi, so a trained model builds its matrix once for
+any number of fixes, and a training epoch's loss and gradient forwards share
+one build. A write into phi in place, as an optimizer step makes, changes
+the key, so no stale matrix is ever served. The cached array is read-only.
+The Jacobian's twelve shifted matrices change with every step and are built
+afresh each call, outside the cache.
 
 A layer may also hold a stack of S angle vectors, phi of shape (S, n_params),
 as the seed-stacked training loop does: one kernel call then covers all S
@@ -32,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # encode_batch is re-exported: callers encode here and pass the rows back in.
-from .circuits import N_ANSATZ_PARAMS, N_FEATURES, ansatz_unitaries, encode_batch, feature_state
+from .circuits import N_ANSATZ_PARAMS, N_FEATURES, ansatz_unitaries, check_features
+from .circuits import encode_batch, feature_state
 from .statevector import Statevector, check_integer, sample_expect_z
 
 SHIFT = np.pi / 2.0
@@ -65,6 +76,18 @@ class QuantumLayer:
                 f"phi must be a flat vector of {N_ANSATZ_PARAMS} angles or a stack of them, "
                 f"got shape {self.phi.shape}"
             )
+        if not np.isfinite(self.phi).all():
+            raise ValueError(f"phi must be finite, got {self.phi.tolist()}")
+
+
+def _check_rows(encoded_rows: np.ndarray) -> None:
+    """Raise ValueError unless ``encoded_rows`` are encoded rows of ``N_FEATURES`` features."""
+    shape = np.shape(encoded_rows)
+    if len(shape) != 2 or shape[1] != 2**N_FEATURES:
+        raise ValueError(
+            f"expected encoded rows of {N_FEATURES} features ({2**N_FEATURES} amplitudes "
+            f"each), got shape {shape}"
+        )
 
 
 def check_seed(seed: int) -> None:
@@ -85,13 +108,31 @@ def _shot_seed(prefix: bytes, row_bytes: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(prefix + row_bytes, digest_size=8).digest(), "little")
 
 
-def _sweep(phis: np.ndarray, encoded_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ansatz of each angle row on every encoded row, in real arithmetic.
+# (key, matrices) of the last phi the forward pass saw; the key is phi's dtype,
+# shape and bytes, so an in-place write into phi misses. The pair is replaced
+# as one tuple, so a reader never matches one phi's key to another's matrices.
+_forward_cache: tuple[tuple, np.ndarray] | None = None
 
-    Returns the Z expectations, shape (n_phis, n_rows, N_FEATURES), and the
-    final amplitudes, shape (n_phis, 2**n, 2, n_rows): real parts at [:, :, 0].
+
+def _forward_unitaries(phi: np.ndarray) -> np.ndarray:
+    """``ansatz_unitaries(phi)``, built once while phi stays the same; read-only."""
+    global _forward_cache
+    key = (phi.dtype.str, phi.shape, phi.tobytes())
+    cached = _forward_cache
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    unitaries = ansatz_unitaries(phi)
+    unitaries.flags.writeable = False  # shared by every forward on this phi
+    _forward_cache = key, unitaries
+    return unitaries
+
+
+def _sweep(unitaries: np.ndarray, encoded_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of the (m, 2**n, 2**n) ansatz matrices on every encoded row, in real arithmetic.
+
+    Returns the Z expectations, shape (m, n_rows, N_FEATURES), and the final
+    amplitudes, shape (m, 2**n, 2, n_rows): real parts at [:, :, 0].
     """
-    unitaries = ansatz_unitaries(phis)
     dim = unitaries.shape[-1]
     parts = np.concatenate([encoded_rows.real, encoded_rows.imag]).T  # (2**n, 2 * n_rows)
     final = (unitaries.reshape(-1, dim) @ parts).reshape(len(unitaries), dim, 2, -1)
@@ -110,9 +151,10 @@ def q_forward_batch(
     ``seed``, the qubit and the bytes of that encoded row; ``seed`` must
     pass :func:`check_seed`, the rule every seeded entry point applies.
     """
+    _check_rows(encoded_rows)
     if shots is not None and layer.phi.ndim == 2:
         raise ValueError("shot sampling takes one layer, not a stack")
-    expectations, final = _sweep(layer.phi, encoded_rows)
+    expectations, final = _sweep(_forward_unitaries(layer.phi), encoded_rows)
     if shots is None:
         return expectations.reshape(*layer.phi.shape[:-1], *expectations.shape[1:])
     prefixes = _seed_prefixes(seed)
@@ -134,9 +176,11 @@ def q_gradient_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarra
     rows in one product; a stack's gradients have shape
     (S, batch, N_FEATURES, n_params).
     """
+    _check_rows(encoded_rows)
     n_params = N_ANSATZ_PARAMS
     phis = layer.phi.reshape(-1, n_params)
-    e, _ = _sweep((phis[:, None] + _SHIFT_STEPS).reshape(-1, n_params), encoded_rows)
+    shifted = ansatz_unitaries((phis[:, None] + _SHIFT_STEPS).reshape(-1, n_params))
+    e, _ = _sweep(shifted, encoded_rows)
     e = e.reshape(len(phis), 2 * n_params, *e.shape[1:])
     grads = 0.5 * (e[:, :n_params] - e[:, n_params:]).transpose(0, 2, 3, 1)
     return grads.reshape(*layer.phi.shape[:-1], *grads.shape[1:])
@@ -144,9 +188,11 @@ def q_gradient_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarra
 
 def q_forward(layer: QuantumLayer, x, shots: int | None = None, seed: int = 0) -> np.ndarray:
     """Z expectations of one feature vector scaled to [0, 1]; see :func:`q_forward_batch`."""
-    return q_forward_batch(layer, feature_state(x).amplitudes[None], shots, seed)[0]
+    rows = feature_state(check_features(x, N_FEATURES)).amplitudes[None]
+    return q_forward_batch(layer, rows, shots, seed)[0]
 
 
 def q_gradient(layer: QuantumLayer, x) -> np.ndarray:
     """Shift-rule gradient matrix for one feature vector, shape (N_FEATURES, n_params)."""
-    return q_gradient_batch(layer, feature_state(x).amplitudes[None])[0]
+    rows = feature_state(check_features(x, N_FEATURES)).amplitudes[None]
+    return q_gradient_batch(layer, rows)[0]

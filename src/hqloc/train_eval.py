@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from . import baselines, classical, data, optim
-from .circuits import N_ANSATZ_PARAMS
+from .circuits import N_ANSATZ_PARAMS, N_FEATURES, check_features
 from .qlayer import QuantumLayer, check_seed, encode_batch
 from .qlayer import q_forward, q_forward_batch, q_gradient_batch
 from .statevector import check_integer, check_shots
@@ -80,7 +80,8 @@ def hqnn_forward_batch(
     model: HybridModel, X, shots: int | None = None, seed: int = 0
 ) -> np.ndarray:
     """Predicted (x, y) for every row of a scaled feature matrix; sampled if ``shots`` is set."""
-    U = q_forward_batch(model.qlayer, encode_batch(X), shots, seed)
+    rows = encode_batch(check_features(X, N_FEATURES))
+    U = q_forward_batch(model.qlayer, rows, shots, seed)
     return classical.forward_batch(model.head, U)
 
 
@@ -118,7 +119,7 @@ def hqnn_grad(model: HybridModel, X, Z, encoded=None) -> np.ndarray:
     row per model.
     """
     X, Z = _batch(X, Z, "gradient batch")
-    rows = encode_batch(X) if encoded is None else encoded
+    rows = encode_batch(check_features(X, N_FEATURES)) if encoded is None else encoded
     U = q_forward_batch(model.qlayer, rows)
     _, head_grad, input_grads = classical.loss_and_grad(model.head, U, Z)
     shift_matrices = q_gradient_batch(model.qlayer, rows)
@@ -188,8 +189,13 @@ def _stack(models):
     if len(models) == 1:
         return models[0]
     if kind is HybridModel:
-        phi = np.stack([model.qlayer.phi for model in models])
-        return HybridModel(QuantumLayer(phi), classical.stack([model.head for model in models]))
+        # The angles are written in after the layer is built: QuantumLayer
+        # refuses a non-finite phi, but a model whose angles diverged must
+        # stack as it stands and fail at the loss check, as it does alone.
+        heads = classical.stack([model.head for model in models])
+        stack = HybridModel(QuantumLayer(np.zeros((len(models), N_ANSATZ_PARAMS))), heads)
+        stack.qlayer.phi[:] = [model.qlayer.phi for model in models]
+        return stack
     return classical.stack(models)
 
 
@@ -201,7 +207,7 @@ def _model_ops(model, X, Z):
     model's training rows are encoded here, once per training run.
     """
     if isinstance(model, HybridModel):
-        rows = encode_batch(X)
+        rows = encode_batch(check_features(X, N_FEATURES))
 
         def train_mse(stack):
             U = q_forward_batch(stack.qlayer, rows)
@@ -211,7 +217,9 @@ def _model_ops(model, X, Z):
             # The loss keeps its own exact sweep, so an epoch runs 14 ansatz
             # sweeps where reading it off hqnn_grad's forward would take 13.
             # perfbench/test_perfbench.py pins sweeps_per_epoch at 14; the
-            # count drops when that pin moves.
+            # count drops when that pin moves. Both forwards see the same phi,
+            # so they share one ansatz build through qlayer's forward cache:
+            # an epoch builds phi's matrix once and the twelve shifted ones once.
             return train_mse(stack), hqnn_grad(stack, X, Z, encoded=rows)
 
         return train_mse, loss_and_grad

@@ -179,6 +179,13 @@ class TestSwapTest:
 
 
 class TestFingerprint:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_refused(self, bad):
+        feats = np.full((4, 3), 0.5)
+        feats[2, 0] = bad
+        with pytest.raises(ValueError, match="features must be finite.* first row 2"):
+            build_fingerprint_db(feats, np.zeros((4, 2)))
+
     def test_fidelities_in_unit_interval(self):
         rng = np.random.default_rng(7)
         feats = rng.uniform(0.0, 1.0, size=(20, 3))

@@ -158,6 +158,16 @@ class TestBinding:
             feature_state(x).amplitudes, feature_state(x).amplitudes
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_refused(self, bad):
+        # exp(1j * nan) would encode them into NaN amplitudes without a warning.
+        with pytest.raises(ValueError, match="features must be finite.* first row 0"):
+            feature_state(np.array([bad, 0.2, 0.3]))
+        X = np.full((4, 3), 0.5)
+        X[[1, 2], 2] = bad
+        with pytest.raises(ValueError, match=r"NaN or inf in 2 row\(s\), first row 1"):
+            encode_batch(X)
+
 
 unit = st.floats(0.0, 1.0)
 angle = st.floats(-math.pi, math.pi)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hqloc import qlayer
-from hqloc.circuits import feature_state, real_amplitudes, zz_feature_map
+from hqloc.circuits import ansatz_unitaries, feature_state, real_amplitudes, zz_feature_map
 from hqloc.qlayer import (
     QuantumLayer,
     check_seed,
@@ -233,6 +233,129 @@ class TestValidation:
     def test_rejects_wrong_angle_count(self, n_angles):
         with pytest.raises(ValueError, match="6 angles"):
             QuantumLayer(phi=np.zeros(n_angles))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(6,), (2, 6)])
+    def test_rejects_non_finite_phi(self, bad, shape):
+        phi = np.zeros(shape)
+        phi.flat[-1] = bad
+        with pytest.raises(ValueError, match="phi must be finite"):
+            QuantumLayer(phi=phi)
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_wrong_feature_width_refused_before_any_product(self, monkeypatch, width):
+        def no_product(*args):
+            raise AssertionError("built an ansatz matrix for rows of the wrong width")
+
+        monkeypatch.setattr(qlayer, "ansatz_unitaries", no_product)
+        layer = QuantumLayer(phi=np.zeros(6))
+        rows = encode_batch(np.full((4, width), 0.5))
+        shape = re.escape(str(rows.shape))
+        for call in (
+            lambda: q_forward_batch(layer, rows),
+            lambda: q_forward_batch(layer, rows, shots=8),
+            lambda: q_gradient_batch(layer, rows),
+        ):
+            with pytest.raises(ValueError, match=rf"3 features .*got shape {shape}"):
+                call()
+        x = np.full(width, 0.5)
+        for call in (lambda: q_forward(layer, x), lambda: q_gradient(layer, x)):
+            with pytest.raises(ValueError, match=rf"3 features, got shape \({width},\)"):
+                call()
+
+
+def uncached_forward(phi, rows):
+    """Exact expectations of ``phi`` on ``rows`` from a fresh ``ansatz_unitaries`` build."""
+    phi = np.array(phi)
+    expectations, _ = qlayer._sweep(ansatz_unitaries(phi.reshape(-1, 6)), rows)
+    return expectations.reshape(*phi.shape[:-1], *expectations.shape[1:])
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Angle-row counts of each ansatz build the layer makes, from an empty cache."""
+    real, counts = qlayer.ansatz_unitaries, []
+
+    def counted(phis):
+        counts.append(len(np.atleast_2d(phis)))
+        return real(phis)
+
+    monkeypatch.setattr(qlayer, "ansatz_unitaries", counted)
+    monkeypatch.setattr(qlayer, "_forward_cache", None)
+    return counts
+
+
+class TestForwardCache:
+    """The forward pass builds phi's matrix once, and never serves another phi's."""
+
+    rows = encode_batch(np.random.default_rng(20).uniform(0, 1, size=(5, 3)))
+
+    def test_an_in_place_write_is_seen_by_the_next_forward(self, builds):
+        from hqloc.train_eval import init_hybrid_model
+
+        model = init_hybrid_model(20)
+        before = q_forward_batch(model.qlayer, self.rows)
+        np.testing.assert_array_equal(before, uncached_forward(model.qlayer.phi, self.rows))
+        model.params[2] -= 0.25  # an optimizer step writes into params like this
+        after = q_forward_batch(model.qlayer, self.rows)
+        np.testing.assert_array_equal(after, uncached_forward(model.qlayer.phi, self.rows))
+        assert not np.array_equal(after, before)
+        assert builds == [1, 1]
+
+    def test_alternating_layers_each_get_their_own_output(self, builds):
+        rng = np.random.default_rng(21)
+        a, b = make_layer(rng), make_layer(rng)
+        expected = {id(a): uncached_forward(a.phi, self.rows),
+                    id(b): uncached_forward(b.phi, self.rows)}
+        for layer in (a, b, a, a, b):
+            np.testing.assert_array_equal(q_forward_batch(layer, self.rows), expected[id(layer)])
+        assert builds == [1, 1, 1, 1]  # the repeated a is the only hit
+
+    def test_a_stack_keys_apart_from_its_rows(self, builds):
+        # A stack's phi is a non-contiguous (S, 6) view of its (S, P) params,
+        # as in a training stack; a stack of one holds a solo row's bytes.
+        params = np.random.default_rng(22).uniform(-np.pi, np.pi, size=(2, 10))
+        stack, stack_of_one = QuantumLayer(params[:, :6]), QuantumLayer(params[:1, :6])
+        assert not stack.phi.flags.c_contiguous
+        solos = [QuantumLayer(params[s, :6]) for s in range(2)]
+        for layer in (stack, solos[0], stack, solos[1], stack_of_one, solos[0], stack_of_one):
+            out = q_forward_batch(layer, self.rows)
+            assert out.shape == (*layer.phi.shape[:-1], len(self.rows), 3)
+            np.testing.assert_array_equal(out, uncached_forward(layer.phi, self.rows))
+        assert builds == [2, 1, 2, 1, 1, 1, 1]
+
+    def test_the_cached_matrices_refuse_writes(self, builds):
+        layer = make_layer(np.random.default_rng(23))
+        q_forward_batch(layer, self.rows)
+        unitaries = qlayer._forward_unitaries(layer.phi)
+        np.testing.assert_array_equal(unitaries, ansatz_unitaries(layer.phi))
+        with pytest.raises(ValueError, match="read-only"):
+            unitaries[0, 0, 0] = 0.0
+        np.testing.assert_array_equal(
+            q_forward_batch(layer, self.rows), uncached_forward(layer.phi, self.rows)
+        )
+        assert builds == [1]
+
+    def test_the_cache_holds_one_entry(self, builds):
+        rng = np.random.default_rng(24)
+        layers = [make_layer(rng) for _ in range(3)]
+        for layer in layers:
+            q_forward_batch(layer, self.rows)
+        key, unitaries = qlayer._forward_cache  # one (key, matrices) pair
+        np.testing.assert_array_equal(unitaries, ansatz_unitaries(layers[-1].phi))
+        for layer in layers:  # the first two were dropped, so each builds again
+            np.testing.assert_array_equal(
+                q_forward_batch(layer, self.rows), uncached_forward(layer.phi, self.rows)
+            )
+        assert builds == [1] * 6
+
+    def test_the_gradient_builds_outside_the_cache(self, builds):
+        layer = make_layer(np.random.default_rng(25))
+        q_forward_batch(layer, self.rows)
+        q_gradient_batch(layer, self.rows)
+        q_forward_batch(layer, self.rows)
+        assert builds == [1, 12]
+        np.testing.assert_array_equal(qlayer._forward_cache[1], ansatz_unitaries(layer.phi))
 
 
 class TestStackedLayer:

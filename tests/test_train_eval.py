@@ -23,6 +23,7 @@ from hqloc.train_eval import (
     evaluate_rmse,
     format_comparison,
     hqnn_forward,
+    hqnn_forward_batch,
     hqnn_grad,
     init_hybrid_model,
     model_param_vector,
@@ -86,6 +87,33 @@ class TestHybridModel:
         out = hqnn_forward(model, np.array([0.1, 0.9, 0.4]))
         assert out.shape == (2,)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_wrong_feature_width_names_the_three_features(self, width):
+        model = init_hybrid_model(seed=3)
+        with pytest.raises(ValueError, match=rf"3 features, got shape \({width},\)"):
+            hqnn_forward(model, np.full(width, 0.5))
+        with pytest.raises(ValueError, match=rf"3 features, got shape \(4, {width}\)"):
+            hqnn_forward_batch(model, np.zeros((4, width)))
+        with pytest.raises(ValueError, match=rf"3 features, got shape \(4, {width}\)"):
+            hqnn_forward_batch(model, np.zeros((4, width)), shots=8, seed=1)
+        X, Z = np.full((4, width), 0.5), np.zeros((4, 2))
+        with pytest.raises(ValueError, match=rf"3 features, got shape \(4, {width}\)"):
+            hqnn_grad(model, X, Z)
+        with pytest.raises(ValueError, match=rf"3 features, got shape \(4, {width}\)"):
+            train(model, X, Z, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_refused(self, bad):
+        model = init_hybrid_model(seed=3)
+        with pytest.raises(ValueError, match="features must be finite"):
+            hqnn_forward(model, [bad, 0.2, 0.3])
+        X = np.full((5, 3), 0.5)
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite.* first row 3"):
+            hqnn_forward_batch(model, X)
+        with pytest.raises(ValueError, match="features must be finite"):
+            hqnn_forward_batch(model, X, shots=8, seed=1)
 
 
 class TestHybridGradient:
@@ -322,6 +350,44 @@ class TestCircuitCounts:
         train(init_hybrid_model(2), X, Z, TrainConfig(optimizer=optimizer, epochs=epochs))
         assert forwards == [(6,)] * (2 * epochs + 1)
         assert gradients == [(6,)] * epochs
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Angle rows of each ansatz build the quantum layer makes, from an empty cache."""
+        import hqloc.qlayer as qlayer
+
+        real, builds = qlayer.ansatz_unitaries, []
+
+        def counted(phis):
+            builds.append(len(np.atleast_2d(phis)))
+            return real(phis)
+
+        monkeypatch.setattr(qlayer, "ansatz_unitaries", counted)
+        monkeypatch.setattr(qlayer, "_forward_cache", None)
+        return builds
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_an_epoch_builds_phi_once_and_the_shifted_angles_once(
+        self, monkeypatch, optimizer, epochs
+    ):
+        # The loss forward builds phi's matrix, the gradient's forward reuses
+        # it, and the Jacobian builds its 12 shifted ones; the final loss
+        # builds the trained phi's: 2E + 1 builds.
+        builds = self.count_builds(monkeypatch)
+        X, Z = small_problem(seed=2, n=7)
+        train(init_hybrid_model(2), X, Z, TrainConfig(optimizer=optimizer, epochs=epochs))
+        assert builds == [1, 12] * epochs + [1]
+
+    def test_fixes_on_one_model_build_its_ansatz_once(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        model = init_hybrid_model(3)
+        X, _ = small_problem(seed=3, n=5)
+        for x in X:
+            hqnn_forward(model, x)
+            assert builds == [1]
+        hqnn_forward_batch(model, X)
+        assert builds == [1]
 
     def test_a_fix_encodes_its_features_once(self, monkeypatch):
         import hqloc.qlayer as qlayer
