@@ -14,7 +14,14 @@ checks it on a single rotation and then on the full quantum layer.
 
 import numpy as np
 
-from hqloc.qlayer import QuantumLayer, encode_batch, q_forward, q_gradient, q_gradient_batch
+from hqloc.qlayer import (
+    QuantumLayer,
+    encode_batch,
+    q_forward,
+    q_forward_batch,
+    q_gradient,
+    q_gradient_batch,
+)
 from hqloc.statevector import apply_gate, expect_z, ry, zero_state
 
 ##############################################################################
@@ -36,9 +43,8 @@ for theta in np.linspace(0.0, 2.0 * np.pi, 7):
 # ~~~~~~~~~~~~~~~~~~~~~~
 #
 # The layer encodes a scaled RSSI vector, runs the 6-angle ansatz, and
-# reports <Z> on each qubit. ``q_gradient`` assembles the (3, 6) Jacobian
-# from 12 shifted circuit evaluations: the ansatz matrices for
-# phi +- pi/2 e_k, applied to the encoded state in one contraction.
+# reports <Z> on each qubit. ``q_gradient`` returns the (3, 6) Jacobian
+# d<Z_j>/dphi_k.
 
 rng = np.random.default_rng(3)
 layer = QuantumLayer(phi=rng.uniform(-np.pi, np.pi, size=6))
@@ -49,6 +55,27 @@ jacobian = q_gradient(layer, x)
 print("\nlayer outputs:", np.round(outputs, 6))
 print("Jacobian d<Z_j>/dphi_k:")
 print(np.round(jacobian, 6))
+
+##############################################################################
+# The shift rule, run literally: 12 forward passes at phi +- pi/2 e_k, two per
+# angle. The simulator gets the same numbers without them. Angle k enters the
+# ansatz U through one RY, and RY(theta +- pi/2) = RY(theta) (I +- A) / sqrt(2)
+# with A = RY(pi), a signed permutation of the basis. So each half difference
+# is an overlap <psi| Z_j |t_k> with the forward state psi = U v, where the
+# tangent t_k is U A_q v for a first-layer angle on qubit q and A_q psi for a
+# second-layer one: ``q_gradient_batch`` builds no shifted matrix.
+
+rows = encode_batch(x[None])
+columns = []
+for k in range(layer.phi.size):
+    step = np.zeros(layer.phi.size)
+    step[k] = np.pi / 2
+    plus = q_forward_batch(QuantumLayer(phi=layer.phi + step), rows)[0]
+    minus = q_forward_batch(QuantumLayer(phi=layer.phi - step), rows)[0]
+    columns.append(0.5 * (plus - minus))
+shifted = np.stack(columns, axis=1)
+print("\nmax |12 shifted forwards - q_gradient_batch| =",
+      np.abs(shifted - q_gradient_batch(layer, rows)[0]).max())
 
 ##############################################################################
 # Cross-check against central finite differences. The shift rule is exact,
@@ -78,7 +105,9 @@ print("\nbatched Jacobians:", batch.shape,
       max(np.abs(batch[i] - q_gradient(layer, x)).max() for i, x in enumerate(X)))
 
 ##############################################################################
-# Cost model: every angle needs two extra circuit runs per gradient, which
-# is 12 evaluations for this ansatz but stays exact on sampled hardware as
-# well, which is the reason the hybrid model trains with this rule instead
-# of numeric differentiation.
+# Cost model: on hardware every angle needs two extra circuit runs per
+# gradient, 12 shifted circuits for this ansatz, and the rule stays exact on
+# sampled hardware as well, which is the reason the hybrid model trains with
+# it instead of numeric differentiation. The simulator holds the state
+# itself, so it reads the same differences off the forward state: one ansatz
+# matrix serves the forward pass and the Jacobian.

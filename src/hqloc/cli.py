@@ -9,6 +9,7 @@ error, 1 runtime failure. ``HQLOC_SEED`` provides the default seed when no
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import platform
 import sys
@@ -71,6 +72,8 @@ def _room(value: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"room must look like WIDTHxHEIGHT (e.g. 6x5.5), got {value!r}"
         ) from None
+    if not (math.isfinite(w) and math.isfinite(h)):
+        raise argparse.ArgumentTypeError(f"room dimensions must be finite, got {value!r}")
     if w <= 0 or h <= 0:
         raise argparse.ArgumentTypeError(f"room dimensions must be positive, got {value!r}")
     return w, h
@@ -83,6 +86,8 @@ def _point(value: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"point must look like X,Y (e.g. 0.5,0.5), got {value!r}"
         ) from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise argparse.ArgumentTypeError(f"point coordinates must be finite, got {value!r}")
     return x, y
 
 

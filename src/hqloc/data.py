@@ -328,17 +328,24 @@ def gen_synthetic(
     ``sigma`` is the shadowing standard deviation in dB; 0 gives noiseless
     data. Distances are floored at the 1 m reference distance. When
     ``positions`` is omitted, ``n_points`` positions (default: the scenario's
-    train+test count) are drawn uniformly inside the room.
+    train+test count) are drawn uniformly inside the room. A NaN or infinite
+    parameter, room side or position raises ValueError.
     """
+    w, h_ = meta.room
+    for name, value in (
+        ("pl0", pl0), ("n_exp", n_exp), ("sigma", sigma), ("room width", w), ("room height", h_)
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    w, h_ = meta.room
     if tx_positions is None:
         tx_positions = default_tx_positions(meta.room)
     tx = np.asarray(tx_positions, dtype=float)
     if tx.shape != (3, 2):
         raise ValueError(f"expected 3 transmitter positions, got shape {tx.shape}")
-    if np.any(tx < 0) or np.any(tx[:, 0] > w) or np.any(tx[:, 1] > h_):
+    # Written so that a NaN coordinate fails too.
+    if not ((tx >= 0).all() and (tx[:, 0] <= w).all() and (tx[:, 1] <= h_).all()):
         raise ValueError(f"transmitter positions must lie inside the {w}x{h_} room")
     rng = np.random.default_rng(rng_seed)
     if positions is None:
@@ -351,6 +358,8 @@ def gen_synthetic(
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError(f"positions must be (n, 2), got shape {positions.shape}")
+        if not np.isfinite(positions).all():
+            raise ValueError("positions must be finite, got NaN or inf")
     samples = []
     for pos in positions:
         dists = np.maximum(

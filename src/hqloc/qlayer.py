@@ -4,12 +4,14 @@ The layer runs the feature map followed by the trainable ansatz and measures
 Z on each of the ``N_FEATURES`` qubits. One batched kernel in real arithmetic
 does the work: the real and imaginary parts of the encoded rows from
 :func:`encode_batch` form one real matrix, and one matrix product applies the
-real ansatz matrix of phi for the forward pass, or those of all shifted angle
-vectors phi +- pi/2 e_k for the two-point shift-rule Jacobian (exact for
-RY-generated rotations); probabilities are re**2 + im**2. :func:`q_forward`
-and :func:`q_gradient` are batch-of-one wrappers. Every entry point refuses
-rows that do not hold ``N_FEATURES`` features before any product, and a
-layer refuses non-finite angles. Sampling belongs to an
+real ansatz matrix U of phi; probabilities are re**2 + im**2. The two-point
+shift-rule Jacobian (exact for RY-generated rotations) needs no shifted
+matrix: each half difference of expectations at phi +- pi/2 e_k is an
+overlap of the forward state U v with a tangent that the same matrix U and
+the signed permutation RY_q(pi) give (see :func:`q_gradient_batch`).
+:func:`q_forward` and :func:`q_gradient` are batch-of-one wrappers. Every
+entry point refuses rows that do not hold ``N_FEATURES`` features before any
+product, and a layer refuses non-finite angles. Sampling belongs to an
 evaluation, not to the layer: given ``shots``, :func:`q_forward_batch` runs
 the same kernel and then estimates each expectation from sampled
 measurements, seeded per (row, qubit) from ``seed``, the qubit and the
@@ -20,18 +22,16 @@ are always exact.
 
 The forward pass takes its ansatz matrices from a one-entry cache keyed on
 the shape and bytes of phi, so a trained model builds its matrix once for
-any number of fixes, and a training epoch's loss and gradient forwards share
-one build. A write into phi in place, as an optimizer step makes, changes
-the key, so no stale matrix is ever served. The cached array is read-only.
-The Jacobian's twelve shifted matrices change with every step and are built
-afresh each call, outside the cache.
+any number of fixes. The Jacobian takes its matrix from the same cache, so a
+training epoch's loss forward, gradient forward and Jacobian share one
+build. A write into phi in place, as an optimizer step makes, changes the
+key, so no stale matrix is ever served. The cached array is read-only.
 
 A layer may also hold a stack of S angle vectors, phi of shape (S, n_params),
 as the seed-stacked training loop does: one kernel call then covers all S
-(or, for the Jacobian, all 2 * n_params * S) ansatz matrices over the shared
-encoded rows, and every result gains a leading axis of length S. Row s of a
-stack computes what the layer of phi[s] computes alone. Sampling takes one
-layer, not a stack.
+ansatz matrices over the shared encoded rows, and every result gains a
+leading axis of length S. Row s of a stack computes what the layer of phi[s]
+computes alone. Sampling takes one layer, not a stack.
 """
 
 from __future__ import annotations
@@ -46,18 +46,18 @@ from .circuits import N_ANSATZ_PARAMS, N_FEATURES, ansatz_unitaries, check_featu
 from .circuits import encode_batch, feature_state
 from .statevector import Statevector, check_integer, sample_expect_z
 
-SHIFT = np.pi / 2.0
-# Rows k and N_ANSATZ_PARAMS + k shift angle k up and down: every layer has
-# N_ANSATZ_PARAMS angles, so built once.
-_SHIFT_STEPS = SHIFT * np.concatenate([np.eye(N_ANSATZ_PARAMS), -np.eye(N_ANSATZ_PARAMS)])
-_SHIFT_STEPS.flags.writeable = False
-
 # Seeds reach numpy generators, which take only non-negative integers, and the
 # shot seeds pack them as int64.
 MAX_SEED = 2**63 - 1
 
 # Z eigenvalue of every basis state on every qubit, shape (n, 2**n).
 _Z_SIGNS = 1.0 - 2.0 * ((np.arange(2**N_FEATURES) >> np.arange(N_FEATURES)[:, None]) & 1)
+
+# RY_q(pi) is a signed permutation: amplitude b of its output is amplitude
+# b ^ 2**q of its input, negated where bit q of b is clear. Shape (2**n, n)
+# for the index, (2**n, n, 1) for the sign, entry (b, q).
+_FLIPS = np.arange(2**N_FEATURES)[:, None] ^ (1 << np.arange(N_FEATURES))
+_FLIP_SIGNS = -_Z_SIGNS.T[:, :, None]
 
 
 @dataclass
@@ -168,22 +168,41 @@ def q_forward_batch(
     return out
 
 
+def _flipped(amplitudes: np.ndarray) -> np.ndarray:
+    """RY_q(pi) on amplitudes (..., 2**n, m) for every qubit q: shape (..., 2**n, n, m)."""
+    return _FLIP_SIGNS * amplitudes[..., _FLIPS, :]
+
+
 def q_gradient_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarray:
     """Shift-rule gradients for every row, shape (batch, N_FEATURES, n_params).
 
     Entry (i, j, k) = (E_j(phi + pi/2 e_k) - E_j(phi - pi/2 e_k)) / 2 on row i,
-    the exact derivative dE_j/dphi_k. All shifted ansatz matrices act on the
-    rows in one product; a stack's gradients have shape
+    the exact derivative dE_j/dphi_k; a stack's gradients have shape
     (S, batch, N_FEATURES, n_params).
+
+    Angle k enters U = U(phi) through one RY, and RY(theta +- pi/2) =
+    RY(theta) (I +- A) / sqrt(2) with A = RY(pi). So the entry equals
+    <psi| Z_j |t_k> (real part) for psi = U v, with tangent t_k = U A_q v when
+    angle k is the first-layer RY on qubit q and t_k = A_q psi when it is the
+    second-layer one. No shifted matrix is built: U comes from the forward
+    cache, and one product applies it to v and the three A_q v.
     """
     _check_rows(encoded_rows)
-    n_params = N_ANSATZ_PARAMS
-    phis = layer.phi.reshape(-1, n_params)
-    shifted = ansatz_unitaries((phis[:, None] + _SHIFT_STEPS).reshape(-1, n_params))
-    e, _ = _sweep(shifted, encoded_rows)
-    e = e.reshape(len(phis), 2 * n_params, *e.shape[1:])
-    grads = 0.5 * (e[:, :n_params] - e[:, n_params:]).transpose(0, 2, 3, 1)
-    return grads.reshape(*layer.phi.shape[:-1], *grads.shape[1:])
+    unitaries = _forward_unitaries(layer.phi)
+    n_stack, dim, n_rows = len(unitaries), unitaries.shape[-1], len(encoded_rows)
+    parts = np.concatenate([encoded_rows.real, encoded_rows.imag]).T  # (2**n, 2 * n_rows)
+    inputs = np.concatenate([parts[:, None], _flipped(parts)], axis=1)  # v, then each A_q v
+    final = (unitaries.reshape(-1, dim) @ inputs.reshape(dim, -1)).reshape(
+        n_stack, dim, 1 + N_FEATURES, -1
+    )
+    psi = final[:, :, :1]
+    tangents = np.concatenate([final[:, :, 1:], _flipped(psi[:, :, 0])], axis=2)
+    overlaps = psi * tangents
+    overlaps = overlaps[..., :n_rows] + overlaps[..., n_rows:]  # real and imaginary parts
+    grads = (_Z_SIGNS @ overlaps.reshape(n_stack, dim, -1)).reshape(
+        n_stack, N_FEATURES, N_ANSATZ_PARAMS, n_rows
+    )
+    return grads.transpose(0, 3, 1, 2).reshape(*layer.phi.shape[:-1], n_rows, *grads.shape[1:3])
 
 
 def q_forward(layer: QuantumLayer, x, shots: int | None = None, seed: int = 0) -> np.ndarray:

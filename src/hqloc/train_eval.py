@@ -217,9 +217,9 @@ def _model_ops(model, X, Z):
             # The loss keeps its own exact sweep, so an epoch runs 14 ansatz
             # sweeps where reading it off hqnn_grad's forward would take 13.
             # perfbench/test_perfbench.py pins sweeps_per_epoch at 14; the
-            # count drops when that pin moves. Both forwards see the same phi,
-            # so they share one ansatz build through qlayer's forward cache:
-            # an epoch builds phi's matrix once and the twelve shifted ones once.
+            # count drops when that pin moves. Both forwards and the Jacobian
+            # see the same phi, so they share one ansatz build through qlayer's
+            # forward cache: an epoch builds one matrix per model.
             return train_mse(stack), hqnn_grad(stack, X, Z, encoded=rows)
 
         return train_mse, loss_and_grad

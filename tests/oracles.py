@@ -61,6 +61,26 @@ def expect_z_oracle(amplitudes: np.ndarray, qubit: int) -> float:
     return total
 
 
+def shift_rule_jacobian(ansatz, phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The two-point shift rule taken literally, shape (n_rows, n_qubits, n_params).
+
+    ``ansatz`` maps angle vectors (m, n_params) to their dense (m, 2**n, 2**n)
+    matrices; it builds the two matrices of ``phi`` +- pi/2 e_k for each
+    angle k, and each is applied to every encoded row of ``rows``.
+    """
+    n_qubits = int(math.log2(rows.shape[1]))
+    jacobian = np.empty((len(rows), n_qubits, phi.size))
+    for k in range(phi.size):
+        step = np.zeros(phi.size)
+        step[k] = math.pi / 2.0
+        plus, minus = ansatz(np.stack([phi + step, phi - step]))
+        for i, row in enumerate(rows):
+            for j in range(n_qubits):
+                up, down = expect_z_oracle(plus @ row, j), expect_z_oracle(minus @ row, j)
+                jacobian[i, j, k] = 0.5 * (up - down)
+    return jacobian
+
+
 def fd_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Central finite differences of a scalar function, one entry at a time."""
     grad = np.empty_like(x, dtype=float)

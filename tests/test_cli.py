@@ -173,6 +173,28 @@ class TestGenSynthetic:
         assert main(["gen-synthetic", "--room", "6x5.5", "--n", "0",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--sigma", "nan", "sigma"), ("--pl0", "inf", "pl0"), ("--path-loss-exp", "nan", "n_exp"),
+    ])
+    def test_non_finite_model_parameter_rejected(self, flag, value, name, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["gen-synthetic", "--room", "6x5.5", "--n", "5", flag, value,
+                     "--out", str(out)])
+        assert code == 1
+        assert f"error: {name} must be finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--room", "infx5"], ["--room", "nanx5"], ["--room", "6xinf"],
+        ["--room", "6x5.5", "--tx", "nan,0.5", "1,1", "2,2"],
+        ["--room", "6x5.5", "--tx", "0.5,0.5", "1,inf", "2,2"],
+    ])
+    def test_non_finite_geometry_is_usage_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["gen-synthetic", *flags, "--n", "5", "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, tmp_path, train_csv, capsys):

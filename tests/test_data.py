@@ -15,6 +15,7 @@ from hqloc.data import (
     TECHNOLOGIES,
     DataFormatError,
     RssiSample,
+    ScenarioMeta,
     default_tx_positions,
     features_matrix,
     fit_scaler,
@@ -428,6 +429,30 @@ class TestSyntheticGenerator:
             gen_synthetic(meta, tx_positions=[(0.0, 0.0), (1.0, 1.0), (99.0, 0.0)])
         with pytest.raises(ValueError):
             gen_synthetic(meta, positions=np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("name, value", [
+        ("pl0", np.inf), ("n_exp", np.nan), ("sigma", np.nan), ("sigma", np.inf),
+    ])
+    def test_non_finite_model_parameter_rejected(self, name, value):
+        meta = scenario_meta("Sc-1", "WiFi")
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            gen_synthetic(meta, n_points=5, **{name: value})
+
+    @pytest.mark.parametrize("room, message", [
+        ((np.inf, 5.0), "room width must be finite, got inf"),
+        ((6.0, np.nan), "room height must be finite, got nan"),
+    ])
+    def test_non_finite_room_rejected(self, room, message):
+        meta = ScenarioMeta("custom", "custom", room, 5, 0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gen_synthetic(meta, tx_positions=[(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)])
+
+    def test_non_finite_positions_rejected(self):
+        meta = scenario_meta("Sc-1", "WiFi")
+        with pytest.raises(ValueError, match="must lie inside"):
+            gen_synthetic(meta, tx_positions=[(0.5, 0.5), (np.nan, 1.0), (2.0, 2.0)])
+        with pytest.raises(ValueError, match="positions must be finite"):
+            gen_synthetic(meta, positions=[(1.0, 1.0), (np.inf, 2.0)])
 
     @pytest.mark.parametrize("n_points", [2.7, 3.0, True, "5"])
     def test_non_integer_point_count_rejected(self, n_points):

@@ -21,7 +21,7 @@ from hqloc.qlayer import (
 )
 from hqloc.statevector import apply_gate, apply_gates, expect_z, ry, zero_state
 
-from oracles import fd_gradient
+from oracles import fd_gradient, shift_rule_jacobian
 
 
 def make_layer(rng):
@@ -349,13 +349,54 @@ class TestForwardCache:
             )
         assert builds == [1] * 6
 
-    def test_the_gradient_builds_outside_the_cache(self, builds):
+    def test_the_jacobian_reuses_the_forward_build(self, builds):
         layer = make_layer(np.random.default_rng(25))
         q_forward_batch(layer, self.rows)
         q_gradient_batch(layer, self.rows)
         q_forward_batch(layer, self.rows)
-        assert builds == [1, 12]
-        np.testing.assert_array_equal(qlayer._forward_cache[1], ansatz_unitaries(layer.phi))
+        assert builds == [1]
+        cold = make_layer(np.random.default_rng(26))
+        jacobian = q_gradient_batch(cold, self.rows)  # a cold cache: the Jacobian builds
+        assert builds == [1, 1]
+        q_forward_batch(cold, self.rows)  # and the next forward hits
+        assert builds == [1, 1]
+        np.testing.assert_array_equal(qlayer._forward_cache[1], ansatz_unitaries(cold.phi))
+        np.testing.assert_allclose(
+            jacobian, shift_rule_jacobian(ansatz_unitaries, cold.phi, self.rows), atol=1e-13
+        )
+
+
+class TestLiteralShiftRule:
+    """The Jacobian read off the forward state equals the shift rule's shifted circuits."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        stacked=st.integers(1, 4).flatmap(
+            lambda n_stack: arrays(float, (n_stack, 6), elements=st.floats(-np.pi, np.pi))
+        ),
+        X=st.integers(1, 60).flatmap(
+            lambda n: arrays(float, (n, 3), elements=st.floats(0.0, 1.0))
+        ),
+    )
+    def test_stacks_match_the_dense_shifted_matrices(self, stacked, X):
+        rows = encode_batch(X)
+        jacobian = q_gradient_batch(QuantumLayer(phi=stacked), rows)
+        for s, phi in enumerate(stacked):
+            np.testing.assert_allclose(
+                jacobian[s], shift_rule_jacobian(ansatz_unitaries, phi, rows), rtol=0, atol=1e-13
+            )
+
+    def test_a_flipped_sign_table_entry_is_caught(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        layer, rows = make_layer(rng), encode_batch(rng.uniform(0, 1, size=(4, 3)))
+        expected = shift_rule_jacobian(ansatz_unitaries, layer.phi, rows)
+        np.testing.assert_allclose(q_gradient_batch(layer, rows), expected, atol=1e-13)
+        signs = qlayer._FLIP_SIGNS
+        for b, q in np.ndindex(signs.shape[:2]):
+            flipped = signs.copy()
+            flipped[b, q] *= -1.0
+            monkeypatch.setattr(qlayer, "_FLIP_SIGNS", flipped)
+            assert np.abs(q_gradient_batch(layer, rows) - expected).max() > 1e-3, (b, q)
 
 
 class TestStackedLayer:
