@@ -4,147 +4,10 @@ Exact 3-qubit statevector simulation feeds a trainable variational circuit
 whose Pauli-Z expectations drive a small dense regression head; classical
 baselines (dense network, KNN, quantum fingerprint matching) and dataset
 tooling round out the pipeline.
+
+The package exports only ``__version__``. Every other name is imported from
+the module that defines it: ``hqloc.qlayer``, ``hqloc.train_eval``,
+``hqloc.classical``, ``hqloc.data`` and so on.
 """
 
-from .baselines import (
-    FingerprintDb,
-    KnnModel,
-    build_fingerprint_db,
-    fidelity,
-    fingerprint_fidelities,
-    fingerprint_predict,
-    fit_knn,
-    knn_predict,
-    swap_test_fidelity,
-)
-from .circuits import (
-    N_ANSATZ_PARAMS,
-    N_FEATURES,
-    ansatz_unitaries,
-    encode_batch,
-    feature_state,
-    real_amplitudes,
-    zz_feature_map,
-)
-from .classical import DenseLayer, DenseNet, baseline_net, forward, hqnn_head, mse_loss
-from .data import (
-    RssiSample,
-    Scaler,
-    ScenarioMeta,
-    fit_scaler,
-    gen_scenario_standin,
-    gen_synthetic,
-    grid_positions,
-    load_csv,
-    save_csv,
-    scenario_meta,
-    train_test_split,
-    transform,
-    transform_samples,
-)
-from .model_io import load_model, save_model
-from .optim import AdamState, adam_step, init_adam, sgd_step
-from .qlayer import QuantumLayer, q_forward, q_gradient
-from .reference import REFERENCE_RMSE_M
-from .statevector import (
-    MAX_QUBITS,
-    Gate,
-    Statevector,
-    apply_gate,
-    apply_gates,
-    cx,
-    expect_z,
-    h,
-    p,
-    ry,
-    rz,
-    sample_expect_z,
-    zero_state,
-)
-from .train_eval import (
-    CompareConfig,
-    HybridModel,
-    TrainConfig,
-    TrainReport,
-    compare_all,
-    evaluate_rmse,
-    hqnn_forward,
-    hqnn_forward_batch,
-    hqnn_grad,
-    init_hybrid_model,
-    train,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamState",
-    "CompareConfig",
-    "DenseLayer",
-    "DenseNet",
-    "FingerprintDb",
-    "Gate",
-    "HybridModel",
-    "KnnModel",
-    "MAX_QUBITS",
-    "N_ANSATZ_PARAMS",
-    "N_FEATURES",
-    "QuantumLayer",
-    "REFERENCE_RMSE_M",
-    "RssiSample",
-    "Scaler",
-    "ScenarioMeta",
-    "Statevector",
-    "TrainConfig",
-    "TrainReport",
-    "adam_step",
-    "ansatz_unitaries",
-    "apply_gate",
-    "apply_gates",
-    "baseline_net",
-    "build_fingerprint_db",
-    "compare_all",
-    "cx",
-    "encode_batch",
-    "evaluate_rmse",
-    "expect_z",
-    "feature_state",
-    "fidelity",
-    "fingerprint_fidelities",
-    "fingerprint_predict",
-    "fit_knn",
-    "fit_scaler",
-    "forward",
-    "gen_scenario_standin",
-    "gen_synthetic",
-    "grid_positions",
-    "h",
-    "hqnn_forward",
-    "hqnn_forward_batch",
-    "hqnn_grad",
-    "hqnn_head",
-    "init_adam",
-    "init_hybrid_model",
-    "knn_predict",
-    "load_csv",
-    "load_model",
-    "mse_loss",
-    "p",
-    "q_forward",
-    "q_gradient",
-    "real_amplitudes",
-    "ry",
-    "rz",
-    "sample_expect_z",
-    "save_csv",
-    "save_model",
-    "scenario_meta",
-    "sgd_step",
-    "swap_test_fidelity",
-    "train",
-    "train_test_split",
-    "transform",
-    "transform_samples",
-    "zero_state",
-    "zz_feature_map",
-]

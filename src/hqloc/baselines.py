@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import check_features, encode_batch
+from .circuits import check_features, check_finite, encode_batch
 from .statevector import (
     MAX_QUBITS,
     Statevector,
@@ -44,6 +44,8 @@ def fit_knn(features, targets, k: int = 3) -> KnnModel:
         raise ValueError("features and targets must be matching 2-D arrays")
     if len(features) == 0:
         raise ValueError("knn model needs at least one training row")
+    check_finite("features", features)
+    check_finite("targets", targets)
     check_integer("k", k)
     if not 1 <= k <= len(features):
         raise ValueError(f"k must be in [1, {len(features)}], got {k}")
@@ -53,6 +55,7 @@ def fit_knn(features, targets, k: int = 3) -> KnnModel:
 def knn_predict(model: KnnModel, x) -> np.ndarray:
     """Mean target of the k rows closest to each query; ties go to the lower row index."""
     x = check_features(x, model.features.shape[1])
+    check_finite("features", x)
     dists = np.sum((model.features - x[..., None, :]) ** 2, axis=-1)
     order = np.argsort(dists, axis=-1, kind="stable")
     return model.targets[order[..., : model.k]].mean(axis=-2)
@@ -74,6 +77,7 @@ def build_fingerprint_db(features, coords) -> FingerprintDb:
         raise ValueError("features and coords must be matching 2-D arrays")
     if len(features) == 0:
         raise ValueError("fingerprint database needs at least one entry")
+    check_finite("coords", coords)
     states = encode_batch(features)
     return FingerprintDb(features, coords, states)
 

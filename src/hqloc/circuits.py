@@ -80,6 +80,15 @@ def check_features(x, width: int) -> np.ndarray:
     return x
 
 
+def check_finite(name: str, X: np.ndarray) -> None:
+    """Raise ValueError naming the first row of ``X`` that holds NaN or inf."""
+    if not np.isfinite(X).all():
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
+        raise ValueError(
+            f"{name} must be finite, got NaN or inf in {bad.size} row(s), first row {bad[0]}"
+        )
+
+
 def encode_batch(X) -> np.ndarray:
     """Encoded feature states of the rows of ``X``, shape (n_rows, 2**n_features).
 
@@ -93,11 +102,7 @@ def encode_batch(X) -> np.ndarray:
         raise ValueError(
             f"expected a batch of 1 to {MAX_QUBITS} features per row, got shape {X.shape}"
         )
-    if not np.isfinite(X).all():
-        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-        raise ValueError(
-            f"features must be finite, got NaN or inf in {bad.size} row(s), first row {bad[0]}"
-        )
+    check_finite("features", X)
     n = X.shape[1]
     bits = _basis_bits(n)
     # Accumulate qubit by qubit so each row's phase is summed in the same

@@ -24,6 +24,8 @@ from .statevector import check_integer
 
 CANONICAL_FIELDS = ("rssi_a", "rssi_b", "rssi_c", "x", "y")
 REFERENCE_DISTANCE_M = 1.0
+# A survey grid keeps this far (m) off the walls, as in a physical survey.
+GRID_MARGIN_M = 0.5
 
 TECHNOLOGIES = ("WiFi", "Bluetooth", "Zigbee")
 
@@ -295,21 +297,21 @@ def default_tx_positions(room: tuple[float, float]) -> tuple[tuple[float, float]
     return ((0.5, 0.5), (w - 0.5, 0.5), (w / 2.0, h_ - 0.5))
 
 
-def grid_positions(
-    room: tuple[float, float], shape: tuple[int, int], margin: float = 0.5
-) -> list[tuple[float, float]]:
-    """Regular survey grid of reference positions, row-major from the origin.
-
-    ``margin`` keeps the grid off the walls, as in a physical survey.
-    """
+def grid_positions(room: tuple[float, float], shape: tuple[int, int]) -> list[tuple[float, float]]:
+    """Regular survey grid ``GRID_MARGIN_M`` off the walls, row-major from the origin."""
     w, h_ = room
     nx, ny = shape
+    check_integer("grid shape", nx)
+    check_integer("grid shape", ny)
     if nx < 1 or ny < 1:
         raise ValueError(f"grid shape must be positive, got {shape}")
-    if 2 * margin >= min(w, h_):
-        raise ValueError(f"margin {margin} leaves no room in a {w}x{h_} room")
-    xs = np.linspace(margin, w - margin, nx) if nx > 1 else np.array([w / 2.0])
-    ys = np.linspace(margin, h_ - margin, ny) if ny > 1 else np.array([h_ / 2.0])
+    if not (math.isfinite(w) and math.isfinite(h_)):
+        raise ValueError(f"room sides must be finite, got {room}")
+    m = GRID_MARGIN_M
+    if 2 * m >= min(w, h_):
+        raise ValueError(f"margin {m} leaves no room in a {w}x{h_} room")
+    xs = np.linspace(m, w - m, nx) if nx > 1 else np.array([w / 2.0])
+    ys = np.linspace(m, h_ - m, ny) if ny > 1 else np.array([h_ / 2.0])
     return [(float(x), float(y)) for y in ys for x in xs]
 
 

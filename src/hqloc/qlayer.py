@@ -44,7 +44,7 @@ import numpy as np
 # encode_batch is re-exported: callers encode here and pass the rows back in.
 from .circuits import N_ANSATZ_PARAMS, N_FEATURES, ansatz_unitaries, check_features
 from .circuits import encode_batch, feature_state
-from .statevector import Statevector, check_integer, sample_expect_z
+from .statevector import Statevector, check_integer, check_shots, sample_expect_z
 
 # Seeds reach numpy generators, which take only non-negative integers, and the
 # shot seeds pack them as int64.
@@ -149,11 +149,14 @@ def q_forward_batch(
     Exact when ``shots`` is None. Otherwise each entry is a
     :func:`sample_expect_z` estimate from ``shots`` shots, seeded from
     ``seed``, the qubit and the bytes of that encoded row; ``seed`` must
-    pass :func:`check_seed`, the rule every seeded entry point applies.
+    pass :func:`check_seed`, the rule every seeded entry point applies, and
+    ``shots`` must pass :func:`check_shots`, even for zero rows.
     """
     _check_rows(encoded_rows)
-    if shots is not None and layer.phi.ndim == 2:
-        raise ValueError("shot sampling takes one layer, not a stack")
+    if shots is not None:
+        check_shots(shots)
+        if layer.phi.ndim == 2:
+            raise ValueError("shot sampling takes one layer, not a stack")
     expectations, final = _sweep(_forward_unitaries(layer.phi), encoded_rows)
     if shots is None:
         return expectations.reshape(*layer.phi.shape[:-1], *expectations.shape[1:])

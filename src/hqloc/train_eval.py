@@ -85,19 +85,6 @@ def hqnn_forward_batch(
     return classical.forward_batch(model.head, U)
 
 
-def model_param_vector(model: HybridModel) -> np.ndarray:
-    """A copy of ``model.params``: quantum angles first, then the head parameters."""
-    return model.params.copy()
-
-
-def set_model_params(model: HybridModel, vec: np.ndarray) -> None:
-    """Write ``vec`` into ``model.params`` in place."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != model.params.shape:
-        raise ValueError(f"expected {model.params.size} parameters, got shape {vec.shape}")
-    model.params[:] = vec
-
-
 def _batch(X, Z, name: str) -> tuple[np.ndarray, np.ndarray]:
     """``X`` and ``Z`` as 2-D float arrays; refuses an empty ``name`` or unequal lengths."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -135,12 +122,6 @@ def _phi_grad(input_grads: np.ndarray, shift_matrices: np.ndarray) -> np.ndarray
     if input_grads.ndim == 3:
         return np.array([_phi_grad(g, m) for g, m in zip(input_grads, shift_matrices)])
     return np.einsum("nj,njk->k", input_grads, shift_matrices)
-
-
-def dense_grad(net: classical.DenseNet, X, Z) -> np.ndarray:
-    """Batch MSE gradient for a plain dense network (classical baseline)."""
-    X, Z = _batch(X, Z, "gradient batch")
-    return classical.loss_and_grad(net, X, Z)[1]
 
 
 @dataclass

@@ -46,8 +46,6 @@ from hqloc.train_eval import (
     hqnn_forward_batch,
     hqnn_grad,
     init_hybrid_model,
-    model_param_vector,
-    set_model_params,
     train,
 )
 
@@ -178,12 +176,12 @@ def test_criterion_01_hybrid_gradient_matches_finite_differences():
 
         def batch_loss(vec):
             probe = init_hybrid_model(seed=0)
-            set_model_params(probe, vec)
+            probe.params[:] = vec
             preds = np.array([hqnn_forward(probe, x) for x in X])
             return float(np.mean(np.sum((preds - Z) ** 2, axis=1)))
 
         analytic = hqnn_grad(model, X, Z)
-        theta = model_param_vector(model)
+        theta = model.params.copy()
         numeric = np.empty_like(theta)
         for k in range(theta.size):
             up, down = theta.copy(), theta.copy()

@@ -99,6 +99,22 @@ class TestKnn:
             fit_knn(feats, targs, k=k)
         assert fit_knn(feats, targs, k=np.int64(2)).k == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_refused(self, bad):
+        feats, targs = np.full((4, 3), 0.5), np.zeros((4, 2))
+        bad_feats, bad_targs = feats.copy(), targs.copy()
+        bad_feats[2, 1] = bad
+        bad_targs[3, 0] = bad
+        with pytest.raises(ValueError, match="features must be finite.* first row 2"):
+            fit_knn(bad_feats, targs, k=1)
+        with pytest.raises(ValueError, match="targets must be finite.* first row 3"):
+            fit_knn(feats, bad_targs, k=1)
+        model = fit_knn(feats, targs, k=1)
+        with pytest.raises(ValueError, match="features must be finite.* first row 0"):
+            knn_predict(model, [bad, 0.2, 0.3])
+        with pytest.raises(ValueError, match="features must be finite.* first row 2"):
+            knn_predict(model, bad_feats)
+
 
 class TestFidelity:
     def test_self_fidelity_is_one(self):
@@ -257,3 +273,10 @@ class TestFingerprint:
             build_fingerprint_db(np.zeros((3, 3)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             build_fingerprint_db(np.zeros(3), np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coords_refused(self, bad):
+        coords = np.zeros((4, 2))
+        coords[1, 1] = bad
+        with pytest.raises(ValueError, match="coords must be finite.* first row 1"):
+            build_fingerprint_db(np.full((4, 3), 0.5), coords)

@@ -355,7 +355,13 @@ class TestGridPositions:
         with pytest.raises(ValueError):
             grid_positions((6.0, 5.5), (0, 3))
         with pytest.raises(ValueError):
-            grid_positions((1.0, 5.0), (2, 2), margin=0.5)
+            grid_positions((1.0, 5.0), (2, 2))
+        for shape in [(2.5, 2), (2, 2.0), (True, 2)]:
+            with pytest.raises(ValueError, match="grid shape must be an integer"):
+                grid_positions((6.0, 5.5), shape)
+        for room in [(np.nan, 5.5), (6.0, np.inf), (-np.inf, 5.5)]:
+            with pytest.raises(ValueError, match="room sides must be finite"):
+                grid_positions(room, (3, 3))
 
 
 class TestSyntheticGenerator:

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from hqloc.classical import backward_batch, forward, forward_batch, glorot_net, mse_loss
+from hqloc.classical import backward_batch, forward, forward_batch, glorot_net, loss_and_grad, mse_loss
 from hqloc.model_io import load_model, save_model
 from hqloc.qlayer import encode_batch, q_forward_batch
 from hqloc.train_eval import (
     HybridModel,
     TrainConfig,
-    dense_grad,
     hqnn_forward,
     hqnn_forward_batch,
     hqnn_grad,
@@ -85,7 +84,7 @@ class TestFlatLayout:
     def test_flat_gradient_matches_finite_differences(self, kind, state, tmp_path):
         model = make_model(kind, state, tmp_path)
         X, Z = problem(11, 4)
-        grad = hqnn_grad(model, X, Z) if kind == "hybrid" else dense_grad(model, X, Z)
+        grad = hqnn_grad(model, X, Z) if kind == "hybrid" else loss_and_grad(model, X, Z)[1]
         assert grad.shape == model.params.shape
         if kind == "hybrid":
             # The head's part is backward_batch's flat gradient on the expectations.

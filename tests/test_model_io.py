@@ -29,12 +29,7 @@ from hqloc.model_io import (
     write_manifest,
 )
 from hqloc.qlayer import QuantumLayer
-from hqloc.train_eval import (
-    HybridModel,
-    hqnn_forward,
-    init_hybrid_model,
-    model_param_vector,
-)
+from hqloc.train_eval import HybridModel, hqnn_forward, init_hybrid_model
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -85,9 +80,7 @@ class TestModelRoundTrip:
         loaded, scaler = load_model(path)
         assert scaler is None
         assert isinstance(loaded, HybridModel)
-        np.testing.assert_array_equal(
-            model_param_vector(loaded), model_param_vector(model)
-        )
+        np.testing.assert_array_equal(loaded.params, model.params)
         x = np.array([0.25, 0.5, 0.75])
         np.testing.assert_array_equal(hqnn_forward(loaded, x), hqnn_forward(model, x))
 

@@ -229,6 +229,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"shots must be >= 1, got 0"):
             q_forward(QuantumLayer(phi=np.zeros(6)), np.array([0.1, 0.2, 0.3]), shots=0)
 
+    @pytest.mark.parametrize("shots", [-5, 0, True, 2.0, 2**63])
+    @pytest.mark.parametrize("n_rows", [0, 2])
+    def test_bad_shots_refused_for_any_row_count(self, shots, n_rows):
+        # Zero rows make no draw, so only an up-front check refuses the budget.
+        rows = encode_batch(np.full((n_rows, 3), 0.5))
+        with pytest.raises(ValueError, match="shots must be"):
+            q_forward_batch(QuantumLayer(phi=np.zeros(6)), rows, shots=shots, seed=1)
+
     @pytest.mark.parametrize("n_angles", [0, 5, 7])
     def test_rejects_wrong_angle_count(self, n_angles):
         with pytest.raises(ValueError, match="6 angles"):

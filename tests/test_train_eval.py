@@ -19,16 +19,13 @@ from hqloc.train_eval import (
     TrainConfig,
     compare_all,
     config_digest,
-    dense_grad,
     evaluate_rmse,
     format_comparison,
     hqnn_forward,
     hqnn_forward_batch,
     hqnn_grad,
     init_hybrid_model,
-    model_param_vector,
     records_to_csv_rows,
-    set_model_params,
     train,
     train_stack,
 )
@@ -57,8 +54,8 @@ class TestHybridModel:
         a = init_hybrid_model(seed=5)
         b = init_hybrid_model(seed=5)
         c = init_hybrid_model(seed=6)
-        np.testing.assert_array_equal(model_param_vector(a), model_param_vector(b))
-        assert not np.array_equal(model_param_vector(a), model_param_vector(c))
+        np.testing.assert_array_equal(a.params, b.params)
+        assert not np.array_equal(a.params, c.params)
 
     def test_angles_in_pi_range(self):
         for seed in range(10):
@@ -68,19 +65,15 @@ class TestHybridModel:
 
     def test_param_vector_round_trip(self):
         model = init_hybrid_model(seed=1)
-        vec = model_param_vector(model)
+        vec = model.params.copy()
         assert vec.shape == (200,)
         other = init_hybrid_model(seed=2)
-        set_model_params(other, vec)
-        np.testing.assert_array_equal(model_param_vector(other), vec)
+        other.params[:] = vec
+        np.testing.assert_array_equal(other.params, vec)
         x = np.array([0.2, 0.5, 0.8])
         np.testing.assert_allclose(
             hqnn_forward(other, x), hqnn_forward(model, x), rtol=0, atol=1e-12
         )
-
-    def test_wrong_param_length_rejected(self):
-        with pytest.raises(ValueError):
-            set_model_params(init_hybrid_model(), np.zeros(199))
 
     def test_forward_returns_coordinates(self):
         model = init_hybrid_model(seed=3)
@@ -126,11 +119,11 @@ class TestHybridGradient:
 
             def loss(vec):
                 probe = init_hybrid_model(seed=0)
-                set_model_params(probe, vec)
+                probe.params[:] = vec
                 return batch_mse(probe, X, Z)
 
             analytic = hqnn_grad(model, X, Z)
-            numeric = fd_gradient(loss, model_param_vector(model), h=1e-5)
+            numeric = fd_gradient(loss, model.params.copy(), h=1e-5)
             np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-6)
 
     def test_precomputed_encodings_change_nothing(self):
@@ -161,7 +154,7 @@ class TestHybridGradient:
             preds = np.array([dense_forward(probe, x) for x in X])
             return mse_loss(preds, Z)
 
-        analytic = dense_grad(net, X, Z)
+        analytic = classical.loss_and_grad(net, X, Z)[1]
         numeric = fd_gradient(loss, net.params.copy(), h=1e-5)
         np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-6)
 
@@ -274,9 +267,9 @@ class TestTrainingLoop:
         X, Z = small_problem(seed=3)
         for optimizer in ("adam", "sgd"):
             model = init_hybrid_model(seed=3)
-            before = model_param_vector(model)
+            before = model.params.copy()
             train(model, X, Z, TrainConfig(epochs=3, eta=0.01, optimizer=optimizer))
-            assert not np.array_equal(model_param_vector(model), before)
+            assert not np.array_equal(model.params, before)
 
     def test_first_trace_entry_is_initialization_loss(self):
         model = init_hybrid_model(seed=4)

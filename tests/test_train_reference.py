@@ -23,7 +23,7 @@ import hqloc.optim as optim
 from hqloc.classical import baseline_net
 from hqloc.data import gen_scenario_standin
 from hqloc.train_eval import CompareConfig, TrainConfig, compare_all
-from hqloc.train_eval import init_hybrid_model, model_param_vector, train
+from hqloc.train_eval import init_hybrid_model, train
 
 from oracles import circuit_matrix, expect_z_oracle
 
@@ -116,7 +116,7 @@ def test_training_matches_dense_reference_loop(optimizer, eta):
     X = rng.uniform(0.0, 1.0, size=(8, 3))
     Z = rng.uniform(0.0, 6.0, size=(8, 2))
     model = init_hybrid_model(seed=3)
-    initial = model_param_vector(model).copy()
+    initial = model.params.copy()
     report = train(model, X, Z, TrainConfig(optimizer=optimizer, epochs=20, eta=eta))
     losses, final = reference_training(initial, X, Z, 20, eta, optimizer)
     assert losses[-1] < 0.8 * losses[0]  # the run really trains
@@ -142,7 +142,7 @@ def dense_forward(params, X):
     return h2 @ w3.T + b3
 
 
-def dense_grad(params, X, Z):
+def dense_reference_grad(params, X, Z):
     (w1, b1), (w2, b2), (w3, b3) = dense_unpack(params)
     pre1 = X @ w1.T + b1
     h1 = np.maximum(pre1, 0.0)
@@ -169,7 +169,7 @@ def dense_reference_training(params, X, Z, epochs, eta, optimizer, beta1=0.9, be
     losses = []
     for t in range(1, epochs + 1):
         losses.append(loss(params))
-        grad = dense_grad(params, X, Z)
+        grad = dense_reference_grad(params, X, Z)
         if optimizer == "sgd":
             params = params - eta * grad
             continue
