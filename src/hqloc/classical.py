@@ -23,7 +23,15 @@ bit what it computes alone; losses and gradients gain the leading axis.
 One forward trace keeps every layer's input and output, and one backprop reads
 it: :func:`backward_batch` runs both for a given upstream gradient, and
 :func:`loss_and_grad` takes the MSE and its gradient from a single forward
-pass, so a training epoch runs the network once.
+pass, so a training epoch runs the network once. Backprop writes each layer's
+gradient into its views of one ``params``-layout array.
+
+A pass writes its layer outputs, ReLU masks and input gradients with
+numpy's ``out=``. A one-off call passes ``out=None`` and gets fresh arrays. A
+training loop instead builds one :class:`Workspace` per run and a gradient
+buffer, and :func:`loss_and_grad` writes every epoch into them, so a stack's
+(S, n, 128)-sized arrays are not made anew each epoch. Both run the same
+lines and give the same bits.
 """
 
 from __future__ import annotations
@@ -108,6 +116,35 @@ def layer_views(net: DenseNet, flat: np.ndarray) -> list[tuple[np.ndarray, np.nd
     return views
 
 
+@dataclass(frozen=True)
+class Workspace:
+    """Buffers one pass of a network over ``n`` rows writes into, in place of fresh arrays.
+
+    Layer i has its output, (n, out) or (S, n, out) in a stack; where that
+    output is > 0, for a ReLU layer (None for a linear one); and the product
+    of its weight with the gradient reaching it, which is the gradient with
+    respect to its input, (n, in) or (S, n, in). Backprop masks that product
+    in place for the ReLU layer below. A pass given a workspace returns views
+    of these buffers, which the next pass overwrites.
+    """
+
+    outs: list[np.ndarray]
+    masks: list[np.ndarray | None]
+    deltas: list[np.ndarray]
+
+
+def workspace(net: DenseNet, n_rows: int) -> Workspace:
+    """Empty buffers for :func:`loss_and_grad` on ``net`` over batches of ``n_rows`` rows."""
+    lead = _params_shape(net)[:-1]
+    outs = [np.empty((*lead, n_rows, layer.weight.shape[-2])) for layer in net.layers]
+    return Workspace(
+        outs,
+        [np.empty(out.shape, dtype=bool) if layer.activation == "relu" else None
+         for layer, out in zip(net.layers, outs)],
+        [np.empty((*lead, n_rows, layer.weight.shape[-1])) for layer in net.layers],
+    )
+
+
 def stack(nets) -> DenseNet:
     """One network holding ``nets`` as a stack; its ``params`` row s copies ``nets[s].params``."""
     layouts = {tuple((lay.weight.shape, lay.activation) for lay in net.layers) for net in nets}
@@ -146,19 +183,20 @@ def baseline_net(rng) -> DenseNet:
     return glorot_net(BASELINE_SIZES, rng)
 
 
-def _trace(net: DenseNet, V) -> list[np.ndarray]:
+def _trace(net: DenseNet, V, work: Workspace | None = None) -> list[np.ndarray]:
     """Each layer's input and, last, the network output, for an (n, input_dim) batch.
 
-    A stack also takes an (S, n, input_dim) batch. Bias and ReLU act in place
-    on each layer's fresh product. A ReLU output is > 0 exactly where its
+    A stack also takes an (S, n, input_dim) batch. Each layer's product is
+    written into ``work``'s buffer for it, or a fresh array without one, and
+    bias and ReLU act on it in place. A ReLU output is > 0 exactly where its
     pre-activation is, so backprop reads each ReLU mask off the stored outputs.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim not in (2, net.layers[0].weight.ndim) or V.shape[-1] != net.input_dim:
         raise ValueError(f"expected batch of shape (n, {net.input_dim}), got {V.shape}")
     acts = [V]
-    for layer in net.layers:
-        V = V @ layer.weight.swapaxes(-1, -2)
+    for i, layer in enumerate(net.layers):
+        V = np.matmul(V, layer.weight.swapaxes(-1, -2), out=None if work is None else work.outs[i])
         V += layer.bias[..., None, :]
         if layer.activation == "relu":
             np.maximum(V, 0.0, out=V)
@@ -166,21 +204,30 @@ def _trace(net: DenseNet, V) -> list[np.ndarray]:
     return acts
 
 
-def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray):
+def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray,
+              grad: np.ndarray | None = None, work: Workspace | None = None):
     """Parameter gradient (``params`` layout) and input gradients from a forward trace.
 
-    The ReLU subgradient at exactly 0 is taken as 0; ``upstream`` is not modified.
+    The parameter gradient is written into ``grad``, or a fresh array, and
+    the masks and deltas into ``work``'s buffers, or fresh arrays. The ReLU
+    subgradient at exactly 0 is taken as 0; ``upstream`` is not modified.
     """
-    pieces = []  # per layer from the last: bias grad, then weight grad
+    if grad is None:
+        grad = np.empty(_params_shape(net))
+    views = layer_views(net, grad)
     delta = upstream
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
+        weight_grad, bias_grad = views[i]
         if layer.activation == "relu":
-            delta = delta * (acts[i + 1] > 0.0)
-        weight_grad = delta.swapaxes(-1, -2) @ acts[i]
-        pieces += [delta.sum(axis=-2), weight_grad.reshape(*weight_grad.shape[:-2], -1)]
-        delta = delta @ layer.weight
-    return np.concatenate(pieces[::-1], axis=-1), delta
+            # The output layer is linear, so delta here is the product the
+            # layer above wrote, never ``upstream``: it is masked in place.
+            mask = np.greater(acts[i + 1], 0.0, out=None if work is None else work.masks[i])
+            np.multiply(delta, mask, out=delta)
+        np.matmul(delta.swapaxes(-1, -2), acts[i], out=weight_grad)
+        delta.sum(axis=-2, out=bias_grad)
+        delta = np.matmul(delta, layer.weight, out=None if work is None else work.deltas[i])
+    return grad, delta
 
 
 def forward_batch(net: DenseNet, V) -> np.ndarray:
@@ -212,15 +259,19 @@ def backward_batch(net: DenseNet, V, upstream) -> tuple[np.ndarray, np.ndarray]:
     return _backprop(net, acts, upstream)
 
 
-def loss_and_grad(net: DenseNet, V, Z) -> tuple[float, np.ndarray, np.ndarray]:
+def loss_and_grad(net: DenseNet, V, Z, grad: np.ndarray | None = None,
+                  work: Workspace | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch MSE against targets ``Z`` and its gradients, from one forward pass.
 
     Returns the loss, the flat parameter gradient and the per-row input
     gradients. They equal ``mse_loss(forward_batch(net, V), Z)`` and
     ``backward_batch(net, V, 2 * (pred - Z) / n)`` bit for bit. A stack
-    shares the targets and returns an (S,) array of losses.
+    shares the targets and returns an (S,) array of losses. The parameter
+    gradient is written into ``grad`` when given, which may be a view such
+    as a hybrid model's head columns, and the layer buffers into ``work``
+    (:func:`workspace`); without them each pass allocates its own.
     """
-    acts = _trace(net, V)
+    acts = _trace(net, V, work)
     pred = acts[-1]
     Z = np.asarray(Z, dtype=float)
     if Z.shape != pred.shape[-2:]:
@@ -231,7 +282,7 @@ def loss_and_grad(net: DenseNet, V, Z) -> tuple[float, np.ndarray, np.ndarray]:
     loss = _mean_squared_norm(diff)
     diff *= 2.0
     diff /= diff.shape[-2]
-    return (loss, *_backprop(net, acts, diff))
+    return (loss, *_backprop(net, acts, diff, grad, work))
 
 
 def _mean_squared_norm(diff: np.ndarray):

@@ -27,6 +27,15 @@ the trained model: :func:`evaluate_rmse` calls its predictor once on the
 whole test matrix, and :func:`hqnn_forward_batch` runs every row through one
 quantum kernel pass and one head pass, exact or, given a shot budget and a
 seed, shot-sampled. The trained model is the same in both cases.
+
+A training run builds its workspace once: Adam's moments and scratch, and for
+a dense network the (S, P) gradient buffer and the layer buffers of
+:class:`classical.Workspace`. Every epoch writes into them and steps
+``params`` in place, so a dense epoch after the first allocates no array of
+128 KiB or more (a 3-seed 3-128-64-2 stack's arrays are 75-213 KB each), and
+glibc does not unmap and fault in such blocks every epoch. A hybrid model's
+arrays other than its shift-rule Jacobian are a few KiB per stack and stay
+fresh per epoch.
 """
 
 from __future__ import annotations
@@ -103,14 +112,16 @@ def hqnn_grad(model: HybridModel, X, Z, encoded=None) -> np.ndarray:
     input gradients through the per-sample shift-rule matrices. ``encoded``
     optionally supplies the rows of :func:`encode_batch` for ``X``, so a
     training loop encodes its data once. A stacked model gives one gradient
-    row per model.
+    row per model. The head's pass writes its gradient straight into the
+    head's columns of the result, which is laid out like ``model.params``.
     """
     X, Z = _batch(X, Z, "gradient batch")
     rows = encode_batch(check_features(X, N_FEATURES)) if encoded is None else encoded
     U = q_forward_batch(model.qlayer, rows)
-    _, head_grad, input_grads = classical.loss_and_grad(model.head, U, Z)
-    shift_matrices = q_gradient_batch(model.qlayer, rows)
-    return np.concatenate([_phi_grad(input_grads, shift_matrices), head_grad], axis=-1)
+    grad = np.empty(model.params.shape)
+    _, _, input_grads = classical.loss_and_grad(model.head, U, Z, grad[..., N_ANSATZ_PARAMS:])
+    grad[..., :N_ANSATZ_PARAMS] = _phi_grad(input_grads, q_gradient_batch(model.qlayer, rows))
+    return grad
 
 
 def _phi_grad(input_grads: np.ndarray, shift_matrices: np.ndarray) -> np.ndarray:
@@ -181,11 +192,12 @@ def _stack(models):
 
 
 def _model_ops(model, X, Z):
-    """(train_mse, loss_and_grad) for training models like ``model`` on (``X``, ``Z``).
+    """(train_mse, loss_and_grad) for training the stack ``model`` on (``X``, ``Z``).
 
-    Each takes a stack: ``loss_and_grad(stack)`` gives one epoch's pre-update
-    MSE and gradient per model, ``train_mse(stack)`` the MSE alone. A hybrid
-    model's training rows are encoded here, once per training run.
+    ``loss_and_grad(model)`` gives one epoch's pre-update MSE and gradient per
+    model, ``train_mse(model)`` the MSE alone. A hybrid model's training rows
+    are encoded here, once per training run; a dense network's gradient buffer
+    and layer buffers are built here, and every epoch's pass overwrites them.
     """
     if isinstance(model, HybridModel):
         rows = encode_batch(check_features(X, N_FEATURES))
@@ -205,11 +217,13 @@ def _model_ops(model, X, Z):
 
         return train_mse, loss_and_grad
 
+    grad, work = np.empty(model.params.shape), classical.workspace(model, len(X))
+
     def train_mse(stack):
         return classical.mse_loss(classical.forward_batch(stack, X), Z)
 
     def loss_and_grad(stack):
-        return classical.loss_and_grad(stack, X, Z)[:2]
+        return classical.loss_and_grad(stack, X, Z, grad, work)[:2]
 
     return train_mse, loss_and_grad
 
@@ -260,10 +274,10 @@ def train_stack(models, X, Z, configs) -> list[TrainReport | Exception]:
             if failure := loss_failure(losses, epoch):
                 break
             if config.optimizer == "sgd":
-                stack.params[:] = optim.sgd_step(stack.params, grads, config.eta)
+                optim.sgd_step(stack.params, grads, config.eta)
                 continue
             try:
-                adam_state, stack.params[:] = optim.adam_step(adam_state, stack.params, grads)
+                adam_state, _ = optim.adam_step(adam_state, stack.params, grads)
             except ValueError as exc:
                 if np.isfinite(grads).all():  # not a gradient it refuses
                     raise

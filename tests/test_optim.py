@@ -91,15 +91,34 @@ class TestAdamState:
         assert state.t == 0
         assert (state.beta1, state.beta2, state.eps, state.eta) == (0.8, 0.99, 1e-6, 0.5)
 
-    def test_step_does_not_mutate_inputs(self):
+    def test_step_updates_moments_and_params_in_place(self):
         state = init_adam(2)
-        theta = np.array([1.0, 2.0])
+        m, v, theta = state.m, state.v, np.array([1.0, 2.0])
         new_state, new_theta = adam_step(state, theta, np.array([1.0, -1.0]))
-        assert state.t == 0
-        np.testing.assert_array_equal(state.m, np.zeros(2))
-        np.testing.assert_array_equal(theta, [1.0, 2.0])
-        assert new_state is not state
-        assert new_theta is not theta
+        assert new_state.t == state.t + 1 == 1
+        assert new_state.m is m and new_state.v is v
+        assert new_state.scratch is state.scratch
+        assert new_theta is theta
+        np.testing.assert_allclose(m, [0.1, -0.1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(v, [0.001, 0.001], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(theta, [1.0 - 0.001, 2.0 + 0.001], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refused_step_leaves_state_and_params_as_they_were(self, bad):
+        # Train a few steps first, so m and v are not the zeros init_adam gives.
+        rng = np.random.default_rng(5)
+        state, theta = init_adam((2, 3)), rng.normal(size=(2, 3))
+        for _ in range(3):
+            state, theta = adam_step(state, theta, rng.normal(size=(2, 3)))
+        before = state.m.copy(), state.v.copy(), state.t, theta.copy()
+        grads = rng.normal(size=(2, 3))
+        grads[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            adam_step(state, theta, grads)
+        np.testing.assert_array_equal(state.m, before[0])
+        np.testing.assert_array_equal(state.v, before[1])
+        assert state.t == before[2]
+        np.testing.assert_array_equal(theta, before[3])
 
     def test_state_is_frozen(self):
         state = init_adam(1)
@@ -163,13 +182,20 @@ class TestSgd:
 
     def test_zero_eta_is_identity(self):
         theta = np.array([3.0, -1.0, 0.5])
-        np.testing.assert_array_equal(sgd_step(theta, np.ones(3), eta=0.0), theta)
+        np.testing.assert_array_equal(sgd_step(theta.copy(), np.ones(3), eta=0.0), theta)
 
     def test_shape_mismatch(self):
+        theta = np.zeros(3)
         with pytest.raises(ValueError):
-            sgd_step(np.zeros(3), np.zeros(4), eta=0.1)
+            sgd_step(theta, np.ones(4), eta=0.1)
+        np.testing.assert_array_equal(theta, np.zeros(3))  # nothing written
 
-    def test_does_not_mutate_input(self):
-        theta = np.array([1.0])
-        sgd_step(theta, np.array([1.0]), eta=1.0)
-        assert theta[0] == 1.0
+    def test_steps_in_place_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        theta = rng.normal(size=(3, 40))
+        grads = rng.normal(scale=10.0, size=(3, 40))
+        eta = 0.0123
+        expected = theta - eta * grads
+        out = sgd_step(theta, grads, eta)
+        assert out is theta
+        np.testing.assert_array_equal(theta, expected)

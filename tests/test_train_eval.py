@@ -663,8 +663,8 @@ class TestTrainStack:
         real_pass, real_adam = classical.loss_and_grad, optim.adam_step
         step_shapes = []
 
-        def failing_pass(net, V, Z):
-            loss, grad, input_grads = real_pass(net, V, Z)
+        def failing_pass(net, V, Z, *buffers):
+            loss, grad, input_grads = real_pass(net, V, Z, *buffers)
             rows = net.params.reshape(-1, net.params.shape[-1])
             struck = (rows == two_steps.params).all(axis=-1)
             if struck.any():
