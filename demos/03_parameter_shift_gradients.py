@@ -58,12 +58,12 @@ print(np.round(jacobian, 6))
 
 ##############################################################################
 # The shift rule, run literally: 12 forward passes at phi +- pi/2 e_k, two per
-# angle. The simulator gets the same numbers without them. Angle k enters the
-# ansatz U through one RY, and RY(theta +- pi/2) = RY(theta) (I +- A) / sqrt(2)
-# with A = RY(pi), a signed permutation of the basis. So each half difference
-# is an overlap <psi| Z_j |t_k> with the forward state psi = U v, where the
-# tangent t_k is U A_q v for a first-layer angle on qubit q and A_q psi for a
-# second-layer one: ``q_gradient_batch`` builds no shifted matrix.
+# angle. The simulator gets the same numbers without them. Each Z_j, carried
+# back through the ansatz, is a sum of Pauli strings whose coefficients are
+# products of cos(phi_k) and sin(phi_k), one factor per angle at most. The
+# half difference at phi +- pi/2 e_k turns that factor's cos into -sin and its
+# sin into cos, which is its exact derivative: ``q_gradient_batch`` multiplies
+# the row's Pauli features by those derivatives and runs no shifted circuit.
 
 rows = encode_batch(x[None])
 columns = []
@@ -108,6 +108,7 @@ print("\nbatched Jacobians:", batch.shape,
 # Cost model: on hardware every angle needs two extra circuit runs per
 # gradient, 12 shifted circuits for this ansatz, and the rule stays exact on
 # sampled hardware as well, which is the reason the hybrid model trains with
-# it instead of numeric differentiation. The simulator holds the state
-# itself, so it reads the same differences off the forward state: one ansatz
-# matrix serves the forward pass and the Jacobian.
+# it instead of numeric differentiation. The simulator knows the circuit
+# itself, so it compiles the same differences once per angle vector: one set
+# of Pauli coefficients and their derivatives serves the forward pass and
+# the Jacobian.

@@ -27,11 +27,12 @@ pass, so a training epoch runs the network once. Backprop writes each layer's
 gradient into its views of one ``params``-layout array.
 
 A pass writes its layer outputs, ReLU masks and input gradients with
-numpy's ``out=``. A one-off call passes ``out=None`` and gets fresh arrays. A
-training loop instead builds one :class:`Workspace` per run and a gradient
-buffer, and :func:`loss_and_grad` writes every epoch into them, so a stack's
-(S, n, 128)-sized arrays are not made anew each epoch. Both run the same
-lines and give the same bits.
+numpy's ``out=``. A one-off call passes ``out=None`` and gets fresh arrays,
+and cuts the layer views of its gradient itself. A training loop instead
+builds one :class:`Workspace` per run, which holds a gradient buffer and its
+layer views, cut once, and :func:`loss_and_grad` writes every epoch into it,
+so a stack's (S, n, 128)-sized arrays are not made anew each epoch. Both run
+the same lines and give the same bits.
 """
 
 from __future__ import annotations
@@ -124,24 +125,31 @@ class Workspace:
     output is > 0, for a ReLU layer (None for a linear one); and the product
     of its weight with the gradient reaching it, which is the gradient with
     respect to its input, (n, in) or (S, n, in). Backprop masks that product
-    in place for the ReLU layer below. A pass given a workspace returns views
-    of these buffers, which the next pass overwrites.
+    in place for the ReLU layer below. ``grad`` is a parameter gradient in
+    ``params`` layout and ``grad_views`` its :func:`layer_views`. A pass given
+    a workspace returns these buffers or views of them, which the next pass
+    overwrites.
     """
 
     outs: list[np.ndarray]
     masks: list[np.ndarray | None]
     deltas: list[np.ndarray]
+    grad: np.ndarray
+    grad_views: list[tuple[np.ndarray, np.ndarray]]
 
 
 def workspace(net: DenseNet, n_rows: int) -> Workspace:
     """Empty buffers for :func:`loss_and_grad` on ``net`` over batches of ``n_rows`` rows."""
-    lead = _params_shape(net)[:-1]
+    grad = np.empty(_params_shape(net))
+    lead = grad.shape[:-1]
     outs = [np.empty((*lead, n_rows, layer.weight.shape[-2])) for layer in net.layers]
     return Workspace(
         outs,
         [np.empty(out.shape, dtype=bool) if layer.activation == "relu" else None
          for layer, out in zip(net.layers, outs)],
         [np.empty((*lead, n_rows, layer.weight.shape[-1])) for layer in net.layers],
+        grad,
+        layer_views(net, grad),
     )
 
 
@@ -208,13 +216,16 @@ def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray,
               grad: np.ndarray | None = None, work: Workspace | None = None):
     """Parameter gradient (``params`` layout) and input gradients from a forward trace.
 
-    The parameter gradient is written into ``grad``, or a fresh array, and
-    the masks and deltas into ``work``'s buffers, or fresh arrays. The ReLU
-    subgradient at exactly 0 is taken as 0; ``upstream`` is not modified.
+    The parameter gradient is written into ``grad``, else into ``work``'s
+    gradient through its views, else into a fresh array, and the masks and
+    deltas into ``work``'s buffers, or fresh arrays. The ReLU subgradient at
+    exactly 0 is taken as 0; ``upstream`` is not modified.
     """
-    if grad is None:
-        grad = np.empty(_params_shape(net))
-    views = layer_views(net, grad)
+    if grad is None and work is not None:
+        grad, views = work.grad, work.grad_views
+    else:
+        grad = np.empty(_params_shape(net)) if grad is None else grad
+        views = layer_views(net, grad)
     delta = upstream
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
@@ -268,8 +279,9 @@ def loss_and_grad(net: DenseNet, V, Z, grad: np.ndarray | None = None,
     ``backward_batch(net, V, 2 * (pred - Z) / n)`` bit for bit. A stack
     shares the targets and returns an (S,) array of losses. The parameter
     gradient is written into ``grad`` when given, which may be a view such
-    as a hybrid model's head columns, and the layer buffers into ``work``
-    (:func:`workspace`); without them each pass allocates its own.
+    as a hybrid model's head columns, else into ``work``'s gradient buffer,
+    and the layer buffers into ``work`` (:func:`workspace`); without them
+    each pass allocates its own.
     """
     acts = _trace(net, V, work)
     pred = acts[-1]

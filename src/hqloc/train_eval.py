@@ -13,12 +13,12 @@ pass is one forward and one backward run of :func:`classical.loss_and_grad`.
 There is one training loop, :func:`train_stack`. It trains S models of one
 kind as one stack with a leading seed axis: their vectors become the rows of
 one (S, P) ``params`` array, the stacked quantum layer holds phi as (S, 6),
-and each epoch makes one kernel call per sweep over all S models, one
-``np.matmul`` chain through the stacked head or network, and one optimizer
-step over (S, P). Each model computes bit for bit what it computes alone. A
-stack whose loss or gradient turns non-finite for any model stops there, and
-each of its models trains alone, so each result is still what its solo run
-gives. :func:`train` is the stack of one, which is the model itself
+and each epoch makes one kernel call per forward or Jacobian over all S
+models, one ``np.matmul`` chain through the stacked head or network, and one
+optimizer step over (S, P). Each model computes bit for bit what it computes
+alone. A stack whose loss or gradient turns non-finite for any model stops
+there, and each of its models trains alone, so each result is still what its
+solo run gives. :func:`train` is the stack of one, which is the model itself
 with no seed axis, and :func:`compare_all` trains each method's seeds as one
 stack and runs each baseline's predictor once over the whole test matrix.
 
@@ -33,9 +33,11 @@ a dense network the (S, P) gradient buffer and the layer buffers of
 :class:`classical.Workspace`. Every epoch writes into them and steps
 ``params`` in place, so a dense epoch after the first allocates no array of
 128 KiB or more (a 3-seed 3-128-64-2 stack's arrays are 75-213 KB each), and
-glibc does not unmap and fault in such blocks every epoch. A hybrid model's
-arrays other than its shift-rule Jacobian are a few KiB per stack and stay
-fresh per epoch.
+glibc does not unmap and fault in such blocks every epoch. A hybrid model
+takes no workspace: its exact kernel reads phi's compiled Pauli coefficients
+and the rows' Pauli features from the quantum layer's caches, and its
+per-epoch arrays (the head's layers and the (S, n, 3, 6) Jacobian) are tens
+of KiB per stack and stay fresh per epoch.
 """
 
 from __future__ import annotations
@@ -207,23 +209,24 @@ def _model_ops(model, X, Z):
             return classical.mse_loss(classical.forward_batch(stack.head, U), Z)
 
         def loss_and_grad(stack):
-            # The loss keeps its own exact sweep, so an epoch runs 14 ansatz
-            # sweeps where reading it off hqnn_grad's forward would take 13.
-            # perfbench/test_perfbench.py pins sweeps_per_epoch at 14; the
-            # count drops when that pin moves. Both forwards and the Jacobian
-            # see the same phi, so they share one ansatz build through qlayer's
-            # forward cache: an epoch builds one matrix per model.
+            # The loss keeps its own exact forward, so an epoch makes two
+            # forwards and one Jacobian, which the benchmark's tracer counts as
+            # 14 ansatz sweeps where reading the loss off hqnn_grad's forward
+            # would take 13. perfbench/test_perfbench.py pins sweeps_per_epoch
+            # at 14; the count drops when that pin moves. Both forwards and the
+            # Jacobian see the same phi and rows, so they share one compile of
+            # phi and the rows' Pauli features through qlayer's caches.
             return train_mse(stack), hqnn_grad(stack, X, Z, encoded=rows)
 
         return train_mse, loss_and_grad
 
-    grad, work = np.empty(model.params.shape), classical.workspace(model, len(X))
+    work = classical.workspace(model, len(X))
 
     def train_mse(stack):
         return classical.mse_loss(classical.forward_batch(stack, X), Z)
 
     def loss_and_grad(stack):
-        return classical.loss_and_grad(stack, X, Z, grad, work)[:2]
+        return classical.loss_and_grad(stack, X, Z, None, work)[:2]  # into work's gradient
 
     return train_mse, loss_and_grad
 

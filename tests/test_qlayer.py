@@ -19,7 +19,7 @@ from hqloc.qlayer import (
     q_gradient,
     q_gradient_batch,
 )
-from hqloc.statevector import apply_gate, apply_gates, expect_z, ry, zero_state
+from hqloc.statevector import apply_gate, apply_gates, cx, expect_z, h, ry, rz, zero_state
 
 from oracles import fd_gradient, shift_rule_jacobian
 
@@ -253,9 +253,11 @@ class TestValidation:
     @pytest.mark.parametrize("width", [1, 2, 4])
     def test_wrong_feature_width_refused_before_any_product(self, monkeypatch, width):
         def no_product(*args):
-            raise AssertionError("built an ansatz matrix for rows of the wrong width")
+            raise AssertionError("built a kernel table for rows of the wrong width")
 
-        monkeypatch.setattr(qlayer, "ansatz_unitaries", no_product)
+        for builder in ("ansatz_unitaries", "_compile", "_pauli_features"):
+            monkeypatch.setattr(qlayer, builder, no_product)
+        monkeypatch.setattr(qlayer, "_caches", {})
         layer = QuantumLayer(phi=np.zeros(6))
         rows = encode_batch(np.full((4, width), 0.5))
         shape = re.escape(str(rows.shape))
@@ -272,29 +274,46 @@ class TestValidation:
                 call()
 
 
+# The uncounted builders, for references the counting fixtures below do not see.
+compile_phi, pauli_features = qlayer._compile, qlayer._pauli_features
+
+
 def uncached_forward(phi, rows):
-    """Exact expectations of ``phi`` on ``rows`` from a fresh ``ansatz_unitaries`` build."""
+    """Exact expectations of ``phi`` on ``rows`` from a fresh compile and fresh row features."""
     phi = np.array(phi)
-    expectations, _ = qlayer._sweep(ansatz_unitaries(phi.reshape(-1, 6)), rows)
-    return expectations.reshape(*phi.shape[:-1], *expectations.shape[1:])
+    coefficients, _ = compile_phi(phi)
+    out = np.clip(np.matmul(pauli_features(rows), coefficients), -1.0, 1.0)
+    return out.reshape(*phi.shape[:-1], *out.shape[1:])
+
+
+def count_calls(monkeypatch, name, count):
+    """Patch ``qlayer.<name>`` to append ``count(arg)`` per call; empties both caches."""
+    real, calls = getattr(qlayer, name), []
+
+    def counted(array):
+        calls.append(count(array))
+        return real(array)
+
+    monkeypatch.setattr(qlayer, name, counted)
+    monkeypatch.setattr(qlayer, "_caches", {})
+    return calls
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Angle-row counts of each ansatz build the layer makes, from an empty cache."""
-    real, counts = qlayer.ansatz_unitaries, []
+    """Angle-vector counts of each compile of phi the layer makes, from empty caches."""
+    return count_calls(monkeypatch, "_compile", lambda phi: len(np.atleast_2d(phi)))
 
-    def counted(phis):
-        counts.append(len(np.atleast_2d(phis)))
-        return real(phis)
 
-    monkeypatch.setattr(qlayer, "ansatz_unitaries", counted)
-    monkeypatch.setattr(qlayer, "_forward_cache", None)
-    return counts
+@pytest.fixture
+def featurized(monkeypatch):
+    """Row counts of each Pauli-feature computation the layer makes, from empty caches."""
+    return count_calls(monkeypatch, "_pauli_features", len)
 
 
 class TestForwardCache:
-    """The forward pass builds phi's matrix once, and never serves another phi's."""
+    """The exact path compiles phi and featurizes a batch once each, and never
+    serves another array's entry."""
 
     rows = encode_batch(np.random.default_rng(20).uniform(0, 1, size=(5, 3)))
 
@@ -309,6 +328,16 @@ class TestForwardCache:
         np.testing.assert_array_equal(after, uncached_forward(model.qlayer.phi, self.rows))
         assert not np.array_equal(after, before)
         assert builds == [1, 1]
+
+    def test_an_in_place_write_into_the_rows_is_seen_too(self, featurized):
+        layer = make_layer(np.random.default_rng(28))
+        rows = self.rows.copy()
+        before = q_forward_batch(layer, rows)
+        rows[1] = rows[3]
+        after = q_forward_batch(layer, rows)
+        np.testing.assert_array_equal(after, uncached_forward(layer.phi, rows))
+        np.testing.assert_array_equal(after[1], before[3])
+        assert featurized == [5, 5]
 
     def test_alternating_layers_each_get_their_own_output(self, builds):
         rng = np.random.default_rng(21)
@@ -332,43 +361,48 @@ class TestForwardCache:
             np.testing.assert_array_equal(out, uncached_forward(layer.phi, self.rows))
         assert builds == [2, 1, 2, 1, 1, 1, 1]
 
-    def test_the_cached_matrices_refuse_writes(self, builds):
+    def test_the_cached_matrices_refuse_writes(self, builds, featurized):
         layer = make_layer(np.random.default_rng(23))
         q_forward_batch(layer, self.rows)
-        unitaries = qlayer._forward_unitaries(layer.phi)
-        np.testing.assert_array_equal(unitaries, ansatz_unitaries(layer.phi))
-        with pytest.raises(ValueError, match="read-only"):
-            unitaries[0, 0, 0] = 0.0
+        coefficients, derivatives = qlayer._cached("phi", qlayer._compile, layer.phi)
+        features = qlayer._cached("rows", qlayer._pauli_features, self.rows)
+        for cached, fresh in zip((coefficients, derivatives, features),
+                                 (*compile_phi(layer.phi), pauli_features(self.rows))):
+            np.testing.assert_array_equal(cached, fresh)
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 0.0
         np.testing.assert_array_equal(
             q_forward_batch(layer, self.rows), uncached_forward(layer.phi, self.rows)
         )
-        assert builds == [1]
+        assert builds == [1] and featurized == [5]
 
-    def test_the_cache_holds_one_entry(self, builds):
+    def test_the_cache_holds_one_entry(self, builds, featurized):
         rng = np.random.default_rng(24)
         layers = [make_layer(rng) for _ in range(3)]
-        for layer in layers:
-            q_forward_batch(layer, self.rows)
-        key, unitaries = qlayer._forward_cache  # one (key, matrices) pair
-        np.testing.assert_array_equal(unitaries, ansatz_unitaries(layers[-1].phi))
-        for layer in layers:  # the first two were dropped, so each builds again
+        batches = [encode_batch(rng.uniform(0, 1, size=(n, 3))) for n in (2, 3, 4)]
+        for layer, rows in zip(layers, batches):
+            q_forward_batch(layer, rows)
+        assert set(qlayer._caches) == {"phi", "rows"}  # one (key, value) pair each
+        np.testing.assert_array_equal(qlayer._caches["phi"][1][0], compile_phi(layers[-1].phi)[0])
+        np.testing.assert_array_equal(qlayer._caches["rows"][1], pauli_features(batches[-1]))
+        for layer, rows in zip(layers, batches):  # the first two were dropped, so each builds again
             np.testing.assert_array_equal(
-                q_forward_batch(layer, self.rows), uncached_forward(layer.phi, self.rows)
+                q_forward_batch(layer, rows), uncached_forward(layer.phi, rows)
             )
         assert builds == [1] * 6
+        assert featurized == [2, 3, 4] * 2
 
-    def test_the_jacobian_reuses_the_forward_build(self, builds):
+    def test_the_jacobian_reuses_the_forward_build(self, builds, featurized):
         layer = make_layer(np.random.default_rng(25))
         q_forward_batch(layer, self.rows)
         q_gradient_batch(layer, self.rows)
         q_forward_batch(layer, self.rows)
-        assert builds == [1]
+        assert builds == [1] and featurized == [5]
         cold = make_layer(np.random.default_rng(26))
-        jacobian = q_gradient_batch(cold, self.rows)  # a cold cache: the Jacobian builds
-        assert builds == [1, 1]
+        jacobian = q_gradient_batch(cold, self.rows)  # a cold phi: the Jacobian compiles
+        assert builds == [1, 1] and featurized == [5]
         q_forward_batch(cold, self.rows)  # and the next forward hits
-        assert builds == [1, 1]
-        np.testing.assert_array_equal(qlayer._forward_cache[1], ansatz_unitaries(cold.phi))
+        assert builds == [1, 1] and featurized == [5]
         np.testing.assert_allclose(
             jacobian, shift_rule_jacobian(ansatz_unitaries, cold.phi, self.rows), atol=1e-13
         )
@@ -395,16 +429,118 @@ class TestLiteralShiftRule:
             )
 
     def test_a_flipped_sign_table_entry_is_caught(self, monkeypatch):
+        # Random unit states, not encoded rows: an encoded row's amplitudes
+        # share one modulus, so its Z-only strings read 0 and their paths'
+        # signs would not show.
         rng = np.random.default_rng(27)
-        layer, rows = make_layer(rng), encode_batch(rng.uniform(0, 1, size=(4, 3)))
+        layer = make_layer(rng)
+        rows = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         expected = shift_rule_jacobian(ansatz_unitaries, layer.phi, rows)
         np.testing.assert_allclose(q_gradient_batch(layer, rows), expected, atol=1e-13)
-        signs = qlayer._FLIP_SIGNS
-        for b, q in np.ndindex(signs.shape[:2]):
-            flipped = signs.copy()
-            flipped[b, q] *= -1.0
-            monkeypatch.setattr(qlayer, "_FLIP_SIGNS", flipped)
-            assert np.abs(q_gradient_batch(layer, rows) - expected).max() > 1e-3, (b, q)
+        scatter = qlayer._SCATTER
+        for path in range(len(scatter)):
+            flipped = scatter.copy()
+            flipped[path] *= -1.0
+            monkeypatch.setattr(qlayer, "_SCATTER", flipped)
+            monkeypatch.setattr(qlayer, "_caches", {})  # or the old compile is served
+            assert np.abs(q_gradient_batch(layer, rows) - expected).max() > 1e-3, path
+
+
+def pauli_matrix(x, z, n_qubits=3):
+    """The string with X on the qubits of mask ``x`` and Z on those of ``z``, by Kronecker
+    products."""
+    single = {(0, 0): np.eye(2), (1, 0): np.array([[0.0, 1.0], [1.0, 0.0]]),
+              (0, 1): np.diag([1.0, -1.0])}
+    matrix = np.ones((1, 1))
+    for q in range(n_qubits):  # qubit 0 is the least significant bit, so it goes last
+        matrix = np.kron(single[x >> q & 1, z >> q & 1], matrix)
+    return matrix
+
+
+def heisenberg_observables(phi):
+    """U^T Z_j U for each qubit j from the dense ansatz matrix, shape (3, 8, 8)."""
+    unitary = ansatz_unitaries(phi)[0]
+    return np.array([unitary.T @ pauli_matrix(0, 1 << j) @ unitary for j in range(3)])
+
+
+class TestPauliCompile:
+    """The paths propagated at import compile phi into the Heisenberg observables."""
+
+    stacks = st.integers(1, 4).flatmap(
+        lambda n_stack: arrays(float, (n_stack, 6), elements=st.floats(-np.pi, np.pi))
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(phis, stacks))
+    def test_the_coefficients_and_derivatives_sum_to_the_observables(self, phi):
+        coefficients, derivatives = qlayer._compile(phi)
+        strings = np.array([pauli_matrix(x, z) for x, z in qlayer._STRINGS])
+        for s, angles in enumerate(np.atleast_2d(phi)):
+            np.testing.assert_allclose(
+                np.einsum("pj,pab->jab", coefficients[s], strings),
+                heisenberg_observables(angles), rtol=0, atol=1e-12,
+            )
+            slopes = derivatives[s].reshape(len(strings), 3, 6)
+            for k in range(6):
+                step = np.eye(6)[k] * np.pi / 2
+                shifted = 0.5 * (heisenberg_observables(angles + step)
+                                 - heisenberg_observables(angles - step))
+                np.testing.assert_allclose(
+                    np.einsum("pj,pab->jab", slopes[:, :, k], strings), shifted, rtol=0, atol=1e-12
+                )
+
+    @settings(max_examples=15, deadline=None)
+    @given(phis, st.integers(1, 60).flatmap(
+        lambda n: arrays(float, (n, 3), elements=st.floats(0.0, 1.0))
+    ))
+    def test_forward_and_jacobian_match_the_references_on_up_to_60_rows(self, phi, X):
+        layer, rows = QuantumLayer(phi=phi), encode_batch(X)
+        forward = q_forward_batch(layer, rows)
+        for i, x in enumerate(X):
+            np.testing.assert_allclose(
+                forward[i], gate_level_expectations(phi, x), rtol=0, atol=1e-12
+            )
+        np.testing.assert_allclose(
+            q_gradient_batch(layer, rows), shift_rule_jacobian(ansatz_unitaries, phi, rows),
+            rtol=0, atol=1e-12,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(phis, stacks), batches)
+    def test_another_qubits_second_layer_angle_has_an_exact_zero_derivative(self, phi, X):
+        # The second-layer RY on qubit k commutes with Z_j for k != j, so no
+        # path of Z_j carries phi_{3+k}.
+        jacobian = q_gradient_batch(QuantumLayer(phi=phi), encode_batch(X))
+        for j, k in np.ndindex(3, 3):
+            if j != k:
+                assert (jacobian[..., j, 3 + k] == 0.0).all(), (j, k)
+
+    def test_the_ansatz_has_24_paths_over_20_strings(self):
+        assert len(qlayer._SCATTER) == 6 + 8 + 10  # Z_0, Z_1 and Z_2's paths
+        assert len(qlayer._STRINGS) == 20
+        assert all(x & z == 0 for x, z in qlayer._STRINGS)  # no Y anywhere
+
+    @pytest.mark.parametrize("gates, n_qubits, message", [
+        ([h(0)], 1, r"through Gate\(kind='H'"),
+        ([ry(0.0, 0), rz(0.5, 0)], 1, r"through Gate\(kind='RZ'"),
+        ([cx(0, 1), ry(0.0, 0), cx(1, 0)], 2, r"Gate\(kind='CX', target=1, control=0.* holding Y"),
+        ([ry(0.0, 0), ry(0.0, 0)], 1, r"Gate\(kind='RY'.* reuses angle 0"),
+    ])
+    def test_the_path_table_refuses_what_it_cannot_propagate(self, gates, n_qubits, message):
+        with pytest.raises(ValueError, match=message):
+            qlayer._pauli_paths(gates, n_qubits, 1)
+
+    def test_an_ansatz_it_cannot_propagate_fails_at_import(self, monkeypatch):
+        import importlib.util
+
+        import hqloc.circuits as circuits
+
+        real = circuits.real_amplitudes
+        monkeypatch.setattr(circuits, "real_amplitudes", lambda n, phi: real(n, phi) + [h(0)])
+        spec = importlib.util.spec_from_file_location("hqloc.qlayer_probe", qlayer.__file__)
+        with pytest.raises(ValueError, match=r"through Gate\(kind='H'"):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 class TestStackedLayer:
@@ -426,6 +562,12 @@ class TestStackedLayer:
             alone = QuantumLayer(phi=phi.copy())
             np.testing.assert_array_equal(forward[s], q_forward_batch(alone, rows))
             np.testing.assert_array_equal(gradient[s], q_gradient_batch(alone, rows))
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 6), (3, 6)])
+    def test_zero_rows_give_empty_results(self, shape):
+        layer, rows = QuantumLayer(phi=np.zeros(shape)), np.zeros((0, 8), dtype=complex)
+        assert q_forward_batch(layer, rows).shape == (*shape[:-1], 0, 3)
+        assert q_gradient_batch(layer, rows).shape == (*shape[:-1], 0, 3, 6)
 
     def test_shapes_and_shots_are_refused(self):
         with pytest.raises(ValueError, match="or a stack of them"):

@@ -347,17 +347,25 @@ class TestCircuitCounts:
 
     @staticmethod
     def count_builds(monkeypatch):
-        """Angle rows of each ansatz build the quantum layer makes, from an empty cache."""
+        """Angle vectors of each compile of phi the quantum layer makes, from empty caches.
+
+        The exact path builds no ansatz matrix at all: an ``ansatz_unitaries``
+        call fails the test.
+        """
         import hqloc.qlayer as qlayer
 
-        real, builds = qlayer.ansatz_unitaries, []
+        real, builds = qlayer._compile, []
 
-        def counted(phis):
-            builds.append(len(np.atleast_2d(phis)))
-            return real(phis)
+        def counted(phi):
+            builds.append(len(np.atleast_2d(phi)))
+            return real(phi)
 
-        monkeypatch.setattr(qlayer, "ansatz_unitaries", counted)
-        monkeypatch.setattr(qlayer, "_forward_cache", None)
+        def no_matrix(phis):
+            raise AssertionError("the exact path built an ansatz matrix")
+
+        monkeypatch.setattr(qlayer, "_compile", counted)
+        monkeypatch.setattr(qlayer, "ansatz_unitaries", no_matrix)
+        monkeypatch.setattr(qlayer, "_caches", {})
         return builds
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -365,15 +373,16 @@ class TestCircuitCounts:
     def test_an_epoch_builds_phi_once_and_builds_no_shifted_angle(
         self, monkeypatch, optimizer, epochs
     ):
-        # The loss forward builds phi's matrix, and the gradient's forward and
-        # the Jacobian reuse it; the final loss builds the trained phi's:
-        # E + 1 builds.
+        # The loss forward compiles phi, and the gradient's forward and the
+        # Jacobian reuse it; the final loss compiles the trained phi's: E + 1
+        # compiles, none of a shifted angle and no ansatz matrix.
         builds = self.count_builds(monkeypatch)
         X, Z = small_problem(seed=2, n=7)
         train(init_hybrid_model(2), X, Z, TrainConfig(optimizer=optimizer, epochs=epochs))
         assert builds == [1] * epochs + [1]
 
     def test_fixes_on_one_model_build_its_ansatz_once(self, monkeypatch):
+        # One compile of phi serves every fix and the batch after them.
         builds = self.count_builds(monkeypatch)
         model = init_hybrid_model(3)
         X, _ = small_problem(seed=3, n=5)
@@ -382,6 +391,21 @@ class TestCircuitCounts:
             assert builds == [1]
         hqnn_forward_batch(model, X)
         assert builds == [1]
+
+    def test_a_training_run_computes_its_rows_features_once(self, monkeypatch):
+        import hqloc.qlayer as qlayer
+
+        real, featurized = qlayer._pauli_features, []
+
+        def counted(rows):
+            featurized.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(qlayer, "_pauli_features", counted)
+        monkeypatch.setattr(qlayer, "_caches", {})
+        X, Z = small_problem(seed=2, n=7)
+        train(init_hybrid_model(2), X, Z, TrainConfig(epochs=4))
+        assert featurized == [7]
 
     def test_a_fix_encodes_its_features_once(self, monkeypatch):
         import hqloc.qlayer as qlayer

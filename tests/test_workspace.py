@@ -31,8 +31,8 @@ def test_a_dense_epoch_allocates_no_large_array(monkeypatch, seeds):
     array that size made every epoch faults its pages in every epoch. With an
     Adam step that makes its moments, scratch and result anew, four (3, 8898)
     arrays, a 3-seed stack peaks 835 KiB up, and a lone network 296. The hybrid
-    stack is left out: its shift-rule Jacobian allocates ~505 KiB an epoch,
-    which an adjoint-mode Jacobian would remove.
+    stack is left out: it takes no workspace, and its fresh head layers and
+    Jacobian peak ~130 KiB up for a 3-seed stack.
     """
     X, Z = sc1_wifi()
     real_step, levels, rises = optim.adam_step, [], []
@@ -92,3 +92,49 @@ def test_a_gradient_view_takes_the_gradient_in_place():
     np.testing.assert_array_equal(full[n_angles:], loss_and_grad(net, V, Z)[1])
     assert np.shares_memory(grad, full)
 
+
+
+def test_a_workspace_pass_cuts_no_gradient_views(monkeypatch):
+    # The workspace cuts its gradient's layer views once; each pass into it
+    # reuses them, and a one-off pass still cuts its own.
+    import hqloc.classical as classical
+
+    net = stack([baseline_net(s) for s in (1, 2, 3)])
+    rng = np.random.default_rng(9)
+    V, Z = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+    work = workspace(net, len(V))
+    real, cuts = classical.layer_views, []
+
+    def counted(*args):
+        cuts.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(classical, "layer_views", counted)
+    for _ in range(3):
+        loss_w, grad_w, inputs_w = loss_and_grad(net, V, Z, work=work)
+        assert grad_w is work.grad
+        assert cuts == []
+        loss, grad, inputs = loss_and_grad(net, V, Z)
+        assert len(cuts) == 1
+        cuts.clear()
+        np.testing.assert_array_equal(loss_w, loss)
+        np.testing.assert_array_equal(grad_w, grad)
+        np.testing.assert_array_equal(inputs_w, inputs)
+
+
+@pytest.mark.parametrize("epochs", [2, 6])
+def test_a_dense_run_cuts_its_gradient_views_before_the_first_epoch(monkeypatch, epochs):
+    import hqloc.classical as classical
+
+    X, Z = sc1_wifi()
+    models = [baseline_net(s) for s in (1, 2)]
+    real, cuts = classical.layer_views, []
+
+    def counted(*args):
+        cuts.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(classical, "layer_views", counted)
+    results = train_stack(models, X, Z, [TrainConfig(epochs=epochs, seed=s) for s in (1, 2)])
+    assert not any(isinstance(r, Exception) for r in results)
+    assert len(cuts) == 2  # the stack's bind and its workspace, whatever the epoch count
