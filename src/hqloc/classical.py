@@ -27,12 +27,13 @@ pass, so a training epoch runs the network once. Backprop writes each layer's
 gradient into its views of one ``params``-layout array.
 
 A pass writes its layer outputs, ReLU masks and input gradients with
-numpy's ``out=``. A one-off call passes ``out=None`` and gets fresh arrays,
-and cuts the layer views of its gradient itself. A training loop instead
-builds one :class:`Workspace` per run, which holds a gradient buffer and its
+numpy's ``out=``, in one of two modes. A one-off call passes ``out=None`` and
+gets fresh arrays, and cuts the layer views of its gradient itself. A
+training loop instead builds one :class:`Workspace` per run, for a baseline
+network or a hybrid model's head, which holds a gradient buffer and its
 layer views, cut once, and :func:`loss_and_grad` writes every epoch into it,
-so a stack's (S, n, 128)-sized arrays are not made anew each epoch. Both run
-the same lines and give the same bits.
+so a stack's (S, n, 128)-sized arrays are not made anew each epoch. Both
+modes run the same lines and give the same bits.
 """
 
 from __future__ import annotations
@@ -213,19 +214,16 @@ def _trace(net: DenseNet, V, work: Workspace | None = None) -> list[np.ndarray]:
 
 
 def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray,
-              grad: np.ndarray | None = None, work: Workspace | None = None):
+              work: Workspace | None = None):
     """Parameter gradient (``params`` layout) and input gradients from a forward trace.
 
-    The parameter gradient is written into ``grad``, else into ``work``'s
-    gradient through its views, else into a fresh array, and the masks and
-    deltas into ``work``'s buffers, or fresh arrays. The ReLU subgradient at
-    exactly 0 is taken as 0; ``upstream`` is not modified.
+    The parameter gradient is written into ``work``'s gradient through its
+    views, the masks and deltas into ``work``'s buffers; without ``work``,
+    into fresh arrays. The ReLU subgradient at exactly 0 is taken as 0;
+    ``upstream`` is not modified.
     """
-    if grad is None and work is not None:
-        grad, views = work.grad, work.grad_views
-    else:
-        grad = np.empty(_params_shape(net)) if grad is None else grad
-        views = layer_views(net, grad)
+    grad = np.empty(_params_shape(net)) if work is None else work.grad
+    views = layer_views(net, grad) if work is None else work.grad_views
     delta = upstream
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
@@ -270,18 +268,16 @@ def backward_batch(net: DenseNet, V, upstream) -> tuple[np.ndarray, np.ndarray]:
     return _backprop(net, acts, upstream)
 
 
-def loss_and_grad(net: DenseNet, V, Z, grad: np.ndarray | None = None,
+def loss_and_grad(net: DenseNet, V, Z,
                   work: Workspace | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch MSE against targets ``Z`` and its gradients, from one forward pass.
 
     Returns the loss, the flat parameter gradient and the per-row input
     gradients. They equal ``mse_loss(forward_batch(net, V), Z)`` and
     ``backward_batch(net, V, 2 * (pred - Z) / n)`` bit for bit. A stack
-    shares the targets and returns an (S,) array of losses. The parameter
-    gradient is written into ``grad`` when given, which may be a view such
-    as a hybrid model's head columns, else into ``work``'s gradient buffer,
-    and the layer buffers into ``work`` (:func:`workspace`); without them
-    each pass allocates its own.
+    shares the targets and returns an (S,) array of losses. Given ``work``
+    (:func:`workspace`), the pass writes into its buffers and returns views
+    of them; without it, the pass allocates its own.
     """
     acts = _trace(net, V, work)
     pred = acts[-1]
@@ -294,7 +290,7 @@ def loss_and_grad(net: DenseNet, V, Z, grad: np.ndarray | None = None,
     loss = _mean_squared_norm(diff)
     diff *= 2.0
     diff /= diff.shape[-2]
-    return (loss, *_backprop(net, acts, diff, grad, work))
+    return (loss, *_backprop(net, acts, diff, work))
 
 
 def _mean_squared_norm(diff: np.ndarray):

@@ -28,16 +28,16 @@ whole test matrix, and :func:`hqnn_forward_batch` runs every row through one
 quantum kernel pass and one head pass, exact or, given a shot budget and a
 seed, shot-sampled. The trained model is the same in both cases.
 
-A training run builds its workspace once: Adam's moments and scratch, and for
-a dense network the (S, P) gradient buffer and the layer buffers of
-:class:`classical.Workspace`. Every epoch writes into them and steps
-``params`` in place, so a dense epoch after the first allocates no array of
+A training run builds its workspace once: Adam's moments and scratch, and the
+gradient buffer and layer buffers of a :class:`classical.Workspace`, for a
+dense network or a hybrid model's head. Every epoch writes into them and
+steps ``params`` in place, so an epoch after the first allocates no array of
 128 KiB or more (a 3-seed 3-128-64-2 stack's arrays are 75-213 KB each), and
-glibc does not unmap and fault in such blocks every epoch. A hybrid model
-takes no workspace: its exact kernel reads phi's compiled Pauli coefficients
-and the rows' Pauli features from the quantum layer's caches, and its
-per-epoch arrays (the head's layers and the (S, n, 3, 6) Jacobian) are tens
-of KiB per stack and stay fresh per epoch.
+glibc does not unmap and fault in such blocks every epoch. Both kinds run one
+buffered pass of :func:`classical.loss_and_grad`; a hybrid model's exact
+kernel reads phi's compiled Pauli coefficients and the rows' Pauli features
+from the quantum layer's caches, and its pass allocates only the (S, n, 3, 6)
+Jacobian and the (S, 200) joint gradient, a few KiB per stack.
 """
 
 from __future__ import annotations
@@ -107,23 +107,28 @@ def _batch(X, Z, name: str) -> tuple[np.ndarray, np.ndarray]:
     return X, Z
 
 
-def hqnn_grad(model: HybridModel, X, Z, encoded=None) -> np.ndarray:
+def hqnn_grad(model: HybridModel, X, Z) -> np.ndarray:
     """Gradient of the batch MSE with respect to all trainable parameters.
 
-    Head gradients come from reverse mode; quantum gradients chain the head's
-    input gradients through the per-sample shift-rule matrices. ``encoded``
-    optionally supplies the rows of :func:`encode_batch` for ``X``, so a
-    training loop encodes its data once. A stacked model gives one gradient
-    row per model. The head's pass writes its gradient straight into the
-    head's columns of the result, which is laid out like ``model.params``.
+    Laid out like ``model.params``; a stacked model gives one gradient row per
+    model. It is the training pass of :func:`_model_ops` with fresh head
+    arrays.
     """
     X, Z = _batch(X, Z, "gradient batch")
-    rows = encode_batch(check_features(X, N_FEATURES)) if encoded is None else encoded
+    return _hqnn_grad(model, encode_batch(check_features(X, N_FEATURES)), Z)
+
+
+def _hqnn_grad(model: HybridModel, rows: np.ndarray, Z: np.ndarray,
+               work: classical.Workspace | None = None) -> np.ndarray:
+    """The joint gradient over encoded ``rows``: the head's pass into ``work``, then phi's.
+
+    Head gradients come from reverse mode; quantum gradients chain the head's
+    input gradients through the per-sample shift-rule matrices.
+    """
     U = q_forward_batch(model.qlayer, rows)
-    grad = np.empty(model.params.shape)
-    _, _, input_grads = classical.loss_and_grad(model.head, U, Z, grad[..., N_ANSATZ_PARAMS:])
-    grad[..., :N_ANSATZ_PARAMS] = _phi_grad(input_grads, q_gradient_batch(model.qlayer, rows))
-    return grad
+    _, head_grad, input_grads = classical.loss_and_grad(model.head, U, Z, work)
+    phi_grad = _phi_grad(input_grads, q_gradient_batch(model.qlayer, rows))
+    return np.concatenate([phi_grad, head_grad], axis=-1)
 
 
 def _phi_grad(input_grads: np.ndarray, shift_matrices: np.ndarray) -> np.ndarray:
@@ -197,12 +202,14 @@ def _model_ops(model, X, Z):
     """(train_mse, loss_and_grad) for training the stack ``model`` on (``X``, ``Z``).
 
     ``loss_and_grad(model)`` gives one epoch's pre-update MSE and gradient per
-    model, ``train_mse(model)`` the MSE alone. A hybrid model's training rows
-    are encoded here, once per training run; a dense network's gradient buffer
-    and layer buffers are built here, and every epoch's pass overwrites them.
+    model, ``train_mse(model)`` the MSE alone. The :class:`classical.Workspace`
+    of the dense network, or of a hybrid model's head, is built here, once per
+    training run, and every epoch's pass overwrites it; a hybrid model's
+    training rows are encoded here too.
     """
     if isinstance(model, HybridModel):
         rows = encode_batch(check_features(X, N_FEATURES))
+        work = classical.workspace(model.head, len(X))
 
         def train_mse(stack):
             U = q_forward_batch(stack.qlayer, rows)
@@ -211,12 +218,12 @@ def _model_ops(model, X, Z):
         def loss_and_grad(stack):
             # The loss keeps its own exact forward, so an epoch makes two
             # forwards and one Jacobian, which the benchmark's tracer counts as
-            # 14 ansatz sweeps where reading the loss off hqnn_grad's forward
+            # 14 ansatz sweeps where reading the loss off the gradient's forward
             # would take 13. perfbench/test_perfbench.py pins sweeps_per_epoch
             # at 14; the count drops when that pin moves. Both forwards and the
             # Jacobian see the same phi and rows, so they share one compile of
             # phi and the rows' Pauli features through qlayer's caches.
-            return train_mse(stack), hqnn_grad(stack, X, Z, encoded=rows)
+            return train_mse(stack), _hqnn_grad(stack, rows, Z, work)
 
         return train_mse, loss_and_grad
 
@@ -226,7 +233,7 @@ def _model_ops(model, X, Z):
         return classical.mse_loss(classical.forward_batch(stack, X), Z)
 
     def loss_and_grad(stack):
-        return classical.loss_and_grad(stack, X, Z, None, work)[:2]  # into work's gradient
+        return classical.loss_and_grad(stack, X, Z, work)[:2]
 
     return train_mse, loss_and_grad
 
@@ -470,23 +477,23 @@ def compare_all(
     return records
 
 
+_COLUMNS = ("scenario", "technology", "method", "seed", "rmse_m", "note")
+
+
+def _cells(record, rmse_text) -> list[str]:
+    """``record``'s :data:`_COLUMNS` as text, its RMSE through ``rmse_text``; a null is ""."""
+    seed, rmse = record["seed"], record["rmse_m"]
+    return [str(record["scenario"]), str(record["technology"]), str(record["method"]),
+            "" if seed is None else str(seed), "" if rmse is None else rmse_text(rmse),
+            str(record["note"])]
+
+
 def format_comparison(records) -> str:
     """Human-readable table of comparison records."""
-    headers = ("scenario", "technology", "method", "seed", "rmse_m", "note")
-    rows = [
-        [
-            str(r["scenario"]),
-            str(r["technology"]),
-            str(r["method"]),
-            "" if r["seed"] is None else str(r["seed"]),
-            "" if r["rmse_m"] is None else f"{r['rmse_m']:.3f}",
-            str(r["note"]),
-        ]
-        for r in records
-    ]
-    widths = [max([len(h), *(len(row[i]) for row in rows)]) for i, h in enumerate(headers)]
+    rows = [_cells(r, "{:.3f}".format) for r in records]
+    widths = [max([len(h), *(len(row[i]) for row in rows)]) for i, h in enumerate(_COLUMNS)]
     lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
+        "  ".join(h.ljust(w) for h, w in zip(_COLUMNS, widths)),
         "  ".join("-" * w for w in widths),
     ]
     lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows]
@@ -495,17 +502,5 @@ def format_comparison(records) -> str:
 
 def records_to_csv_rows(records) -> list[list[str]]:
     """Machine-readable rows (full float precision) for the comparison CSV."""
-    rows = [["scenario", "technology", "method", "seed", "rmse_m", "note", "config_digest"]]
-    for r in records:
-        rows.append(
-            [
-                str(r["scenario"]),
-                str(r["technology"]),
-                str(r["method"]),
-                "" if r["seed"] is None else str(r["seed"]),
-                "" if r["rmse_m"] is None else repr(float(r["rmse_m"])),
-                str(r["note"]),
-                str(r["config_digest"]),
-            ]
-        )
-    return rows
+    return [[*_COLUMNS, "config_digest"],
+            *([*_cells(r, lambda v: repr(float(v))), str(r["config_digest"])] for r in records)]

@@ -126,15 +126,6 @@ class TestHybridGradient:
             numeric = fd_gradient(loss, model.params.copy(), h=1e-5)
             np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-6)
 
-    def test_precomputed_encodings_change_nothing(self):
-        from hqloc.qlayer import encode_batch
-
-        model = init_hybrid_model(seed=4)
-        X, Z = small_problem(seed=4)
-        plain = hqnn_grad(model, X, Z)
-        cached = hqnn_grad(model, X, Z, encoded=encode_batch(X))
-        np.testing.assert_array_equal(plain, cached)
-
     def test_batch_validation(self):
         model = init_hybrid_model(seed=0)
         with pytest.raises(ValueError):
@@ -642,15 +633,20 @@ class TestTrainStack:
 
         mark = 123.0
         start_phi = init_hybrid_model(2).qlayer.phi.copy()
-        real_grad = train_eval.hqnn_grad
+        real_ops = train_eval._model_ops
 
-        def poisoned_grad(model, X, Z, encoded=None):
-            grads = real_grad(model, X, Z, encoded=encoded)
-            # Model 2 once its phi has left its start value: from epoch 1 on.
-            marked = model.head.layers[0].weight[..., 0, 0] == mark
-            moved = (model.qlayer.phi != start_phi).any(axis=-1)
-            grads[marked & moved] = np.nan
-            return grads
+        def poisoned_ops(model, X, Z):
+            train_mse, real_pass = real_ops(model, X, Z)
+
+            def poisoned_pass(stack):
+                losses, grads = real_pass(stack)
+                # Model 2 once its phi has left its start value: from epoch 1 on.
+                marked = stack.head.layers[0].weight[..., 0, 0] == mark
+                moved = (stack.qlayer.phi != start_phi).any(axis=-1)
+                grads[marked & moved] = np.nan
+                return losses, grads
+
+            return train_mse, poisoned_pass
 
         def make(seed):
             model = init_hybrid_model(seed)
@@ -660,7 +656,7 @@ class TestTrainStack:
                 model.head.layers[0].weight[0, 0] = mark
             return model
 
-        monkeypatch.setattr(train_eval, "hqnn_grad", poisoned_grad)
+        monkeypatch.setattr(train_eval, "_model_ops", poisoned_ops)
         X, Z = small_problem(seed=7, n=9)
         seeds = (1, 2, 3)
         configs = [TrainConfig(epochs=5, eta=0.05, seed=s) for s in seeds]

@@ -1,6 +1,7 @@
-"""A training run's workspace: the dense pass writes into buffers built once per
-run and the optimizer steps in place, so an epoch after the first allocates no
-large array, and every value stays what a pass with fresh arrays gives."""
+"""A training run's workspace: the pass of a dense network, or of a hybrid
+model's head, writes into buffers built once per run and the optimizer steps
+in place, so an epoch after the first allocates no large array, and every
+value stays what a pass with fresh arrays gives."""
 
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 
 from hqloc import data, optim
 from hqloc.classical import baseline_net, hqnn_head, loss_and_grad, stack, workspace
-from hqloc.train_eval import TrainConfig, train_stack
+from hqloc.train_eval import TrainConfig, init_hybrid_model, train_stack
 
 KIB = 1024
 
@@ -20,19 +21,12 @@ def sc1_wifi():
     return data.transform_samples(data.fit_scaler(samples), samples)
 
 
-@pytest.mark.parametrize("seeds", [(1, 2, 3), (1,)])
-def test_a_dense_epoch_allocates_no_large_array(monkeypatch, seeds):
-    """From epoch 2 on, traced memory between two successive optimizer steps
-    peaks less than 128 KiB above its level at the earlier step.
+def step_rises(monkeypatch, make, seeds):
+    """How far traced memory peaks above its level at each optimizer step
+    before the next step starts: one rise per interval, from epoch 0's step on.
 
     Each interval runs from one step's start to the next's, so it holds a whole
-    step and a whole loss-and-gradient pass. glibc serves blocks of 128 KiB and
-    more with mmap by default and unmaps them on free (mallopt(3)), so an
-    array that size made every epoch faults its pages in every epoch. With an
-    Adam step that makes its moments, scratch and result anew, four (3, 8898)
-    arrays, a 3-seed stack peaks 835 KiB up, and a lone network 296. The hybrid
-    stack is left out: it takes no workspace, and its fresh head layers and
-    Jacobian peak ~130 KiB up for a 3-seed stack.
+    step and a whole loss-and-gradient pass.
     """
     X, Z = sc1_wifi()
     real_step, levels, rises = optim.adam_step, [], []
@@ -46,7 +40,7 @@ def test_a_dense_epoch_allocates_no_large_array(monkeypatch, seeds):
         return real_step(state, params, grads)
 
     monkeypatch.setattr(optim, "adam_step", measured_step)
-    models = [baseline_net(s) for s in seeds]
+    models = [make(s) for s in seeds]
     tracemalloc.start()
     try:
         results = train_stack(models, X, Z, [TrainConfig(epochs=8, seed=s) for s in seeds])
@@ -54,6 +48,33 @@ def test_a_dense_epoch_allocates_no_large_array(monkeypatch, seeds):
         tracemalloc.stop()
     assert not any(isinstance(r, Exception) for r in results)
     assert len(rises) == 7  # intervals from epoch 0's step to epoch 7's
+    return rises
+
+
+@pytest.mark.parametrize("seeds", [(1, 2, 3), (1,)])
+def test_a_dense_epoch_allocates_no_large_array(monkeypatch, seeds):
+    """From epoch 2 on, traced memory between two successive optimizer steps
+    peaks less than 128 KiB above its level at the earlier step.
+
+    glibc serves blocks of 128 KiB and more with mmap by default and unmaps
+    them on free (mallopt(3)), so an array that size made every epoch faults
+    its pages in every epoch. With an Adam step that makes its moments,
+    scratch and result anew, four (3, 8898) arrays, a 3-seed stack peaks 835
+    KiB up, and a lone network 296.
+    """
+    rises = step_rises(monkeypatch, baseline_net, seeds)
+    assert max(rises[1:]) < 128 * KIB, [rise // KIB for rise in rises]
+
+
+@pytest.mark.parametrize("seeds", [(1, 2, 3), (1,)])
+def test_a_hybrid_epoch_allocates_no_large_array(monkeypatch, seeds):
+    """The same bound for a hybrid stack, whose head's pass runs in a workspace.
+
+    With fresh head layers and a fresh gradient in each pass, a 3-seed stack
+    peaked ~131 KiB up. In the workspace, its epoch's fresh arrays (the loss
+    forward's head layers, the Jacobian and the joint gradient) peak ~79 KiB up.
+    """
+    rises = step_rises(monkeypatch, init_hybrid_model, seeds)
     assert max(rises[1:]) < 128 * KIB, [rise // KIB for rise in rises]
 
 
@@ -67,31 +88,18 @@ def test_a_pass_into_a_workspace_equals_a_fresh_one_bit_for_bit(make, per_seed):
     net = make()
     rng = np.random.default_rng(8)
     n = 11
-    grad, work = np.empty(net.params.shape), workspace(net, n)
+    work = workspace(net, n)
     for _ in range(2):  # the second pass overwrites the first's buffers
         lead = net.params.shape[:-1] if per_seed else ()
         V = rng.normal(size=(*lead, n, net.input_dim))
         Z = rng.normal(size=(n, net.output_dim))
         loss, fresh_grad, fresh_inputs = loss_and_grad(net, V, Z)
-        loss_w, grad_w, inputs_w = loss_and_grad(net, V, Z, grad, work)
-        assert grad_w is grad
+        loss_w, grad_w, inputs_w = loss_and_grad(net, V, Z, work)
+        assert grad_w is work.grad
         assert np.shares_memory(inputs_w, work.deltas[0])
         np.testing.assert_array_equal(loss_w, loss)
         np.testing.assert_array_equal(grad_w, fresh_grad)
         np.testing.assert_array_equal(inputs_w, fresh_inputs)
-
-
-def test_a_gradient_view_takes_the_gradient_in_place():
-    # A hybrid model's head writes its gradient into its columns of the model's.
-    net, n_angles = hqnn_head(3), 6
-    rng = np.random.default_rng(2)
-    V, Z = rng.normal(size=(7, 3)), rng.normal(size=(7, 2))
-    full = np.full(n_angles + net.params.size, 7.0)
-    _, grad, _ = loss_and_grad(net, V, Z, full[n_angles:])
-    np.testing.assert_array_equal(full[:n_angles], 7.0)
-    np.testing.assert_array_equal(full[n_angles:], loss_and_grad(net, V, Z)[1])
-    assert np.shares_memory(grad, full)
-
 
 
 def test_a_workspace_pass_cuts_no_gradient_views(monkeypatch):
@@ -122,12 +130,12 @@ def test_a_workspace_pass_cuts_no_gradient_views(monkeypatch):
         np.testing.assert_array_equal(inputs_w, inputs)
 
 
-@pytest.mark.parametrize("epochs", [2, 6])
-def test_a_dense_run_cuts_its_gradient_views_before_the_first_epoch(monkeypatch, epochs):
+def count_view_cuts(monkeypatch, make, epochs):
+    """How many times training a 2-seed stack of ``make`` cuts gradient layer views."""
     import hqloc.classical as classical
 
     X, Z = sc1_wifi()
-    models = [baseline_net(s) for s in (1, 2)]
+    models = [make(s) for s in (1, 2)]
     real, cuts = classical.layer_views, []
 
     def counted(*args):
@@ -137,4 +145,18 @@ def test_a_dense_run_cuts_its_gradient_views_before_the_first_epoch(monkeypatch,
     monkeypatch.setattr(classical, "layer_views", counted)
     results = train_stack(models, X, Z, [TrainConfig(epochs=epochs, seed=s) for s in (1, 2)])
     assert not any(isinstance(r, Exception) for r in results)
-    assert len(cuts) == 2  # the stack's bind and its workspace, whatever the epoch count
+    return len(cuts)
+
+
+@pytest.mark.parametrize("epochs", [2, 6])
+def test_a_dense_run_cuts_its_gradient_views_before_the_first_epoch(monkeypatch, epochs):
+    # The stack's bind and its workspace, whatever the epoch count.
+    assert count_view_cuts(monkeypatch, baseline_net, epochs) == 2
+
+
+@pytest.mark.parametrize("epochs", [2, 6])
+def test_a_hybrid_run_cuts_its_gradient_views_before_the_first_epoch(monkeypatch, epochs):
+    # The stacked head's bind, the stacked model's bind of it into the joint
+    # params, and the head's workspace; a fresh gradient would cut one more
+    # per epoch.
+    assert count_view_cuts(monkeypatch, init_hybrid_model, epochs) == 3
