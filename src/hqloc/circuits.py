@@ -7,9 +7,11 @@ Two views of the same circuits live here:
   the reference;
 * :func:`encode_batch` and :func:`ansatz_unitaries` are the closed forms the
   quantum layer runs on. After the H layer the feature map is diagonal, so
-  every encoded amplitude is a pure phase, and for fixed angles the ansatz is
-  one real 2**n x 2**n matrix: each RY layer is one gather from the half-angle
-  cosines and sines and a product over qubits, then the CX chain joins them.
+  every encoded amplitude is a pure phase: a row's 2n - 1 gate angles times a
+  cached 0/1 table of which basis states each phase gate reaches, summed over
+  the gates in circuit order. For fixed angles the ansatz is one real
+  2**n x 2**n matrix: each RY layer is one gather from the half-angle cosines
+  and sines and a product over qubits, then the CX chain joins them.
 
 Qubit 0 is the least significant bit of the basis index. Features are
 expected to be pre-scaled to [0, 1] by the data pipeline before encoding.
@@ -72,6 +74,19 @@ def _basis_bits(n_qubits: int) -> np.ndarray:
     return bits
 
 
+@lru_cache(maxsize=32)
+def _phase_terms(n_qubits: int) -> np.ndarray:
+    """(2n - 1, 2**n) 0/1 floats: the basis bits, then the XORs of neighbouring bits.
+
+    Row t says which basis states the t-th phase gate of :func:`zz_feature_map`
+    shifts: qubit t's bit for t < n, then the parity of pair (i, i + 1).
+    """
+    bits = _basis_bits(n_qubits)
+    terms = np.concatenate([bits, bits[:-1] ^ bits[1:]]).astype(float)
+    terms.flags.writeable = False  # shared by every caller through the cache
+    return terms
+
+
 def check_features(x, width: int) -> np.ndarray:
     """``x`` as one float query (width,) or a batch (m, width); refuses any other shape."""
     x = np.asarray(x, dtype=float)
@@ -94,7 +109,15 @@ def encode_batch(X) -> np.ndarray:
 
     Closed form of :func:`zz_feature_map` applied to |0...0>: amplitude k is
     ``2**(-n/2) * exp(i * (sum_q 2 x_q b_q + sum_i 2 (pi - x_i)(pi - x_{i+1})
-    (b_i XOR b_{i+1})))`` where b_q is bit q of k. Raises ValueError for NaN or
+    (b_i XOR b_{i+1})))`` where b_q is bit q of k. The rows' 2n - 1 phase-gate
+    angles, the n single-qubit ones then the n - 1 pair ones, multiply the
+    cached (2n - 1, 2**n) table of :func:`_phase_terms` into one C-ordered
+    (2n - 1, n_rows, 2**n) product, and one ``np.add.reduce`` sums it over
+    the gate axis. That axis is the outermost, not the contiguous one, so
+    numpy adds the terms one after another in that order, whatever the batch
+    size: a row encodes to the same bytes alone or in any batch, and
+    :func:`feature_state` equals its ``encode_batch`` row. The product takes
+    (2n - 1) * 2**n floats per row, 40 at n = 3. Raises ValueError for NaN or
     infinite features, which would otherwise encode to NaN amplitudes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -104,15 +127,14 @@ def encode_batch(X) -> np.ndarray:
         )
     check_finite("features", X)
     n = X.shape[1]
-    bits = _basis_bits(n)
-    # Accumulate qubit by qubit so each row's phase is summed in the same
-    # order whatever the batch size: feature_state equals its encode_batch row.
-    phase = np.zeros((X.shape[0], bits.shape[1]))
-    for q in range(n):
-        phase += 2.0 * X[:, q : q + 1] * bits[q]
-    for i in range(n - 1):
-        pair = 2.0 * (math.pi - X[:, i : i + 1]) * (math.pi - X[:, i + 1 : i + 2])
-        phase += pair * (bits[i] ^ bits[i + 1])
+    gaps = math.pi - X.T
+    angles = np.concatenate([2.0 * X.T, 2.0 * gaps[:-1] * gaps[1:]])
+    terms = _phase_terms(n)
+    # One contiguous (n_rows, 2**n) slice per gate, so the sum runs over whole
+    # slices and a large batch costs no more than a loop over the gates.
+    products = np.empty((len(terms), len(X), terms.shape[1]))
+    phase = np.add.reduce(np.multiply(angles[:, :, None], terms[:, None], out=products), axis=0)
+    del products  # freed before the complex arrays are made
     return np.exp(1j * phase) / math.sqrt(2.0**n)
 
 

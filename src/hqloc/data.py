@@ -283,7 +283,12 @@ def transform(scaler: Scaler, rssi) -> np.ndarray:
         raise ValueError(f"a scaler maps {scaler.lo.size} RSSI features, got shape {rssi.shape}")
     if not np.isfinite(rssi).all():
         raise ValueError("RSSI readings must be finite, got NaN or inf")
-    return np.clip((rssi - scaler.lo) / (scaler.hi - scaler.lo), 0.0, 1.0)
+    scaled = (rssi - scaler.lo) / (scaler.hi - scaler.lo)
+    # Clip in place with two ufuncs: np.clip's wrapper costs more than a fix's
+    # arithmetic. Each bound goes first because np.maximum returns its second
+    # operand of two equal zeros, so a -0.0 stays -0.0, as np.clip keeps it.
+    np.maximum(0.0, scaled, out=scaled)
+    return np.minimum(1.0, scaled, out=scaled)
 
 
 def transform_samples(scaler: Scaler, samples) -> tuple[np.ndarray, np.ndarray]:
@@ -362,15 +367,12 @@ def gen_synthetic(
             raise ValueError(f"positions must be (n, 2), got shape {positions.shape}")
         if not np.isfinite(positions).all():
             raise ValueError("positions must be finite, got NaN or inf")
-    samples = []
-    for pos in positions:
-        dists = np.maximum(
-            np.linalg.norm(tx - pos, axis=1), REFERENCE_DISTANCE_M
-        )
-        rssi = pl0 - 10.0 * n_exp * np.log10(dists / REFERENCE_DISTANCE_M)
-        rssi = rssi + rng.normal(0.0, sigma, size=3)
-        samples.append(RssiSample(rssi=tuple(rssi), position=tuple(pos)))
-    return samples
+    # One pass over all positions: row i is what a loop over positions makes
+    # for position i, and one (n, 3) normal draw is the stream of n draws of 3.
+    dists = np.maximum(np.linalg.norm(tx - positions[:, None], axis=-1), REFERENCE_DISTANCE_M)
+    rssi = pl0 - 10.0 * n_exp * np.log10(dists / REFERENCE_DISTANCE_M)
+    rssi = rssi + rng.normal(0.0, sigma, size=(len(positions), 3))
+    return [RssiSample(rssi=tuple(r), position=tuple(pos)) for r, pos in zip(rssi, positions)]
 
 
 def train_test_split(samples, n_train: int, n_test: int, seed: int = 0):

@@ -83,7 +83,12 @@ def init_hybrid_model(seed: int = 0) -> HybridModel:
 
 
 def hqnn_forward(model: HybridModel, x) -> np.ndarray:
-    """Predicted (x, y) coordinates in meters for one scaled feature vector."""
+    """Predicted (x, y) coordinates in meters for one scaled feature vector.
+
+    The fix agrees with its row of :func:`hqnn_forward_batch` to 1e-15 of the
+    outputs' size, but not bit for bit: the row encodes to the same bytes,
+    and a one-row matrix product then takes another BLAS path than a batch's.
+    """
     return classical.forward(model.head, q_forward(model.qlayer, x))
 
 

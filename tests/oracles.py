@@ -110,3 +110,41 @@ def fidelity_oracle(a: np.ndarray, b: np.ndarray) -> float:
     for ai, bi in zip(a, b):
         inner += np.conj(ai) * bi
     return float(abs(inner) ** 2)
+
+
+def encode_reference(X: np.ndarray) -> np.ndarray:
+    """The feature map's closed form, accumulated one phase gate at a time.
+
+    Rows of ``X`` are feature vectors; the phase of each basis state starts at
+    0.0 and adds the single-qubit angles, then the pair angles, in circuit
+    order, each against its own bit mask.
+    """
+    n = X.shape[1]
+    bits = (np.arange(2**n) >> np.arange(n)[:, None]) & 1
+    phase = np.zeros((X.shape[0], 2**n))
+    for q in range(n):
+        phase += 2.0 * X[:, q : q + 1] * bits[q]
+    for i in range(n - 1):
+        pair = 2.0 * (math.pi - X[:, i : i + 1]) * (math.pi - X[:, i + 1 : i + 2])
+        phase += pair * (bits[i] ^ bits[i + 1])
+    return np.exp(1j * phase) / math.sqrt(2.0**n)
+
+
+def synthetic_loop(room, tx, pl0, n_exp, sigma, rng_seed, n_points=None, positions=None):
+    """(rssi, position) tuples of the log-distance channel, one position at a time.
+
+    Positions are drawn uniformly in ``room`` unless given; each position
+    then takes its three distances, floored at 1 m, and its own draw of
+    three shadowing terms from the same generator.
+    """
+    rng = np.random.default_rng(rng_seed)
+    if positions is None:
+        positions = rng.uniform((0.0, 0.0), room, size=(n_points, 2))
+    tx = np.asarray(tx, dtype=float)
+    samples = []
+    for pos in np.asarray(positions, dtype=float):
+        dists = np.maximum(np.linalg.norm(tx - pos, axis=1), 1.0)
+        rssi = pl0 - 10.0 * n_exp * np.log10(dists / 1.0)
+        rssi = rssi + rng.normal(0.0, sigma, size=3)
+        samples.append((tuple(rssi), tuple(pos)))
+    return samples

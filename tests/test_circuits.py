@@ -2,10 +2,12 @@
 
 The plain gate lists run on the gate-level simulator and the dense-matrix
 oracle as references; ``encode_batch`` and ``ansatz_unitaries`` must match
-them to 1e-12.
+them to 1e-12. ``encode_batch`` must also equal the per-gate accumulation of
+``oracles.encode_reference`` bit for bit, since shot seeds hash its bytes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from hqloc.circuits import (
 )
 from hqloc.statevector import apply_gates, zero_state
 
-from oracles import circuit_matrix
+from oracles import circuit_matrix, encode_reference
 
 
 class TestFeatureMapStructure:
@@ -171,6 +173,8 @@ class TestBinding:
 
 unit = st.floats(0.0, 1.0)
 angle = st.floats(-math.pi, math.pi)
+# Scaled features lie in [0, 1]; the margin covers readings past a scaler's range.
+feature = st.floats(-0.5, 1.5)
 
 
 class TestClosedFormKernel:
@@ -201,3 +205,38 @@ class TestClosedFormKernel:
         n = phi.size // 2
         expected = circuit_matrix(real_amplitudes(n, phi), n).real
         np.testing.assert_allclose(ansatz_unitaries(phi)[0], expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.integers(0, 50).flatmap(lambda m: arrays(float, (m, n), elements=feature))
+    ))
+    def test_encode_batch_equals_per_gate_accumulation_bit_for_bit(self, X):
+        # Width 1 has no pair term; 0 rows give an empty batch.
+        rows = encode_batch(X)
+        assert rows.shape == (len(X), 2 ** X.shape[1])
+        assert rows.tobytes() == encode_reference(X).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_a_row_encodes_to_the_same_bytes_alone_and_in_any_batch(self, data):
+        n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 50))
+        X = data.draw(arrays(float, (m, n), elements=feature))
+        i = data.draw(st.integers(0, m - 1))
+        row = encode_batch(X)[i].tobytes()
+        assert encode_batch(X[i : i + 1]).tobytes() == row
+        assert encode_batch(X[i:])[0].tobytes() == row
+        assert feature_state(X[i]).amplitudes.tobytes() == row
+
+    @pytest.mark.parametrize("n_rows", [1, 2000])
+    def test_an_encode_peaks_within_twice_the_per_gate_loop(self, n_rows):
+        X = np.random.default_rng(4).uniform(0.0, 1.0, size=(n_rows, N_FEATURES))
+        peaks = []
+        for encode in (encode_batch, encode_reference):
+            encode(X)  # fill the caches outside the traced call
+            tracemalloc.start()
+            try:
+                encode(X)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 2 * peaks[1], peaks

@@ -15,6 +15,7 @@ from hqloc.data import (
     TECHNOLOGIES,
     DataFormatError,
     RssiSample,
+    Scaler,
     ScenarioMeta,
     default_tx_positions,
     features_matrix,
@@ -31,6 +32,8 @@ from hqloc.data import (
     transform,
     transform_samples,
 )
+
+from oracles import synthetic_loop
 
 
 def make_samples(rng, n=12):
@@ -298,6 +301,23 @@ class TestScaler:
         np.testing.assert_array_equal(transform_samples(scaler, samples)[0], rows)
         assert transform_samples(scaler, [])[0].shape == (0, 3)
 
+    def test_in_place_clip_equals_np_clip_bit_for_bit(self):
+        # A lo of 0.0 lets a -0.0 reading scale to -0.0, which np.clip keeps.
+        scaler = Scaler(lo=np.array([0.0, -90.0, -80.0]), hi=np.array([10.0, -40.0, -30.0]))
+        readings = np.array([
+            [-0.0, -90.0, -30.0],  # -0.0 and both exact bounds
+            [0.0, -40.0, -80.0],
+            [-1.0, -95.0, -29.0],  # beyond the range, both sides
+            [11.0, -35.0, -81.0],
+            [5e-324, -65.0, -55.0],  # just inside, and the middle
+            [-5e-324, -39.99999999999999, -80.00000000000001],  # one ulp outside
+        ])
+        expected = np.clip((readings - scaler.lo) / (scaler.hi - scaler.lo), 0.0, 1.0)
+        assert np.signbit(expected[0, 0]) and not np.signbit(expected[1, 0])
+        assert transform(scaler, readings).tobytes() == expected.tobytes()
+        for reading, row in zip(readings, expected):
+            assert transform(scaler, reading).tobytes() == row.tobytes()
+
     @pytest.mark.parametrize("rssi", [
         np.zeros((2, 4)), np.zeros(2), np.zeros((3, 1)), -50.0,
     ], ids=["four_columns", "two_features", "column_vector", "scalar"])
@@ -422,6 +442,26 @@ class TestSyntheticGenerator:
         anchors = [(1.0, 1.0), (2.0, 3.0)]
         samples = gen_synthetic(meta, sigma=1.0, rng_seed=0, positions=anchors)
         assert [s.position for s in samples] == anchors
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("technology", TECHNOLOGIES)
+    def test_matches_a_per_position_loop_bit_for_bit(self, name, technology):
+        meta = scenario_meta(name, technology)
+        pl0, n_exp = SYNTHETIC_RADIO[technology]
+        model = dict(pl0=pl0, n_exp=n_exp, sigma=SYNTHETIC_SIGMA[name])
+        tx = default_tx_positions(meta.room)
+        grid = grid_positions(meta.room, SCENARIOS[name]["grid"])
+        for seed in (7, [1, 2, 0]):
+            runs = [
+                (gen_synthetic(meta, rng_seed=seed, n_points=60, **model),
+                 synthetic_loop(meta.room, tx, rng_seed=seed, n_points=60, **model)),
+                (gen_synthetic(meta, rng_seed=seed, positions=grid, **model),
+                 synthetic_loop(meta.room, tx, rng_seed=seed, positions=grid, **model)),
+            ]
+            for samples, reference in runs:
+                got = np.array([(*s.rssi, *s.position) for s in samples])
+                assert got.tobytes() == np.array([(*r, *p) for r, p in reference]).tobytes()
+                assert {type(v) for s in samples for v in (*s.rssi, *s.position)} == {np.float64}
 
     def test_validation(self):
         meta = scenario_meta("Sc-1", "WiFi")

@@ -81,6 +81,15 @@ class TestHybridModel:
         assert out.shape == (2,)
         assert np.all(np.isfinite(out))
 
+    def test_a_fix_agrees_with_its_batch_row_to_1e_15_of_its_size(self):
+        # Not bit for bit: the row encodes to the same bytes, but a one-row
+        # matrix product takes another BLAS path than a batch's.
+        model = init_hybrid_model(seed=0)
+        X = np.random.default_rng(6).uniform(0.0, 1.0, size=(300, 3))
+        batch = hqnn_forward_batch(model, X)
+        fixes = np.array([hqnn_forward(model, x) for x in X])
+        np.testing.assert_allclose(fixes, batch, rtol=0, atol=1e-15 * np.abs(batch).max())
+
     @pytest.mark.parametrize("width", [1, 2, 4])
     def test_wrong_feature_width_names_the_three_features(self, width):
         model = init_hybrid_model(seed=3)
