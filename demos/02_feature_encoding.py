@@ -17,15 +17,9 @@ from hqloc.baselines import (
     fingerprint_predict,
     swap_test_fidelity,
 )
-from hqloc.circuits import (
-    N_ANSATZ_PARAMS,
-    ansatz_unitaries,
-    feature_state,
-    real_amplitudes,
-    zz_feature_map,
-)
+from hqloc.circuits import N_ANSATZ_PARAMS, feature_state, real_amplitudes, zz_feature_map
 from hqloc.data import RssiSample, fit_scaler, transform
-from hqloc.statevector import apply_gates, zero_state
+from hqloc.statevector import Statevector, apply_gates, zero_state
 
 ##############################################################################
 # Scaling
@@ -72,13 +66,16 @@ print("closed form vs gate by gate:", np.abs(state.amplitudes - by_gates.amplitu
 # The trainable ansatz that follows the encoding in the hybrid model is a
 # RY layer, a CX chain, and a second RY layer: 8 gates, 6 angles, and only
 # real amplitudes, which keeps the model's outputs smooth in its parameters.
-# For fixed angles the whole ansatz is one real 8 x 8 matrix.
+# For fixed angles the whole ansatz is one real 8 x 8 matrix; its column k
+# is the gate-by-gate image of basis state k.
 
 phi = np.linspace(-1.0, 1.0, N_ANSATZ_PARAMS)
-print("\nansatz:", len(real_amplitudes(3, phi)), "gates,", N_ANSATZ_PARAMS, "trainable angles")
-unitary = ansatz_unitaries(phi)[0]
+ansatz = real_amplitudes(3, phi)
+print("\nansatz:", len(ansatz), "gates,", N_ANSATZ_PARAMS, "trainable angles")
+columns = [apply_gates(Statevector(3, basis.astype(complex)), ansatz) for basis in np.eye(8)]
+unitary = np.column_stack([column.amplitudes for column in columns])
 print("ansatz matrix is real and orthogonal:",
-      np.allclose(unitary @ unitary.T, np.eye(8)))
+      np.allclose(unitary.imag, 0.0) and np.allclose(unitary.real @ unitary.real.T, np.eye(8)))
 
 ##############################################################################
 # Fidelity as reading similarity

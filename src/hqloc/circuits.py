@@ -1,17 +1,13 @@
 """The circuit layout: the data-encoding feature map and the trainable ansatz.
 
-Two views of the same circuits live here:
-
-* :func:`zz_feature_map` and :func:`real_amplitudes` list the concrete gates,
-  for the gate-level simulator in :mod:`hqloc.statevector`, which serves as
-  the reference;
-* :func:`encode_batch` and :func:`ansatz_unitaries` are the closed forms the
-  quantum layer runs on. After the H layer the feature map is diagonal, so
-  every encoded amplitude is a pure phase: a row's 2n - 1 gate angles times a
-  cached 0/1 table of which basis states each phase gate reaches, summed over
-  the gates in circuit order. For fixed angles the ansatz is one real
-  2**n x 2**n matrix: each RY layer is one gather from the half-angle cosines
-  and sines and a product over qubits, then the CX chain joins them.
+:func:`zz_feature_map` and :func:`real_amplitudes` list the concrete gates.
+They run on the gate-level simulator in :mod:`hqloc.statevector`, which
+serves as the reference, and the quantum layer propagates its Pauli paths
+through the ansatz's gate list. :func:`encode_batch` is the closed form of
+the feature map that the layer runs on. After the H layer the feature map is
+diagonal, so every encoded amplitude is a pure phase: a row's 2n - 1 gate
+angles times a cached 0/1 table of which basis states each phase gate
+reaches, summed over the gates in circuit order.
 
 Qubit 0 is the least significant bit of the basis index. Features are
 expected to be pre-scaled to [0, 1] by the data pipeline before encoding.
@@ -28,6 +24,8 @@ from .statevector import MAX_QUBITS, Gate, Statevector, cx, h, p, ry
 
 N_FEATURES = 3
 N_ANSATZ_PARAMS = 6
+# The widest encoding: the swap test compares two states on 2n + 1 qubits.
+MAX_ENCODED_FEATURES = (MAX_QUBITS - 1) // 2
 
 
 def zz_feature_map(x) -> list[Gate]:
@@ -67,21 +65,13 @@ def real_amplitudes(n_qubits: int, phi) -> list[Gate]:
 
 
 @lru_cache(maxsize=32)
-def _basis_bits(n_qubits: int) -> np.ndarray:
-    """(n_qubits, 2**n) matrix: entry (q, k) is bit q of basis index k."""
-    bits = (np.arange(2**n_qubits) >> np.arange(n_qubits)[:, None]) & 1
-    bits.flags.writeable = False  # shared by every caller through the cache
-    return bits
-
-
-@lru_cache(maxsize=32)
 def _phase_terms(n_qubits: int) -> np.ndarray:
     """(2n - 1, 2**n) 0/1 floats: the basis bits, then the XORs of neighbouring bits.
 
     Row t says which basis states the t-th phase gate of :func:`zz_feature_map`
     shifts: qubit t's bit for t < n, then the parity of pair (i, i + 1).
     """
-    bits = _basis_bits(n_qubits)
+    bits = (np.arange(2**n_qubits) >> np.arange(n_qubits)[:, None]) & 1
     terms = np.concatenate([bits, bits[:-1] ^ bits[1:]]).astype(float)
     terms.flags.writeable = False  # shared by every caller through the cache
     return terms
@@ -117,13 +107,15 @@ def encode_batch(X) -> np.ndarray:
     numpy adds the terms one after another in that order, whatever the batch
     size: a row encodes to the same bytes alone or in any batch, and
     :func:`feature_state` equals its ``encode_batch`` row. The product takes
-    (2n - 1) * 2**n floats per row, 40 at n = 3. Raises ValueError for NaN or
-    infinite features, which would otherwise encode to NaN amplitudes.
+    (2n - 1) * 2**n floats per row, 40 at n = 3 and 8704 at the widest,
+    n = ``MAX_ENCODED_FEATURES`` = 9. Raises ValueError for wider rows, and for
+    NaN or infinite features, which would otherwise encode to NaN amplitudes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.ndim != 2 or not 1 <= X.shape[1] <= MAX_QUBITS:
+    if X.ndim != 2 or not 1 <= X.shape[1] <= MAX_ENCODED_FEATURES:
         raise ValueError(
-            f"expected a batch of 1 to {MAX_QUBITS} features per row, got shape {X.shape}"
+            f"expected a batch of 1 to {MAX_ENCODED_FEATURES} features per row, "
+            f"got shape {X.shape}"
         )
     check_finite("features", X)
     n = X.shape[1]
@@ -145,40 +137,3 @@ def feature_state(x) -> Statevector:
         raise ValueError(f"expected one feature vector, got shape {x.shape}")
     return Statevector(x.size, encode_batch(x[None])[0])
 
-
-@lru_cache(maxsize=32)
-def _cx_chain(n_qubits: int) -> np.ndarray:
-    """Permutation matrix of CX(0, 1), CX(1, 2), ..., applied in that order."""
-    k = np.arange(2**n_qubits)
-    chain = np.eye(k.size)
-    for i in range(n_qubits - 1):
-        flipped = k ^ (((k >> i) & 1) << (i + 1))
-        chain = chain[flipped]
-    chain.flags.writeable = False  # shared by every caller through the cache
-    return chain
-
-
-@lru_cache(maxsize=32)
-def _ry_entries(n_qubits: int) -> np.ndarray:
-    """(n, 2**n, 2**n) index of RY_q[bit q of r, bit q of c] in (cos, -sin, sin, cos) of q."""
-    bits = _basis_bits(n_qubits)
-    entries = 2 * bits[:, :, None] + bits[:, None, :] + 4 * np.arange(n_qubits)[:, None, None]
-    entries.flags.writeable = False  # shared by every caller through the cache
-    return entries
-
-
-def ansatz_unitaries(phis) -> np.ndarray:
-    """Real matrix of :func:`real_amplitudes` for each row of ``phis``.
-
-    ``phis`` has shape (m, 2 * n_qubits); the result has shape (m, 2**n, 2**n).
-    Entry (r, c) of an RY layer is the product over qubits of the gathered
-    RY_q[bit q of r, bit q of c]; both layers of every row are built at once.
-    """
-    phis = np.atleast_2d(np.asarray(phis, dtype=float))
-    n_qubits = phis.shape[1] // 2
-    if phis.ndim != 2 or n_qubits < 1 or phis.shape[1] != 2 * n_qubits:
-        raise ValueError(f"expected rows of 2 * n_qubits angles, got shape {phis.shape}")
-    c, s = np.cos(phis / 2.0), np.sin(phis / 2.0)
-    ry = np.stack([c, -s, s, c], -1).reshape(2 * len(phis), 4 * n_qubits)
-    layers = ry[:, _ry_entries(n_qubits)].prod(axis=1).reshape(len(phis), 2, 2**n_qubits, -1)
-    return layers[:, 1] @ (_cx_chain(n_qubits) @ layers[:, 0])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,9 @@ def scenario_meta(name: str, technology: str) -> ScenarioMeta:
 def load_mapping(path) -> dict[str, int | str]:
     """Parse a ``field = source`` mapping file for non-canonical CSV layouts.
 
-    Sources may be 0-based column indices or header names. All five canonical
-    fields must be present.
+    A source that reads as an ASCII integer, ``-?[0-9]+``, is a 0-based column
+    index; any other source is a header name. All five canonical fields must
+    be present.
     """
     mapping: dict[str, int | str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -101,7 +103,7 @@ def load_mapping(path) -> dict[str, int | str]:
                 raise DataFormatError(f"{path}: line {lineno}: unknown field {key!r}")
             if key in mapping:
                 raise DataFormatError(f"{path}: line {lineno}: duplicate field {key!r}")
-            mapping[key] = int(value) if value.lstrip("-").isdigit() else value
+            mapping[key] = int(value) if re.fullmatch("-?[0-9]+", value) else value
     missing = [f for f in CANONICAL_FIELDS if f not in mapping]
     if missing:
         raise DataFormatError(f"{path}: missing fields {missing}")

@@ -21,23 +21,25 @@ entry point refuses rows that do not hold ``N_FEATURES`` features before any
 product, and a layer refuses non-finite angles.
 
 Sampling belongs to an evaluation, not to the layer: given ``shots``,
-:func:`q_forward_batch` builds the ansatz matrix U of phi, applies it to the
-rows, and estimates each expectation from sampled measurements, seeded per
-(row, qubit) from ``seed``, the qubit and the encoded row, so a row's
-estimate does not depend on the rest of its batch. Each seed is a blake2b
-digest; :func:`sample_expect_z` re-keys one shared PCG64 stream from it, so
-sampling builds no generator per draw. Gradients are always exact.
+:func:`q_forward_batch` computes the exact expectations E_j through the same
+kernel and caches, then draws each estimate with :func:`sample_expect_z`.
+Qubit j measures 1 with probability (1 - E_j) / 2, its exact marginal, so no
+state is needed past the encoding. Each draw is seeded per (row, qubit) from
+``seed``, the qubit and the encoded row, so a row's estimate does not depend
+on the rest of its batch. Each seed is a blake2b digest;
+:func:`sample_expect_z` re-keys one shared PCG64 stream from it, so sampling
+builds no generator per draw. Gradients are always exact.
 
 Two one-entry caches, each keyed on its array's dtype, shape and bytes, keep
-the exact path's work. One holds the coefficients and derivatives of the
-last phi compiled, so a trained model compiles once for any number of fixes,
-and a training epoch's loss forward, gradient forward and Jacobian share one
-compile. The other holds the Pauli features of the last exact batch, so a
-training run computes its rows' features once; it retains that batch's
-features and its key's copy of the rows, 20 floats and 8 complex amplitudes
-(288 B) per row. A write into phi or the rows in place, as an optimizer step
-makes, changes the key, so no stale entry is ever served. Cached arrays are
-read-only.
+the kernel's work. One holds the coefficients and derivatives of the last
+phi compiled, so a trained model compiles once for any number of fixes, and
+a training epoch's loss forward, gradient forward and Jacobian share one
+compile. The other holds the Pauli features of the last batch, exact or
+sampled, so a training run computes its rows' features once; it retains
+that batch's features and its key's copy of the rows, 20 floats and 8
+complex amplitudes (288 B) per row. A write into phi or the rows in place,
+as an optimizer step makes, changes the key, so no stale entry is ever
+served. Cached arrays are read-only.
 
 A layer may also hold a stack of S angle vectors, phi of shape (S, n_params),
 as the seed-stacked training loop does: one compile then covers all S angle
@@ -55,9 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # encode_batch is re-exported: callers encode here and pass the rows back in.
-from .circuits import N_ANSATZ_PARAMS, N_FEATURES, ansatz_unitaries, check_features
-from .circuits import encode_batch, feature_state, real_amplitudes
-from .statevector import Statevector, check_integer, check_shots, sample_expect_z
+from .circuits import N_ANSATZ_PARAMS, N_FEATURES, check_features, encode_batch
+from .circuits import feature_state, real_amplitudes
+from .statevector import check_integer, check_shots, sample_expect_z
 
 # Seeds reach numpy generators, which take only non-negative integers, and the
 # shot seeds pack them as int64.
@@ -242,12 +244,12 @@ def _cached(name: str, build, array: np.ndarray):
     return value
 
 
-def _sweep(unitary: np.ndarray, encoded_rows: np.ndarray) -> np.ndarray:
-    """One (1, 2**n, 2**n) ansatz matrix on every encoded row in real arithmetic: (n_rows, 2**n)."""
-    dim = unitary.shape[-1]
-    parts = np.concatenate([encoded_rows.real, encoded_rows.imag]).T  # (2**n, 2 * n_rows)
-    final = (unitary.reshape(-1, dim) @ parts).reshape(dim, 2, -1)
-    return (final[:, 0] + 1j * final[:, 1]).T
+def _exact(phi: np.ndarray, encoded_rows: np.ndarray) -> np.ndarray:
+    """clip(F @ C) of each angle vector in ``phi`` on the rows: (m, n_rows, N_FEATURES)."""
+    coefficients, _ = _cached("phi", _compile, phi)
+    out = np.matmul(_cached("rows", _pauli_features, encoded_rows), coefficients)
+    # Clip in place with two ufuncs: np.clip's wrapper costs more than the product.
+    return np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
 
 
 def q_forward_batch(
@@ -255,30 +257,28 @@ def q_forward_batch(
 ) -> np.ndarray:
     """Expectations for every encoded row, shape (batch, N_FEATURES); a stack's are (S, batch, ...).
 
-    Exact when ``shots`` is None. Otherwise each entry is a
-    :func:`sample_expect_z` estimate from ``shots`` shots, seeded from
-    ``seed``, the qubit and the bytes of that encoded row; ``seed`` must
-    pass :func:`check_seed`, the rule every seeded entry point applies, and
-    ``shots`` must pass :func:`check_shots`, even for zero rows.
+    Exact when ``shots`` is None. Otherwise entry (i, j) is a
+    :func:`sample_expect_z` estimate from ``shots`` shots of the exact
+    expectation E_j of row i, seeded from ``seed``, the qubit and the bytes
+    of that encoded row; ``seed`` must pass :func:`check_seed`, the rule every
+    seeded entry point applies, and ``shots`` must pass :func:`check_shots`,
+    even for zero rows.
     """
     _check_rows(encoded_rows)
     if shots is None:
-        coefficients, _ = _cached("phi", _compile, layer.phi)
-        out = np.matmul(_cached("rows", _pauli_features, encoded_rows), coefficients)
-        # Clip in place with two ufuncs: np.clip's wrapper costs more than the product.
-        np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
+        out = _exact(layer.phi, encoded_rows)
         return out.reshape(*layer.phi.shape[:-1], *out.shape[1:])
     check_shots(shots)
     if layer.phi.ndim == 2:
         raise ValueError("shot sampling takes one layer, not a stack")
-    amplitudes = _sweep(ansatz_unitaries(layer.phi), encoded_rows)
     prefixes = _seed_prefixes(seed)
-    out = np.empty((len(amplitudes), N_FEATURES))
-    for i, (row, final_row) in enumerate(zip(encoded_rows, amplitudes)):
-        state = Statevector(N_FEATURES, final_row)
+    exact = _exact(layer.phi, encoded_rows)[0]
+    out = np.empty_like(exact)
+    for i, (row, expectations) in enumerate(zip(encoded_rows, exact.tolist())):
         row_bytes = row.tobytes()
-        for q, prefix in enumerate(prefixes):
-            out[i, q] = sample_expect_z(state, q, shots, _shot_seed(prefix, row_bytes))
+        for q, (prefix, expectation) in enumerate(zip(prefixes, expectations)):
+            seed_q = _shot_seed(prefix, row_bytes)
+            out[i, q] = sample_expect_z(expectation, shots=shots, rng_seed=seed_q)
     return out
 
 

@@ -6,11 +6,13 @@ Conventions used throughout the package:
   state with q0=1, q1=1, q2=0 sits at amplitude index 3.
 * RY(t) = exp(-i t Y/2), RZ(t) = exp(-i t Z/2), P(l) = diag(1, e^{il}).
 * Operations never mutate their input state; they return a fresh one.
-* Sampled expectations draw the count of 1 outcomes from one binomial
-  distribution per (state, qubit) rather than simulating each shot. Every
-  draw comes from one module-level PCG64 stream that is re-keyed from a
-  blake2b digest of the draw's seed, so a draw depends only on its seed,
-  shot budget and probability, never on earlier draws or other threads.
+* A sampled expectation starts from the exact <Z> of the measured qubit,
+  which gives the probability (1 - <Z>) / 2 of measuring 1, and draws the
+  count of 1 outcomes from one binomial distribution rather than simulating
+  each shot. Every draw comes from one module-level PCG64 stream that is
+  re-keyed from a blake2b digest of the draw's seed, so a draw depends only
+  on its seed, shot budget and probability, never on earlier draws or other
+  threads.
 
 The register is capped at ``MAX_QUBITS`` qubits because the dense
 representation needs 2**n complex amplitudes.
@@ -197,27 +199,26 @@ _SHOT_RNG = np.random.Generator(_SHOT_BITS)
 _SHOT_LOCK = threading.Lock()
 
 
-def sample_expect_z(
-    state: Statevector, qubit: int, shots: int, rng_seed: int
-) -> float:
+def sample_expect_z(expectation: float, *, shots: int, rng_seed: int) -> float:
     """Z expectation estimated from ``shots`` sampled measurement outcomes.
 
-    The number of 1 outcomes is one binomial draw with the exact probability
-    of measuring 1, which has the distribution of ``shots`` independent
+    ``expectation`` is the exact <Z> of the measured qubit, such as
+    :func:`expect_z` reads off a state, so each shot gives 1 with probability
+    (1 - expectation) / 2. The number of 1 outcomes is one binomial draw with
+    that probability, which has the distribution of ``shots`` independent
     measurements at a cost that does not grow with ``shots``. The draw comes
     from a shared PCG64 generator keyed by a 32-byte blake2b digest of
     ``rng_seed`` (in [0, 2**64)): the first 16 bytes set the 128-bit state,
     the last 16 the increment, forced odd. No generator is built per call,
-    and the result depends only on ``rng_seed``, ``shots`` and the state.
-    Returns (n_plus - n_minus) / shots.
+    and the result depends only on ``rng_seed``, ``shots`` and
+    ``expectation``. Raises ValueError for an expectation that is NaN or
+    outside [-1, 1]. Returns (n_plus - n_minus) / shots.
     """
-    _check_qubit(state, qubit, "measured")
+    if not -1.0 <= expectation <= 1.0:
+        raise ValueError(f"expectation must be in [-1, 1], got {expectation!r}")
     check_shots(shots)
     if not 0 <= rng_seed < 2**64:
         raise ValueError(f"rng_seed must be in [0, 2**64), got {rng_seed}")
-    _, i1 = _target_pairs(state.n_qubits, qubit)
-    amps_one = state.amplitudes[i1]
-    p_one = min(max(float(np.vdot(amps_one, amps_one).real), 0.0), 1.0)
     key = hashlib.blake2b(int(rng_seed).to_bytes(8, "little"), digest_size=32).digest()
     with _SHOT_LOCK:
         _SHOT_BITS.state = {
@@ -229,5 +230,5 @@ def sample_expect_z(
             "has_uint32": 0,
             "uinteger": 0,
         }
-        n_one = int(_SHOT_RNG.binomial(shots, p_one))
+        n_one = int(_SHOT_RNG.binomial(shots, (1.0 - expectation) / 2.0))
     return 1.0 - 2.0 * n_one / shots

@@ -6,6 +6,7 @@ loops) so it shares no code paths with the package under test.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -59,6 +60,45 @@ def expect_z_oracle(amplitudes: np.ndarray, qubit: int) -> float:
         sign = -1.0 if (i >> qubit) & 1 else 1.0
         total += sign * (abs(a) ** 2)
     return total
+
+
+def p_one_oracle(unitary: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Probability that each qubit measures 1 after ``unitary`` acts on each row: (n_rows, n).
+
+    ``unitary`` is a real dense matrix and ``rows`` are complex states. The
+    amplitudes and their squared moduli are accumulated in extended
+    precision where the platform has it, so the oracle's own rounding stays
+    well below a float64 kernel's.
+    """
+    n_qubits = int(math.log2(rows.shape[1]))
+    wide = np.asarray(unitary, dtype=np.longdouble)
+    real = rows.real.astype(np.longdouble) @ wide.T
+    imag = rows.imag.astype(np.longdouble) @ wide.T
+    bits = (np.arange(rows.shape[1])[:, None] >> np.arange(n_qubits)) & 1
+    return (real * real + imag * imag) @ bits.astype(np.longdouble)
+
+
+def shot_estimate_oracle(p_one: float, shots: int, seed: int, qubit: int, row: np.ndarray) -> float:
+    """The layer's sampled <Z> of one (row, qubit), drawn from a fresh generator.
+
+    The draw's seed is the blake2b digest of the int64 bytes of (seed, qubit)
+    and the row's bytes; a 32-byte digest of that seed keys a PCG64 (state,
+    then increment forced odd), and the count of 1 outcomes is one binomial
+    draw with ``p_one``.
+    """
+    prefix = np.asarray([seed, qubit], dtype=np.int64).tobytes()
+    digest = hashlib.blake2b(prefix + row.tobytes(), digest_size=8).digest()
+    key = hashlib.blake2b(digest, digest_size=32).digest()
+    bits = np.random.PCG64(0)
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": int.from_bytes(key[:16], "little"),
+                  "inc": int.from_bytes(key[16:], "little") | 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    n_one = int(np.random.Generator(bits).binomial(shots, p_one))
+    return 1.0 - 2.0 * n_one / shots
 
 
 def shift_rule_jacobian(ansatz, phi: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Feature map and ansatz structure, input checks, and the closed-form kernel.
 
 The plain gate lists run on the gate-level simulator and the dense-matrix
-oracle as references; ``encode_batch`` and ``ansatz_unitaries`` must match
-them to 1e-12. ``encode_batch`` must also equal the per-gate accumulation of
-``oracles.encode_reference`` bit for bit, since shot seeds hash its bytes.
+oracle as references; ``encode_batch`` must match them to 1e-12. It must
+also equal the per-gate accumulation of ``oracles.encode_reference`` bit for
+bit, since shot seeds hash its bytes.
 """
 
 import math
@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hqloc.circuits import (
+    MAX_ENCODED_FEATURES,
     N_ANSATZ_PARAMS,
     N_FEATURES,
-    ansatz_unitaries,
     encode_batch,
     feature_state,
     real_amplitudes,
@@ -101,7 +101,6 @@ class TestAnsatzStructure:
         state = apply_gates(zero_state(3), real_amplitudes(3, phi))
         probs = np.abs(state.amplitudes) ** 2
         np.testing.assert_allclose(probs[7], 1.0, atol=1e-12)
-        np.testing.assert_allclose(ansatz_unitaries(phi)[0, 7, 0] ** 2, 1.0, atol=1e-12)
 
     def test_amplitudes_stay_real(self):
         rng = np.random.default_rng(2)
@@ -109,12 +108,10 @@ class TestAnsatzStructure:
             phi = rng.uniform(-np.pi, np.pi, size=6)
             state = apply_gates(zero_state(3), real_amplitudes(3, phi))
             np.testing.assert_allclose(state.amplitudes.imag, 0.0, atol=1e-12)
-        assert ansatz_unitaries(rng.uniform(-np.pi, np.pi, size=(4, 6))).dtype == float
 
     def test_zero_parameters_is_identity(self):
         state = apply_gates(zero_state(3), real_amplitudes(3, np.zeros(6)))
         np.testing.assert_allclose(np.abs(state.amplitudes[0]), 1.0, atol=1e-15)
-        np.testing.assert_array_equal(ansatz_unitaries(np.zeros(6))[0][:, 0], np.eye(8)[0])
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(3)
@@ -144,8 +141,6 @@ class TestBinding:
         with pytest.raises(ValueError):
             real_amplitudes(0, np.zeros(0))
         with pytest.raises(ValueError):
-            ansatz_unitaries(np.zeros((2, 5)))
-        with pytest.raises(ValueError):
             feature_state(np.zeros((1, 3)))
 
     def test_feature_state_dimension_follows_input(self):
@@ -172,7 +167,6 @@ class TestBinding:
 
 
 unit = st.floats(0.0, 1.0)
-angle = st.floats(-math.pi, math.pi)
 # Scaled features lie in [0, 1]; the margin covers readings past a scaler's range.
 feature = st.floats(-0.5, 1.5)
 
@@ -191,21 +185,6 @@ class TestClosedFormKernel:
             )
             np.testing.assert_allclose(row, circuit_matrix(gates, n)[:, 0], rtol=0, atol=1e-12)
 
-    @settings(max_examples=60, deadline=None)
-    @given(arrays(float, (3, N_ANSATZ_PARAMS), elements=angle))
-    def test_ansatz_unitaries_match_matrix_oracle(self, phis):
-        for unitary, phi in zip(ansatz_unitaries(phis), phis):
-            expected = circuit_matrix(real_amplitudes(3, phi), 3)
-            np.testing.assert_allclose(unitary, expected.real, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(expected.imag, 0.0, atol=1e-12)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda n: arrays(float, (2 * n,), elements=angle)))
-    def test_ansatz_unitaries_any_qubit_count(self, phi):
-        n = phi.size // 2
-        expected = circuit_matrix(real_amplitudes(n, phi), n).real
-        np.testing.assert_allclose(ansatz_unitaries(phi)[0], expected, rtol=0, atol=1e-12)
-
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 8).flatmap(
         lambda n: st.integers(0, 50).flatmap(lambda m: arrays(float, (m, n), elements=feature))
@@ -215,6 +194,21 @@ class TestClosedFormKernel:
         rows = encode_batch(X)
         assert rows.shape == (len(X), 2 ** X.shape[1])
         assert rows.tobytes() == encode_reference(X).tobytes()
+
+    def test_the_widest_encoding_is_nine_features(self):
+        # Nine features are the widest state the swap test compares: 2 * 9 + 1 qubits.
+        assert MAX_ENCODED_FEATURES == 9
+        X = np.random.default_rng(5).uniform(-0.5, 1.5, size=(3, 9))
+        assert encode_batch(X).tobytes() == encode_reference(X).tobytes()
+        assert feature_state(X[0]).n_qubits == 9
+
+    @pytest.mark.parametrize("width", [10, 20, 21])
+    def test_wider_rows_are_refused(self, width):
+        message = rf"1 to 9 features per row, got shape \(2, {width}\)"
+        with pytest.raises(ValueError, match=message):
+            encode_batch(np.full((2, width), 0.5))
+        with pytest.raises(ValueError, match=rf"1 to 9 features per row, got shape \(1, {width}\)"):
+            feature_state(np.full(width, 0.5))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

@@ -217,6 +217,27 @@ class TestMapping:
             with pytest.raises(DataFormatError, match=pattern):
                 load_mapping(path)
 
+    @pytest.mark.parametrize("source", ["²", "--1", "٣", "+1", "1.0"])
+    def test_a_source_that_is_no_ascii_integer_is_a_header_name(self, tmp_path, source):
+        # str.isdigit accepts "²" and "٣", and "--1" passes once its dashes are
+        # stripped, but int() refuses all three with a bare ValueError.
+        map_path = tmp_path / "map.cfg"
+        map_path.write_text(f"rssi_a = {source}\nrssi_b = 1\nrssi_c = 2\nx = 3\ny = 4\n",
+                            encoding="utf-8")
+        mapping = load_mapping(map_path)
+        assert mapping["rssi_a"] == source
+        csv_path = tmp_path / "odd.csv"
+        csv_path.write_text("a,b,c,d,e\n1,2,3,4,5\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=rf"column {re.escape(repr(source))} for "
+                                                  r"'rssi_a' not in header"):
+            load_csv(csv_path, has_header=True, mapping=mapping)
+
+    def test_ascii_integer_sources_are_column_indices(self, tmp_path):
+        map_path = tmp_path / "map.cfg"
+        map_path.write_text("rssi_a = 0\nrssi_b = -1\nrssi_c = 12\nx = 3\ny = 4\n",
+                            encoding="utf-8")
+        assert load_mapping(map_path) == {"rssi_a": 0, "rssi_b": -1, "rssi_c": 12, "x": 3, "y": 4}
+
     def test_name_source_needs_header(self, tmp_path):
         csv_path = tmp_path / "odd.csv"
         csv_path.write_text("1,2,3,4,5\n", encoding="utf-8")

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hqloc import qlayer
-from hqloc.circuits import ansatz_unitaries, feature_state, real_amplitudes, zz_feature_map
+from hqloc import data, qlayer, train_eval
+from hqloc.circuits import feature_state, real_amplitudes, zz_feature_map
 from hqloc.qlayer import (
     QuantumLayer,
     check_seed,
@@ -21,11 +21,26 @@ from hqloc.qlayer import (
 )
 from hqloc.statevector import apply_gate, apply_gates, cx, expect_z, h, ry, rz, zero_state
 
-from oracles import fd_gradient, shift_rule_jacobian
+from oracles import (
+    circuit_matrix,
+    fd_gradient,
+    p_one_oracle,
+    shift_rule_jacobian,
+    shot_estimate_oracle,
+)
 
 
 def make_layer(rng):
     return QuantumLayer(phi=rng.uniform(-np.pi, np.pi, size=6))
+
+
+def ansatz_matrices(phis):
+    """Dense matrices of :func:`real_amplitudes` for each angle vector of ``phis``: (m, 8, 8).
+
+    RY and CX are real, so the oracle's complex product is kept as its real part.
+    """
+    phis = np.atleast_2d(phis)
+    return np.array([circuit_matrix(real_amplitudes(3, phi), 3).real for phi in phis])
 
 
 def gate_level_expectations(phi, x):
@@ -172,13 +187,14 @@ class TestBatchedPath:
     def test_sampled_batch_draws_three_times_per_row_and_builds_no_generator(
         self, monkeypatch, n_rows
     ):
-        # The benchmark pins sample_expect_z at N_FEATURES calls per fix.
+        # The benchmark pins sample_expect_z at N_FEATURES calls per fix, and
+        # reads each call's budget from its shots keyword.
         calls = []
         real = qlayer.sample_expect_z
 
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
+        def counting(*args, **kwargs):
+            calls.append((*args, kwargs["shots"]))
+            return real(*args, **kwargs)
 
         def no_generator(*args, **kwargs):
             raise AssertionError("sampling built a fresh generator")
@@ -190,7 +206,8 @@ class TestBatchedPath:
         monkeypatch.setattr(np.random, "default_rng", no_generator)
         out = q_forward_batch(layer, rows, shots=256, seed=4)
         assert out.shape == (n_rows, 3)
-        assert calls == [0, 1, 2] * n_rows
+        # One draw per (row, qubit), in row-major order, each from the exact forward's E.
+        assert calls == [(e, 256) for e in q_forward_batch(layer, rows).ravel().tolist()]
 
     def test_seed_outside_int64_rejected(self):
         rows = encode_batch(np.array([[0.1, 0.2, 0.3]]))
@@ -218,6 +235,49 @@ class TestBatchedPath:
         rows = encode_batch(X)
         for row, x in zip(rows, X):
             np.testing.assert_array_equal(row, feature_state(x).amplitudes)
+
+
+class TestSamplingFromTheExactForward:
+    """A sampled entry is a binomial draw with p_one = (1 - E_j) / 2 of the exact forward."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(phis, st.integers(1, 30).flatmap(
+        lambda n: arrays(float, (n, 3), elements=st.floats(0.0, 1.0))
+    ))
+    def test_p_one_from_the_kernel_matches_the_dense_oracle(self, phi, X):
+        rows = encode_batch(X)
+        p_kernel = (1.0 - q_forward_batch(QuantumLayer(phi=phi), rows)) / 2.0
+        p_dense = p_one_oracle(ansatz_matrices(phi)[0], rows)
+        assert np.abs(p_kernel - p_dense).max() <= 1e-15
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        """Two models trained 300 epochs on stand-in cells, with 500 fresh rows each."""
+        cells = []
+        for name, technology, seed in (("Sc-1", "WiFi", 1), ("Sc-2", "Zigbee", 2)):
+            _, train_set, test_set = data.gen_scenario_standin(name, technology, seed, n_test=500)
+            scaler = data.fit_scaler(train_set)
+            model = train_eval.init_hybrid_model(seed)
+            train_eval.train(model, *data.transform_samples(scaler, train_set),
+                             train_eval.TrainConfig(epochs=300))
+            rows = encode_batch(data.transform_samples(scaler, test_set)[0])
+            cells.append((model.qlayer, rows, seed))
+        return cells
+
+    @pytest.mark.parametrize("shots", [64, 4096])
+    def test_every_draw_equals_the_one_fed_by_the_oracle_p_one(self, trained, shots):
+        flipped = []
+        for layer, rows, seed in trained:
+            sampled = q_forward_batch(layer, rows, shots, seed)
+            p_kernel = (1.0 - q_forward_batch(layer, rows)) / 2.0
+            p_dense = p_one_oracle(ansatz_matrices(layer.phi)[0], rows).astype(float)
+            for i, q in np.ndindex(sampled.shape):
+                expected = shot_estimate_oracle(p_dense[i, q], shots, seed, q, rows[i])
+                if sampled[i, q] != expected:
+                    flipped.append(f"seed {seed} row {i} qubit {q}: sampled {sampled[i, q]} vs "
+                                   f"{expected}, p_one {float(p_kernel[i, q])!r} (kernel) vs "
+                                   f"{float(p_dense[i, q])!r} (oracle)")
+        assert not flipped, "\n".join(flipped)
 
 
 class TestValidation:
@@ -255,7 +315,7 @@ class TestValidation:
         def no_product(*args):
             raise AssertionError("built a kernel table for rows of the wrong width")
 
-        for builder in ("ansatz_unitaries", "_compile", "_pauli_features"):
+        for builder in ("_compile", "_pauli_features"):
             monkeypatch.setattr(qlayer, builder, no_product)
         monkeypatch.setattr(qlayer, "_caches", {})
         layer = QuantumLayer(phi=np.zeros(6))
@@ -404,7 +464,7 @@ class TestForwardCache:
         q_forward_batch(cold, self.rows)  # and the next forward hits
         assert builds == [1, 1] and featurized == [5]
         np.testing.assert_allclose(
-            jacobian, shift_rule_jacobian(ansatz_unitaries, cold.phi, self.rows), atol=1e-13
+            jacobian, shift_rule_jacobian(ansatz_matrices, cold.phi, self.rows), atol=1e-13
         )
 
 
@@ -425,7 +485,7 @@ class TestLiteralShiftRule:
         jacobian = q_gradient_batch(QuantumLayer(phi=stacked), rows)
         for s, phi in enumerate(stacked):
             np.testing.assert_allclose(
-                jacobian[s], shift_rule_jacobian(ansatz_unitaries, phi, rows), rtol=0, atol=1e-13
+                jacobian[s], shift_rule_jacobian(ansatz_matrices, phi, rows), rtol=0, atol=1e-13
             )
 
     def test_a_flipped_sign_table_entry_is_caught(self, monkeypatch):
@@ -436,7 +496,7 @@ class TestLiteralShiftRule:
         layer = make_layer(rng)
         rows = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        expected = shift_rule_jacobian(ansatz_unitaries, layer.phi, rows)
+        expected = shift_rule_jacobian(ansatz_matrices, layer.phi, rows)
         np.testing.assert_allclose(q_gradient_batch(layer, rows), expected, atol=1e-13)
         scatter = qlayer._SCATTER
         for path in range(len(scatter)):
@@ -460,7 +520,7 @@ def pauli_matrix(x, z, n_qubits=3):
 
 def heisenberg_observables(phi):
     """U^T Z_j U for each qubit j from the dense ansatz matrix, shape (3, 8, 8)."""
-    unitary = ansatz_unitaries(phi)[0]
+    unitary = ansatz_matrices(phi)[0]
     return np.array([unitary.T @ pauli_matrix(0, 1 << j) @ unitary for j in range(3)])
 
 
@@ -502,7 +562,7 @@ class TestPauliCompile:
                 forward[i], gate_level_expectations(phi, x), rtol=0, atol=1e-12
             )
         np.testing.assert_allclose(
-            q_gradient_batch(layer, rows), shift_rule_jacobian(ansatz_unitaries, phi, rows),
+            q_gradient_batch(layer, rows), shift_rule_jacobian(ansatz_matrices, phi, rows),
             rtol=0, atol=1e-12,
         )
 

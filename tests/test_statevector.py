@@ -210,44 +210,66 @@ class TestExpectZ:
 
 class TestSampledExpectZ:
     def test_reproducible_for_fixed_seed(self):
-        state = apply_gate(zero_state(1), ry(1.1, 0))
-        a = sample_expect_z(state, 0, shots=1000, rng_seed=42)
-        b = sample_expect_z(state, 0, shots=1000, rng_seed=42)
+        exact = expect_z(apply_gate(zero_state(1), ry(1.1, 0)), 0)
+        a = sample_expect_z(exact, shots=1000, rng_seed=42)
+        b = sample_expect_z(exact, shots=1000, rng_seed=42)
         assert a == b
 
     def test_converges_to_exact_value(self):
         state = apply_gate(zero_state(1), ry(0.8, 0))
         exact = expect_z(state, 0)
-        est = sample_expect_z(state, 0, shots=200_000, rng_seed=1)
+        est = sample_expect_z(exact, shots=200_000, rng_seed=1)
         assert abs(est - exact) < 0.01
 
     def test_deterministic_state_needs_one_shot(self):
-        assert sample_expect_z(zero_state(2), 1, shots=1, rng_seed=0) == 1.0
+        assert sample_expect_z(expect_z(zero_state(2), 1), shots=1, rng_seed=0) == 1.0
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            sample_expect_z(zero_state(1), 0, shots=0, rng_seed=0)
+            sample_expect_z(expect_z(zero_state(1), 0), shots=0, rng_seed=0)
 
     def test_certain_outcomes_are_exact(self):
         # Basis state |10>: qubit 0 reads 0 with p = 1, qubit 1 reads 1 with p = 1.
         state = Statevector(2, np.array([0.0, 0.0, 1.0, 0.0], dtype=complex))
         for seed in range(20):
-            assert sample_expect_z(state, 0, shots=4096, rng_seed=seed) == 1.0
-            assert sample_expect_z(state, 1, shots=4096, rng_seed=seed) == -1.0
+            assert sample_expect_z(expect_z(state, 0), shots=4096, rng_seed=seed) == 1.0
+            assert sample_expect_z(expect_z(state, 1), shots=4096, rng_seed=seed) == -1.0
 
     def test_mean_over_seeds_within_four_sigma(self):
         state = apply_gates(zero_state(3), [h(0), ry(1.1, 1), cx(1, 2)])
         shots, n_seeds = 1000, 200
         for q in range(3):
             exact = expect_z(state, q)
-            mean = np.mean([sample_expect_z(state, q, shots, seed) for seed in range(n_seeds)])
+            mean = np.mean(
+                [sample_expect_z(exact, shots=shots, rng_seed=seed) for seed in range(n_seeds)]
+            )
             # One estimate has variance 4 p (1 - p) / shots = (1 - exact^2) / shots.
             sigma = np.sqrt((1.0 - exact**2) / (shots * n_seeds))
             assert abs(mean - exact) <= 4.0 * sigma
 
+    @pytest.mark.parametrize(
+        "expectation", [np.nan, -np.inf, np.inf, np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0)]
+    )
+    def test_expectation_outside_the_unit_interval_refused(self, expectation):
+        # (1 - E) / 2 would be NaN or a probability outside [0, 1].
+        with pytest.raises(ValueError, match=r"expectation must be in \[-1, 1\]"):
+            sample_expect_z(expectation, shots=64, rng_seed=0)
+
+    def test_shots_and_seed_are_keyword_only(self):
+        # Two adjacent ints are easy to swap, so neither is taken by position.
+        for call in (lambda: sample_expect_z(0.5, 64, 1),
+                     lambda: sample_expect_z(0.5, 64, rng_seed=1)):
+            with pytest.raises(TypeError, match="positional argument"):
+                call()
+
 
 def _bell_like_state():
     return apply_gates(zero_state(3), [h(0), ry(1.1, 1), cx(1, 2)])
+
+
+def _bell_like_draw(qubit, shots, seed):
+    """One draw of ``qubit`` of :func:`_bell_like_state` from its exact expectation."""
+    return sample_expect_z(expect_z(_bell_like_state(), qubit), shots=shots, rng_seed=seed)
 
 
 seeds_64 = st.integers(0, 2**64 - 1)
@@ -261,26 +283,30 @@ class TestSharedShotStream:
     @given(st.integers(0, 2), st.integers(1, 100_000), seeds_64, st.lists(draws, max_size=8),
            st.data())
     def test_draw_ignores_history_and_order(self, qubit, shots, seed, others, data):
-        state = _bell_like_state()
-        alone = sample_expect_z(state, qubit, shots, seed)
+        alone = _bell_like_draw(qubit, shots, seed)
         for other in others:
-            sample_expect_z(state, *other)
-        assert sample_expect_z(state, qubit, shots, seed) == alone
+            _bell_like_draw(*other)
+        assert _bell_like_draw(qubit, shots, seed) == alone
         calls = [(qubit, shots, seed), *others]
-        expected = [sample_expect_z(state, *call) for call in calls]
+        expected = [_bell_like_draw(*call) for call in calls]
         order = data.draw(st.permutations(range(len(calls))))
-        assert [sample_expect_z(state, *calls[i]) for i in order] == [expected[i] for i in order]
+        assert [_bell_like_draw(*calls[i]) for i in order] == [expected[i] for i in order]
 
     def test_threads_match_a_serial_run(self):
         state = _bell_like_state()
+        exact = [expect_z(state, q) for q in range(3)]
+
+        def draw(s):
+            return sample_expect_z(exact[s % 3], shots=1000 + s, rng_seed=s)
+
         seeds = [range(0, 1000, 2), range(1, 1000, 2)]  # 500 interleaved seeds each
-        serial = [[sample_expect_z(state, s % 3, 1000 + s, s) for s in part] for part in seeds]
+        serial = [[draw(s) for s in part] for part in seeds]
         results = [None, None]
         barrier = threading.Barrier(2)
 
         def work(k):
             barrier.wait()
-            results[k] = [sample_expect_z(state, s % 3, 1000 + s, s) for s in seeds[k]]
+            results[k] = [draw(s) for s in seeds[k]]
 
         threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
         interval = sys.getswitchinterval()
@@ -299,10 +325,9 @@ class TestSharedShotStream:
     def test_consecutive_seeds_are_independent_draws(self, qubit):
         # A poorly mixed or reused stream shows as a wrong spread or as
         # correlation between neighbouring seeds.
-        state = _bell_like_state()
         shots, n = 1000, 400
-        exact = expect_z(state, qubit)
-        est = np.array([sample_expect_z(state, qubit, shots, seed) for seed in range(n)])
+        exact = expect_z(_bell_like_state(), qubit)
+        est = np.array([sample_expect_z(exact, shots=shots, rng_seed=seed) for seed in range(n)])
         # (n - 1) s^2 / sigma^2 is chi-squared with k = n - 1 degrees of freedom;
         # Wilson-Hilferty quantiles at +-4 standard normal deviations.
         k = n - 1
@@ -313,10 +338,9 @@ class TestSharedShotStream:
         assert abs(lag1) <= 4.0 / np.sqrt(n - 1)
 
     def test_shot_budget_above_int64_rejected(self):
-        state = _bell_like_state()
         with pytest.raises(ValueError, match=r"shots must be <= 2\*\*63 - 1"):
-            sample_expect_z(state, 0, MAX_SHOTS + 1, 0)
-        assert -1.0 <= sample_expect_z(state, 0, MAX_SHOTS, 0) <= 1.0
+            _bell_like_draw(0, MAX_SHOTS + 1, 0)
+        assert -1.0 <= _bell_like_draw(0, MAX_SHOTS, 0) <= 1.0
 
     @pytest.mark.parametrize("shots", [64.7, 64.0, np.float64(64.0), True, "64"])
     def test_non_integer_shot_budget_rejected(self, shots):
@@ -325,10 +349,10 @@ class TestSharedShotStream:
         with pytest.raises(ValueError, match=message):
             check_shots(shots)
         with pytest.raises(ValueError, match=message):
-            sample_expect_z(_bell_like_state(), 0, shots, 0)
+            _bell_like_draw(0, shots, 0)
         check_shots(np.int32(64))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValueError, match="rng_seed must be in"):
-            sample_expect_z(zero_state(1), 0, 10, seed)
+            sample_expect_z(expect_z(zero_state(1), 0), shots=10, rng_seed=seed)

