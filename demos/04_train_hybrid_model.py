@@ -55,9 +55,10 @@ model = init_hybrid_model(seed=1)
 print(f"\nmodel has {model.params.size} parameters "
       f"({model.qlayer.phi.size} quantum + {model.head.params.size} classical)")
 
-report = train(model, X_train, Z_train, TrainConfig(epochs=300, eta=0.001, seed=1))
+config = TrainConfig(epochs=300, eta=0.001, seed=1)
+report = train(model, X_train, Z_train, config)
 
-print(f"\ntrained {report.config.epochs} epochs in {report.wall_time_s:.2f} s")
+print(f"\ntrained {config.epochs} epochs in {report.wall_time_s:.2f} s")
 print("loss milestones (train MSE, m^2):")
 for epoch in (0, 50, 100, 200, 299):
     print(f"  epoch {epoch:>3}: {report.loss_per_epoch[epoch]:.4f}")

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical, data, model_io, train_eval
+from .circuits import N_FEATURES
 from .qlayer import check_seed
 
 # Counts reach numpy as int64; larger flag values are usage errors.
@@ -299,6 +300,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, scaler = model_io.load_model(args.model_file)
+    net = model.head if isinstance(model, train_eval.HybridModel) else model
+    if (net.input_dim, net.output_dim) != (N_FEATURES, 2):
+        raise ValueError(f"{args.model_file}: the network maps {net.input_dim} inputs to "
+                         f"{net.output_dim} outputs; a fix needs {N_FEATURES} in and (x, y) out")
     samples = _load_samples(args, args.data)
     X = data.features_matrix(samples)
     clamped = 0

@@ -88,10 +88,10 @@ def load_mapping(path) -> dict[str, int | str]:
 
     A source that reads as an ASCII integer, ``-?[0-9]+``, is a 0-based column
     index; any other source is a header name. All five canonical fields must
-    be present.
+    be present. A leading UTF-8 byte-order mark is dropped.
     """
     mapping: dict[str, int | str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -150,7 +150,7 @@ def _not_utf8(path) -> DataFormatError:
 
 def _csv_rows(path):
     """(line, row) pairs of a UTF-8 CSV file; a row's line is where it starts in the file."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         line = 1
         try:
@@ -175,9 +175,9 @@ def load_csv(
     Without a mapping every row must have exactly the five canonical numeric
     fields. ``aggregate_positions`` averages the RSSI triples of rows sharing
     an identical (x, y), keeping first-seen position order. An empty file
-    yields an empty list. Malformed rows, bytes that are not UTF-8 and
-    fields past the csv module's size limit raise :class:`DataFormatError`
-    naming the line.
+    yields an empty list, and a leading UTF-8 byte-order mark is dropped.
+    Malformed rows, bytes that are not UTF-8 and fields past the csv module's
+    size limit raise :class:`DataFormatError` naming the line.
     """
     samples: list[RssiSample] = []
     header: list[str] | None = None
@@ -266,10 +266,13 @@ class Scaler:
 
 
 def fit_scaler(train_samples) -> Scaler:
-    """Learn per-feature dBm ranges; rejects constant feature columns."""
+    """Learn per-feature dBm ranges; rejects non-finite readings and constant columns."""
     feats = features_matrix(train_samples)
     if len(feats) == 0:
         raise ValueError("cannot fit a scaler on an empty training set")
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=0))
+    if bad.size:
+        raise ValueError(f"NaN or inf readings in feature column(s) {bad.tolist()}: cannot scale")
     lo = feats.min(axis=0)
     hi = feats.max(axis=0)
     flat = np.flatnonzero(hi <= lo)

@@ -117,12 +117,12 @@ def load_model(path):
         raise ModelFormatError(f"{path}: missing {FORMAT_HEADER!r} header")
     if len(lines) < 3 or not lines[1].startswith("kind "):
         raise ModelFormatError(f"{path}: missing kind line")
-    kind = lines[1].split(maxsplit=1)[1].strip()
+    kind = lines[1].removeprefix("kind ").strip()
     if kind not in ("hqnn", "dense"):
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
     if not lines[2].startswith("activations "):
         raise ModelFormatError(f"{path}: missing activations line")
-    activations = lines[2].split(maxsplit=1)[1].strip().split(",")
+    activations = lines[2].removeprefix("activations ").strip().split(",")
     arrays = _parse_arrays(lines, 3)
     non_finite = sorted(name for name, arr in arrays.items() if not np.all(np.isfinite(arr)))
     if non_finite:
@@ -150,12 +150,11 @@ def load_model(path):
         w_name, b_name = f"layer{i}_weight", f"layer{i}_bias"
         if w_name not in arrays or b_name not in arrays:
             raise ModelFormatError(f"{path}: missing arrays for layer {i}")
-        layers.append(
-            classical.DenseLayer(
-                weight=arrays.pop(w_name), bias=arrays.pop(b_name), activation=activation
-            )
-        )
-    net = classical.DenseNet(layers=layers)
+        layers.append((arrays.pop(w_name), arrays.pop(b_name), activation))
+    try:  # an unknown activation, or layers that do not chain
+        net = classical.DenseNet(layers=[classical.DenseLayer(*layer) for layer in layers])
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
     if kind == "dense":
         if arrays:
             raise ModelFormatError(f"{path}: unexpected arrays {sorted(arrays)}")

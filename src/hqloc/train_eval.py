@@ -11,16 +11,17 @@ then writes one optimizer step into ``params`` in place. A dense network's
 pass is one forward and one backward run of :func:`classical.loss_and_grad`.
 
 There is one training loop, :func:`train_stack`. It trains S models of one
-kind as one stack with a leading seed axis: their vectors become the rows of
-one (S, P) ``params`` array, the stacked quantum layer holds phi as (S, 6),
-and each epoch makes one kernel call per forward or Jacobian over all S
-models, one ``np.matmul`` chain through the stacked head or network, and one
-optimizer step over (S, P). Each model computes bit for bit what it computes
-alone. A stack whose loss or gradient turns non-finite for any model stops
-there, and each of its models trains alone, so each result is still what its
-solo run gives. :func:`train` is the stack of one, which is the model itself
-with no seed axis, and :func:`compare_all` trains each method's seeds as one
-stack and runs each baseline's predictor once over the whole test matrix.
+kind under one :class:`TrainConfig` as one stack with a leading seed axis:
+their vectors become the rows of one (S, P) ``params`` array, the stacked
+quantum layer holds phi as (S, 6), and each epoch makes one kernel call per
+forward or Jacobian over all S models, one ``np.matmul`` chain through the
+stacked head or network, one contraction of phi's gradient, and one optimizer
+step over (S, P). Each model computes bit for bit what it computes alone. A
+stack whose loss or gradient turns non-finite for any model stops there, and
+each of its models trains alone, so each result is still what its solo run
+gives. :func:`train` is the stack of one, which is the model itself with no
+seed axis, and :func:`compare_all` trains each method's seeds as one stack
+and runs each baseline's predictor once over the whole test matrix.
 
 Training never sees a test set. Evaluation is a separate, batched step on
 the trained model: :func:`evaluate_rmse` calls its predictor once on the
@@ -46,7 +47,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -132,26 +133,17 @@ def _hqnn_grad(model: HybridModel, rows: np.ndarray, Z: np.ndarray,
     """
     U = q_forward_batch(model.qlayer, rows)
     _, head_grad, input_grads = classical.loss_and_grad(model.head, U, Z, work)
-    phi_grad = _phi_grad(input_grads, q_gradient_batch(model.qlayer, rows))
+    shift_matrices = q_gradient_batch(model.qlayer, rows)
+    # A plain einsum (optimize=False) sums row s of a stack as model s alone.
+    phi_grad = np.einsum("...nj,...njk->...k", input_grads, shift_matrices)
     return np.concatenate([phi_grad, head_grad], axis=-1)
-
-
-def _phi_grad(input_grads: np.ndarray, shift_matrices: np.ndarray) -> np.ndarray:
-    """dL/dphi from the head's input gradients; one contraction per model of a stack.
-
-    A single contraction over the stack would sum in another order than a
-    model trained alone.
-    """
-    if input_grads.ndim == 3:
-        return np.array([_phi_grad(g, m) for g, m in zip(input_grads, shift_matrices)])
-    return np.einsum("nj,njk->k", input_grads, shift_matrices)
 
 
 @dataclass
 class TrainConfig:
     """How to train. ``seed`` seeds nothing: a model is seeded where it is built
     (``init_hybrid_model(seed)``, ``baseline_net(seed)``), and this seed is only
-    recorded (``TrainReport.config``, the manifest) and compared across a stack.
+    recorded, in ``hqloc train``'s manifest.
     """
 
     optimizer: str = "adam"
@@ -174,7 +166,6 @@ class TrainConfig:
 class TrainReport:
     loss_per_epoch: np.ndarray  # pre-update MSE, one entry per epoch
     final_train_mse: float
-    config: TrainConfig
     wall_time_s: float
 
 
@@ -243,29 +234,26 @@ def _model_ops(model, X, Z):
     return train_mse, loss_and_grad
 
 
-def train_stack(models, X, Z, configs) -> list[TrainReport | Exception]:
+def train_stack(models, X, Z, config: TrainConfig) -> list[TrainReport | Exception]:
     """Full-batch training of models of one kind as one stack; one result per model.
 
-    ``configs[s]`` belongs to ``models[s]``; they may differ in seed only.
-    Each epoch runs one loss-and-gradient pass and one optimizer step over the
-    stack's (S, P) parameters, and the steps are written back into each
-    ``model.params`` in place. Model s trains bit for bit as it would alone,
-    whichever models share its stack. Its result is its :class:`TrainReport`
-    (with the stack's wall time), or the exception its solo run raises: a
-    RuntimeError naming the epoch of a non-finite loss, checked before that
-    epoch's step (epoch ``epochs`` is the loss after the last step), or
-    ``adam_step``'s ValueError on a non-finite gradient. A stack of one trains
-    the model itself and stops at its failure, with its parameters as they
-    stood. A larger stack that meets a failure is dropped, and each model
-    trains alone, so every result is still what its solo run gives; a
-    survivor's report then carries its own solo wall time.
+    Every model trains under the one ``config``. Each epoch runs one
+    loss-and-gradient pass and one optimizer step over the stack's (S, P)
+    parameters, and the steps are written back into each ``model.params`` in
+    place. Model s trains bit for bit as it would alone, whichever models share
+    its stack. Its result is its :class:`TrainReport` (with the stack's wall
+    time), or the exception its solo run raises: a RuntimeError naming the
+    epoch of a non-finite loss, checked before that epoch's step (epoch
+    ``epochs`` is the loss after the last step), or ``adam_step``'s ValueError
+    on a non-finite gradient. A stack of one trains the model itself and stops
+    at its failure, with its parameters as they stood. A larger stack that
+    meets a failure is dropped, and each model trains alone under ``config``,
+    so every result is still what its solo run gives; a survivor's report then
+    carries its own solo wall time.
     """
     X, Z = _batch(X, Z, "training set")
-    if len(configs) != len(models) or not models:
-        raise ValueError(f"expected one config per model, got {len(configs)} for {len(models)}")
-    config = configs[0]
-    if any(replace(c, seed=config.seed) != config for c in configs):
-        raise ValueError("models in one training stack must share optimizer, eta and epochs")
+    if not models:
+        raise ValueError("a training stack needs at least one model")
     start = time.perf_counter()
     stack = _stack(models)  # copies the models' params unless it is a stack of one
     train_mse, loss_and_grad = _model_ops(stack, X, Z)
@@ -304,27 +292,27 @@ def train_stack(models, X, Z, configs) -> list[TrainReport | Exception]:
     if failure is not None:
         if len(models) == 1:
             return [failure]
-        return [train_stack([m], X, Z, [c])[0] for m, c in zip(models, configs)]
+        return [train_stack([m], X, Z, config)[0] for m in models]
     wall_time_s = time.perf_counter() - start
     for model, row in zip(models, stack.params.reshape(len(models), -1)):
         model.params[:] = row
     final = np.reshape(final, -1)
-    return [TrainReport(trace[:, s].copy(), float(final[s]), configs[s], wall_time_s)
+    return [TrainReport(trace[:, s].copy(), float(final[s]), wall_time_s)
             for s in range(len(models))]
 
 
 def train(model, X, Z, config: TrainConfig) -> TrainReport:
     """Full-batch training of one model: the stack of one of :func:`train_stack`.
 
-    Deterministic given the (already seeded) model. Records the pre-update MSE
-    each epoch, so entry 0 reflects the quality of the initialization and the
-    trace length equals the epoch count. Each step is written into
-    ``model.params`` in place. Raises what :func:`train_stack` records for a
-    failed model, such as the RuntimeError naming the epoch of a non-finite
-    loss. Evaluating the trained model on a test set is the caller's step
-    (:func:`evaluate_rmse`).
+    Deterministic given the (already seeded) model; ``config.seed`` is not
+    read. Records the pre-update MSE each epoch, so entry 0 reflects the
+    quality of the initialization and the trace length equals the epoch count.
+    Each step is written into ``model.params`` in place. Raises what
+    :func:`train_stack` records for a failed model, such as the RuntimeError
+    naming the epoch of a non-finite loss. Evaluating the trained model on a
+    test set is the caller's step (:func:`evaluate_rmse`).
     """
-    (result,) = train_stack([model], X, Z, [config])
+    (result,) = train_stack([model], X, Z, config)
     if isinstance(result, Exception):
         raise result
     return result
@@ -359,8 +347,9 @@ class CompareConfig:
         if not self.knn_ks or min(self.knn_ks) < 1:
             raise ValueError(f"knn_ks must be one or more k >= 1, got {list(self.knn_ks)}")
         check_shots(self.shots)
+        _train_config(self)  # the checks every training run applies
         for seed in self.seeds:
-            _train_config(self, seed)  # the checks every training run applies
+            check_seed(seed)
 
 
 def config_digest(meta: data.ScenarioMeta, config: CompareConfig) -> str:
@@ -369,13 +358,8 @@ def config_digest(meta: data.ScenarioMeta, config: CompareConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _train_config(config: CompareConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        optimizer=config.optimizer,
-        eta=config.eta,
-        epochs=config.epochs,
-        seed=seed,
-    )
+def _train_config(config: CompareConfig) -> TrainConfig:
+    return TrainConfig(optimizer=config.optimizer, eta=config.eta, epochs=config.epochs)
 
 
 def compare_all(
@@ -412,13 +396,13 @@ def compare_all(
             }
         )
 
-    train_configs = [_train_config(config, seed) for seed in config.seeds]
+    train_config = _train_config(config)
 
     def train_seeds(init):
         """Each seed's model, trained in one stack, or the exception its training raised."""
         models = [init(seed) for seed in config.seeds]
         try:
-            results = train_stack(models, X_train, Z_train, train_configs)
+            results = train_stack(models, X_train, Z_train, train_config)
         except Exception as exc:  # record the failure, keep comparing
             results = [exc] * len(models)
         return [r if isinstance(r, Exception) else m for m, r in zip(models, results)]

@@ -23,7 +23,9 @@ from hqloc.data import (
     scenario_meta,
     transform_samples,
 )
+from hqloc.classical import glorot_net
 from hqloc.model_io import load_model, save_model
+from hqloc.qlayer import QuantumLayer
 from hqloc.train_eval import (
     HybridModel,
     evaluate_rmse,
@@ -348,6 +350,39 @@ class TestEval:
         code = main(["eval", "--model-file", str(tmp_path / "absent.params"),
                      "--data", str(test_csv), "--out-dir", str(tmp_path / "e")])
         assert code == 1
+
+    @pytest.mark.parametrize("make, widths", [
+        (lambda: glorot_net((3, 8, 3), 0), "3 inputs to 3 outputs"),
+        (lambda: glorot_net((4, 8, 2), 0), "4 inputs to 2 outputs"),
+        (lambda: HybridModel(QuantumLayer(np.zeros(6)), glorot_net((3, 8, 1), 0)),
+         "3 inputs to 1 outputs"),
+    ], ids=["dense_3_to_3", "dense_4_to_2", "hybrid_head_3_to_1"])
+    def test_a_net_that_cannot_serve_a_fix_fails_before_the_data(
+        self, tmp_path, capsys, make, widths
+    ):
+        # The data file does not exist: the model is refused before it is read.
+        model_file = tmp_path / "model.params"
+        save_model(model_file, make())
+        code = main(["eval", "--model-file", str(model_file),
+                     "--data", str(tmp_path / "absent.csv"), "--out-dir", str(tmp_path / "e")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {model_file}: the network maps {widths}; "
+                       "a fix needs 3 in and (x, y) out"]
+        assert not (tmp_path / "e").exists()
+
+    def test_an_unknown_activation_is_a_format_error_naming_the_file(
+        self, tmp_path, test_csv, capsys
+    ):
+        model_file = tmp_path / "model.params"
+        save_model(model_file, init_hybrid_model(1))
+        text = model_file.read_text()
+        model_file.write_text(text.replace("activations relu,linear", "activations tanh,linear"))
+        code = main(["eval", "--model-file", str(model_file), "--data", str(test_csv),
+                     "--out-dir", str(tmp_path / "e")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {model_file}: unknown activation 'tanh'"]
 
     def test_shots_are_seeded(self, tmp_path, train_csv, test_csv):
         model_file = self.run_train(tmp_path, train_csv)

@@ -66,6 +66,9 @@ class TestScenarioTable:
             scenario_meta("Sc-1", "LoRa")
 
 
+BOM = "\ufeff".encode()  # the UTF-8 byte-order mark some spreadsheet exports start with
+
+
 class TestCsvRoundTrip:
     def test_save_then_load_is_exact(self, tmp_path):
         # repr() of a float parses back to the identical value.
@@ -95,6 +98,12 @@ class TestCsvRoundTrip:
         samples = load_csv(path)
         assert len(samples) == 2
         assert samples[0] == RssiSample((-50.0, -60.0, -70.0), (1.5, 2.5))
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        # Without a header its "\ufeff" would prefix the first reading.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(BOM + b"-50,-60,-70,1,2\n")
+        assert load_csv(path) == [RssiSample((-50.0, -60.0, -70.0), (1.0, 2.0))]
 
     def test_empty_file_gives_empty_list(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -137,6 +146,12 @@ class TestCsvErrors:
         path = tmp_path / "bad.csv"
         path.write_bytes(b"-50,-60,-70,1,2" + end + b"-50,-6\xff0,-70,1,2" + end)
         with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 2: byte 0xff")):
+            load_csv(path)
+
+    def test_invalid_utf8_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(BOM + b"-50,-60,-70,1,2\n-50,-60,-70,1,2\n-50,-6\xff0,-70,1,2\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 3: byte 0xff")):
             load_csv(path)
 
     def test_oversized_field_names_file_and_line(self, tmp_path):
@@ -203,6 +218,20 @@ class TestMapping:
         )
         samples = load_csv(csv_path, mapping=load_mapping(map_path))
         assert samples == [RssiSample((-51.0, -61.0, -71.0), (1.0, 2.0))]
+
+    def test_a_mapping_files_byte_order_mark_is_dropped(self, tmp_path):
+        # It would otherwise prefix the first field name.
+        map_path = tmp_path / "map.cfg"
+        map_path.write_bytes(BOM + b"rssi_a = 0\nrssi_b = 1\nrssi_c = 2\nx = 3\ny = 4\n")
+        assert load_mapping(map_path) == {"rssi_a": 0, "rssi_b": 1, "rssi_c": 2, "x": 3, "y": 4}
+
+    def test_a_headers_byte_order_mark_is_dropped(self, tmp_path):
+        # It would otherwise prefix the first column name, which a mapping then misses.
+        csv_path = tmp_path / "odd.csv"
+        csv_path.write_bytes(BOM + b"rssi_a,b,c,d,e\n-50,-60,-70,1,2\n")
+        mapping = {"rssi_a": "rssi_a", "rssi_b": 1, "rssi_c": 2, "x": 3, "y": 4}
+        samples = load_csv(csv_path, has_header=True, mapping=mapping)
+        assert samples == [RssiSample((-50.0, -60.0, -70.0), (1.0, 2.0))]
 
     def test_mapping_file_errors(self, tmp_path):
         cases = {
@@ -363,6 +392,18 @@ class TestScaler:
             RssiSample((-40.0, -60.0, -50.0), (1.0, 1.0)),
         ]
         with pytest.raises(ValueError, match=r"\[1\]"):
+            fit_scaler(samples)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_readings_rejected_by_column(self, bad):
+        # NaN would become the column's bounds; an inf would scale every
+        # reading of its column to 0 or 1.
+        samples = make_samples(np.random.default_rng(6))
+        for row, column in ((3, 2), (7, 0)):
+            rssi = list(samples[row].rssi)
+            rssi[column] = bad
+            samples[row] = RssiSample(tuple(rssi), samples[row].position)
+        with pytest.raises(ValueError, match=r"NaN or inf readings in feature column\(s\) \[0, 2\]"):
             fit_scaler(samples)
 
     def test_empty_training_set_rejected(self):

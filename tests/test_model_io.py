@@ -157,6 +157,15 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="kind"):
             load_model(path)
 
+    def test_an_empty_kind_or_activations_line_names_the_file(self, tmp_path):
+        path = self.write(tmp_path, f"{FORMAT_HEADER}\nkind \nactivations linear\n")
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: unknown model kind ''")):
+            load_model(path)
+        path = self.write(tmp_path, f"{FORMAT_HEADER}\nkind dense\nactivations \n"
+                          "array layer0_weight 1 1\n1.0\narray layer0_bias 1\n0.0\n")
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: unknown activation ''")):
+            load_model(path)
+
     def test_truncated_array(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -200,6 +209,22 @@ class TestFormatErrors:
             "array layer0_weight 1 1\n1.0\narray layer0_bias 1\n0.0\n",
         )
         with pytest.raises(ModelFormatError, match="layer 1"):
+            load_model(path)
+
+    @pytest.mark.parametrize("activations, body, message", [
+        ("tanh", "array layer0_weight 1 1\n1.0\narray layer0_bias 1\n0.0\n",
+         "unknown activation 'tanh'"),
+        ("relu", "array layer0_weight 1 1\n1.0\narray layer0_bias 1\n0.0\n",
+         "output layer must be linear"),
+        ("relu,linear", "array layer0_weight 2 1\n1.0\n1.0\narray layer0_bias 2\n0.0 0.0\n"
+         "array layer1_weight 1 3\n1.0 1.0 1.0\narray layer1_bias 1\n0.0\n",
+         "adjacent layer dimensions do not chain"),
+    ], ids=["unknown_activation", "relu_output", "unchained"])
+    def test_a_net_that_cannot_be_built_names_the_file(self, tmp_path, activations, body,
+                                                        message):
+        path = self.write(tmp_path, f"{FORMAT_HEADER}\nkind dense\nactivations {activations}\n"
+                          + body)
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: {message}")):
             load_model(path)
 
     def test_hqnn_requires_phi(self, tmp_path):

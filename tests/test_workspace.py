@@ -43,7 +43,7 @@ def step_rises(monkeypatch, make, seeds):
     models = [make(s) for s in seeds]
     tracemalloc.start()
     try:
-        results = train_stack(models, X, Z, [TrainConfig(epochs=8, seed=s) for s in seeds])
+        results = train_stack(models, X, Z, TrainConfig(epochs=8))
     finally:
         tracemalloc.stop()
     assert not any(isinstance(r, Exception) for r in results)
@@ -143,7 +143,7 @@ def count_view_cuts(monkeypatch, make, epochs):
         return real(*args)
 
     monkeypatch.setattr(classical, "layer_views", counted)
-    results = train_stack(models, X, Z, [TrainConfig(epochs=epochs, seed=s) for s in (1, 2)])
+    results = train_stack(models, X, Z, TrainConfig(epochs=epochs))
     assert not any(isinstance(r, Exception) for r in results)
     return len(cuts)
 
