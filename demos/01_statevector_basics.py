@@ -2,24 +2,18 @@
 Statevector simulation basics
 =============================
 
-The simulator keeps the full complex amplitude vector of an n-qubit
-register and applies gates to it directly, so every expectation value it
-reports is exact. This script walks through the core objects: states,
-gates, measurement statistics.
+The reference simulator in ``hqloc.reference`` keeps the full complex
+amplitude vector of an n-qubit register and applies gates to it directly,
+so every expectation value it reports is exact. The runtime never runs it;
+tests and these demos use it to check the closed forms. This script walks
+through the core objects: states, gates, measurement statistics.
 """
 
 import numpy as np
 
-from hqloc.statevector import (
-    apply_gate,
-    apply_gates,
-    cx,
-    expect_z,
-    h,
-    ry,
-    sample_expect_z,
-    zero_state,
-)
+from hqloc.circuits import cx, h, ry
+from hqloc.reference import apply_gate, apply_gates, expect_z, zero_state
+from hqloc.statevector import sample_expect_z
 
 ##############################################################################
 # States

@@ -10,16 +10,10 @@ baseline, so this script looks at what it actually produces.
 
 import numpy as np
 
-from hqloc.baselines import (
-    build_fingerprint_db,
-    fidelity,
-    fingerprint_fidelities,
-    fingerprint_predict,
-    swap_test_fidelity,
-)
+from hqloc.baselines import build_fingerprint_db, fingerprint_fidelities, fingerprint_predict
 from hqloc.circuits import N_ANSATZ_PARAMS, feature_state, real_amplitudes, zz_feature_map
 from hqloc.data import RssiSample, fit_scaler, transform
-from hqloc.statevector import Statevector, apply_gates, zero_state
+from hqloc.reference import Statevector, apply_gates, fidelity, swap_test_fidelity, zero_state
 
 ##############################################################################
 # Scaling
@@ -55,9 +49,15 @@ for gate in zz_feature_map(x):
 ##############################################################################
 # After the H layer every gate is diagonal, so the encoded state has a closed
 # form: each amplitude is a pure phase of modulus 1/sqrt(8). That is how
-# ``feature_state`` computes it; the gate-by-gate simulation agrees.
+# ``feature_state`` computes it; the gate-by-gate reference simulation agrees.
 
-state = feature_state(x)
+
+def encoded(features):
+    """The encoded reading as a state of the reference simulator."""
+    return Statevector(3, feature_state(features))
+
+
+state = encoded(x)
 print("\nencoded amplitudes (moduli):", np.round(np.abs(state.amplitudes), 4))
 by_gates = apply_gates(zero_state(3), zz_feature_map(x))
 print("closed form vs gate by gate:", np.abs(state.amplitudes - by_gates.amplitudes).max())
@@ -86,16 +86,16 @@ print("ansatz matrix is real and orthogonal:",
 
 nearby = transform(scaler, (-50.5, -60.5, -50.5))
 far = transform(scaler, (-60.0, -50.0, -60.0))
-print("\nfidelity with itself:        ", fidelity(state, feature_state(x)))
-print("fidelity with nearby reading:", round(fidelity(state, feature_state(nearby)), 6))
-print("fidelity with far reading:   ", round(fidelity(state, feature_state(far)), 6))
+print("\nfidelity with itself:        ", fidelity(state, encoded(x)))
+print("fidelity with nearby reading:", round(fidelity(state, encoded(nearby)), 6))
+print("fidelity with far reading:   ", round(fidelity(state, encoded(far)), 6))
 
 ##############################################################################
 # The swap test estimates the same overlap the way a quantum device would,
 # with an ancilla qubit and controlled swaps instead of direct access to
 # the amplitudes. Exact simulation confirms both routes agree.
 
-a, b = feature_state(x), feature_state(far)
+a, b = encoded(x), encoded(far)
 print("\ndirect overlap:   ", fidelity(a, b))
 print("swap-test overlap:", swap_test_fidelity(a, b))
 

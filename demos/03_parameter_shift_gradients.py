@@ -22,7 +22,8 @@ from hqloc.qlayer import (
     q_gradient,
     q_gradient_batch,
 )
-from hqloc.statevector import apply_gate, expect_z, ry, zero_state
+from hqloc.circuits import ry
+from hqloc.reference import apply_gate, expect_z, zero_state
 
 ##############################################################################
 # Single rotation

@@ -1,26 +1,64 @@
 """The circuit layout: the data-encoding feature map and the trainable ansatz.
 
-:func:`zz_feature_map` and :func:`real_amplitudes` list the concrete gates.
-They run on the gate-level simulator in :mod:`hqloc.statevector`, which
-serves as the reference, and the quantum layer propagates its Pauli paths
-through the ansatz's gate list. :func:`encode_batch` is the closed form of
+The gates are data: :func:`zz_feature_map` and :func:`real_amplitudes` list
+them. The quantum layer propagates its Pauli paths through the ansatz's gate
+list at import, and only the simulator in :mod:`hqloc.reference` applies
+them, to check the closed forms. :func:`encode_batch` is the closed form of
 the feature map that the layer runs on. After the H layer the feature map is
 diagonal, so every encoded amplitude is a pure phase: a row's 2n - 1 gate
 angles times a cached 0/1 table of which basis states each phase gate
 reaches, summed over the gates in circuit order.
 
-Qubit 0 is the least significant bit of the basis index. Features are
+Qubit 0 is the least significant bit of the basis index. RY(t) =
+exp(-i t Y/2), RZ(t) = exp(-i t Z/2), P(l) = diag(1, e^{il}). Features are
 expected to be pre-scaled to [0, 1] by the data pipeline before encoding.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, Gate, Statevector, cx, h, p, ry
+MAX_QUBITS = 20  # the widest register the reference simulates: 2**n amplitudes
+
+GATE_KINDS = ("H", "RY", "RZ", "P", "CX")
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One concrete gate: ``kind`` in GATE_KINDS, qubit indices, angle in radians.
+
+    ``control`` is set for CX only; ``angle`` for RY/RZ/P only.
+    """
+
+    kind: str
+    target: int
+    control: int | None = None
+    angle: float | None = None
+
+
+def h(target: int) -> Gate:
+    return Gate("H", target)
+
+
+def ry(angle: float, target: int) -> Gate:
+    return Gate("RY", target, angle=angle)
+
+
+def rz(angle: float, target: int) -> Gate:
+    return Gate("RZ", target, angle=angle)
+
+
+def p(angle: float, target: int) -> Gate:
+    return Gate("P", target, angle=angle)
+
+
+def cx(control: int, target: int) -> Gate:
+    return Gate("CX", target, control=control)
+
 
 N_FEATURES = 3
 N_ANSATZ_PARAMS = 6
@@ -130,10 +168,10 @@ def encode_batch(X) -> np.ndarray:
     return np.exp(1j * phase) / math.sqrt(2.0**n)
 
 
-def feature_state(x) -> Statevector:
-    """Encode one feature vector into a statevector via the feature map."""
+def feature_state(x) -> np.ndarray:
+    """The encoded amplitudes of one feature vector, bit for bit its :func:`encode_batch` row."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected one feature vector, got shape {x.shape}")
-    return Statevector(x.size, encode_batch(x[None])[0])
+    return encode_batch(x[None])[0]
 

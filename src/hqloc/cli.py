@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, classical, data, model_io, train_eval
 from .circuits import N_FEATURES
-from .qlayer import check_seed
+from .statevector import check_seed
 
 # Counts reach numpy as int64; larger flag values are usage errors.
 _INT64_MAX = 2**63 - 1

@@ -91,19 +91,23 @@ def load_mapping(path) -> dict[str, int | str]:
     be present. A leading UTF-8 byte-order mark is dropped.
     """
     mapping: dict[str, int | str] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}: line {lineno}: expected 'field = source'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CANONICAL_FIELDS:
-                raise DataFormatError(f"{path}: line {lineno}: unknown field {key!r}")
-            if key in mapping:
-                raise DataFormatError(f"{path}: line {lineno}: duplicate field {key!r}")
-            mapping[key] = int(value) if re.fullmatch("-?[0-9]+", value) else value
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"{path}: line {lineno}: expected 'field = source'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CANONICAL_FIELDS:
+            raise DataFormatError(f"{path}: line {lineno}: unknown field {key!r}")
+        if key in mapping:
+            raise DataFormatError(f"{path}: line {lineno}: duplicate field {key!r}")
+        mapping[key] = int(value) if re.fullmatch("-?[0-9]+", value) else value
     missing = [f for f in CANONICAL_FIELDS if f not in mapping]
     if missing:
         raise DataFormatError(f"{path}: missing fields {missing}")
@@ -133,8 +137,8 @@ def _resolve_columns(mapping, header, path) -> list[int]:
     return columns
 
 
-def _not_utf8(path) -> DataFormatError:
-    """The error for ``path``, naming the line and value of its first byte that is not UTF-8."""
+def not_utf8(path, error: type[ValueError] = DataFormatError) -> ValueError:
+    """An ``error`` for ``path``, naming the line and value of its first byte that is not UTF-8."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -142,10 +146,8 @@ def _not_utf8(path) -> DataFormatError:
     except UnicodeDecodeError as exc:
         head = raw[:exc.start]  # count line breaks as the csv reader does
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return DataFormatError(
-            f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not valid UTF-8"
-        )
-    return DataFormatError(f"{path}: not valid UTF-8")  # the file changed since it failed
+        return error(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not valid UTF-8")
+    return error(f"{path}: not valid UTF-8")  # the file changed since it failed
 
 
 def _csv_rows(path):
@@ -161,7 +163,7 @@ def _csv_rows(path):
             raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             # The decoder reads ahead of the rows, so the bad byte is found in the raw file.
-            raise _not_utf8(path) from None
+            raise not_utf8(path) from None
 
 
 def load_csv(

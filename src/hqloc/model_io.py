@@ -20,7 +20,7 @@ import numpy as np
 
 from . import classical
 from .circuits import N_ANSATZ_PARAMS, N_FEATURES
-from .data import Scaler
+from .data import Scaler, not_utf8
 from .qlayer import QuantumLayer
 from .train_eval import HybridModel
 
@@ -70,7 +70,7 @@ class ModelFormatError(ValueError):
     """Raised when a parameter file does not match the expected layout."""
 
 
-def _parse_arrays(lines: list[str], start: int) -> dict[str, np.ndarray]:
+def _parse_arrays(path, lines: list[str], start: int) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     i = start
     while i < len(lines):
@@ -79,30 +79,32 @@ def _parse_arrays(lines: list[str], start: int) -> dict[str, np.ndarray]:
             i += 1
             continue
         if parts[0] != "array" or len(parts) not in (3, 4):
-            raise ModelFormatError(f"line {i + 1}: expected an array block, got {lines[i]!r}")
+            raise ModelFormatError(
+                f"{path}: line {i + 1}: expected an array block, got {lines[i]!r}"
+            )
         name = parts[1]
         if name in arrays:
-            raise ModelFormatError(f"line {i + 1}: duplicate array {name!r}")
+            raise ModelFormatError(f"{path}: line {i + 1}: duplicate array {name!r}")
         try:
             dims = [int(d) for d in parts[2:]]
         except ValueError:
             dims = [0]  # refused below with the other bad dimensions
         if min(dims) < 1:
-            raise ModelFormatError(f"line {i + 1}: bad dimensions in {lines[i]!r}")
+            raise ModelFormatError(f"{path}: line {i + 1}: bad dimensions in {lines[i]!r}")
         *lead, row_len = dims
         n_rows = math.prod(lead)
         rows = []
         for r in range(n_rows):
             j = i + 1 + r
             if j >= len(lines):
-                raise ModelFormatError(f"array {name!r} is truncated")
+                raise ModelFormatError(f"{path}: array {name!r} is truncated")
             try:
                 row = [float(v) for v in lines[j].split()]
             except ValueError:
-                raise ModelFormatError(f"line {j + 1}: non-numeric value") from None
+                raise ModelFormatError(f"{path}: line {j + 1}: non-numeric value") from None
             if len(row) != row_len:
                 raise ModelFormatError(
-                    f"line {j + 1}: expected {row_len} values, got {len(row)}"
+                    f"{path}: line {j + 1}: expected {row_len} values, got {len(row)}"
                 )
             rows.append(row)
         arrays[name] = np.asarray(rows, dtype=float).reshape(dims)
@@ -112,7 +114,10 @@ def _parse_arrays(lines: list[str], start: int) -> dict[str, np.ndarray]:
 
 def load_model(path):
     """Read a parameter file; returns ``(model, scaler_or_None)``."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise not_utf8(path, ModelFormatError) from None
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise ModelFormatError(f"{path}: missing {FORMAT_HEADER!r} header")
     if len(lines) < 3 or not lines[1].startswith("kind "):
@@ -123,7 +128,7 @@ def load_model(path):
     if not lines[2].startswith("activations "):
         raise ModelFormatError(f"{path}: missing activations line")
     activations = lines[2].removeprefix("activations ").strip().split(",")
-    arrays = _parse_arrays(lines, 3)
+    arrays = _parse_arrays(path, lines, 3)
     non_finite = sorted(name for name, arr in arrays.items() if not np.all(np.isfinite(arr)))
     if non_finite:
         raise ModelFormatError(f"{path}: non-finite values in {non_finite}")

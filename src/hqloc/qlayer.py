@@ -20,38 +20,30 @@ shift-rule Jacobian is F @ dC; no 2**n x 2**n matrix is built.
 entry point refuses rows that do not hold ``N_FEATURES`` features before any
 product, and a layer refuses non-finite angles.
 
-Sampling belongs to an evaluation, not to the layer: given ``shots``,
-:func:`q_forward_batch` computes the exact expectations E_j through the same
-kernel and caches, then draws each estimate with :func:`sample_expect_z`.
-Qubit j measures 1 with probability (1 - E_j) / 2, its exact marginal, so no
-state is needed past the encoding. Each draw is seeded per (row, qubit) from
-``seed``, the qubit and the encoded row, so a row's estimate does not depend
-on the rest of its batch. Each seed is a blake2b digest;
-:func:`sample_expect_z` re-keys one shared PCG64 stream from it, so sampling
-builds no generator per draw. Gradients are always exact.
+The layer computes exact expectations only, and applies no gate. Sampling is
+a later step on them, :func:`hqloc.statevector.sample_batch`, since qubit j
+measures 1 with probability (1 - E_j) / 2, its exact marginal.
 
 Two one-entry caches, each keyed on its array's dtype, shape and bytes, keep
 the kernel's work. One holds the coefficients and derivatives of the last
 phi compiled, so a trained model compiles once for any number of fixes, and
 a training epoch's loss forward, gradient forward and Jacobian share one
-compile. The other holds the Pauli features of the last batch, exact or
-sampled, so a training run computes its rows' features once; it retains
-that batch's features and its key's copy of the rows, 20 floats and 8
-complex amplitudes (288 B) per row. A write into phi or the rows in place,
-as an optimizer step makes, changes the key, so no stale entry is ever
-served. Cached arrays are read-only.
+compile. The other holds the Pauli features of the last batch, so a
+training run computes its rows' features once; it retains that batch's
+features and its key's copy of the rows, 20 floats and 8 complex amplitudes
+(288 B) per row. A write into phi or the rows in place, as an optimizer step
+makes, changes the key, so no stale entry is ever served. Cached arrays are
+read-only.
 
 A layer may also hold a stack of S angle vectors, phi of shape (S, n_params),
 as the seed-stacked training loop does: one compile then covers all S angle
 vectors, one ``np.matmul`` applies the S coefficient matrices to the shared
 features, and every result gains a leading axis of length S. Row s of a
-stack computes bit for bit what the layer of phi[s] computes alone. Sampling
-takes one layer, not a stack.
+stack computes bit for bit what the layer of phi[s] computes alone.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +51,6 @@ import numpy as np
 # encode_batch is re-exported: callers encode here and pass the rows back in.
 from .circuits import N_ANSATZ_PARAMS, N_FEATURES, check_features, encode_batch
 from .circuits import feature_state, real_amplitudes
-from .statevector import check_integer, check_shots, sample_expect_z
-
-# Seeds reach numpy generators, which take only non-negative integers, and the
-# shot seeds pack them as int64.
-MAX_SEED = 2**63 - 1
 
 
 def _pauli_paths(gates, n_qubits: int, n_angles: int) -> list[tuple[int, int, int, int, tuple]]:
@@ -178,24 +165,6 @@ def _check_rows(encoded_rows: np.ndarray) -> None:
         )
 
 
-def check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is an integer in [0, MAX_SEED]."""
-    check_integer("seed", seed)
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be an integer in [0, 2**63 - 1], got {seed}")
-
-
-def _seed_prefixes(base_seed: int) -> list[bytes]:
-    """The int64 bytes of (base_seed, qubit) that open each qubit's shot seed."""
-    check_seed(base_seed)
-    return [np.asarray([base_seed, q], dtype=np.int64).tobytes() for q in range(N_FEATURES)]
-
-
-def _shot_seed(prefix: bytes, row_bytes: bytes) -> int:
-    # Stable across runs: Python's hash() is salted, so hash the bytes instead.
-    return int.from_bytes(hashlib.blake2b(prefix + row_bytes, digest_size=8).digest(), "little")
-
-
 def _compile(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """C and dC of each of the m angle vectors in ``phi``, shapes (m, n_strings, n) and
     (m, n_strings, n * n_params): column j * n_params + k of dC is C's column j
@@ -252,34 +221,11 @@ def _exact(phi: np.ndarray, encoded_rows: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
 
 
-def q_forward_batch(
-    layer: QuantumLayer, encoded_rows: np.ndarray, shots: int | None = None, seed: int = 0
-) -> np.ndarray:
-    """Expectations for every encoded row, shape (batch, N_FEATURES); a stack's are (S, batch, ...).
-
-    Exact when ``shots`` is None. Otherwise entry (i, j) is a
-    :func:`sample_expect_z` estimate from ``shots`` shots of the exact
-    expectation E_j of row i, seeded from ``seed``, the qubit and the bytes
-    of that encoded row; ``seed`` must pass :func:`check_seed`, the rule every
-    seeded entry point applies, and ``shots`` must pass :func:`check_shots`,
-    even for zero rows.
-    """
+def q_forward_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarray:
+    """Exact expectations of every encoded row, (batch, N_FEATURES); a stack's are (S, ...)."""
     _check_rows(encoded_rows)
-    if shots is None:
-        out = _exact(layer.phi, encoded_rows)
-        return out.reshape(*layer.phi.shape[:-1], *out.shape[1:])
-    check_shots(shots)
-    if layer.phi.ndim == 2:
-        raise ValueError("shot sampling takes one layer, not a stack")
-    prefixes = _seed_prefixes(seed)
-    exact = _exact(layer.phi, encoded_rows)[0]
-    out = np.empty_like(exact)
-    for i, (row, expectations) in enumerate(zip(encoded_rows, exact.tolist())):
-        row_bytes = row.tobytes()
-        for q, (prefix, expectation) in enumerate(zip(prefixes, expectations)):
-            seed_q = _shot_seed(prefix, row_bytes)
-            out[i, q] = sample_expect_z(expectation, shots=shots, rng_seed=seed_q)
-    return out
+    out = _exact(layer.phi, encoded_rows)
+    return out.reshape(*layer.phi.shape[:-1], *out.shape[1:])
 
 
 def q_gradient_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarray:
@@ -299,13 +245,11 @@ def q_gradient_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarra
     return grads.reshape(*layer.phi.shape[:-1], len(encoded_rows), N_FEATURES, N_ANSATZ_PARAMS)
 
 
-def q_forward(layer: QuantumLayer, x, shots: int | None = None, seed: int = 0) -> np.ndarray:
-    """Z expectations of one feature vector scaled to [0, 1]; see :func:`q_forward_batch`."""
-    rows = feature_state(check_features(x, N_FEATURES)).amplitudes[None]
-    return q_forward_batch(layer, rows, shots, seed)[0]
+def q_forward(layer: QuantumLayer, x) -> np.ndarray:
+    """Exact Z expectations of one feature vector scaled to [0, 1]; see :func:`q_forward_batch`."""
+    return q_forward_batch(layer, feature_state(check_features(x, N_FEATURES))[None])[0]
 
 
 def q_gradient(layer: QuantumLayer, x) -> np.ndarray:
     """Shift-rule gradient matrix for one feature vector, shape (N_FEATURES, n_params)."""
-    rows = feature_state(check_features(x, N_FEATURES)).amplitudes[None]
-    return q_gradient_batch(layer, rows)[0]
+    return q_gradient_batch(layer, feature_state(check_features(x, N_FEATURES))[None])[0]

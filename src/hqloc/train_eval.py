@@ -26,8 +26,9 @@ and runs each baseline's predictor once over the whole test matrix.
 Training never sees a test set. Evaluation is a separate, batched step on
 the trained model: :func:`evaluate_rmse` calls its predictor once on the
 whole test matrix, and :func:`hqnn_forward_batch` runs every row through one
-quantum kernel pass and one head pass, exact or, given a shot budget and a
-seed, shot-sampled. The trained model is the same in both cases.
+exact quantum kernel pass and one head pass. Given a shot budget and a seed,
+it samples the exact expectations in between, the only sampled path. The
+trained model is the same in both cases.
 
 A training run builds its workspace once: Adam's moments and scratch, and the
 gradient buffer and layer buffers of a :class:`classical.Workspace`, for a
@@ -54,9 +55,8 @@ import numpy as np
 
 from . import baselines, classical, data, optim
 from .circuits import N_ANSATZ_PARAMS, N_FEATURES, check_features
-from .qlayer import QuantumLayer, check_seed, encode_batch
-from .qlayer import q_forward, q_forward_batch, q_gradient_batch
-from .statevector import check_integer, check_shots
+from .qlayer import QuantumLayer, encode_batch, q_forward, q_forward_batch, q_gradient_batch
+from .statevector import check_integer, check_seed, check_shots, sample_batch
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -96,9 +96,11 @@ def hqnn_forward(model: HybridModel, x) -> np.ndarray:
 def hqnn_forward_batch(
     model: HybridModel, X, shots: int | None = None, seed: int = 0
 ) -> np.ndarray:
-    """Predicted (x, y) for every row of a scaled feature matrix; sampled if ``shots`` is set."""
+    """Predicted (x, y) for every row of ``X``; with ``shots``, from sampled expectations."""
     rows = encode_batch(check_features(X, N_FEATURES))
-    U = q_forward_batch(model.qlayer, rows, shots, seed)
+    U = q_forward_batch(model.qlayer, rows)
+    if shots is not None:
+        U = sample_batch(U, rows, shots=shots, seed=seed)
     return classical.forward_batch(model.head, U)
 
 

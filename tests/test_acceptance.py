@@ -25,7 +25,7 @@ from hqloc.baselines import (
     fit_knn,
     knn_predict,
 )
-from hqloc.circuits import feature_state
+from hqloc.circuits import cx, feature_state, h, p, ry, rz
 from hqloc.cli import main as cli_main
 from hqloc.data import (
     SCENARIOS,
@@ -37,8 +37,7 @@ from hqloc.data import (
 )
 from hqloc.optim import adam_step, init_adam
 from hqloc.qlayer import q_forward
-from hqloc.reference import REFERENCE_RMSE_M
-from hqloc.statevector import apply_gate, apply_gates, cx, expect_z, h, p, ry, rz, zero_state
+from hqloc.reference import REFERENCE_RMSE_M, apply_gate, apply_gates, expect_z, zero_state
 from hqloc.train_eval import (
     TrainConfig,
     evaluate_rmse,
@@ -278,8 +277,8 @@ def test_criterion_05_baselines_match_brute_force_oracles():
         coords = rng.uniform(0.0, 6.0, size=(n, 2))
         db = build_fingerprint_db(feats, coords)
         x = rng.uniform(0.0, 1.0, size=3)
-        psi = feature_state(x).amplitudes
-        oracle_fids = [fidelity_oracle(feature_state(f).amplitudes, psi) for f in feats]
+        psi = feature_state(x)
+        oracle_fids = [fidelity_oracle(feature_state(f), psi) for f in feats]
         best = max(range(n), key=lambda i: oracle_fids[i])
         np.testing.assert_array_equal(fingerprint_predict(db, x), coords[best])
         fids = fingerprint_fidelities(db, x)

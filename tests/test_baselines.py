@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from hqloc.baselines import (
-    _toffoli_gates,
     build_fingerprint_db,
-    fidelity,
     fingerprint_fidelities,
     fingerprint_predict,
     fit_knn,
     knn_predict,
-    swap_test_fidelity,
 )
 from hqloc.circuits import feature_state
-from hqloc.statevector import Statevector, apply_gates
+from hqloc.reference import (
+    Statevector,
+    _toffoli_gates,
+    apply_gates,
+    fidelity,
+    swap_test_fidelity,
+)
 
 from oracles import fidelity_oracle, knn_oracle
 
@@ -182,8 +185,8 @@ class TestSwapTest:
     def test_encoded_features(self):
         rng = np.random.default_rng(5)
         for trial in range(5):
-            a = feature_state(rng.uniform(0.0, 1.0, size=3))
-            b = feature_state(rng.uniform(0.0, 1.0, size=3))
+            a = Statevector(3, feature_state(rng.uniform(0.0, 1.0, size=3)))
+            b = Statevector(3, feature_state(rng.uniform(0.0, 1.0, size=3)))
             np.testing.assert_allclose(
                 swap_test_fidelity(a, b), fidelity(a, b), rtol=0, atol=1e-10
             )
@@ -232,10 +235,7 @@ class TestFingerprint:
             db = build_fingerprint_db(feats, coords)
             x = rng.uniform(0.0, 1.0, size=3)
             psi = feature_state(x)
-            fids = [
-                fidelity_oracle(feature_state(f).amplitudes, psi.amplitudes)
-                for f in feats
-            ]
+            fids = [fidelity_oracle(feature_state(f), psi) for f in feats]
             best = max(range(n), key=lambda i: fids[i])
             np.testing.assert_array_equal(fingerprint_predict(db, x), coords[best])
             np.testing.assert_allclose(
@@ -251,13 +251,22 @@ class TestFingerprint:
         queries = np.vstack([rng.uniform(0.0, 1.0, size=(30, 3)), feats[2]])
         fids = fingerprint_fidelities(db, queries)
         assert fids.shape == (31, 15)
-        # The per-query loop, one statevector at a time, is the reference.
-        loop = [np.abs(db.states.conj() @ feature_state(q).amplitudes) ** 2 for q in queries]
+        # The per-query loop, one encoded query at a time, is the reference.
+        loop = [np.abs(db.states.conj() @ feature_state(q)) ** 2 for q in queries]
         np.testing.assert_array_equal(fids, loop)
         np.testing.assert_array_equal(fids, [fingerprint_fidelities(db, q) for q in queries])
         batch = fingerprint_predict(db, queries)
         np.testing.assert_array_equal(batch, [fingerprint_predict(db, q) for q in queries])
         np.testing.assert_array_equal(batch[-1], coords[2])
+
+    def test_both_predictors_map_an_empty_batch_to_no_fixes(self):
+        rng = np.random.default_rng(12)
+        feats, coords = rng.uniform(0.0, 1.0, size=(6, 3)), rng.uniform(0.0, 6.0, size=(6, 2))
+        db, empty = build_fingerprint_db(feats, coords), np.zeros((0, 3))
+        assert fingerprint_fidelities(db, empty).shape == (0, 6)
+        knn = fit_knn(feats, coords, k=3)
+        for predicted in (fingerprint_predict(db, empty), knn_predict(knn, empty)):
+            assert predicted.shape == (0, 2)
 
     @pytest.mark.parametrize("query", [[0.5, 0.2], [[0.5, 0.2]], np.zeros((2, 2, 3)), 0.5])
     def test_refuses_queries_of_the_wrong_shape(self, query):

@@ -97,6 +97,15 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: line 2: {reason}")
 
+    def test_a_mapping_byte_that_is_not_utf8_is_one_line_error(self, train_csv, tmp_path, capsys):
+        mapping = tmp_path / "map.cfg"
+        mapping.write_bytes(b"rssi_a = 0\nrssi_b = 1\nrssi_c = 2 # \xff\nx = 3\ny = 4\n")
+        code = main(["train", "--data", str(train_csv), "--mapping", str(mapping),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {mapping}: line 3: byte 0xff is not valid UTF-8"]
+
     @pytest.mark.parametrize("model", ["classical", "hqnn"])
     def test_divergence_is_one_line_error(self, train_csv, tmp_path, model):
         # A subprocess, so numpy's overflow warnings would reach stderr as they do for users.
@@ -383,6 +392,20 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {model_file}: unknown activation 'tanh'"]
+
+    def test_a_byte_that_is_not_utf8_is_a_format_error_naming_the_file(
+        self, tmp_path, test_csv, capsys
+    ):
+        model_file = tmp_path / "model.params"
+        save_model(model_file, init_hybrid_model(1))
+        lines = model_file.read_bytes().splitlines(keepends=True)
+        lines[4] = b"0.\xff\n"  # the first row of phi
+        model_file.write_bytes(b"".join(lines))
+        code = main(["eval", "--model-file", str(model_file), "--data", str(test_csv),
+                     "--out-dir", str(tmp_path / "e")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {model_file}: line 5: byte 0xff is not valid UTF-8"]
 
     def test_shots_are_seeded(self, tmp_path, train_csv, test_csv):
         model_file = self.run_train(tmp_path, train_csv)

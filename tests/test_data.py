@@ -225,6 +225,13 @@ class TestMapping:
         map_path.write_bytes(BOM + b"rssi_a = 0\nrssi_b = 1\nrssi_c = 2\nx = 3\ny = 4\n")
         assert load_mapping(map_path) == {"rssi_a": 0, "rssi_b": 1, "rssi_c": 2, "x": 3, "y": 4}
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_a_mapping_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path, end):
+        path = tmp_path / "map.cfg"
+        path.write_bytes(end.join([b"rssi_a = 0", b"rssi_b = 1", b"rssi_c = \xff2", b""]))
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 3: byte 0xff")):
+            load_mapping(path)
+
     def test_a_headers_byte_order_mark_is_dropped(self, tmp_path):
         # It would otherwise prefix the first column name, which a mapping then misses.
         csv_path = tmp_path / "odd.csv"

@@ -202,6 +202,27 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="duplicate"):
             load_model(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("array layer0_bias 1\n0.0\narray layer0_bias 1\n0.0\n",
+         "line 6: duplicate array 'layer0_bias'"),
+        ("weights 1 1\n1.0\n", "line 4: expected an array block, got 'weights 1 1'"),
+        ("array layer0_weight 0 1\n", "line 4: bad dimensions in 'array layer0_weight 0 1'"),
+        ("array layer0_weight 2 1\n1.0\n", "array 'layer0_weight' is truncated"),
+        ("array layer0_weight 1 1\nfoo\n", "line 5: non-numeric value"),
+        ("array layer0_weight 1 2\n1.0\n", "line 5: expected 2 values, got 1"),
+    ])
+    def test_an_array_block_error_names_the_file(self, tmp_path, body, message):
+        path = self.write(tmp_path, f"{FORMAT_HEADER}\nkind dense\nactivations linear\n{body}")
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
+
+    def test_a_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.params"
+        path.write_bytes(f"{FORMAT_HEADER}\nkind dense\nactivations linear\n".encode()
+                         + b"array layer0_weight 1 1\n\xff\n")
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: line 5: byte 0xff")):
+            load_model(path)
+
     def test_missing_layer_arrays(self, tmp_path):
         path = self.write(
             tmp_path,

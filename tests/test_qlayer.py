@@ -8,18 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hqloc import data, qlayer, train_eval
-from hqloc.circuits import feature_state, real_amplitudes, zz_feature_map
+from hqloc import data, qlayer, statevector, train_eval
+from hqloc.circuits import cx, feature_state, h, real_amplitudes, ry, rz, zz_feature_map
 from hqloc.qlayer import (
     QuantumLayer,
-    check_seed,
     encode_batch,
     q_forward,
     q_forward_batch,
     q_gradient,
     q_gradient_batch,
 )
-from hqloc.statevector import apply_gate, apply_gates, cx, expect_z, h, ry, rz, zero_state
+from hqloc.reference import Statevector, apply_gate, apply_gates, expect_z, zero_state
+from hqloc.statevector import check_seed, sample_batch
 
 from oracles import (
     circuit_matrix,
@@ -49,6 +49,12 @@ def gate_level_expectations(phi, x):
     return np.array([expect_z(state, q) for q in range(3)])
 
 
+def sample_rows(layer, X, shots, seed=0):
+    """Shot estimates of the layer on the rows of ``X``, drawn as an evaluation draws them."""
+    rows = encode_batch(np.atleast_2d(X))
+    return sample_batch(q_forward_batch(layer, rows), rows, shots=shots, seed=seed)
+
+
 phis = arrays(float, (6,), elements=st.floats(-np.pi, np.pi))
 batches = st.integers(1, 6).flatmap(
     lambda n: arrays(float, (n, 3), elements=st.floats(0.0, 1.0))
@@ -73,7 +79,7 @@ class TestForward:
     def test_zero_ansatz_reproduces_feature_map_expectations(self):
         x = np.array([0.3, 0.6, 0.9])
         layer = QuantumLayer(phi=np.zeros(6))
-        encoded = feature_state(x)
+        encoded = Statevector(3, feature_state(x))
         expected = [expect_z(encoded, q) for q in range(3)]
         np.testing.assert_allclose(q_forward(layer, x), expected, atol=1e-12)
 
@@ -82,17 +88,15 @@ class TestForward:
         layer = make_layer(rng)
         x1 = np.array([0.2, 0.5, 0.8])
         x2 = np.array([0.5, 0.2, 0.8])
-        np.testing.assert_array_equal(
-            q_forward(layer, x1, shots=512), q_forward(layer, x1, shots=512)
-        )
-        assert not np.array_equal(q_forward(layer, x1, shots=512), q_forward(layer, x2, shots=512))
+        np.testing.assert_array_equal(sample_rows(layer, x1, 512), sample_rows(layer, x1, 512))
+        assert not np.array_equal(sample_rows(layer, x1, 512), sample_rows(layer, x2, 512))
 
     def test_sampled_forward_near_exact_with_many_shots(self):
         rng = np.random.default_rng(3)
         layer = make_layer(rng)
         x = np.array([0.4, 0.1, 0.9])
         np.testing.assert_allclose(
-            q_forward(layer, x, shots=100_000, seed=7), q_forward(layer, x), atol=0.02
+            sample_rows(layer, x, 100_000, seed=7)[0], q_forward(layer, x), atol=0.02
         )
 
 
@@ -162,35 +166,35 @@ class TestBatchedPath:
                 np.testing.assert_allclose(jacobian[i, :, k], shifted, rtol=0, atol=1e-12)
 
     def test_batch_refuses_sampled_mode(self):
-        # Only the forward pass samples; the gradient takes no shot budget.
+        # The kernel is exact only; sampling is sample_batch's step after it.
         rng = np.random.default_rng(10)
         layer = make_layer(rng)
         X = rng.uniform(0, 1, size=(2, 3))
         rows = encode_batch(X)
-        np.testing.assert_array_equal(
-            q_forward_batch(layer, rows, shots=64), [q_forward(layer, x, shots=64) for x in X]
-        )
-        with pytest.raises(TypeError):
-            q_gradient_batch(layer, rows, shots=64)
+        for call in (lambda: q_forward_batch(layer, rows, shots=64),
+                     lambda: q_forward(layer, X[0], shots=64),
+                     lambda: q_gradient_batch(layer, rows, shots=64)):
+            with pytest.raises(TypeError):
+                call()
 
     @settings(max_examples=50, deadline=None)
     @given(phis, batches, st.integers(0, 2**62), st.integers(1, 10_000))
     def test_sampled_forward_batch_matches_per_sample(self, phi, X, seed, shots):
         layer = QuantumLayer(phi=phi)
-        batch = q_forward_batch(layer, encode_batch(X), shots, seed)
-        loop = np.array([q_forward(layer, x, shots, seed) for x in X])
+        batch = sample_rows(layer, X, shots, seed)
+        loop = np.array([sample_rows(layer, x, shots, seed)[0] for x in X])
         np.testing.assert_array_equal(batch, loop)
-        reversed_batch = q_forward_batch(layer, encode_batch(X[::-1]), shots, seed)
+        reversed_batch = sample_rows(layer, X[::-1], shots, seed)
         np.testing.assert_array_equal(reversed_batch, batch[::-1])
 
     @pytest.mark.parametrize("n_rows", [1, 7])
     def test_sampled_batch_draws_three_times_per_row_and_builds_no_generator(
         self, monkeypatch, n_rows
     ):
-        # The benchmark pins sample_expect_z at N_FEATURES calls per fix, and
-        # reads each call's budget from its shots keyword.
+        # The benchmark patches statevector.sample_expect_z, pins it at
+        # N_FEATURES calls per fix, and reads each call's budget from its shots keyword.
         calls = []
-        real = qlayer.sample_expect_z
+        real = statevector.sample_expect_z
 
         def counting(*args, **kwargs):
             calls.append((*args, kwargs["shots"]))
@@ -200,23 +204,23 @@ class TestBatchedPath:
             raise AssertionError("sampling built a fresh generator")
 
         rng = np.random.default_rng(12)
-        layer = make_layer(rng)
-        rows = encode_batch(rng.uniform(0, 1, size=(n_rows, 3)))
-        monkeypatch.setattr(qlayer, "sample_expect_z", counting)
+        model = train_eval.init_hybrid_model(12)
+        X = rng.uniform(0, 1, size=(n_rows, 3))
+        monkeypatch.setattr(statevector, "sample_expect_z", counting)
         monkeypatch.setattr(np.random, "default_rng", no_generator)
-        out = q_forward_batch(layer, rows, shots=256, seed=4)
-        assert out.shape == (n_rows, 3)
+        out = train_eval.hqnn_forward_batch(model, X, shots=256, seed=4)
+        assert out.shape == (n_rows, 2)
         # One draw per (row, qubit), in row-major order, each from the exact forward's E.
-        assert calls == [(e, 256) for e in q_forward_batch(layer, rows).ravel().tolist()]
+        exact = q_forward_batch(model.qlayer, encode_batch(X))
+        assert calls == [(e, 256) for e in exact.ravel().tolist()]
 
     def test_seed_outside_int64_rejected(self):
-        rows = encode_batch(np.array([[0.1, 0.2, 0.3]]))
-        layer = QuantumLayer(phi=np.zeros(6))
+        layer, x = QuantumLayer(phi=np.zeros(6)), np.array([0.1, 0.2, 0.3])
         # The rule every seeded entry point applies: an integer in [0, 2**63 - 1].
         for seed in (2**63, -1, -(2**63)):
             with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*63 - 1\]"):
-                q_forward_batch(layer, rows, shots=8, seed=seed)
-        q_forward_batch(layer, rows, shots=8, seed=2**63 - 1)
+                sample_rows(layer, x, 8, seed)
+        sample_rows(layer, x, 8, 2**63 - 1)
 
     @pytest.mark.parametrize("seed", [2.5, 2.0, np.float64(2.0), True, "2"])
     def test_non_integer_seed_rejected(self, seed):
@@ -224,9 +228,8 @@ class TestBatchedPath:
         message = f"seed must be an integer, got {re.escape(repr(seed))}"
         with pytest.raises(ValueError, match=message):
             check_seed(seed)
-        rows = encode_batch(np.array([[0.1, 0.2, 0.3]]))
         with pytest.raises(ValueError, match=message):
-            q_forward_batch(QuantumLayer(phi=np.zeros(6)), rows, shots=8, seed=seed)
+            sample_rows(QuantumLayer(phi=np.zeros(6)), np.array([0.1, 0.2, 0.3]), 8, seed)
         check_seed(np.int64(2))
 
     def test_encode_batch_rows_are_feature_states(self):
@@ -234,7 +237,7 @@ class TestBatchedPath:
         X = rng.uniform(0, 1, size=(5, 3))
         rows = encode_batch(X)
         for row, x in zip(rows, X):
-            np.testing.assert_array_equal(row, feature_state(x).amplitudes)
+            assert feature_state(x).tobytes() == row.tobytes()
 
 
 class TestSamplingFromTheExactForward:
@@ -268,7 +271,7 @@ class TestSamplingFromTheExactForward:
     def test_every_draw_equals_the_one_fed_by_the_oracle_p_one(self, trained, shots):
         flipped = []
         for layer, rows, seed in trained:
-            sampled = q_forward_batch(layer, rows, shots, seed)
+            sampled = sample_batch(q_forward_batch(layer, rows), rows, shots=shots, seed=seed)
             p_kernel = (1.0 - q_forward_batch(layer, rows)) / 2.0
             p_dense = p_one_oracle(ansatz_matrices(layer.phi)[0], rows).astype(float)
             for i, q in np.ndindex(sampled.shape):
@@ -287,15 +290,17 @@ class TestValidation:
 
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError, match=r"shots must be >= 1, got 0"):
-            q_forward(QuantumLayer(phi=np.zeros(6)), np.array([0.1, 0.2, 0.3]), shots=0)
+            train_eval.hqnn_forward_batch(
+                train_eval.init_hybrid_model(0), np.array([[0.1, 0.2, 0.3]]), shots=0
+            )
 
     @pytest.mark.parametrize("shots", [-5, 0, True, 2.0, 2**63])
     @pytest.mark.parametrize("n_rows", [0, 2])
     def test_bad_shots_refused_for_any_row_count(self, shots, n_rows):
         # Zero rows make no draw, so only an up-front check refuses the budget.
-        rows = encode_batch(np.full((n_rows, 3), 0.5))
+        model = train_eval.init_hybrid_model(0)
         with pytest.raises(ValueError, match="shots must be"):
-            q_forward_batch(QuantumLayer(phi=np.zeros(6)), rows, shots=shots, seed=1)
+            train_eval.hqnn_forward_batch(model, np.full((n_rows, 3), 0.5), shots=shots, seed=1)
 
     @pytest.mark.parametrize("n_angles", [0, 5, 7])
     def test_rejects_wrong_angle_count(self, n_angles):
@@ -323,7 +328,6 @@ class TestValidation:
         shape = re.escape(str(rows.shape))
         for call in (
             lambda: q_forward_batch(layer, rows),
-            lambda: q_forward_batch(layer, rows, shots=8),
             lambda: q_gradient_batch(layer, rows),
         ):
             with pytest.raises(ValueError, match=rf"3 features .*got shape {shape}"):
@@ -633,4 +637,4 @@ class TestStackedLayer:
         with pytest.raises(ValueError, match="or a stack of them"):
             QuantumLayer(phi=np.zeros((2, 2, 6)))
         with pytest.raises(ValueError, match="one layer, not a stack"):
-            q_forward_batch(QuantumLayer(phi=np.zeros((2, 6))), encode_batch(np.zeros((1, 3))), 8)
+            sample_rows(QuantumLayer(phi=np.zeros((2, 6))), np.zeros((1, 3)), 8)

@@ -1,4 +1,4 @@
-"""Statevector engine tests against dense matrix-product oracles."""
+"""The gate-level reference simulator against dense matrix-product oracles, and the shot sampler."""
 
 import re
 import sys
@@ -9,23 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqloc.statevector import (
-    MAX_QUBITS,
-    MAX_SHOTS,
-    Gate,
-    Statevector,
-    apply_gate,
-    apply_gates,
-    check_shots,
-    cx,
-    expect_z,
-    h,
-    p,
-    ry,
-    rz,
-    sample_expect_z,
-    zero_state,
-)
+from hqloc.circuits import MAX_QUBITS, Gate, cx, h, p, ry, rz
+from hqloc.reference import Statevector, apply_gate, apply_gates, expect_z, zero_state
+from hqloc.statevector import MAX_SHOTS, check_shots, sample_batch, sample_expect_z
 
 from oracles import circuit_matrix, expect_z_oracle
 
@@ -356,3 +342,58 @@ class TestSharedShotStream:
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValueError, match="rng_seed must be in"):
             sample_expect_z(expect_z(zero_state(1), 0), shots=10, rng_seed=seed)
+
+
+def _encoded_rows(rng, n_rows):
+    """Unit rows of 8 random complex amplitudes: sample_batch reads only their bytes."""
+    rows = rng.normal(size=(n_rows, 8)) + 1j * rng.normal(size=(n_rows, 8))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestSampleBatch:
+    """One draw per (row, qubit), seeded from the seed, the qubit and the row's bytes."""
+
+    @pytest.mark.parametrize("n_rows", [0, 3])
+    def test_refuses_a_stack_bad_shots_and_a_bad_seed_for_any_row_count(self, n_rows):
+        rows = _encoded_rows(np.random.default_rng(1), n_rows)
+        expectations = np.zeros((n_rows, 3))
+        for shots in (0, -5, 2.0, True, MAX_SHOTS + 1):
+            with pytest.raises(ValueError, match="shots must be"):
+                sample_batch(expectations, rows, shots=shots, seed=1)
+        for seed in (-1, 2**63, 2.5, True):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                sample_batch(expectations, rows, shots=8, seed=seed)
+        with pytest.raises(ValueError, match="one layer, not a stack"):
+            sample_batch(np.zeros((2, n_rows, 3)), rows, shots=8, seed=1)
+        with pytest.raises(ValueError, match="one encoded row per row of expectations"):
+            sample_batch(np.zeros((n_rows + 1, 3)), rows, shots=8, seed=1)
+
+    def test_zero_rows_give_an_empty_batch(self):
+        out = sample_batch(np.zeros((0, 3)), np.zeros((0, 8), dtype=complex), shots=8, seed=1)
+        assert out.shape == (0, 3) and out.dtype == float
+
+    def test_each_entry_is_one_seeded_draw_of_its_expectation(self):
+        # Certain outcomes need no statistics: E = +1 or -1 reads back exactly.
+        rng = np.random.default_rng(2)
+        expectations = rng.choice([-1.0, 1.0], size=(5, 3))
+        rows = _encoded_rows(rng, 5)
+        np.testing.assert_array_equal(
+            sample_batch(expectations, rows, shots=64, seed=3), expectations
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**63 - 1), st.integers(1, 100_000), st.data())
+    def test_a_rows_draws_do_not_depend_on_its_batch(self, n_rows, seed, shots, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        expectations = rng.uniform(-1.0, 1.0, size=(n_rows, 3))
+        rows = _encoded_rows(rng, n_rows)
+        batch = sample_batch(expectations, rows, shots=shots, seed=seed)
+        order = data.draw(st.permutations(range(n_rows)))
+        i = data.draw(st.integers(0, n_rows - 1))
+        np.testing.assert_array_equal(
+            sample_batch(expectations[order], rows[order], shots=shots, seed=seed), batch[order]
+        )
+        np.testing.assert_array_equal(
+            sample_batch(expectations[i : i + 1], rows[i : i + 1], shots=shots, seed=seed),
+            batch[i : i + 1],
+        )

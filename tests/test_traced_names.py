@@ -43,6 +43,6 @@ def test_a_pinned_function_is_traced_and_defined(tracing, name):
 
 
 def test_the_shot_counter_reads_the_keyword_call_the_layer_makes(tracing):
-    # The layer passes the expectation alone by position, and the budget by keyword.
+    # statevector.sample_batch passes the expectation alone by position, and the budget by keyword.
     count = tracing.TRACED["statevector"]["sample_expect_z"]
     assert count((0.25,), {"shots": 4096, "rng_seed": 7}) == (4096, 0)
