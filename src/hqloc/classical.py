@@ -234,7 +234,7 @@ def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray,
             mask = np.greater(acts[i + 1], 0.0, out=None if work is None else work.masks[i])
             np.multiply(delta, mask, out=delta)
         np.matmul(delta.swapaxes(-1, -2), acts[i], out=weight_grad)
-        delta.sum(axis=-2, out=bias_grad)
+        np.add.reduce(delta, axis=-2, out=bias_grad)  # ndarray.sum's reduce, called directly
         delta = np.matmul(delta, layer.weight, out=None if work is None else work.deltas[i])
     return grad, delta
 
@@ -287,15 +287,15 @@ def loss_and_grad(net: DenseNet, V, Z,
     if pred.shape[-2] == 0:
         raise ValueError("loss_and_grad needs at least one sample")
     diff = pred - Z
-    loss = _mean_squared_norm(diff)
+    loss = mean_squared_norm(diff)
     diff *= 2.0
     diff /= diff.shape[-2]
     return (loss, *_backprop(net, acts, diff, work))
 
 
-def _mean_squared_norm(diff: np.ndarray):
-    # np.mean's own sum and division, without its per-call overhead; one loss per network.
-    return np.sum(diff**2, axis=-1).sum(axis=-1) / diff.shape[-2]
+def mean_squared_norm(diff: np.ndarray):
+    """:func:`mse_loss` of an unchecked (n, 2) or (S, n, 2) float difference, without wrappers."""
+    return np.add.reduce(np.add.reduce(diff**2, axis=-1), axis=-1) / diff.shape[-2]
 
 
 def mse_loss(pred, truth):
@@ -310,4 +310,4 @@ def mse_loss(pred, truth):
         raise ValueError("mse_loss needs at least one sample")
     if pred.shape[-2:] != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    return _mean_squared_norm(pred - truth)
+    return mean_squared_norm(pred - truth)

@@ -9,13 +9,13 @@ angle at most. At import the layer propagates each Z_j back through the gate
 list of :func:`circuits.real_amplitudes` into a table of these paths (24 for
 three qubits), which reach 20 of the 27 strings. Compiling phi gives the
 coefficient matrix C, shape (n_strings, N_FEATURES), and its exact
-derivatives dC, shape (n_strings, N_FEATURES * n_params), from one
-gather-product over the paths and one scatter product: d/dphi_k takes
-cos -> -sin and sin -> cos in the paths that carry phi_k, which equals the
-two-point shift rule (exact for RY-generated rotations), and a path that does
-not carry phi_k adds an exact 0. An encoded row v has the Pauli features
-F_P = Re(v^dagger P v), so the exact forward is clip(F @ C) and the
-shift-rule Jacobian is F @ dC; no 2**n x 2**n matrix is built.
+derivatives dC, shape (n_strings, N_FEATURES * n_params), from one gather
+over the paths, one product over its outer angle axis and one scatter
+product: d/dphi_k takes cos -> -sin and sin -> cos in the paths that carry
+phi_k, which equals the two-point shift rule (exact for RY-generated
+rotations), and a path that does not carry phi_k adds an exact 0. An encoded
+row v has the Pauli features F_P = Re(v^dagger P v), so the exact forward is
+clip(F @ C) and the shift-rule Jacobian is F @ dC, with no 2**n x 2**n matrix.
 :func:`q_forward` and :func:`q_gradient` are batch-of-one wrappers. Every
 entry point refuses rows that do not hold ``N_FEATURES`` features before any
 product, and a layer refuses non-finite angles.
@@ -93,19 +93,19 @@ def _pauli_paths(gates, n_qubits: int, n_angles: int) -> list[tuple[int, int, in
 def _compile_tables(paths, n_qubits: int, n_angles: int):
     """The strings ``paths`` reach, and the gather index and scatter matrix of :func:`_compile`.
 
-    Each string is its (x, z) masks. The gather index, shape
-    (1 + n_angles, n_paths, n_angles), picks each path's factors from the
-    slots [0, 1, cos phi, sin phi, -sin phi]: plane 0 for the coefficient,
-    plane 1 + k for its derivative in phi_k (cos -> -sin, sin -> cos, a
-    skipped angle -> 0). Scatter row p holds path p's sign in the column of
-    its (string, j).
+    Each string is its (x, z) masks. The gather index is angle-major, shape
+    (n_angles, 1 + n_angles, n_paths): entry (k, plane, p) picks path p's
+    factor for angle k from the slots [0, 1, cos phi, sin phi, -sin phi],
+    in plane 0 for the coefficient and in plane 1 + i for its derivative in
+    phi_i (cos -> -sin, sin -> cos, a skipped angle -> 0). Scatter row p
+    holds path p's sign in the column of its (string, j).
     """
     strings = sorted({(x, z) for _, _, x, z, _ in paths})
     column = {string: s for s, string in enumerate(strings)}
-    codes, angle = np.array([path[4] for path in paths]), np.arange(n_angles)
-    value = np.where(codes == 0, 1, 2 + angle + n_angles * (codes - 1))
-    derivative = np.where(codes == 0, 0, 2 + angle + 2 * n_angles * (codes == 1))
-    planes = np.eye(1 + n_angles, n_angles, -1, dtype=bool)[:, None]  # plane 1 + k differentiates k
+    codes, angle = np.array([path[4] for path in paths]).T, np.arange(n_angles)[:, None]
+    value = np.where(codes == 0, 1, 2 + angle + n_angles * (codes - 1))[:, None]
+    derivative = np.where(codes == 0, 0, 2 + angle + 2 * n_angles * (codes == 1))[:, None]
+    planes = np.eye(n_angles, 1 + n_angles, 1, dtype=bool)[..., None]  # plane 1 + k: d/dphi_k
     scatter = np.zeros((len(paths), len(strings) * n_qubits))
     for p, (j, sign, x, z, _) in enumerate(paths):
         scatter[p, column[x, z] * n_qubits + j] = sign
@@ -168,16 +168,20 @@ def _check_rows(encoded_rows: np.ndarray) -> None:
 def _compile(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """C and dC of each of the m angle vectors in ``phi``, shapes (m, n_strings, n) and
     (m, n_strings, n * n_params): column j * n_params + k of dC is C's column j
-    differentiated in phi_k.
+    differentiated in phi_k. The slots hold one column per angle vector, so the gather of
+    the angle-major table is (n_params, 1 + n_params, n_paths, m), and its product over
+    the outer axis multiplies each path's factors in angle order.
     """
-    phis = phi.reshape(-1, N_ANSATZ_PARAMS)
-    m = len(phis)
-    sin = np.sin(phis)
-    slots = np.concatenate([np.zeros((m, 1)), np.ones((m, 1)), np.cos(phis), sin, -sin], axis=1)
-    paths = slots[:, _GATHER].prod(axis=-1)  # (m, 1 + n_params, n_paths)
-    table = (paths @ _SCATTER).reshape(m, 1 + N_ANSATZ_PARAMS, len(_STRINGS), N_FEATURES)
+    # (n, m) and contiguous: the trig ufuncs run one loop for a stack and for one vector.
+    n, angles = N_ANSATZ_PARAMS, np.ascontiguousarray(phi.reshape(-1, N_ANSATZ_PARAMS).T)
+    slots = np.empty((2 + 3 * n, angles.shape[1]))  # rows 0, 1, cos phi, sin phi, -sin phi
+    slots[0], slots[1] = 0.0, 1.0
+    np.cos(angles, out=slots[2 : 2 + n])
+    np.negative(np.sin(angles, out=slots[2 + n : 2 + 2 * n]), out=slots[2 + 2 * n :])
+    paths = np.multiply.reduce(slots.take(_GATHER, axis=0), axis=0).transpose(2, 0, 1)
+    table = (paths @ _SCATTER).reshape(len(paths), 1 + n, len(_STRINGS), N_FEATURES)
     coefficients = np.ascontiguousarray(table[:, 0])
-    return coefficients, table[:, 1:].transpose(0, 2, 3, 1).reshape(m, len(_STRINGS), -1)
+    return coefficients, table[:, 1:].transpose(0, 2, 3, 1).reshape(len(table), len(_STRINGS), -1)
 
 
 def _pauli_features(encoded_rows: np.ndarray) -> np.ndarray:
@@ -213,18 +217,13 @@ def _cached(name: str, build, array: np.ndarray):
     return value
 
 
-def _exact(phi: np.ndarray, encoded_rows: np.ndarray) -> np.ndarray:
-    """clip(F @ C) of each angle vector in ``phi`` on the rows: (m, n_rows, N_FEATURES)."""
-    coefficients, _ = _cached("phi", _compile, phi)
-    out = np.matmul(_cached("rows", _pauli_features, encoded_rows), coefficients)
-    # Clip in place with two ufuncs: np.clip's wrapper costs more than the product.
-    return np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
-
-
 def q_forward_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarray:
     """Exact expectations of every encoded row, (batch, N_FEATURES); a stack's are (S, ...)."""
     _check_rows(encoded_rows)
-    out = _exact(layer.phi, encoded_rows)
+    coefficients, _ = _cached("phi", _compile, layer.phi)
+    out = np.matmul(_cached("rows", _pauli_features, encoded_rows), coefficients)
+    # Clip in place with two ufuncs: np.clip's wrapper costs more than the product.
+    np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
     return out.reshape(*layer.phi.shape[:-1], *out.shape[1:])
 
 

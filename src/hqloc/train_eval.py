@@ -211,24 +211,25 @@ def _model_ops(model, X, Z):
 
         def train_mse(stack):
             U = q_forward_batch(stack.qlayer, rows)
-            return classical.mse_loss(classical.forward_batch(stack.head, U), Z)
+            return classical.mean_squared_norm(classical.forward_batch(stack.head, U) - Z)
 
         def loss_and_grad(stack):
             # The loss keeps its own exact forward, so an epoch makes two
             # forwards and one Jacobian, which the benchmark's tracer counts as
-            # 14 ansatz sweeps where reading the loss off the gradient's forward
-            # would take 13. perfbench/test_perfbench.py pins sweeps_per_epoch
-            # at 14; the count drops when that pin moves. Both forwards and the
-            # Jacobian see the same phi and rows, so they share one compile of
-            # phi and the rows' Pauli features through qlayer's caches.
-            return train_mse(stack), _hqnn_grad(stack, rows, Z, work)
+            # 14 ansatz sweeps (13 if the loss were read off the gradient's
+            # forward; perfbench/test_perfbench.py pins 14). All three share one
+            # compile of phi and the rows' Pauli features through qlayer's
+            # caches. The gradient pass goes first: its head checks the targets'
+            # shape, which train_mse leaves unchecked.
+            grads = _hqnn_grad(stack, rows, Z, work)
+            return train_mse(stack), grads
 
         return train_mse, loss_and_grad
 
     work = classical.workspace(model, len(X))
 
     def train_mse(stack):
-        return classical.mse_loss(classical.forward_batch(stack, X), Z)
+        return classical.mean_squared_norm(classical.forward_batch(stack, X) - Z)
 
     def loss_and_grad(stack):
         return classical.loss_and_grad(stack, X, Z, work)[:2]

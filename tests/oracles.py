@@ -121,6 +121,31 @@ def shift_rule_jacobian(ansatz, phi: np.ndarray, rows: np.ndarray) -> np.ndarray
     return jacobian
 
 
+def compile_reference(phi: np.ndarray, paths, scatter: np.ndarray):
+    """The Pauli compile as first written: C and dC of each angle vector in ``phi``.
+
+    ``paths`` are the (j, sign, x, z, factors) Pauli paths and ``scatter``
+    the path-to-(string, qubit) sign matrix. Each angle vector's slots
+    [0, 1, cos phi, sin phi, -sin phi] are gathered into an
+    (m, 1 + n_params, n_paths, n_params) array, whose last axis is each
+    path's factors in angle order, and ``prod(axis=-1)`` multiplies them.
+    """
+    n_angles = len(paths[0][4])
+    n_strings = len({(x, z) for _, _, x, z, _ in paths})
+    codes, angle = np.array([path[4] for path in paths]), np.arange(n_angles)
+    value = np.where(codes == 0, 1, 2 + angle + n_angles * (codes - 1))
+    derivative = np.where(codes == 0, 0, 2 + angle + 2 * n_angles * (codes == 1))
+    planes = np.eye(1 + n_angles, n_angles, -1, dtype=bool)[:, None]
+    gather = np.where(planes, derivative, value)
+    phis = np.reshape(phi, (-1, n_angles))
+    m = len(phis)
+    sin = np.sin(phis)
+    slots = np.concatenate([np.zeros((m, 1)), np.ones((m, 1)), np.cos(phis), sin, -sin], axis=1)
+    table = (slots[:, gather].prod(axis=-1) @ scatter).reshape(m, 1 + n_angles, n_strings, -1)
+    return (np.ascontiguousarray(table[:, 0]),
+            table[:, 1:].transpose(0, 2, 3, 1).reshape(m, n_strings, -1))
+
+
 def fd_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Central finite differences of a scalar function, one entry at a time."""
     grad = np.empty_like(x, dtype=float)

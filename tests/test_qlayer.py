@@ -23,6 +23,7 @@ from hqloc.statevector import check_seed, sample_batch
 
 from oracles import (
     circuit_matrix,
+    compile_reference,
     fd_gradient,
     p_one_oracle,
     shift_rule_jacobian,
@@ -528,6 +529,13 @@ def heisenberg_observables(phi):
     return np.array([unitary.T @ pauli_matrix(0, 1 << j) @ unitary for j in range(3)])
 
 
+# Angles over eleven decades of magnitude, with exact 0 and +-pi among them.
+wide_angles = st.one_of(
+    st.sampled_from([0.0, np.pi, -np.pi]),
+    st.builds(lambda size, sign: sign * size, st.floats(1e-8, 1e3), st.sampled_from([1.0, -1.0])),
+)
+
+
 class TestPauliCompile:
     """The paths propagated at import compile phi into the Heisenberg observables."""
 
@@ -579,6 +587,20 @@ class TestPauliCompile:
         for j, k in np.ndindex(3, 3):
             if j != k:
                 assert (jacobian[..., j, 3 + k] == 0.0).all(), (j, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        arrays(float, (6,), elements=wide_angles),
+        st.integers(1, 4).flatmap(lambda n_stack: arrays(float, (n_stack, 6), elements=wide_angles)),
+    ))
+    def test_the_compile_equals_the_first_written_compile_bit_for_bit(self, phi):
+        # The angle-major gather multiplies each path's factors over its outer
+        # axis in angle order, as prod(axis=-1) over the path-major gather did.
+        paths = qlayer._pauli_paths(real_amplitudes(3, np.arange(6)), 3, 6)
+        expected = compile_reference(phi, paths, qlayer._SCATTER)
+        for got, want in zip(qlayer._compile(phi), expected):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # zeros too
 
     def test_the_ansatz_has_24_paths_over_20_strings(self):
         assert len(qlayer._SCATTER) == 6 + 8 + 10  # Z_0, Z_1 and Z_2's paths

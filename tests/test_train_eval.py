@@ -13,6 +13,7 @@ from hqloc import classical, optim
 from hqloc.classical import forward as dense_forward
 from hqloc.classical import baseline_net, mse_loss
 from hqloc.data import fit_scaler, gen_scenario_standin, scenario_meta, gen_synthetic, transform_samples
+from hqloc.qlayer import encode_batch, q_forward_batch
 from hqloc.train_eval import (
     CompareConfig,
     HybridModel,
@@ -341,6 +342,37 @@ class TestTrainingLoop:
         X, Z = small_problem(n=6)
         with pytest.raises(ValueError, match="training set mismatch: 6 inputs vs 4 targets"):
             train(make_model(0), X, Z[:4], TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("make_model", [init_hybrid_model, baseline_net])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rejects_targets_of_another_width(self, make_model, width):
+        # The hybrid's loss forward leaves the targets' shape to its head's pass.
+        X, _ = small_problem(n=6)
+        with pytest.raises(ValueError, match=rf"targets of shape \(6, 2\), got \(6, {width}\)"):
+            train(make_model(0), X, np.zeros((6, width)), TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("seeds", [(4,), (4, 5, 6)])
+    def test_each_recorded_loss_is_the_models_mse_bit_for_bit(self, optimizer, seeds):
+        # The loop takes its losses without mse_loss's checks; each must still
+        # be mse_loss of the model as it stood before that epoch's step, and
+        # the final loss that of the trained model.
+        X, Z = small_problem(seed=7, n=9)
+        rows, epochs = encode_batch(X), 5
+
+        def trained(n_epochs):
+            models = [init_hybrid_model(s) for s in seeds]
+            reports = train_stack(models, X, Z, TrainConfig(optimizer, 0.05, n_epochs))
+            return models, reports
+
+        _, reports = trained(epochs)
+        for epoch in (0, 1, epochs - 1, epochs):
+            models = trained(epoch)[0] if epoch else [init_hybrid_model(s) for s in seeds]
+            for model, report in zip(models, reports):
+                U = q_forward_batch(model.qlayer, rows)
+                expected = mse_loss(classical.forward_batch(model.head, U), Z)
+                loss = report.final_train_mse if epoch == epochs else report.loss_per_epoch[epoch]
+                assert loss == expected, (epoch, loss, expected)
 
 
 class TestCircuitCounts:
