@@ -17,9 +17,9 @@ import numpy as np
 from hqloc.qlayer import (
     QuantumLayer,
     encode_batch,
+    pauli_features,
     q_forward,
     q_forward_batch,
-    q_gradient,
     q_gradient_batch,
 )
 from hqloc.circuits import ry
@@ -44,15 +44,18 @@ for theta in np.linspace(0.0, 2.0 * np.pi, 7):
 # ~~~~~~~~~~~~~~~~~~~~~~
 #
 # The layer encodes a scaled RSSI vector, runs the 6-angle ansatz, and
-# reports <Z> on each qubit. ``q_gradient`` returns the (3, 6) Jacobian
-# d<Z_j>/dphi_k.
+# reports <Z> on each qubit. The kernel's input is each encoded row's 20
+# Pauli features F_P = Re(v^dagger P v): ``pauli_features`` computes them once
+# per batch, and ``q_gradient_batch`` returns one (3, 6) Jacobian
+# d<Z_j>/dphi_k per row, here a batch of one.
 
 rng = np.random.default_rng(3)
 layer = QuantumLayer(phi=rng.uniform(-np.pi, np.pi, size=6))
 x = rng.uniform(0.0, 1.0, size=3)
+features = pauli_features(encode_batch(x[None]))
 
 outputs = q_forward(layer, x)
-jacobian = q_gradient(layer, x)
+jacobian = q_gradient_batch(layer, features)[0]
 print("\nlayer outputs:", np.round(outputs, 6))
 print("Jacobian d<Z_j>/dphi_k:")
 print(np.round(jacobian, 6))
@@ -66,17 +69,16 @@ print(np.round(jacobian, 6))
 # sin into cos, which is its exact derivative: ``q_gradient_batch`` multiplies
 # the row's Pauli features by those derivatives and runs no shifted circuit.
 
-rows = encode_batch(x[None])
 columns = []
 for k in range(layer.phi.size):
     step = np.zeros(layer.phi.size)
     step[k] = np.pi / 2
-    plus = q_forward_batch(QuantumLayer(phi=layer.phi + step), rows)[0]
-    minus = q_forward_batch(QuantumLayer(phi=layer.phi - step), rows)[0]
+    plus = q_forward_batch(QuantumLayer(phi=layer.phi + step), features)[0]
+    minus = q_forward_batch(QuantumLayer(phi=layer.phi - step), features)[0]
     columns.append(0.5 * (plus - minus))
 shifted = np.stack(columns, axis=1)
 print("\nmax |12 shifted forwards - q_gradient_batch| =",
-      np.abs(shifted - q_gradient_batch(layer, rows)[0]).max())
+      np.abs(shifted - jacobian).max())
 
 ##############################################################################
 # Cross-check against central finite differences. The shift rule is exact,
@@ -95,15 +97,15 @@ for k in range(layer.phi.size):
 print("\nmax |shift rule - finite differences| =", np.abs(jacobian - numeric).max())
 
 ##############################################################################
-# Training needs the Jacobian of every row of the training set.
-# ``q_gradient_batch`` takes the encoded rows and returns one (3, 6) matrix
-# per row; ``q_gradient`` above is its batch of one.
+# Training needs the Jacobian of every row of the training set. A training
+# run computes its rows' features once and hands them to every forward and
+# Jacobian; each row's matrix is what that row gives as a batch of one.
 
 X = rng.uniform(0.0, 1.0, size=(5, 3))
-batch = q_gradient_batch(layer, encode_batch(X))
+batch = q_gradient_batch(layer, pauli_features(encode_batch(X)))
+single = [q_gradient_batch(layer, pauli_features(encode_batch(x[None])))[0] for x in X]
 print("\nbatched Jacobians:", batch.shape,
-      "max |batch row - single| =",
-      max(np.abs(batch[i] - q_gradient(layer, x)).max() for i, x in enumerate(X)))
+      "max |batch row - single| =", max(np.abs(b - j).max() for b, j in zip(batch, single)))
 
 ##############################################################################
 # Cost model: on hardware every angle needs two extra circuit runs per

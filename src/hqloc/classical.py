@@ -245,11 +245,11 @@ def forward_batch(net: DenseNet, V) -> np.ndarray:
 
 
 def forward(net: DenseNet, v) -> np.ndarray:
-    """Forward pass for one input vector: a batch of one."""
+    """Forward pass for one input vector: a batch of one; a stack's outputs are (S, out)."""
     v = np.asarray(v, dtype=float)
     if v.shape != (net.input_dim,):
         raise ValueError(f"expected input of shape ({net.input_dim},), got {v.shape}")
-    return forward_batch(net, v[None])[0]
+    return forward_batch(net, v[None])[..., 0, :]
 
 
 def backward_batch(net: DenseNet, V, upstream) -> tuple[np.ndarray, np.ndarray]:

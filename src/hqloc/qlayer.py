@@ -16,24 +16,23 @@ phi_k, which equals the two-point shift rule (exact for RY-generated
 rotations), and a path that does not carry phi_k adds an exact 0. An encoded
 row v has the Pauli features F_P = Re(v^dagger P v), so the exact forward is
 clip(F @ C) and the shift-rule Jacobian is F @ dC, with no 2**n x 2**n matrix.
-:func:`q_forward` and :func:`q_gradient` are batch-of-one wrappers. Every
-entry point refuses rows that do not hold ``N_FEATURES`` features before any
-product, and a layer refuses non-finite angles.
+
+The kernel takes F: :func:`pauli_features` is where encoded rows enter, and it
+refuses rows that do not hold ``N_FEATURES`` features. :func:`q_forward_batch`
+and :func:`q_gradient_batch` refuse features of any shape but (n, n_strings)
+before any product. The owner of a batch computes its features once, and
+:func:`q_forward` is the batch of one. A layer refuses non-finite angles.
 
 The layer computes exact expectations only, and applies no gate. Sampling is
 a later step on them, :func:`hqloc.statevector.sample_batch`, since qubit j
 measures 1 with probability (1 - E_j) / 2, its exact marginal.
 
-Two one-entry caches, each keyed on its array's dtype, shape and bytes, keep
-the kernel's work. One holds the coefficients and derivatives of the last
-phi compiled, so a trained model compiles once for any number of fixes, and
-a training epoch's loss forward, gradient forward and Jacobian share one
-compile. The other holds the Pauli features of the last batch, so a
-training run computes its rows' features once; it retains that batch's
-features and its key's copy of the rows, 20 floats and 8 complex amplitudes
-(288 B) per row. A write into phi or the rows in place, as an optimizer step
-makes, changes the key, so no stale entry is ever served. Cached arrays are
-read-only.
+One one-entry cache, keyed on phi's dtype, shape and bytes, holds the
+coefficients and derivatives of the last phi compiled, so a trained model
+compiles once for any number of fixes, and a training epoch's loss forward,
+gradient forward and Jacobian share one compile. An optimizer step writes
+into phi in place, which changes the key, so no stale entry is ever served.
+The cached arrays are read-only.
 
 A layer may also hold a stack of S angle vectors, phi of shape (S, n_params),
 as the seed-stacked training loop does: one compile then covers all S angle
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# encode_batch is re-exported: callers encode here and pass the rows back in.
+# encode_batch is re-exported: callers encode here and pass the rows to pauli_features.
 from .circuits import N_ANSATZ_PARAMS, N_FEATURES, check_features, encode_batch
 from .circuits import feature_state, real_amplitudes
 
@@ -155,16 +154,6 @@ class QuantumLayer:
             raise ValueError(f"phi must be finite, got {self.phi.tolist()}")
 
 
-def _check_rows(encoded_rows: np.ndarray) -> None:
-    """Raise ValueError unless ``encoded_rows`` are encoded rows of ``N_FEATURES`` features."""
-    shape = np.shape(encoded_rows)
-    if len(shape) != 2 or shape[1] != 2**N_FEATURES:
-        raise ValueError(
-            f"expected encoded rows of {N_FEATURES} features ({2**N_FEATURES} amplitudes "
-            f"each), got shape {shape}"
-        )
-
-
 def _compile(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """C and dC of each of the m angle vectors in ``phi``, shapes (m, n_strings, n) and
     (m, n_strings, n * n_params): column j * n_params + k of dC is C's column j
@@ -184,8 +173,17 @@ def _compile(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coefficients, table[:, 1:].transpose(0, 2, 3, 1).reshape(len(table), len(_STRINGS), -1)
 
 
-def _pauli_features(encoded_rows: np.ndarray) -> np.ndarray:
-    """Re(v^dagger P v) of every encoded row v and string P the paths reach: (n_rows, n_strings)."""
+def pauli_features(encoded_rows) -> np.ndarray:
+    """Re(v^dagger P v) of every encoded row v and string P the paths reach: (n_rows, n_strings).
+
+    Raises ValueError unless ``encoded_rows`` are encoded rows of ``N_FEATURES`` features.
+    """
+    shape = np.shape(encoded_rows)
+    if len(shape) != 2 or shape[1] != 2**N_FEATURES:
+        raise ValueError(
+            f"expected encoded rows of {N_FEATURES} features ({2**N_FEATURES} amplitudes "
+            f"each), got shape {shape}"
+        )
     # Row i of ``parts`` is the (2**n, 2) matrix of v's real and imaginary parts, so
     # parts parts^T holds Re(conj(v_a) v_b) at (a, b).
     dim = 2**N_FEATURES
@@ -195,60 +193,59 @@ def _pauli_features(encoded_rows: np.ndarray) -> np.ndarray:
     return outer.reshape(len(outer), dim * dim) @ _PAULI_MATRICES
 
 
-# name -> (key, value) of the last array each cache saw; the key is the array's
-# dtype, shape and bytes, so an in-place write misses. Each pair is replaced as
-# one tuple, so a reader never matches one array's key to another's value.
-_caches: dict[str, tuple] = {}
+# (key, (C, dC)) of the last phi compiled; the key is phi's dtype, shape and
+# bytes, so an in-place write misses. The pair is replaced as one tuple, so a
+# reader never matches one phi's key to another's compile.
+_last_compile: tuple | None = None
 
 
-def _cached(name: str, build, array: np.ndarray):
-    """``build(array)``, an array or a tuple of them, built once while ``array`` stays the same.
+def _compiled(layer: QuantumLayer, features) -> tuple[np.ndarray, np.ndarray]:
+    """C and dC of ``layer.phi``, compiled once while phi stays the same; read-only.
 
-    The arrays built are read-only.
+    First raises ValueError unless ``features`` is (n, n_strings), as from :func:`pauli_features`.
     """
-    key = (array.dtype.str, array.shape, array.tobytes())
-    entry = _caches.get(name)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    value = build(array)
-    for part in value if isinstance(value, tuple) else (value,):
-        part.flags.writeable = False  # shared by every later call on this array
-    _caches[name] = key, value
+    global _last_compile
+    shape = np.shape(features)
+    if len(shape) != 2 or shape[1] != len(_STRINGS):
+        raise ValueError(
+            f"expected Pauli features of shape (n, {len(_STRINGS)}), got shape {shape}"
+        )
+    key = (layer.phi.dtype.str, layer.phi.shape, layer.phi.tobytes())
+    if _last_compile is not None and _last_compile[0] == key:
+        return _last_compile[1]
+    value = _compile(layer.phi)
+    for part in value:
+        part.flags.writeable = False  # shared by every later call on this phi
+    _last_compile = key, value
     return value
 
 
-def q_forward_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarray:
-    """Exact expectations of every encoded row, (batch, N_FEATURES); a stack's are (S, ...)."""
-    _check_rows(encoded_rows)
-    coefficients, _ = _cached("phi", _compile, layer.phi)
-    out = np.matmul(_cached("rows", _pauli_features, encoded_rows), coefficients)
+def q_forward_batch(layer: QuantumLayer, features: np.ndarray) -> np.ndarray:
+    """Exact expectations of each row of ``features``, (batch, N_FEATURES); a stack's (S, ...)."""
+    coefficients, _ = _compiled(layer, features)
+    out = np.matmul(features, coefficients)
     # Clip in place with two ufuncs: np.clip's wrapper costs more than the product.
     np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
     return out.reshape(*layer.phi.shape[:-1], *out.shape[1:])
 
 
-def q_gradient_batch(layer: QuantumLayer, encoded_rows: np.ndarray) -> np.ndarray:
-    """Shift-rule gradients for every row, shape (batch, N_FEATURES, n_params).
+def q_gradient_batch(layer: QuantumLayer, features: np.ndarray) -> np.ndarray:
+    """Shift-rule gradients of each row of ``features``, shape (batch, N_FEATURES, n_params).
 
     Entry (i, j, k) = (E_j(phi + pi/2 e_k) - E_j(phi - pi/2 e_k)) / 2 on row i,
     the exact derivative dE_j/dphi_k; a stack's gradients have shape
-    (S, batch, N_FEATURES, n_params). It is the rows' Pauli features times
-    the derivatives dC compiled with phi's coefficients, both from the
-    caches the forward pass fills. Entry (i, j, 3 + k) is exactly 0 for
-    k != j: the second-layer RY on qubit k commutes with Z_j, so no path of
-    Z_j carries that angle.
+    (S, batch, N_FEATURES, n_params). It is the features times the
+    derivatives dC compiled with phi's coefficients, from the cache the
+    forward pass fills. Entry (i, j, 3 + k) is exactly 0 for k != j: the
+    second-layer RY on qubit k commutes with Z_j, so no path of Z_j carries
+    that angle.
     """
-    _check_rows(encoded_rows)
-    _, derivatives = _cached("phi", _compile, layer.phi)
-    grads = np.matmul(_cached("rows", _pauli_features, encoded_rows), derivatives)
-    return grads.reshape(*layer.phi.shape[:-1], len(encoded_rows), N_FEATURES, N_ANSATZ_PARAMS)
+    _, derivatives = _compiled(layer, features)
+    grads = np.matmul(features, derivatives)
+    return grads.reshape(*layer.phi.shape[:-1], len(features), N_FEATURES, N_ANSATZ_PARAMS)
 
 
 def q_forward(layer: QuantumLayer, x) -> np.ndarray:
-    """Exact Z expectations of one feature vector scaled to [0, 1]; see :func:`q_forward_batch`."""
-    return q_forward_batch(layer, feature_state(check_features(x, N_FEATURES))[None])[0]
-
-
-def q_gradient(layer: QuantumLayer, x) -> np.ndarray:
-    """Shift-rule gradient matrix for one feature vector, shape (N_FEATURES, n_params)."""
-    return q_gradient_batch(layer, feature_state(check_features(x, N_FEATURES))[None])[0]
+    """Exact Z expectations of one feature vector scaled to [0, 1]; a stack's are (S, 3)."""
+    rows = feature_state(check_features(x, N_FEATURES))[None]
+    return q_forward_batch(layer, pauli_features(rows))[..., 0, :]

@@ -36,9 +36,9 @@ dense network or a hybrid model's head. Every epoch writes into them and
 steps ``params`` in place, so an epoch after the first allocates no array of
 128 KiB or more (a 3-seed 3-128-64-2 stack's arrays are 75-213 KB each), and
 glibc does not unmap and fault in such blocks every epoch. Both kinds run one
-buffered pass of :func:`classical.loss_and_grad`; a hybrid model's exact
-kernel reads phi's compiled Pauli coefficients and the rows' Pauli features
-from the quantum layer's caches, and its pass allocates only the (S, n, 3, 6)
+buffered pass of :func:`classical.loss_and_grad`. A hybrid run computes its
+rows' Pauli features once, its exact kernel reads phi's compiled coefficients
+from the quantum layer's cache, and its pass allocates only the (S, n, 3, 6)
 Jacobian and the (S, 200) joint gradient, a few KiB per stack.
 """
 
@@ -55,7 +55,8 @@ import numpy as np
 
 from . import baselines, classical, data, optim
 from .circuits import N_ANSATZ_PARAMS, N_FEATURES, check_features
-from .qlayer import QuantumLayer, encode_batch, q_forward, q_forward_batch, q_gradient_batch
+from .qlayer import QuantumLayer, encode_batch, pauli_features, q_forward, q_forward_batch
+from .qlayer import q_gradient_batch
 from .statevector import check_integer, check_seed, check_shots, sample_batch
 
 OPTIMIZERS = ("adam", "sgd")
@@ -98,8 +99,8 @@ def hqnn_forward_batch(
 ) -> np.ndarray:
     """Predicted (x, y) for every row of ``X``; with ``shots``, from sampled expectations."""
     rows = encode_batch(check_features(X, N_FEATURES))
-    U = q_forward_batch(model.qlayer, rows)
-    if shots is not None:
+    U = q_forward_batch(model.qlayer, pauli_features(rows))
+    if shots is not None:  # each row's draws are keyed on its encoded bytes
         U = sample_batch(U, rows, shots=shots, seed=seed)
     return classical.forward_batch(model.head, U)
 
@@ -123,19 +124,19 @@ def hqnn_grad(model: HybridModel, X, Z) -> np.ndarray:
     arrays.
     """
     X, Z = _batch(X, Z, "gradient batch")
-    return _hqnn_grad(model, encode_batch(check_features(X, N_FEATURES)), Z)
+    return _hqnn_grad(model, pauli_features(encode_batch(check_features(X, N_FEATURES))), Z)
 
 
-def _hqnn_grad(model: HybridModel, rows: np.ndarray, Z: np.ndarray,
+def _hqnn_grad(model: HybridModel, features: np.ndarray, Z: np.ndarray,
                work: classical.Workspace | None = None) -> np.ndarray:
-    """The joint gradient over encoded ``rows``: the head's pass into ``work``, then phi's.
+    """The joint gradient over Pauli ``features``: the head's pass into ``work``, then phi's.
 
     Head gradients come from reverse mode; quantum gradients chain the head's
     input gradients through the per-sample shift-rule matrices.
     """
-    U = q_forward_batch(model.qlayer, rows)
+    U = q_forward_batch(model.qlayer, features)
     _, head_grad, input_grads = classical.loss_and_grad(model.head, U, Z, work)
-    shift_matrices = q_gradient_batch(model.qlayer, rows)
+    shift_matrices = q_gradient_batch(model.qlayer, features)
     # A plain einsum (optimize=False) sums row s of a stack as model s alone.
     phi_grad = np.einsum("...nj,...njk->...k", input_grads, shift_matrices)
     return np.concatenate([phi_grad, head_grad], axis=-1)
@@ -203,25 +204,25 @@ def _model_ops(model, X, Z):
     model, ``train_mse(model)`` the MSE alone. The :class:`classical.Workspace`
     of the dense network, or of a hybrid model's head, is built here, once per
     training run, and every epoch's pass overwrites it; a hybrid model's
-    training rows are encoded here too.
+    training rows are encoded, and their Pauli features computed, here too.
     """
     if isinstance(model, HybridModel):
-        rows = encode_batch(check_features(X, N_FEATURES))
+        features = pauli_features(encode_batch(check_features(X, N_FEATURES)))
         work = classical.workspace(model.head, len(X))
 
         def train_mse(stack):
-            U = q_forward_batch(stack.qlayer, rows)
+            U = q_forward_batch(stack.qlayer, features)
             return classical.mean_squared_norm(classical.forward_batch(stack.head, U) - Z)
 
         def loss_and_grad(stack):
             # The loss keeps its own exact forward, so an epoch makes two
             # forwards and one Jacobian, which the benchmark's tracer counts as
             # 14 ansatz sweeps (13 if the loss were read off the gradient's
-            # forward; perfbench/test_perfbench.py pins 14). All three share one
-            # compile of phi and the rows' Pauli features through qlayer's
-            # caches. The gradient pass goes first: its head checks the targets'
+            # forward; perfbench/test_perfbench.py pins 14). All three read the
+            # run's features and share one compile of phi through qlayer's
+            # cache. The gradient pass goes first: its head checks the targets'
             # shape, which train_mse leaves unchecked.
-            grads = _hqnn_grad(stack, rows, Z, work)
+            grads = _hqnn_grad(stack, features, Z, work)
             return train_mse(stack), grads
 
         return train_mse, loss_and_grad

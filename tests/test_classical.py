@@ -356,6 +356,17 @@ class TestStack:
                 np.testing.assert_array_equal(back_grads[s], back_grad)
                 np.testing.assert_array_equal(back_input_grads[s], back_input_grad)
 
+    @pytest.mark.parametrize("sizes", [HEAD_SIZES, BASELINE_SIZES])
+    def test_one_input_through_a_stack_gives_each_networks_output(self, sizes):
+        rng = np.random.default_rng(9)
+        for n_stack in range(1, 5):
+            nets = [glorot_net(sizes, seed) for seed in range(4, 4 + n_stack)]
+            v = rng.uniform(-1.0, 1.0, size=3)
+            out = forward(stack(nets), v)
+            assert out.shape == (n_stack, 2)
+            for s, net in enumerate(nets):
+                np.testing.assert_array_equal(out[s], forward(net, v))
+
     def test_refuses_networks_of_different_shapes(self):
         with pytest.raises(ValueError, match="networks of one shape"):
             stack([glorot_net(HEAD_SIZES, 1), glorot_net(BASELINE_SIZES, 1)])

@@ -5,7 +5,7 @@ import pytest
 
 from hqloc.classical import backward_batch, forward, forward_batch, glorot_net, loss_and_grad, mse_loss
 from hqloc.model_io import load_model, save_model
-from hqloc.qlayer import encode_batch, q_forward_batch
+from hqloc.qlayer import encode_batch, pauli_features, q_forward_batch
 from hqloc.train_eval import (
     HybridModel,
     TrainConfig,
@@ -88,7 +88,7 @@ class TestFlatLayout:
         assert grad.shape == model.params.shape
         if kind == "hybrid":
             # The head's part is backward_batch's flat gradient on the expectations.
-            U = q_forward_batch(model.qlayer, encode_batch(X))
+            U = q_forward_batch(model.qlayer, pauli_features(encode_batch(X)))
             upstream = 2.0 * (forward_batch(model.head, U) - Z) / len(X)
             np.testing.assert_array_equal(backward_batch(model.head, U, upstream)[0], grad[6:])
         base = model.params.copy()

@@ -13,9 +13,9 @@ from hqloc.circuits import cx, feature_state, h, real_amplitudes, ry, rz, zz_fea
 from hqloc.qlayer import (
     QuantumLayer,
     encode_batch,
+    pauli_features,
     q_forward,
     q_forward_batch,
-    q_gradient,
     q_gradient_batch,
 )
 from hqloc.reference import Statevector, apply_gate, apply_gates, expect_z, zero_state
@@ -50,10 +50,15 @@ def gate_level_expectations(phi, x):
     return np.array([expect_z(state, q) for q in range(3)])
 
 
+def features_of(X):
+    """The Pauli features of the scaled rows of ``X``, one row or many: the kernel's input."""
+    return pauli_features(encode_batch(np.atleast_2d(X)))
+
+
 def sample_rows(layer, X, shots, seed=0):
     """Shot estimates of the layer on the rows of ``X``, drawn as an evaluation draws them."""
     rows = encode_batch(np.atleast_2d(X))
-    return sample_batch(q_forward_batch(layer, rows), rows, shots=shots, seed=seed)
+    return sample_batch(q_forward_batch(layer, pauli_features(rows)), rows, shots=shots, seed=seed)
 
 
 phis = arrays(float, (6,), elements=st.floats(-np.pi, np.pi))
@@ -120,7 +125,7 @@ class TestShiftRule:
         for trial in range(100):
             layer = make_layer(rng)
             x = rng.uniform(0, 1, size=3)
-            grad = q_gradient(layer, x)
+            grad = q_gradient_batch(layer, features_of(x))[0]
             assert grad.shape == (3, 6)
             for j in range(3):
                 def expectation(phi, j=j, x=x):
@@ -135,7 +140,7 @@ class TestBatchedPath:
     @given(phis, batches)
     def test_forward_batch_matches_per_sample(self, phi, X):
         layer = QuantumLayer(phi=phi)
-        batch = q_forward_batch(layer, encode_batch(X))
+        batch = q_forward_batch(layer, features_of(X))
         loop = np.array([q_forward(layer, x) for x in X])
         np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-14)
 
@@ -143,17 +148,17 @@ class TestBatchedPath:
     @given(phis, batches)
     def test_gradient_batch_matches_per_sample(self, phi, X):
         layer = QuantumLayer(phi=phi)
-        batch = q_gradient_batch(layer, encode_batch(X))
-        loop = np.array([q_gradient(layer, x) for x in X])
+        batch = q_gradient_batch(layer, features_of(X))
+        loop = np.array([q_gradient_batch(layer, features_of(x))[0] for x in X])
         np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(phis, batches)
     def test_kernel_matches_gate_level_reference(self, phi, X):
         layer = QuantumLayer(phi=phi)
-        rows = encode_batch(X)
-        forward = q_forward_batch(layer, rows)
-        jacobian = q_gradient_batch(layer, rows)
+        features = features_of(X)
+        forward = q_forward_batch(layer, features)
+        jacobian = q_gradient_batch(layer, features)
         for i, x in enumerate(X):
             np.testing.assert_allclose(
                 forward[i], gate_level_expectations(phi, x), rtol=0, atol=1e-12
@@ -171,10 +176,10 @@ class TestBatchedPath:
         rng = np.random.default_rng(10)
         layer = make_layer(rng)
         X = rng.uniform(0, 1, size=(2, 3))
-        rows = encode_batch(X)
-        for call in (lambda: q_forward_batch(layer, rows, shots=64),
+        features = features_of(X)
+        for call in (lambda: q_forward_batch(layer, features, shots=64),
                      lambda: q_forward(layer, X[0], shots=64),
-                     lambda: q_gradient_batch(layer, rows, shots=64)):
+                     lambda: q_gradient_batch(layer, features, shots=64)):
             with pytest.raises(TypeError):
                 call()
 
@@ -212,7 +217,7 @@ class TestBatchedPath:
         out = train_eval.hqnn_forward_batch(model, X, shots=256, seed=4)
         assert out.shape == (n_rows, 2)
         # One draw per (row, qubit), in row-major order, each from the exact forward's E.
-        exact = q_forward_batch(model.qlayer, encode_batch(X))
+        exact = q_forward_batch(model.qlayer, features_of(X))
         assert calls == [(e, 256) for e in exact.ravel().tolist()]
 
     def test_seed_outside_int64_rejected(self):
@@ -250,7 +255,7 @@ class TestSamplingFromTheExactForward:
     ))
     def test_p_one_from_the_kernel_matches_the_dense_oracle(self, phi, X):
         rows = encode_batch(X)
-        p_kernel = (1.0 - q_forward_batch(QuantumLayer(phi=phi), rows)) / 2.0
+        p_kernel = (1.0 - q_forward_batch(QuantumLayer(phi=phi), pauli_features(rows))) / 2.0
         p_dense = p_one_oracle(ansatz_matrices(phi)[0], rows)
         assert np.abs(p_kernel - p_dense).max() <= 1e-15
 
@@ -265,15 +270,16 @@ class TestSamplingFromTheExactForward:
             train_eval.train(model, *data.transform_samples(scaler, train_set),
                              train_eval.TrainConfig(epochs=300))
             rows = encode_batch(data.transform_samples(scaler, test_set)[0])
-            cells.append((model.qlayer, rows, seed))
+            cells.append((model.qlayer, rows, pauli_features(rows), seed))
         return cells
 
     @pytest.mark.parametrize("shots", [64, 4096])
     def test_every_draw_equals_the_one_fed_by_the_oracle_p_one(self, trained, shots):
         flipped = []
-        for layer, rows, seed in trained:
-            sampled = sample_batch(q_forward_batch(layer, rows), rows, shots=shots, seed=seed)
-            p_kernel = (1.0 - q_forward_batch(layer, rows)) / 2.0
+        for layer, rows, features, seed in trained:
+            exact = q_forward_batch(layer, features)
+            sampled = sample_batch(exact, rows, shots=shots, seed=seed)
+            p_kernel = (1.0 - exact) / 2.0
             p_dense = p_one_oracle(ansatz_matrices(layer.phi)[0], rows).astype(float)
             for i, q in np.ndindex(sampled.shape):
                 expected = shot_estimate_oracle(p_dense[i, q], shots, seed, q, rows[i])
@@ -321,96 +327,105 @@ class TestValidation:
         def no_product(*args):
             raise AssertionError("built a kernel table for rows of the wrong width")
 
-        for builder in ("_compile", "_pauli_features"):
-            monkeypatch.setattr(qlayer, builder, no_product)
-        monkeypatch.setattr(qlayer, "_caches", {})
+        monkeypatch.setattr(qlayer, "_compile", no_product)
+        monkeypatch.setattr(qlayer, "_PAULI_MATRICES", None)  # a features product would fail
+        monkeypatch.setattr(qlayer, "_last_compile", None)
         layer = QuantumLayer(phi=np.zeros(6))
         rows = encode_batch(np.full((4, width), 0.5))
         shape = re.escape(str(rows.shape))
-        for call in (
-            lambda: q_forward_batch(layer, rows),
-            lambda: q_gradient_batch(layer, rows),
-        ):
-            with pytest.raises(ValueError, match=rf"3 features .*got shape {shape}"):
-                call()
+        with pytest.raises(ValueError, match=rf"3 features .*got shape {shape}"):
+            pauli_features(rows)
         x = np.full(width, 0.5)
-        for call in (lambda: q_forward(layer, x), lambda: q_gradient(layer, x)):
-            with pytest.raises(ValueError, match=rf"3 features, got shape \({width},\)"):
-                call()
+        with pytest.raises(ValueError, match=rf"3 features, got shape \({width},\)"):
+            q_forward(layer, x)
+
+    @pytest.mark.parametrize("features", [
+        encode_batch(np.full((4, 3), 0.5)),  # encoded rows, not their features
+        np.zeros((4, 19)),
+        np.zeros((4, 21)),
+        np.zeros(20),
+        np.zeros((1, 4, 20)),
+    ], ids=["encoded_rows", "19_wide", "21_wide", "one_row_flat", "three_axes"])
+    def test_each_kernel_entry_refuses_features_of_another_shape_before_compiling(
+        self, monkeypatch, features
+    ):
+        def no_compile(*args):
+            raise AssertionError("compiled phi for features of the wrong shape")
+
+        monkeypatch.setattr(qlayer, "_compile", no_compile)
+        monkeypatch.setattr(qlayer, "_last_compile", None)
+        layer = QuantumLayer(phi=np.zeros(6))
+        message = rf"Pauli features of shape \(n, 20\), got shape {re.escape(str(features.shape))}"
+        for entry in (q_forward_batch, q_gradient_batch):
+            with pytest.raises(ValueError, match=message):
+                entry(layer, features)
 
 
-# The uncounted builders, for references the counting fixtures below do not see.
-compile_phi, pauli_features = qlayer._compile, qlayer._pauli_features
+# The uncounted compile, for references the counting fixture below does not see.
+compile_phi = qlayer._compile
 
 
-def uncached_forward(phi, rows):
-    """Exact expectations of ``phi`` on ``rows`` from a fresh compile and fresh row features."""
+def uncached_forward(phi, features):
+    """Exact expectations of ``phi`` on Pauli ``features`` from a fresh compile."""
     phi = np.array(phi)
     coefficients, _ = compile_phi(phi)
-    out = np.clip(np.matmul(pauli_features(rows), coefficients), -1.0, 1.0)
+    out = np.clip(np.matmul(features, coefficients), -1.0, 1.0)
     return out.reshape(*phi.shape[:-1], *out.shape[1:])
-
-
-def count_calls(monkeypatch, name, count):
-    """Patch ``qlayer.<name>`` to append ``count(arg)`` per call; empties both caches."""
-    real, calls = getattr(qlayer, name), []
-
-    def counted(array):
-        calls.append(count(array))
-        return real(array)
-
-    monkeypatch.setattr(qlayer, name, counted)
-    monkeypatch.setattr(qlayer, "_caches", {})
-    return calls
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Angle-vector counts of each compile of phi the layer makes, from empty caches."""
-    return count_calls(monkeypatch, "_compile", lambda phi: len(np.atleast_2d(phi)))
+    """Angle-vector counts of each compile of phi the layer makes, from an empty cache."""
+    real, calls = qlayer._compile, []
 
+    def counted(phi):
+        calls.append(len(np.atleast_2d(phi)))
+        return real(phi)
 
-@pytest.fixture
-def featurized(monkeypatch):
-    """Row counts of each Pauli-feature computation the layer makes, from empty caches."""
-    return count_calls(monkeypatch, "_pauli_features", len)
+    monkeypatch.setattr(qlayer, "_compile", counted)
+    monkeypatch.setattr(qlayer, "_last_compile", None)
+    return calls
 
 
 class TestForwardCache:
-    """The exact path compiles phi and featurizes a batch once each, and never
-    serves another array's entry."""
+    """The exact path compiles phi once, and never serves another phi's compile."""
 
     rows = encode_batch(np.random.default_rng(20).uniform(0, 1, size=(5, 3)))
+    features = pauli_features(rows)
 
     def test_an_in_place_write_is_seen_by_the_next_forward(self, builds):
         from hqloc.train_eval import init_hybrid_model
 
         model = init_hybrid_model(20)
-        before = q_forward_batch(model.qlayer, self.rows)
-        np.testing.assert_array_equal(before, uncached_forward(model.qlayer.phi, self.rows))
+        before = q_forward_batch(model.qlayer, self.features)
+        np.testing.assert_array_equal(before, uncached_forward(model.qlayer.phi, self.features))
         model.params[2] -= 0.25  # an optimizer step writes into params like this
-        after = q_forward_batch(model.qlayer, self.rows)
-        np.testing.assert_array_equal(after, uncached_forward(model.qlayer.phi, self.rows))
+        after = q_forward_batch(model.qlayer, self.features)
+        np.testing.assert_array_equal(after, uncached_forward(model.qlayer.phi, self.features))
         assert not np.array_equal(after, before)
         assert builds == [1, 1]
 
-    def test_an_in_place_write_into_the_rows_is_seen_too(self, featurized):
+    def test_an_in_place_write_into_the_features_is_seen_too(self, builds):
+        # The kernel keys nothing on its input, so a batch rewritten in place
+        # (or a new batch at the old one's address) is read afresh.
         layer = make_layer(np.random.default_rng(28))
-        rows = self.rows.copy()
-        before = q_forward_batch(layer, rows)
-        rows[1] = rows[3]
-        after = q_forward_batch(layer, rows)
-        np.testing.assert_array_equal(after, uncached_forward(layer.phi, rows))
+        features = self.features.copy()
+        before = q_forward_batch(layer, features)
+        features[1] = features[3]
+        after = q_forward_batch(layer, features)
+        np.testing.assert_array_equal(after, uncached_forward(layer.phi, features))
         np.testing.assert_array_equal(after[1], before[3])
-        assert featurized == [5, 5]
+        assert builds == [1]
 
     def test_alternating_layers_each_get_their_own_output(self, builds):
         rng = np.random.default_rng(21)
         a, b = make_layer(rng), make_layer(rng)
-        expected = {id(a): uncached_forward(a.phi, self.rows),
-                    id(b): uncached_forward(b.phi, self.rows)}
+        expected = {id(a): uncached_forward(a.phi, self.features),
+                    id(b): uncached_forward(b.phi, self.features)}
         for layer in (a, b, a, a, b):
-            np.testing.assert_array_equal(q_forward_batch(layer, self.rows), expected[id(layer)])
+            np.testing.assert_array_equal(
+                q_forward_batch(layer, self.features), expected[id(layer)]
+            )
         assert builds == [1, 1, 1, 1]  # the repeated a is the only hit
 
     def test_a_stack_keys_apart_from_its_rows(self, builds):
@@ -421,53 +436,50 @@ class TestForwardCache:
         assert not stack.phi.flags.c_contiguous
         solos = [QuantumLayer(params[s, :6]) for s in range(2)]
         for layer in (stack, solos[0], stack, solos[1], stack_of_one, solos[0], stack_of_one):
-            out = q_forward_batch(layer, self.rows)
-            assert out.shape == (*layer.phi.shape[:-1], len(self.rows), 3)
-            np.testing.assert_array_equal(out, uncached_forward(layer.phi, self.rows))
+            out = q_forward_batch(layer, self.features)
+            assert out.shape == (*layer.phi.shape[:-1], len(self.features), 3)
+            np.testing.assert_array_equal(out, uncached_forward(layer.phi, self.features))
         assert builds == [2, 1, 2, 1, 1, 1, 1]
 
-    def test_the_cached_matrices_refuse_writes(self, builds, featurized):
+    def test_the_cached_matrices_refuse_writes(self, builds):
         layer = make_layer(np.random.default_rng(23))
-        q_forward_batch(layer, self.rows)
-        coefficients, derivatives = qlayer._cached("phi", qlayer._compile, layer.phi)
-        features = qlayer._cached("rows", qlayer._pauli_features, self.rows)
-        for cached, fresh in zip((coefficients, derivatives, features),
-                                 (*compile_phi(layer.phi), pauli_features(self.rows))):
-            np.testing.assert_array_equal(cached, fresh)
+        q_forward_batch(layer, self.features)
+        cached = qlayer._compiled(layer, self.features)
+        for matrix, fresh in zip(cached, compile_phi(layer.phi)):
+            np.testing.assert_array_equal(matrix, fresh)
             with pytest.raises(ValueError, match="read-only"):
-                cached[0, 0] = 0.0
+                matrix[0, 0] = 0.0
         np.testing.assert_array_equal(
-            q_forward_batch(layer, self.rows), uncached_forward(layer.phi, self.rows)
+            q_forward_batch(layer, self.features), uncached_forward(layer.phi, self.features)
         )
-        assert builds == [1] and featurized == [5]
+        assert builds == [1]
 
-    def test_the_cache_holds_one_entry(self, builds, featurized):
+    def test_the_cache_holds_one_entry(self, builds):
         rng = np.random.default_rng(24)
         layers = [make_layer(rng) for _ in range(3)]
-        batches = [encode_batch(rng.uniform(0, 1, size=(n, 3))) for n in (2, 3, 4)]
-        for layer, rows in zip(layers, batches):
-            q_forward_batch(layer, rows)
-        assert set(qlayer._caches) == {"phi", "rows"}  # one (key, value) pair each
-        np.testing.assert_array_equal(qlayer._caches["phi"][1][0], compile_phi(layers[-1].phi)[0])
-        np.testing.assert_array_equal(qlayer._caches["rows"][1], pauli_features(batches[-1]))
-        for layer, rows in zip(layers, batches):  # the first two were dropped, so each builds again
+        batches = [pauli_features(encode_batch(rng.uniform(0, 1, size=(n, 3)))) for n in (2, 3, 4)]
+        for layer, features in zip(layers, batches):
+            q_forward_batch(layer, features)
+        key, (coefficients, _) = qlayer._last_compile  # one (key, value) pair
+        assert key[2] == layers[-1].phi.tobytes()
+        np.testing.assert_array_equal(coefficients, compile_phi(layers[-1].phi)[0])
+        for layer, features in zip(layers, batches):  # the first two were dropped: each builds again
             np.testing.assert_array_equal(
-                q_forward_batch(layer, rows), uncached_forward(layer.phi, rows)
+                q_forward_batch(layer, features), uncached_forward(layer.phi, features)
             )
         assert builds == [1] * 6
-        assert featurized == [2, 3, 4] * 2
 
-    def test_the_jacobian_reuses_the_forward_build(self, builds, featurized):
+    def test_the_jacobian_reuses_the_forward_build(self, builds):
         layer = make_layer(np.random.default_rng(25))
-        q_forward_batch(layer, self.rows)
-        q_gradient_batch(layer, self.rows)
-        q_forward_batch(layer, self.rows)
-        assert builds == [1] and featurized == [5]
+        q_forward_batch(layer, self.features)
+        q_gradient_batch(layer, self.features)
+        q_forward_batch(layer, self.features)
+        assert builds == [1]
         cold = make_layer(np.random.default_rng(26))
-        jacobian = q_gradient_batch(cold, self.rows)  # a cold phi: the Jacobian compiles
-        assert builds == [1, 1] and featurized == [5]
-        q_forward_batch(cold, self.rows)  # and the next forward hits
-        assert builds == [1, 1] and featurized == [5]
+        jacobian = q_gradient_batch(cold, self.features)  # a cold phi: the Jacobian compiles
+        assert builds == [1, 1]
+        q_forward_batch(cold, self.features)  # and the next forward hits
+        assert builds == [1, 1]
         np.testing.assert_allclose(
             jacobian, shift_rule_jacobian(ansatz_matrices, cold.phi, self.rows), atol=1e-13
         )
@@ -487,7 +499,7 @@ class TestLiteralShiftRule:
     )
     def test_stacks_match_the_dense_shifted_matrices(self, stacked, X):
         rows = encode_batch(X)
-        jacobian = q_gradient_batch(QuantumLayer(phi=stacked), rows)
+        jacobian = q_gradient_batch(QuantumLayer(phi=stacked), pauli_features(rows))
         for s, phi in enumerate(stacked):
             np.testing.assert_allclose(
                 jacobian[s], shift_rule_jacobian(ansatz_matrices, phi, rows), rtol=0, atol=1e-13
@@ -502,14 +514,15 @@ class TestLiteralShiftRule:
         rows = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         expected = shift_rule_jacobian(ansatz_matrices, layer.phi, rows)
-        np.testing.assert_allclose(q_gradient_batch(layer, rows), expected, atol=1e-13)
+        features = pauli_features(rows)
+        np.testing.assert_allclose(q_gradient_batch(layer, features), expected, atol=1e-13)
         scatter = qlayer._SCATTER
         for path in range(len(scatter)):
             flipped = scatter.copy()
             flipped[path] *= -1.0
             monkeypatch.setattr(qlayer, "_SCATTER", flipped)
-            monkeypatch.setattr(qlayer, "_caches", {})  # or the old compile is served
-            assert np.abs(q_gradient_batch(layer, rows) - expected).max() > 1e-3, path
+            monkeypatch.setattr(qlayer, "_last_compile", None)  # or the old compile is served
+            assert np.abs(q_gradient_batch(layer, features) - expected).max() > 1e-3, path
 
 
 def pauli_matrix(x, z, n_qubits=3):
@@ -568,13 +581,14 @@ class TestPauliCompile:
     ))
     def test_forward_and_jacobian_match_the_references_on_up_to_60_rows(self, phi, X):
         layer, rows = QuantumLayer(phi=phi), encode_batch(X)
-        forward = q_forward_batch(layer, rows)
+        forward = q_forward_batch(layer, pauli_features(rows))
         for i, x in enumerate(X):
             np.testing.assert_allclose(
                 forward[i], gate_level_expectations(phi, x), rtol=0, atol=1e-12
             )
         np.testing.assert_allclose(
-            q_gradient_batch(layer, rows), shift_rule_jacobian(ansatz_matrices, phi, rows),
+            q_gradient_batch(layer, pauli_features(rows)),
+            shift_rule_jacobian(ansatz_matrices, phi, rows),
             rtol=0, atol=1e-12,
         )
 
@@ -583,7 +597,7 @@ class TestPauliCompile:
     def test_another_qubits_second_layer_angle_has_an_exact_zero_derivative(self, phi, X):
         # The second-layer RY on qubit k commutes with Z_j for k != j, so no
         # path of Z_j carries phi_{3+k}.
-        jacobian = q_gradient_batch(QuantumLayer(phi=phi), encode_batch(X))
+        jacobian = q_gradient_batch(QuantumLayer(phi=phi), features_of(X))
         for j, k in np.ndindex(3, 3):
             if j != k:
                 assert (jacobian[..., j, 3 + k] == 0.0).all(), (j, k)
@@ -638,22 +652,37 @@ class TestStackedLayer:
         X=batches,
     )
     def test_each_row_equals_its_own_layer(self, stacked, X):
-        rows = encode_batch(X)
+        features = features_of(X)
         layer = QuantumLayer(phi=stacked)
-        forward, gradient = q_forward_batch(layer, rows), q_gradient_batch(layer, rows)
+        forward, gradient = q_forward_batch(layer, features), q_gradient_batch(layer, features)
         n_stack = len(stacked)  # a stack of one keeps its seed axis too
         assert forward.shape == (n_stack, len(X), 3)
         assert gradient.shape == (n_stack, len(X), 3, 6)
         for s, phi in enumerate(stacked):
             alone = QuantumLayer(phi=phi.copy())
-            np.testing.assert_array_equal(forward[s], q_forward_batch(alone, rows))
-            np.testing.assert_array_equal(gradient[s], q_gradient_batch(alone, rows))
+            np.testing.assert_array_equal(forward[s], q_forward_batch(alone, features))
+            np.testing.assert_array_equal(gradient[s], q_gradient_batch(alone, features))
 
     @pytest.mark.parametrize("shape", [(6,), (1, 6), (3, 6)])
     def test_zero_rows_give_empty_results(self, shape):
-        layer, rows = QuantumLayer(phi=np.zeros(shape)), np.zeros((0, 8), dtype=complex)
-        assert q_forward_batch(layer, rows).shape == (*shape[:-1], 0, 3)
-        assert q_gradient_batch(layer, rows).shape == (*shape[:-1], 0, 3, 6)
+        layer = QuantumLayer(phi=np.zeros(shape))
+        features = pauli_features(np.zeros((0, 8), dtype=complex))
+        assert features.shape == (0, 20)
+        assert q_forward_batch(layer, features).shape == (*shape[:-1], 0, 3)
+        assert q_gradient_batch(layer, features).shape == (*shape[:-1], 0, 3, 6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        stacked=st.integers(1, 4).flatmap(
+            lambda n_stack: arrays(float, (n_stack, 6), elements=st.floats(-np.pi, np.pi))
+        ),
+        x=arrays(float, (3,), elements=st.floats(0.0, 1.0)),
+    )
+    def test_one_fix_on_a_stack_gives_each_models_row(self, stacked, x):
+        out = q_forward(QuantumLayer(phi=stacked), x)
+        assert out.shape == (len(stacked), 3)
+        for s, phi in enumerate(stacked):
+            np.testing.assert_array_equal(out[s], q_forward(QuantumLayer(phi=phi.copy()), x))
 
     def test_shapes_and_shots_are_refused(self):
         with pytest.raises(ValueError, match="or a stack of them"):

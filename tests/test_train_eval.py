@@ -13,7 +13,7 @@ from hqloc import classical, optim
 from hqloc.classical import forward as dense_forward
 from hqloc.classical import baseline_net, mse_loss
 from hqloc.data import fit_scaler, gen_scenario_standin, scenario_meta, gen_synthetic, transform_samples
-from hqloc.qlayer import encode_batch, q_forward_batch
+from hqloc.qlayer import encode_batch, pauli_features, q_forward_batch
 from hqloc.train_eval import (
     CompareConfig,
     HybridModel,
@@ -90,6 +90,24 @@ class TestHybridModel:
         batch = hqnn_forward_batch(model, X)
         fixes = np.array([hqnn_forward(model, x) for x in X])
         np.testing.assert_allclose(fixes, batch, rtol=0, atol=1e-15 * np.abs(batch).max())
+
+    @pytest.mark.parametrize("shots", [None, 4096])
+    def test_an_evaluation_batch_leaves_nothing_behind(self, shots):
+        # The batch's encoded rows and Pauli features are the call's own:
+        # once it returns, nothing of 2000 rows (288 B each) stays cached.
+        import tracemalloc
+
+        model = init_hybrid_model(seed=1)
+        X = np.random.default_rng(9).uniform(0.0, 1.0, size=(2000, 3))
+        hqnn_forward_batch(model, X[:5], shots, 1)  # compiles phi, fills lazy tables
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = hqnn_forward_batch(model, X, shots, 1)
+            retained = tracemalloc.get_traced_memory()[0] - before - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert retained < 16 * 1024, f"{retained / 1024:.1f} KiB retained"
 
     @pytest.mark.parametrize("width", [1, 2, 4])
     def test_wrong_feature_width_names_the_three_features(self, width):
@@ -358,7 +376,7 @@ class TestTrainingLoop:
         # be mse_loss of the model as it stood before that epoch's step, and
         # the final loss that of the trained model.
         X, Z = small_problem(seed=7, n=9)
-        rows, epochs = encode_batch(X), 5
+        features, epochs = pauli_features(encode_batch(X)), 5
 
         def trained(n_epochs):
             models = [init_hybrid_model(s) for s in seeds]
@@ -369,7 +387,7 @@ class TestTrainingLoop:
         for epoch in (0, 1, epochs - 1, epochs):
             models = trained(epoch)[0] if epoch else [init_hybrid_model(s) for s in seeds]
             for model, report in zip(models, reports):
-                U = q_forward_batch(model.qlayer, rows)
+                U = q_forward_batch(model.qlayer, features)
                 expected = mse_loss(classical.forward_batch(model.head, U), Z)
                 loss = report.final_train_mse if epoch == epochs else report.loss_per_epoch[epoch]
                 assert loss == expected, (epoch, loss, expected)
@@ -405,7 +423,7 @@ class TestCircuitCounts:
 
     @staticmethod
     def count_builds(monkeypatch):
-        """Angle vectors of each compile of phi the quantum layer makes, from empty caches."""
+        """Angle vectors of each compile of phi the quantum layer makes, from an empty cache."""
         import hqloc.qlayer as qlayer
 
         real, builds = qlayer._compile, []
@@ -415,7 +433,7 @@ class TestCircuitCounts:
             return real(phi)
 
         monkeypatch.setattr(qlayer, "_compile", counted)
-        monkeypatch.setattr(qlayer, "_caches", {})
+        monkeypatch.setattr(qlayer, "_last_compile", None)
         return builds
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -443,19 +461,33 @@ class TestCircuitCounts:
         assert builds == [1]
 
     def test_a_training_run_computes_its_rows_features_once(self, monkeypatch):
-        import hqloc.qlayer as qlayer
+        # The run computes its rows' features once, from its n rows, and
+        # passes that one array to every forward and Jacobian, solo or stacked.
+        import hqloc.train_eval as train_eval
 
-        real, featurized = qlayer._pauli_features, []
+        real, featurized, seen = train_eval.pauli_features, [], []
 
         def counted(rows):
             featurized.append(len(rows))
             return real(rows)
 
-        monkeypatch.setattr(qlayer, "_pauli_features", counted)
-        monkeypatch.setattr(qlayer, "_caches", {})
+        def recorded(kernel):
+            def call(layer, features):
+                seen.append(features)
+                return kernel(layer, features)
+
+            return call
+
+        monkeypatch.setattr(train_eval, "pauli_features", counted)
+        for name in ("q_forward_batch", "q_gradient_batch"):
+            monkeypatch.setattr(train_eval, name, recorded(getattr(train_eval, name)))
         X, Z = small_problem(seed=2, n=7)
-        train(init_hybrid_model(2), X, Z, TrainConfig(epochs=4))
-        assert featurized == [7]
+        for seeds in ((2,), (2, 3, 4)):
+            del featurized[:], seen[:]
+            train_stack([init_hybrid_model(s) for s in seeds], X, Z, TrainConfig(epochs=4))
+            assert featurized == [7]
+            assert len(seen) == 3 * 4 + 1 and all(f is seen[0] for f in seen)
+            assert seen[0].shape == (7, 20)
 
     def test_a_fix_encodes_its_features_once(self, monkeypatch):
         import hqloc.qlayer as qlayer
