@@ -66,13 +66,15 @@ print(f"RY({theta}) gives <Z> = {expect_z(rotated, 0):+.6f}"
 # Hardware estimates <Z> from repeated measurements. ``sample_expect_z``
 # reproduces that from the exact value: a qubit with <Z> = E reads 1 with
 # probability (1 - E) / 2, so the number of 1 outcomes among ``shots``
-# measurements is one binomial draw with that probability. The draw comes
-# from one shared PCG64 generator, re-keyed from a hash of ``rng_seed`` on
-# every call, so the same seed always gives the same estimate. The estimate
-# converges at the usual 1/sqrt(shots) rate toward the exact value.
+# measurements is one binomial draw with that probability, taken from the
+# generator passed as ``rng``. A generator seeded the same way always gives
+# the same estimate. (An evaluation keys one shared generator once per row,
+# from its seed and the row's scaled features, and draws the row's qubits
+# from it in order.) The estimate converges at the usual 1/sqrt(shots) rate
+# toward the exact value.
 
 exact = expect_z(rotated, 0)
 print("\nshots     estimate     |error|")
 for shots in (10, 100, 1_000, 10_000, 100_000):
-    estimate = sample_expect_z(exact, shots=shots, rng_seed=7)
+    estimate = sample_expect_z(exact, shots=shots, rng=np.random.default_rng(7))
     print(f"{shots:>6}   {estimate:+.6f}   {abs(estimate - exact):.6f}")

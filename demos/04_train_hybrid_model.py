@@ -73,10 +73,10 @@ print(f"  final    : {report.final_train_mse:.4f}")
 # matrix to coordinates, so the quantum layer runs once over every row.
 # Evaluating the same trained model with sampled expectations shows what a
 # finite shot budget would add on hardware: the shot count and seed are
-# arguments of the evaluation, not part of the model. Each (row, qubit)
-# estimate is one binomial draw of the 1-outcome count, seeded from the
-# evaluation seed, the qubit and the encoded row, so it does not depend on the
-# other test rows.
+# arguments of the evaluation, not part of the model. Each row is keyed once,
+# from the evaluation seed and its scaled features, and its three qubits'
+# 1-outcome counts are then binomial draws in order, so a row's estimates do
+# not depend on the other test rows.
 
 exact_rmse = evaluate_rmse(lambda X: hqnn_forward_batch(model, X), X_test, Z_test)
 print(f"\ntest RMSE (exact expectations):  {exact_rmse:.3f} m")

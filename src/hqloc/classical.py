@@ -245,11 +245,16 @@ def forward_batch(net: DenseNet, V) -> np.ndarray:
 
 
 def forward(net: DenseNet, v) -> np.ndarray:
-    """Forward pass for one input vector: a batch of one; a stack's outputs are (S, out)."""
+    """Forward pass for one input vector: a batch of one; a stack's outputs are (S, out).
+
+    A stack of S networks also takes (S, input_dim), one input per network.
+    """
     v = np.asarray(v, dtype=float)
-    if v.shape != (net.input_dim,):
-        raise ValueError(f"expected input of shape ({net.input_dim},), got {v.shape}")
-    return forward_batch(net, v[None])[..., 0, :]
+    lead = net.layers[0].weight.shape[:-2]
+    if v.shape[-1:] != (net.input_dim,) or v.shape[:-1] not in ((), lead):
+        stacked = f" or {(*lead, net.input_dim)}" if lead else ""
+        raise ValueError(f"expected input of shape ({net.input_dim},){stacked}, got {v.shape}")
+    return forward_batch(net, v[..., None, :])[..., 0, :]
 
 
 def backward_batch(net: DenseNet, V, upstream) -> tuple[np.ndarray, np.ndarray]:

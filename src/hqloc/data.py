@@ -377,7 +377,10 @@ def gen_synthetic(
     # One pass over all positions: row i is what a loop over positions makes
     # for position i, and one (n, 3) normal draw is the stream of n draws of 3.
     dists = np.maximum(np.linalg.norm(tx - positions[:, None], axis=-1), REFERENCE_DISTANCE_M)
-    rssi = pl0 - 10.0 * n_exp * np.log10(dists / REFERENCE_DISTANCE_M)
+    # libm's scalar log10, not np.log10: numpy's SIMD loops for it differ by
+    # up to 2 ulp between CPU dispatch levels, and the readings must not.
+    ratios = (dists / REFERENCE_DISTANCE_M).ravel().tolist()
+    rssi = pl0 - 10.0 * n_exp * np.array([math.log10(r) for r in ratios]).reshape(dists.shape)
     rssi = rssi + rng.normal(0.0, sigma, size=(len(positions), 3))
     return [RssiSample(rssi=tuple(r), position=tuple(pos)) for r, pos in zip(rssi, positions)]
 

@@ -25,7 +25,9 @@ before any product. The owner of a batch computes its features once, and
 
 The layer computes exact expectations only, and applies no gate. Sampling is
 a later step on them, :func:`hqloc.statevector.sample_batch`, since qubit j
-measures 1 with probability (1 - E_j) / 2, its exact marginal.
+measures 1 with probability (1 - E_j) / 2, its exact marginal. It keys each
+row once, on the seed and the row's scaled features, not on its encoded
+amplitudes, whose ``np.exp`` may round differently on another CPU.
 
 One one-entry cache, keyed on phi's dtype, shape and bytes, holds the
 coefficients and derivatives of the last phi compiled, so a trained model

@@ -27,7 +27,8 @@ Training never sees a test set. Evaluation is a separate, batched step on
 the trained model: :func:`evaluate_rmse` calls its predictor once on the
 whole test matrix, and :func:`hqnn_forward_batch` runs every row through one
 exact quantum kernel pass and one head pass. Given a shot budget and a seed,
-it samples the exact expectations in between, the only sampled path. The
+it samples the exact expectations in between, the only sampled path: each
+row's draws are keyed once, on the seed and the row's scaled features. The
 trained model is the same in both cases.
 
 A training run builds its workspace once: Adam's moments and scratch, and the
@@ -87,6 +88,7 @@ def init_hybrid_model(seed: int = 0) -> HybridModel:
 def hqnn_forward(model: HybridModel, x) -> np.ndarray:
     """Predicted (x, y) coordinates in meters for one scaled feature vector.
 
+    A stack of S models gives (S, 2): row s is bit for bit model s's own fix.
     The fix agrees with its row of :func:`hqnn_forward_batch` to 1e-15 of the
     outputs' size, but not bit for bit: the row encodes to the same bytes,
     and a one-row matrix product then takes another BLAS path than a batch's.
@@ -98,10 +100,10 @@ def hqnn_forward_batch(
     model: HybridModel, X, shots: int | None = None, seed: int = 0
 ) -> np.ndarray:
     """Predicted (x, y) for every row of ``X``; with ``shots``, from sampled expectations."""
-    rows = encode_batch(check_features(X, N_FEATURES))
-    U = q_forward_batch(model.qlayer, pauli_features(rows))
-    if shots is not None:  # each row's draws are keyed on its encoded bytes
-        U = sample_batch(U, rows, shots=shots, seed=seed)
+    X = np.atleast_2d(check_features(X, N_FEATURES))
+    U = q_forward_batch(model.qlayer, pauli_features(encode_batch(X)))
+    if shots is not None:  # each row's draws are keyed on its scaled features
+        U = sample_batch(U, X, shots=shots, seed=seed)
     return classical.forward_batch(model.head, U)
 
 

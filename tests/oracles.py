@@ -78,17 +78,16 @@ def p_one_oracle(unitary: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (real * real + imag * imag) @ bits.astype(np.longdouble)
 
 
-def shot_estimate_oracle(p_one: float, shots: int, seed: int, qubit: int, row: np.ndarray) -> float:
-    """The layer's sampled <Z> of one (row, qubit), drawn from a fresh generator.
+def shot_estimates_oracle(p_one, shots: int, seed: int, x) -> list[float]:
+    """One row's sampled <Z> estimates, drawn from a fresh generator in qubit order.
 
-    The draw's seed is the blake2b digest of the int64 bytes of (seed, qubit)
-    and the row's bytes; a 32-byte digest of that seed keys a PCG64 (state,
-    then increment forced odd), and the count of 1 outcomes is one binomial
-    draw with ``p_one``.
+    The row's key is the 32-byte blake2b digest of the little-endian int64
+    bytes of ``seed`` and float64 bytes of its scaled features ``x``; it keys
+    a PCG64 (state, then increment forced odd), and the count of 1 outcomes
+    of qubit q is the q-th binomial draw from it, with ``p_one[q]``.
     """
-    prefix = np.asarray([seed, qubit], dtype=np.int64).tobytes()
-    digest = hashlib.blake2b(prefix + row.tobytes(), digest_size=8).digest()
-    key = hashlib.blake2b(digest, digest_size=32).digest()
+    message = int(seed).to_bytes(8, "little") + np.asarray(x, dtype="<f8").tobytes()
+    key = hashlib.blake2b(message, digest_size=32).digest()
     bits = np.random.PCG64(0)
     bits.state = {
         "bit_generator": "PCG64",
@@ -97,8 +96,8 @@ def shot_estimate_oracle(p_one: float, shots: int, seed: int, qubit: int, row: n
         "has_uint32": 0,
         "uinteger": 0,
     }
-    n_one = int(np.random.Generator(bits).binomial(shots, p_one))
-    return 1.0 - 2.0 * n_one / shots
+    rng = np.random.Generator(bits)
+    return [1.0 - 2.0 * int(rng.binomial(shots, p)) / shots for p in p_one]
 
 
 def shift_rule_jacobian(ansatz, phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -209,7 +208,7 @@ def synthetic_loop(room, tx, pl0, n_exp, sigma, rng_seed, n_points=None, positio
     samples = []
     for pos in np.asarray(positions, dtype=float):
         dists = np.maximum(np.linalg.norm(tx - pos, axis=1), 1.0)
-        rssi = pl0 - 10.0 * n_exp * np.log10(dists / 1.0)
+        rssi = pl0 - 10.0 * n_exp * np.array([math.log10(d / 1.0) for d in dists])
         rssi = rssi + rng.normal(0.0, sigma, size=3)
         samples.append((tuple(rssi), tuple(pos)))
     return samples

@@ -3,7 +3,7 @@
 The plain gate lists run on the gate-level simulator and the dense-matrix
 oracle as references; ``encode_batch`` must match them to 1e-12. It must
 also equal the per-gate accumulation of ``oracles.encode_reference`` bit for
-bit, since shot seeds hash its bytes.
+bit, so a row encodes to the same bytes alone or in any batch.
 """
 
 import math

@@ -367,6 +367,22 @@ class TestStack:
             for s, net in enumerate(nets):
                 np.testing.assert_array_equal(out[s], forward(net, v))
 
+    @pytest.mark.parametrize("sizes", [HEAD_SIZES, BASELINE_SIZES])
+    def test_one_input_per_network_gives_each_networks_output(self, sizes):
+        rng = np.random.default_rng(10)
+        for n_stack in range(2, 5):
+            nets = [glorot_net(sizes, seed) for seed in range(4, 4 + n_stack)]
+            V = rng.uniform(-1.0, 1.0, size=(n_stack, 3))
+            out = forward(stack(nets), V)
+            assert out.shape == (n_stack, 2)
+            for s, net in enumerate(nets):
+                np.testing.assert_array_equal(out[s], forward(net, V[s]))
+            for bad in (V[:-1], V[None], np.zeros((n_stack, 4))):
+                with pytest.raises(ValueError, match=rf"shape \(3,\) or \({n_stack}, 3\)"):
+                    forward(stack(nets), bad)
+        with pytest.raises(ValueError, match=r"expected input of shape \(3,\), got \(2, 3\)"):
+            forward(glorot_net(sizes, 4), np.zeros((2, 3)))
+
     def test_refuses_networks_of_different_shapes(self):
         with pytest.raises(ValueError, match="networks of one shape"):
             stack([glorot_net(HEAD_SIZES, 1), glorot_net(BASELINE_SIZES, 1)])

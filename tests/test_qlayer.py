@@ -27,7 +27,7 @@ from oracles import (
     fd_gradient,
     p_one_oracle,
     shift_rule_jacobian,
-    shot_estimate_oracle,
+    shot_estimates_oracle,
 )
 
 
@@ -57,8 +57,8 @@ def features_of(X):
 
 def sample_rows(layer, X, shots, seed=0):
     """Shot estimates of the layer on the rows of ``X``, drawn as an evaluation draws them."""
-    rows = encode_batch(np.atleast_2d(X))
-    return sample_batch(q_forward_batch(layer, pauli_features(rows)), rows, shots=shots, seed=seed)
+    X = np.atleast_2d(X)
+    return sample_batch(q_forward_batch(layer, features_of(X)), X, shots=shots, seed=seed)
 
 
 phis = arrays(float, (6,), elements=st.floats(-np.pi, np.pi))
@@ -203,7 +203,7 @@ class TestBatchedPath:
         real = statevector.sample_expect_z
 
         def counting(*args, **kwargs):
-            calls.append((*args, kwargs["shots"]))
+            calls.append((*args, kwargs["shots"], kwargs["rng"]))
             return real(*args, **kwargs)
 
         def no_generator(*args, **kwargs):
@@ -216,9 +216,11 @@ class TestBatchedPath:
         monkeypatch.setattr(np.random, "default_rng", no_generator)
         out = train_eval.hqnn_forward_batch(model, X, shots=256, seed=4)
         assert out.shape == (n_rows, 2)
-        # One draw per (row, qubit), in row-major order, each from the exact forward's E.
+        # One draw per (row, qubit), in row-major order, each from the exact
+        # forward's E, and every draw from the one shared, re-keyed generator.
         exact = q_forward_batch(model.qlayer, features_of(X))
-        assert calls == [(e, 256) for e in exact.ravel().tolist()]
+        shared = statevector._SHOT_RNG
+        assert calls == [(e, 256, shared) for e in exact.ravel().tolist()]
 
     def test_seed_outside_int64_rejected(self):
         layer, x = QuantumLayer(phi=np.zeros(6)), np.array([0.1, 0.2, 0.3])
@@ -230,7 +232,7 @@ class TestBatchedPath:
 
     @pytest.mark.parametrize("seed", [2.5, 2.0, np.float64(2.0), True, "2"])
     def test_non_integer_seed_rejected(self, seed):
-        # The int64 packing of the shot seeds would sample 2.5 exactly as seed 2.
+        # The int64 packing of the shot keys would sample 2.5 exactly as seed 2.
         message = f"seed must be an integer, got {re.escape(repr(seed))}"
         with pytest.raises(ValueError, match=message):
             check_seed(seed)
@@ -269,23 +271,25 @@ class TestSamplingFromTheExactForward:
             model = train_eval.init_hybrid_model(seed)
             train_eval.train(model, *data.transform_samples(scaler, train_set),
                              train_eval.TrainConfig(epochs=300))
-            rows = encode_batch(data.transform_samples(scaler, test_set)[0])
-            cells.append((model.qlayer, rows, pauli_features(rows), seed))
+            X = data.transform_samples(scaler, test_set)[0]
+            cells.append((model.qlayer, X, encode_batch(X), seed))
         return cells
 
     @pytest.mark.parametrize("shots", [64, 4096])
     def test_every_draw_equals_the_one_fed_by_the_oracle_p_one(self, trained, shots):
+        # The oracle keys each row by the documented rule, from the seed and
+        # the row's scaled features, and feeds it the dense oracle's p_one.
         flipped = []
-        for layer, rows, features, seed in trained:
-            exact = q_forward_batch(layer, features)
-            sampled = sample_batch(exact, rows, shots=shots, seed=seed)
+        for layer, X, rows, seed in trained:
+            exact = q_forward_batch(layer, pauli_features(rows))
+            sampled = sample_batch(exact, X, shots=shots, seed=seed)
             p_kernel = (1.0 - exact) / 2.0
             p_dense = p_one_oracle(ansatz_matrices(layer.phi)[0], rows).astype(float)
+            expected = [shot_estimates_oracle(p, shots, seed, x) for p, x in zip(p_dense, X)]
             for i, q in np.ndindex(sampled.shape):
-                expected = shot_estimate_oracle(p_dense[i, q], shots, seed, q, rows[i])
-                if sampled[i, q] != expected:
+                if sampled[i, q] != expected[i][q]:
                     flipped.append(f"seed {seed} row {i} qubit {q}: sampled {sampled[i, q]} vs "
-                                   f"{expected}, p_one {float(p_kernel[i, q])!r} (kernel) vs "
+                                   f"{expected[i][q]}, p_one {float(p_kernel[i, q])!r} (kernel) vs "
                                    f"{float(p_dense[i, q])!r} (oracle)")
         assert not flipped, "\n".join(flipped)
 

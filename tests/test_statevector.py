@@ -13,7 +13,7 @@ from hqloc.circuits import MAX_QUBITS, Gate, cx, h, p, ry, rz
 from hqloc.reference import Statevector, apply_gate, apply_gates, expect_z, zero_state
 from hqloc.statevector import MAX_SHOTS, check_shots, sample_batch, sample_expect_z
 
-from oracles import circuit_matrix, expect_z_oracle
+from oracles import circuit_matrix, expect_z_oracle, shot_estimates_oracle
 
 
 def random_gates(rng, n_qubits, n_gates):
@@ -197,38 +197,39 @@ class TestExpectZ:
 class TestSampledExpectZ:
     def test_reproducible_for_fixed_seed(self):
         exact = expect_z(apply_gate(zero_state(1), ry(1.1, 0)), 0)
-        a = sample_expect_z(exact, shots=1000, rng_seed=42)
-        b = sample_expect_z(exact, shots=1000, rng_seed=42)
+        a = sample_expect_z(exact, shots=1000, rng=np.random.default_rng(42))
+        b = sample_expect_z(exact, shots=1000, rng=np.random.default_rng(42))
         assert a == b
 
     def test_converges_to_exact_value(self):
         state = apply_gate(zero_state(1), ry(0.8, 0))
         exact = expect_z(state, 0)
-        est = sample_expect_z(exact, shots=200_000, rng_seed=1)
+        est = sample_expect_z(exact, shots=200_000, rng=np.random.default_rng(1))
         assert abs(est - exact) < 0.01
 
     def test_deterministic_state_needs_one_shot(self):
-        assert sample_expect_z(expect_z(zero_state(2), 1), shots=1, rng_seed=0) == 1.0
+        rng = np.random.default_rng(0)
+        assert sample_expect_z(expect_z(zero_state(2), 1), shots=1, rng=rng) == 1.0
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            sample_expect_z(expect_z(zero_state(1), 0), shots=0, rng_seed=0)
+            sample_expect_z(expect_z(zero_state(1), 0), shots=0, rng=np.random.default_rng(0))
 
     def test_certain_outcomes_are_exact(self):
         # Basis state |10>: qubit 0 reads 0 with p = 1, qubit 1 reads 1 with p = 1.
         state = Statevector(2, np.array([0.0, 0.0, 1.0, 0.0], dtype=complex))
         for seed in range(20):
-            assert sample_expect_z(expect_z(state, 0), shots=4096, rng_seed=seed) == 1.0
-            assert sample_expect_z(expect_z(state, 1), shots=4096, rng_seed=seed) == -1.0
+            rng = np.random.default_rng(seed)
+            assert sample_expect_z(expect_z(state, 0), shots=4096, rng=rng) == 1.0
+            assert sample_expect_z(expect_z(state, 1), shots=4096, rng=rng) == -1.0
 
     def test_mean_over_seeds_within_four_sigma(self):
         state = apply_gates(zero_state(3), [h(0), ry(1.1, 1), cx(1, 2)])
         shots, n_seeds = 1000, 200
         for q in range(3):
             exact = expect_z(state, q)
-            mean = np.mean(
-                [sample_expect_z(exact, shots=shots, rng_seed=seed) for seed in range(n_seeds)]
-            )
+            mean = np.mean([sample_expect_z(exact, shots=shots, rng=np.random.default_rng(seed))
+                            for seed in range(n_seeds)])
             # One estimate has variance 4 p (1 - p) / shots = (1 - exact^2) / shots.
             sigma = np.sqrt((1.0 - exact**2) / (shots * n_seeds))
             assert abs(mean - exact) <= 4.0 * sigma
@@ -239,62 +240,75 @@ class TestSampledExpectZ:
     def test_expectation_outside_the_unit_interval_refused(self, expectation):
         # (1 - E) / 2 would be NaN or a probability outside [0, 1].
         with pytest.raises(ValueError, match=r"expectation must be in \[-1, 1\]"):
-            sample_expect_z(expectation, shots=64, rng_seed=0)
+            sample_expect_z(expectation, shots=64, rng=np.random.default_rng(0))
 
     def test_shots_and_seed_are_keyword_only(self):
-        # Two adjacent ints are easy to swap, so neither is taken by position.
-        for call in (lambda: sample_expect_z(0.5, 64, 1),
-                     lambda: sample_expect_z(0.5, 64, rng_seed=1)):
+        # The budget and the seeded generator are easy to swap, so neither is taken by position.
+        rng = np.random.default_rng(1)
+        for call in (lambda: sample_expect_z(0.5, 64, rng),
+                     lambda: sample_expect_z(0.5, 64, rng=rng)):
             with pytest.raises(TypeError, match="positional argument"):
                 call()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.integers(1, 2**40), st.integers(0, 2**63 - 1))
+    def test_one_binomial_draw_from_the_generator_it_is_given(self, expectation, shots, seed):
+        # The estimate is (n_plus - n_minus) / shots of one draw, and the draw
+        # advances the caller's generator exactly as that binomial call does.
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        n_one = int(twin.binomial(shots, (1.0 - expectation) / 2.0))
+        assert sample_expect_z(expectation, shots=shots, rng=rng) == 1.0 - 2.0 * n_one / shots
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def _bell_like_state():
     return apply_gates(zero_state(3), [h(0), ry(1.1, 1), cx(1, 2)])
 
 
-def _bell_like_draw(qubit, shots, seed):
-    """One draw of ``qubit`` of :func:`_bell_like_state` from its exact expectation."""
-    return sample_expect_z(expect_z(_bell_like_state(), qubit), shots=shots, rng_seed=seed)
+# The exact expectations of :func:`_bell_like_state`'s three qubits, as one row.
+BELL_LIKE = np.array([[expect_z(_bell_like_state(), q) for q in range(3)]])
 
 
-seeds_64 = st.integers(0, 2**64 - 1)
-draws = st.tuples(st.integers(0, 2), st.integers(1, 100_000), seeds_64)
+def _row_draws(x, shots, seed):
+    """The three draws of one row with scaled features ``x`` and :data:`BELL_LIKE` expectations."""
+    return sample_batch(BELL_LIKE, np.reshape(x, (1, 3)), shots=shots, seed=seed)[0].tolist()
+
+
+unit_rows = st.tuples(*[st.floats(0.0, 1.0)] * 3)
+row_draws = st.tuples(unit_rows, st.integers(1, 100_000), st.integers(0, 2**63 - 1))
 
 
 class TestSharedShotStream:
-    """The re-keyed shared generator: each draw depends on its arguments alone."""
+    """The re-keyed shared generator: a row's draws depend on its seed, budget and features alone."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2), st.integers(1, 100_000), seeds_64, st.lists(draws, max_size=8),
-           st.data())
-    def test_draw_ignores_history_and_order(self, qubit, shots, seed, others, data):
-        alone = _bell_like_draw(qubit, shots, seed)
+    @given(row_draws, st.lists(row_draws, max_size=8), st.data())
+    def test_draw_ignores_history_and_order(self, draw, others, data):
+        alone = _row_draws(*draw)
         for other in others:
-            _bell_like_draw(*other)
-        assert _bell_like_draw(qubit, shots, seed) == alone
-        calls = [(qubit, shots, seed), *others]
-        expected = [_bell_like_draw(*call) for call in calls]
+            _row_draws(*other)
+        assert _row_draws(*draw) == alone
+        calls = [draw, *others]
+        expected = [_row_draws(*call) for call in calls]
         order = data.draw(st.permutations(range(len(calls))))
-        assert [_bell_like_draw(*calls[i]) for i in order] == [expected[i] for i in order]
+        assert [_row_draws(*calls[i]) for i in order] == [expected[i] for i in order]
 
     def test_threads_match_a_serial_run(self):
-        state = _bell_like_state()
-        exact = [expect_z(state, q) for q in range(3)]
-
         def draw(s):
-            return sample_expect_z(exact[s % 3], shots=1000 + s, rng_seed=s)
+            X = np.column_stack([np.linspace(0.0, 1.0, 3), np.full(3, s / 1000.0), np.full(3, 0.5)])
+            return sample_batch(np.repeat(BELL_LIKE, 3, axis=0), X, shots=1000 + s, seed=s).tolist()
 
-        seeds = [range(0, 1000, 2), range(1, 1000, 2)]  # 500 interleaved seeds each
+        n_threads = 4  # more than the cores of a small test machine
+        seeds = [range(k, 600, n_threads) for k in range(n_threads)]  # interleaved batches
         serial = [[draw(s) for s in part] for part in seeds]
-        results = [None, None]
-        barrier = threading.Barrier(2)
+        results = [None] * n_threads
+        barrier = threading.Barrier(n_threads)
 
         def work(k):
             barrier.wait()
             results[k] = [draw(s) for s in seeds[k]]
 
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
@@ -312,8 +326,8 @@ class TestSharedShotStream:
         # A poorly mixed or reused stream shows as a wrong spread or as
         # correlation between neighbouring seeds.
         shots, n = 1000, 400
-        exact = expect_z(_bell_like_state(), qubit)
-        est = np.array([sample_expect_z(exact, shots=shots, rng_seed=seed) for seed in range(n)])
+        exact = BELL_LIKE[0, qubit]
+        est = np.array([_row_draws((0.1, 0.2, 0.3), shots, seed)[qubit] for seed in range(n)])
         # (n - 1) s^2 / sigma^2 is chi-squared with k = n - 1 degrees of freedom;
         # Wilson-Hilferty quantiles at +-4 standard normal deviations.
         k = n - 1
@@ -323,10 +337,20 @@ class TestSharedShotStream:
         lag1 = np.corrcoef(est[:-1], est[1:])[0, 1]
         assert abs(lag1) <= 4.0 / np.sqrt(n - 1)
 
+    def test_a_rows_three_draws_are_uncorrelated(self):
+        # The three qubits of a row are drawn one after another from one key,
+        # so a stream that repeats or leaks between them shows as correlation
+        # between the columns of many rows with equal expectations.
+        shots, n = 1000, 2000
+        X = np.random.default_rng(3).uniform(0.0, 1.0, size=(n, 3))
+        est = sample_batch(np.full((n, 3), 0.3), X, shots=shots, seed=5)
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            assert abs(np.corrcoef(est[:, a], est[:, b])[0, 1]) <= 4.0 / np.sqrt(n - 1)
+
     def test_shot_budget_above_int64_rejected(self):
         with pytest.raises(ValueError, match=r"shots must be <= 2\*\*63 - 1"):
-            _bell_like_draw(0, MAX_SHOTS + 1, 0)
-        assert -1.0 <= _bell_like_draw(0, MAX_SHOTS, 0) <= 1.0
+            _row_draws((0.1, 0.2, 0.3), MAX_SHOTS + 1, 0)
+        assert all(-1.0 <= e <= 1.0 for e in _row_draws((0.1, 0.2, 0.3), MAX_SHOTS, 0))
 
     @pytest.mark.parametrize("shots", [64.7, 64.0, np.float64(64.0), True, "64"])
     def test_non_integer_shot_budget_rejected(self, shots):
@@ -335,50 +359,54 @@ class TestSharedShotStream:
         with pytest.raises(ValueError, match=message):
             check_shots(shots)
         with pytest.raises(ValueError, match=message):
-            _bell_like_draw(0, shots, 0)
+            _row_draws((0.1, 0.2, 0.3), shots, 0)
+        with pytest.raises(ValueError, match=message):
+            sample_expect_z(0.5, shots=shots, rng=np.random.default_rng(0))
         check_shots(np.int32(64))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
-        with pytest.raises(ValueError, match="rng_seed must be in"):
-            sample_expect_z(expect_z(zero_state(1), 0), shots=10, rng_seed=seed)
+        # The key packs the seed as int64, so the rule is [0, 2**63 - 1].
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*63 - 1\]"):
+            _row_draws((0.1, 0.2, 0.3), 10, seed)
 
 
-def _encoded_rows(rng, n_rows):
-    """Unit rows of 8 random complex amplitudes: sample_batch reads only their bytes."""
-    rows = rng.normal(size=(n_rows, 8)) + 1j * rng.normal(size=(n_rows, 8))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+def _feature_rows(rng, n_rows):
+    """Scaled feature rows in [0, 1]: sample_batch reads only their bytes."""
+    return rng.uniform(0.0, 1.0, size=(n_rows, 3))
 
 
 class TestSampleBatch:
-    """One draw per (row, qubit), seeded from the seed, the qubit and the row's bytes."""
+    """One key per row, from the seed and the row's scaled features, then one draw per qubit."""
 
     @pytest.mark.parametrize("n_rows", [0, 3])
     def test_refuses_a_stack_bad_shots_and_a_bad_seed_for_any_row_count(self, n_rows):
-        rows = _encoded_rows(np.random.default_rng(1), n_rows)
+        X = _feature_rows(np.random.default_rng(1), n_rows)
         expectations = np.zeros((n_rows, 3))
         for shots in (0, -5, 2.0, True, MAX_SHOTS + 1):
             with pytest.raises(ValueError, match="shots must be"):
-                sample_batch(expectations, rows, shots=shots, seed=1)
+                sample_batch(expectations, X, shots=shots, seed=1)
         for seed in (-1, 2**63, 2.5, True):
             with pytest.raises(ValueError, match="seed must be an integer"):
-                sample_batch(expectations, rows, shots=8, seed=seed)
+                sample_batch(expectations, X, shots=8, seed=seed)
         with pytest.raises(ValueError, match="one layer, not a stack"):
-            sample_batch(np.zeros((2, n_rows, 3)), rows, shots=8, seed=1)
-        with pytest.raises(ValueError, match="one encoded row per row of expectations"):
-            sample_batch(np.zeros((n_rows + 1, 3)), rows, shots=8, seed=1)
+            sample_batch(np.zeros((2, n_rows, 3)), X, shots=8, seed=1)
+        with pytest.raises(ValueError, match="one feature row per row of expectations"):
+            sample_batch(np.zeros((n_rows + 1, 3)), X, shots=8, seed=1)
+        for bad in (X.ravel()[:n_rows], X[None]):  # flat, or with a leading axis
+            with pytest.raises(ValueError, match="one feature row per row of expectations"):
+                sample_batch(expectations, bad, shots=8, seed=1)
 
     def test_zero_rows_give_an_empty_batch(self):
-        out = sample_batch(np.zeros((0, 3)), np.zeros((0, 8), dtype=complex), shots=8, seed=1)
+        out = sample_batch(np.zeros((0, 3)), np.zeros((0, 3)), shots=8, seed=1)
         assert out.shape == (0, 3) and out.dtype == float
 
     def test_each_entry_is_one_seeded_draw_of_its_expectation(self):
         # Certain outcomes need no statistics: E = +1 or -1 reads back exactly.
         rng = np.random.default_rng(2)
         expectations = rng.choice([-1.0, 1.0], size=(5, 3))
-        rows = _encoded_rows(rng, 5)
         np.testing.assert_array_equal(
-            sample_batch(expectations, rows, shots=64, seed=3), expectations
+            sample_batch(expectations, _feature_rows(rng, 5), shots=64, seed=3), expectations
         )
 
     @settings(max_examples=60, deadline=None)
@@ -386,14 +414,24 @@ class TestSampleBatch:
     def test_a_rows_draws_do_not_depend_on_its_batch(self, n_rows, seed, shots, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         expectations = rng.uniform(-1.0, 1.0, size=(n_rows, 3))
-        rows = _encoded_rows(rng, n_rows)
-        batch = sample_batch(expectations, rows, shots=shots, seed=seed)
+        X = _feature_rows(rng, n_rows)
+        batch = sample_batch(expectations, X, shots=shots, seed=seed)
         order = data.draw(st.permutations(range(n_rows)))
         i = data.draw(st.integers(0, n_rows - 1))
         np.testing.assert_array_equal(
-            sample_batch(expectations[order], rows[order], shots=shots, seed=seed), batch[order]
+            sample_batch(expectations[order], X[order], shots=shots, seed=seed), batch[order]
         )
         np.testing.assert_array_equal(
-            sample_batch(expectations[i : i + 1], rows[i : i + 1], shots=shots, seed=seed),
+            sample_batch(expectations[i : i + 1], X[i : i + 1], shots=shots, seed=seed),
             batch[i : i + 1],
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**63 - 1), st.integers(1, 2**40), st.data())
+    def test_each_row_is_keyed_by_the_documented_rule(self, n_rows, seed, shots, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        expectations = rng.uniform(-1.0, 1.0, size=(n_rows, 3))
+        X = _feature_rows(rng, n_rows)
+        batch = sample_batch(expectations, X, shots=shots, seed=seed)
+        for row, x, estimates in zip(expectations, X, batch.tolist()):
+            assert estimates == shot_estimates_oracle((1.0 - row) / 2.0, shots, seed, x)

@@ -43,10 +43,24 @@ def test_a_pinned_function_is_traced_and_defined(tracing, name):
     assert callable(defined), f"hqloc.{name} ({PINNED[name]}) is gone"
 
 
-def test_the_shot_counter_reads_the_keyword_call_the_layer_makes(tracing):
-    # statevector.sample_batch passes the expectation alone by position, and the budget by keyword.
+def test_the_shot_counter_reads_the_keyword_call_the_layer_makes(tracing, monkeypatch):
+    # The counter reads the calls an evaluation really makes, so a change to
+    # how statevector.sample_batch calls sample_expect_z fails here too.
+    from hqloc import statevector, train_eval
+
+    calls = []
+    real = statevector.sample_expect_z
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(statevector, "sample_expect_z", recording)
+    model = train_eval.init_hybrid_model(1)
+    train_eval.hqnn_forward_batch(model, np.full((2, 3), 0.5), shots=4096, seed=7)
+    assert len(calls) == 2 * 3
     count = tracing.TRACED["statevector"]["sample_expect_z"]
-    assert count((0.25,), {"shots": 4096, "rng_seed": 7}) == (4096, 0)
+    assert [count(args, kwargs) for args, kwargs in calls] == [(4096, 0)] * len(calls)
 
 
 @pytest.mark.parametrize("n_rows", [1, 7])

@@ -91,6 +91,22 @@ class TestHybridModel:
         fixes = np.array([hqnn_forward(model, x) for x in X])
         np.testing.assert_allclose(fixes, batch, rtol=0, atol=1e-15 * np.abs(batch).max())
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_one_fix_on_a_stack_gives_each_models_fix(self, S, seed):
+        # A stack's single fix is (S, 2), and row s is bit for bit the fix
+        # model s gives alone, as the stacked batch's rows are.
+        import hqloc.train_eval as train_eval
+
+        rng = np.random.default_rng(seed)
+        models = [init_hybrid_model(int(s)) for s in rng.integers(0, 2**32, size=S)]
+        stack = train_eval._stack(models)
+        for x in rng.uniform(0.0, 1.0, size=(3, 3)):
+            fix = hqnn_forward(stack, x)
+            assert fix.shape == (S, 2)
+            for s, model in enumerate(models):
+                np.testing.assert_array_equal(fix[s], hqnn_forward(model, x))
+
     @pytest.mark.parametrize("shots", [None, 4096])
     def test_an_evaluation_batch_leaves_nothing_behind(self, shots):
         # The batch's encoded rows and Pauli features are the call's own:
