@@ -194,17 +194,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_samples(args, path) -> list[data.RssiSample]:
+def _load(args, path, loader):
+    """``path`` read by ``loader`` (table or samples) with the CSV flags; refuses no rows."""
     mapping = data.load_mapping(args.mapping) if args.mapping else None
-    samples = data.load_csv(
+    rows = loader(
         path,
         has_header=args.has_header,
         mapping=mapping,
         aggregate_positions=args.aggregate_positions,
     )
-    if not samples:
+    if len(rows) == 0:
         raise ValueError(f"{path}: no samples found")
-    return samples
+    return rows
 
 
 def _write_manifest(
@@ -250,8 +251,8 @@ def _test_rmse(model, X, Z, shots, seed, shots_flag: str) -> float:
 
 
 def cmd_train(args) -> int:
-    train_samples = _load_samples(args, args.data)
-    test_samples = _load_samples(args, args.test) if args.test else None
+    train_samples = _load(args, args.data, data.load_csv)
+    test_samples = _load(args, args.test, data.load_csv) if args.test else None
     config = train_eval.TrainConfig(
         optimizer=args.optimizer, eta=args.lr, epochs=args.epochs, seed=args.seed
     )
@@ -304,15 +305,15 @@ def cmd_eval(args) -> int:
     if (net.input_dim, net.output_dim) != (N_FEATURES, 2):
         raise ValueError(f"{args.model_file}: the network maps {net.input_dim} inputs to "
                          f"{net.output_dim} outputs; a fix needs {N_FEATURES} in and (x, y) out")
-    samples = _load_samples(args, args.data)
-    X = data.features_matrix(samples)
+    table = _load(args, args.data, data.load_table)
+    X, Z = table[:, :3], table[:, 3:]
     clamped = 0
     if scaler is not None:
         raw, X = X, data.transform(scaler, X)
         clamped = _count_clamped(scaler, raw, args.data)
     elif X.min() < 0.0 or X.max() > 1.0:
         raise ValueError(f"{args.model_file}: no stored scaler, and {args.data} is not in [0, 1]")
-    rmse = _test_rmse(model, X, data.targets_matrix(samples), args.shots, args.seed, "--shots")
+    rmse = _test_rmse(model, X, Z, args.shots, args.seed, "--shots")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rmse_path = out_dir / "eval_rmse.csv"
@@ -330,8 +331,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    train_samples = _load_samples(args, args.train_csv)
-    test_samples = _load_samples(args, args.test_csv)
+    train_samples = _load(args, args.train_csv, data.load_csv)
+    test_samples = _load(args, args.test_csv, data.load_csv)
     meta = data.scenario_meta(args.scenario, args.technology)
     config = train_eval.CompareConfig(
         seeds=tuple(args.seeds),

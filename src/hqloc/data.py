@@ -6,6 +6,11 @@ line, UTF-8, LF or CRLF. Other layouts are adapted through a small key-value
 mapping file naming the source column (by header name or 0-based index) for
 each canonical field.
 
+:func:`load_table` is the one CSV parser: a single pass that checks every
+row and collects its fields into an (n, 5) float table in that column order.
+:func:`load_csv` is the same table viewed as :class:`RssiSample` records,
+for code that works on samples.
+
 The synthetic generator draws receiver positions uniformly inside the room
 and computes per-transmitter RSSI from the log-distance path-loss model with
 Gaussian shadowing: ``pl0 - 10*n_exp*log10(max(d, d0)/d0) + N(0, sigma^2)``
@@ -14,10 +19,14 @@ with a 1 m reference distance.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import re
+import sys
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -150,20 +159,110 @@ def not_utf8(path, error: type[ValueError] = DataFormatError) -> ValueError:
     return error(f"{path}: not valid UTF-8")  # the file changed since it failed
 
 
-def _csv_rows(path):
-    """(line, row) pairs of a UTF-8 CSV file; a row's line is where it starts in the file."""
+@contextlib.contextmanager
+def _csv_reader(path):
+    """A csv reader over a UTF-8 file; its csv and decoding errors become DataFormatErrors."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        line = 1
         try:
-            for row in reader:
-                yield line, row
-                line = reader.line_num + 1
+            yield reader
         except csv.Error as exc:
             raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             # The decoder reads ahead of the rows, so the bad byte is found in the raw file.
             raise not_utf8(path) from None
+
+
+def load_table(
+    path,
+    has_header: bool = False,
+    mapping: dict[str, int | str] | None = None,
+    aggregate_positions: bool = False,
+) -> np.ndarray:
+    """Parse an RSSI fingerprint CSV into an (n, 5) float table, in file order.
+
+    Columns follow ``CANONICAL_FIELDS``. Without a mapping every row must have
+    exactly the five canonical numeric fields. ``aggregate_positions`` averages
+    the RSSI triples of rows sharing an identical (x, y), keeping first-seen
+    position order. An empty file yields a (0, 5) table, and a leading UTF-8
+    byte-order mark is dropped. Malformed rows, bytes that are not UTF-8 and
+    fields past the csv module's size limit raise :class:`DataFormatError`
+    naming the line; the first fault in file order, and in field order within
+    its row, is the one reported.
+    """
+    values = array("d")  # raw doubles: a quarter of what a list of Python floats holds
+    header: list[str] | None = None
+    columns: list[int] | None = None
+    pick = None  # the mapped columns' getter; without a mapping a row is its five fields
+    lo, hi = 1, 0  # the field counts a data row may have; none until the first data row
+    with _csv_reader(path) as reader:
+        start = 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1  # a row's line is where it starts
+            # float() strips what str.strip() strips whenever it parses, and a finite sum
+            # means finite fields, so a well-formed data row needs nothing more. Every other
+            # row, the header and a sum that overflows included, takes the full checks.
+            if lo <= len(row) <= hi:
+                try:
+                    rssi_a, rssi_b, rssi_c, x, y = map(float, row if pick is None else pick(row))
+                except ValueError:
+                    pass
+                else:
+                    if math.isfinite(rssi_a + rssi_b + rssi_c + x + y):
+                        values.extend((rssi_a, rssi_b, rssi_c, x, y))
+                        continue
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            row = [cell.strip() for cell in row]
+            if has_header and header is None:
+                header = row
+                continue
+            if columns is None:
+                if mapping is None:
+                    columns = list(range(len(CANONICAL_FIELDS)))
+                    lo = hi = len(CANONICAL_FIELDS)
+                else:
+                    columns = _resolve_columns(mapping, header, path)
+                    pick = itemgetter(*columns)
+                    lo, hi = max(columns) + 1, sys.maxsize
+            if mapping is None and len(row) != len(CANONICAL_FIELDS):
+                raise DataFormatError(
+                    f"{path}: line {lineno}: expected {len(CANONICAL_FIELDS)} "
+                    f"fields, got {len(row)}"
+                )
+            if max(columns) >= len(row):
+                raise DataFormatError(
+                    f"{path}: line {lineno}: row has {len(row)} fields, "
+                    f"mapping needs column {max(columns)}"
+                )
+            fields = []
+            for field, col in zip(CANONICAL_FIELDS, columns):
+                try:
+                    value = float(row[col])
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: non-numeric value {row[col]!r} "
+                        f"for field {field!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: non-finite value for field {field!r}"
+                    )
+                fields.append(value)
+            values.extend(fields)
+    table = np.frombuffer(values).reshape(-1, len(CANONICAL_FIELDS))
+    return _aggregate_by_position(table) if aggregate_positions else table
+
+
+def _aggregate_by_position(table: np.ndarray) -> np.ndarray:
+    groups: dict[tuple[float, float], list[int]] = {}
+    for i, (x, y) in enumerate(table[:, 3:].tolist()):
+        groups.setdefault((x, y), []).append(i)
+    merged = [
+        [*np.mean(table[rows, :3], axis=0).tolist(), *position]
+        for position, rows in groups.items()
+    ]
+    return np.array(merged, dtype=float).reshape(-1, len(CANONICAL_FIELDS))
 
 
 def load_csv(
@@ -172,72 +271,9 @@ def load_csv(
     mapping: dict[str, int | str] | None = None,
     aggregate_positions: bool = False,
 ) -> list[RssiSample]:
-    """Parse an RSSI fingerprint CSV into samples, in file order.
-
-    Without a mapping every row must have exactly the five canonical numeric
-    fields. ``aggregate_positions`` averages the RSSI triples of rows sharing
-    an identical (x, y), keeping first-seen position order. An empty file
-    yields an empty list, and a leading UTF-8 byte-order mark is dropped.
-    Malformed rows, bytes that are not UTF-8 and fields past the csv module's
-    size limit raise :class:`DataFormatError` naming the line.
-    """
-    samples: list[RssiSample] = []
-    header: list[str] | None = None
-    columns: list[int] | None = None
-    data_started = False
-    for lineno, row in _csv_rows(path):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        row = [cell.strip() for cell in row]
-        if has_header and not data_started:
-            header = row
-            data_started = True
-            continue
-        data_started = True
-        if columns is None:
-            if mapping is not None:
-                columns = _resolve_columns(mapping, header, path)
-            else:
-                columns = list(range(len(CANONICAL_FIELDS)))
-        if mapping is None and len(row) != len(CANONICAL_FIELDS):
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected {len(CANONICAL_FIELDS)} "
-                f"fields, got {len(row)}"
-            )
-        if max(columns) >= len(row):
-            raise DataFormatError(
-                f"{path}: line {lineno}: row has {len(row)} fields, "
-                f"mapping needs column {max(columns)}"
-            )
-        values = []
-        for field, col in zip(CANONICAL_FIELDS, columns):
-            try:
-                value = float(row[col])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: non-numeric value {row[col]!r} "
-                    f"for field {field!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: non-finite value for field {field!r}"
-                )
-            values.append(value)
-        samples.append(RssiSample(rssi=tuple(values[:3]), position=tuple(values[3:])))
-    if aggregate_positions:
-        samples = _aggregate_by_position(samples)
-    return samples
-
-
-def _aggregate_by_position(samples: list[RssiSample]) -> list[RssiSample]:
-    groups: dict[tuple[float, float], list[tuple[float, float, float]]] = {}
-    for s in samples:
-        groups.setdefault(s.position, []).append(s.rssi)
-    merged = []
-    for position, triples in groups.items():
-        mean = np.mean(np.asarray(triples, dtype=float), axis=0)
-        merged.append(RssiSample(rssi=tuple(mean), position=position))
-    return merged
+    """:func:`load_table`'s rows as samples, with the same arguments, checks and errors."""
+    table = load_table(path, has_header, mapping, aggregate_positions)
+    return [RssiSample(rssi=tuple(row[:3]), position=tuple(row[3:])) for row in table.tolist()]
 
 
 def save_csv(samples, path, header: bool = True) -> None:

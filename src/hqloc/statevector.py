@@ -17,6 +17,7 @@ traces ``statevector.sample_expect_z``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 from array import array
 
@@ -96,20 +97,18 @@ def sample_batch(expectations, X, *, shots: int, seed: int) -> np.ndarray:
         raise ValueError(f"expected one feature row per row of expectations, got shape "
                          f"{X.shape} for {len(expectations)} rows")
     prefix = int(seed).to_bytes(8, "little")
+    raw, width = X.tobytes(), 8 * X.shape[1]
+    digest, from_bytes = hashlib.blake2b, int.from_bytes
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    row_key = state["state"]  # only its state and increment change from row to row
     draws = array("d")  # raw doubles: a quarter of what a list of Python floats holds
-    for row, row_expectations in zip(X, expectations.tolist()):
+    for start, row_expectations in zip(itertools.count(0, width), expectations.tolist()):
         # Stable across runs: Python's hash() is salted, so hash the bytes instead.
-        key = hashlib.blake2b(prefix + row.tobytes(), digest_size=32).digest()
+        key = digest(prefix + raw[start:start + width], digest_size=32).digest()
         with _SHOT_LOCK:
-            _SHOT_BITS.state = {
-                "bit_generator": "PCG64",
-                "state": {
-                    "state": int.from_bytes(key[:16], "little"),
-                    "inc": int.from_bytes(key[16:], "little") | 1,
-                },
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            row_key["state"] = from_bytes(key[:16], "little")
+            row_key["inc"] = from_bytes(key[16:], "little") | 1
+            _SHOT_BITS.state = state
             draws.extend([sample_expect_z(e, shots=shots, rng=_SHOT_RNG)
                           for e in row_expectations])
     return np.frombuffer(draws).reshape(expectations.shape)

@@ -6,10 +6,13 @@ loops) so it shares no code paths with the package under test.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 
 import numpy as np
+
+from hqloc.data import CANONICAL_FIELDS, DataFormatError, RssiSample, not_utf8
 
 
 def single_gate_matrix(kind: str, angle: float | None) -> np.ndarray:
@@ -212,3 +215,120 @@ def synthetic_loop(room, tx, pl0, n_exp, sigma, rng_seed, n_points=None, positio
         rssi = rssi + rng.normal(0.0, sigma, size=3)
         samples.append((tuple(rssi), tuple(pos)))
     return samples
+
+
+# The CSV parser as one checked loop over rows that builds a sample each, as
+# it stood before the one-pass table parser; load_csv_reference is its entry.
+
+
+def _resolve_columns(mapping, header, path) -> list[int]:
+    columns = []
+    for field in CANONICAL_FIELDS:
+        source = mapping[field]
+        if isinstance(source, int):
+            if source < 0:
+                raise DataFormatError(f"{path}: column index {source} for {field!r} is negative")
+            columns.append(source)
+        else:
+            if header is None:
+                raise DataFormatError(
+                    f"{path}: mapping names column {source!r} but the file was "
+                    "loaded without a header"
+                )
+            try:
+                columns.append(header.index(source))
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: column {source!r} for {field!r} not in header {header}"
+                ) from None
+    return columns
+
+
+def _csv_rows(path):
+    """(line, row) pairs of a UTF-8 CSV file; a row's line is where it starts in the file."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        try:
+            for row in reader:
+                yield line, row
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            # The decoder reads ahead of the rows, so the bad byte is found in the raw file.
+            raise not_utf8(path) from None
+
+
+def load_csv_reference(
+    path,
+    has_header: bool = False,
+    mapping: dict[str, int | str] | None = None,
+    aggregate_positions: bool = False,
+) -> list[RssiSample]:
+    """Parse an RSSI fingerprint CSV into samples, in file order.
+
+    Without a mapping every row must have exactly the five canonical numeric
+    fields. ``aggregate_positions`` averages the RSSI triples of rows sharing
+    an identical (x, y), keeping first-seen position order. An empty file
+    yields an empty list, and a leading UTF-8 byte-order mark is dropped.
+    Malformed rows, bytes that are not UTF-8 and fields past the csv module's
+    size limit raise :class:`DataFormatError` naming the line.
+    """
+    samples: list[RssiSample] = []
+    header: list[str] | None = None
+    columns: list[int] | None = None
+    data_started = False
+    for lineno, row in _csv_rows(path):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        row = [cell.strip() for cell in row]
+        if has_header and not data_started:
+            header = row
+            data_started = True
+            continue
+        data_started = True
+        if columns is None:
+            if mapping is not None:
+                columns = _resolve_columns(mapping, header, path)
+            else:
+                columns = list(range(len(CANONICAL_FIELDS)))
+        if mapping is None and len(row) != len(CANONICAL_FIELDS):
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected {len(CANONICAL_FIELDS)} "
+                f"fields, got {len(row)}"
+            )
+        if max(columns) >= len(row):
+            raise DataFormatError(
+                f"{path}: line {lineno}: row has {len(row)} fields, "
+                f"mapping needs column {max(columns)}"
+            )
+        values = []
+        for field, col in zip(CANONICAL_FIELDS, columns):
+            try:
+                value = float(row[col])
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: non-numeric value {row[col]!r} "
+                    f"for field {field!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DataFormatError(
+                    f"{path}: line {lineno}: non-finite value for field {field!r}"
+                )
+            values.append(value)
+        samples.append(RssiSample(rssi=tuple(values[:3]), position=tuple(values[3:])))
+    if aggregate_positions:
+        samples = _aggregate_by_position(samples)
+    return samples
+
+
+def _aggregate_by_position(samples: list[RssiSample]) -> list[RssiSample]:
+    groups: dict[tuple[float, float], list[tuple[float, float, float]]] = {}
+    for s in samples:
+        groups.setdefault(s.position, []).append(s.rssi)
+    merged = []
+    for position, triples in groups.items():
+        mean = np.mean(np.asarray(triples, dtype=float), axis=0)
+        merged.append(RssiSample(rssi=tuple(mean), position=position))
+    return merged

@@ -418,6 +418,17 @@ class TestEval:
             outs.append((out_dir / "eval_rmse.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_a_csv_without_rows_is_one_line_error(self, tmp_path, train_csv, capsys):
+        model_file = self.run_train(tmp_path, train_csv)
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("rssi_a,rssi_b,rssi_c,x,y\n\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["eval", "--model-file", str(model_file), "--data", str(header_only),
+                     "--has-header", "--out-dir", str(tmp_path / "e")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {header_only}: no samples found"]
+        assert not (tmp_path / "e").exists()
+
     def test_model_without_scaler_refuses_raw_readings(self, tmp_path, capsys):
         model_file = tmp_path / "model.params"
         save_model(model_file, init_hybrid_model(1))

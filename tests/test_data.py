@@ -25,6 +25,7 @@ from hqloc.data import (
     grid_positions,
     load_csv,
     load_mapping,
+    load_table,
     save_csv,
     scenario_meta,
     targets_matrix,
@@ -33,7 +34,7 @@ from hqloc.data import (
     transform_samples,
 )
 
-from oracles import synthetic_loop
+from oracles import load_csv_reference, synthetic_loop
 
 
 def make_samples(rng, n=12):
@@ -192,6 +193,106 @@ class TestCsvFuzz:
         for s in samples:
             assert len(s.rssi) == 3 and len(s.position) == 2
             assert all(math.isfinite(v) for v in (*s.rssi, *s.position))
+
+
+# Cells of a survey file. Most are readings, some padded or odd ("\x1c" is
+# whitespace to str.strip() but not to float(), "٣" is an Arabic-Indic three),
+# and one in twenty is a fault or a blank. Quoted cells hold a comma or line breaks.
+survey_numbers = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from([" -50 ", "\x1c-50", "\u00a07", "1_000", "٣", "1e308", "-0.0", '"-50\n"']),
+)
+survey_faults = st.sampled_from([
+    "", " ", "  \t", "nan", "-inf", "inf", "1e400", "-1e400", "abc", "a", '"1\r\n2"', '"4,5"',
+    '"a\rb"',
+])
+survey_cells = st.integers(0, 19).flatmap(lambda k: survey_faults if k == 0 else survey_numbers)
+SURVEY_NAMES = ["a", "b", "x", "rssi_a", " b ", "7"]
+
+
+@st.composite
+def survey_cases(draw):
+    """(text, has_header, mapping, aggregate_positions) of one generated survey file.
+
+    A mapped file is seven columns wide, so its index sources 0-6 fit; a row
+    of another width, a blank row or a bad source turns up now and then.
+    """
+    has_header = draw(st.booleans())
+    mapping, width = None, 5
+    if draw(st.booleans()):
+        width = 7
+        named = st.sampled_from(SURVEY_NAMES[:4]) if has_header else st.just("a")
+        sources = st.integers(0, 19).flatmap(
+            lambda k: st.one_of(st.just(-1), named) if k == 0 else
+            named if k < 4 * has_header else st.integers(0, 6))
+        mapping = {field: draw(sources) for field in ("rssi_a", "rssi_b", "rssi_c", "x", "y")}
+    rows = []
+    if has_header:
+        rows.append(draw(st.lists(st.sampled_from(SURVEY_NAMES), min_size=width,
+                                  max_size=width)))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            rows.append(draw(st.lists(survey_cells, max_size=8)))
+        elif kind == 1:
+            rows.append(draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=3)))
+        else:
+            rows.append(draw(st.lists(survey_cells, min_size=width, max_size=width)))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(",".join(cells) + draw(ends) for cells in rows)
+    return "\ufeff" * draw(st.booleans()) + text, has_header, mapping, draw(st.booleans())
+
+
+def _bits(rows) -> list[list[str]]:
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+class TestTableMatchesReference:
+    """load_table gives the per-row loop's values bit for bit, or its exact error."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(survey_cases())
+    @example(("1e308,1e308,1e308,1e308,1e308\n-1,-2,-3,1e308,1e308\n", False, None, False))
+    @example(("rssi_a,b\r\n1,2,3,4,5\r\n1,nan,x,4,5\r\n", True, None, False))
+    @example(('1,2,3,4,5\n"1\n2",abc,inf,4\n1,2\n', False, None, False))
+    @example(("\ufeff-50,-60,-70,1,2\n-52,-62,-72,1,2\n-40,-41,-42,1.0,2\n", False, None, True))
+    @example(("1e308,0,0,1,2\n1e308,0,0,1,2\n", False, None, True))
+    @example(("1,2,3,4,5\n1,2,3,4\n", False, {"rssi_a": 4, "rssi_b": 0, "rssi_c": 1, "x": 2, "y": 3},
+              False))
+    @example(("x,a,b\n1,2,3,4,5,6,7\n1,2\n", True,
+              {"rssi_a": "a", "rssi_b": 6, "rssi_c": "b", "x": 0, "y": "x"}, False))
+    def test_values_or_error_equal_the_reference(self, tmp_path, case):
+        text, has_header, mapping, aggregate = case
+        path = tmp_path / "survey.csv"
+        path.write_bytes(text.encode())
+        args = (path, has_header, mapping, aggregate)
+        try:
+            expected = load_csv_reference(*args)
+        except (DataFormatError, RuntimeWarning) as exc:
+            # The tests raise numpy's RuntimeWarnings: an aggregated mean of readings near
+            # the float64 limit overflows in both parsers.
+            with pytest.raises(type(exc)) as raised:
+                load_table(*args)
+            assert str(raised.value) == str(exc)
+            return
+        table = load_table(*args)
+        assert table.shape == (len(expected), 5) and table.dtype == np.float64
+        assert _bits(table.tolist()) == _bits([(*s.rssi, *s.position) for s in expected])
+        assert load_csv(*args) == expected
+
+    def test_finite_fields_whose_sum_overflows_load(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("1e308,1e308,1e308,1e308,1e308\n-1e308,-1e308,-1,1e308,1e308\n",
+                        encoding="utf-8")
+        table = load_table(path)
+        assert table.tolist() == [[1e308] * 5, [-1e308, -1e308, -1.0, 1e308, 1e308]]
+
+    def test_an_empty_file_gives_an_empty_table(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        assert load_table(path).shape == (0, 5)
 
 
 class TestMapping:

@@ -4,8 +4,9 @@ numpy picks a SIMD loop per ufunc at import, by what the CPU supports, and
 some loops round differently from one level to the next. Each run here is a
 fresh process with ``NPY_DISABLE_CPU_FEATURES`` and the BLAS thread count set
 in its environment only, so it sees what another CPU would see. Every run
-makes the same `hqloc gen-synthetic` files and the same short `hqloc
-compare` cell, sampled rows included, and all of them must be equal bytes.
+makes the same `hqloc gen-synthetic` files, the same short `hqloc compare`
+cell, the same `hqloc train --test` model and the same exact and sampled
+`hqloc eval` of it, and all of them must be equal bytes.
 """
 
 import json
@@ -67,12 +68,19 @@ def _outputs(out_dir: Path, disabled, blas_threads) -> dict[str, bytes]:
     for name, n, seed in (("train.csv", 40, 1), ("test.csv", 20, 2)):
         _run([*cli, "gen-synthetic", "--room", "6x5.5", "--n", str(n), "--sigma", "2",
               "--seed", str(seed), "--out", str(out_dir / name)], env)
-    _run([*cli, "compare", "--train", str(out_dir / "train.csv"),
-          "--test", str(out_dir / "test.csv"), "--has-header", "--scenario", "Sc-1",
+    train, test = str(out_dir / "train.csv"), str(out_dir / "test.csv")
+    _run([*cli, "compare", "--train", train, "--test", test, "--has-header", "--scenario", "Sc-1",
           "--technology", "WiFi", "--seeds", "1", "2", "--epochs", "20", "--shots", "4096",
           "--out-dir", str(out_dir / "cmp")], env)
-    paths = [out_dir / "train.csv", out_dir / "test.csv", out_dir / "cmp" / "comparison.csv"]
-    return {path.name: path.read_bytes() for path in paths}
+    _run([*cli, "train", "--data", train, "--test", test, "--has-header", "--epochs", "20",
+          "--seed", "1", "--out-dir", str(out_dir / "model")], env)
+    model = str(out_dir / "model" / "model.params")
+    for name, shots in (("exact", []), ("shots", ["--shots", "4096", "--seed", "3"])):
+        _run([*cli, "eval", "--model-file", model, "--data", test, "--has-header", *shots,
+              "--out-dir", str(out_dir / name)], env)
+    paths = ["train.csv", "test.csv", "cmp/comparison.csv", "model/model.params",
+             "model/loss_trace.csv", "exact/eval_rmse.csv", "shots/eval_rmse.csv"]
+    return {path: (out_dir / path).read_bytes() for path in paths}
 
 
 def test_gen_synthetic_and_compare_are_the_same_bytes_at_every_dispatch_level(tmp_path):
@@ -86,7 +94,8 @@ def test_gen_synthetic_and_compare_are_the_same_bytes_at_every_dispatch_level(tm
         outputs = _outputs(out_dir, disabled, threads)
         if reference is None:
             reference = outputs
-            assert b"hqnn_shots" in outputs["comparison.csv"]
+            assert b"hqnn_shots" in outputs["cmp/comparison.csv"]
+            assert outputs["exact/eval_rmse.csv"] != outputs["shots/eval_rmse.csv"]
             continue
         for name, content in outputs.items():
             assert content == reference[name], (
