@@ -26,14 +26,15 @@ it: :func:`backward_batch` runs both for a given upstream gradient, and
 pass, so a training epoch runs the network once. Backprop writes each layer's
 gradient into its views of one ``params``-layout array.
 
-A pass writes its layer outputs, ReLU masks and input gradients with
-numpy's ``out=``, in one of two modes. A one-off call passes ``out=None`` and
-gets fresh arrays, and cuts the layer views of its gradient itself. A
-training loop instead builds one :class:`Workspace` per run, for a baseline
-network or a hybrid model's head, which holds a gradient buffer and its
-layer views, cut once, and :func:`loss_and_grad` writes every epoch into it,
-so a stack's (S, n, 128)-sized arrays are not made anew each epoch. Both
-modes run the same lines and give the same bits.
+Backprop has one buffer mode: it writes its ReLU masks, input gradients and
+parameter gradient with numpy's ``out=`` into a :class:`Workspace`, which
+holds those buffers and the gradient's layer views, cut once. A training
+loop builds one per run, for a baseline network or a hybrid model's head,
+and :func:`loss_and_grad` writes every epoch's layer outputs and gradients
+into it, so a stack's (S, n, 128)-sized arrays are not made anew each epoch.
+A one-off :func:`backward_batch` builds one for its call. A forward pass
+alone (:func:`forward_batch`, so each live fix) builds none and writes
+fresh arrays.
 """
 
 from __future__ import annotations
@@ -213,30 +214,26 @@ def _trace(net: DenseNet, V, work: Workspace | None = None) -> list[np.ndarray]:
     return acts
 
 
-def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray,
-              work: Workspace | None = None):
+def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray, work: Workspace):
     """Parameter gradient (``params`` layout) and input gradients from a forward trace.
 
     The parameter gradient is written into ``work``'s gradient through its
-    views, the masks and deltas into ``work``'s buffers; without ``work``,
-    into fresh arrays. The ReLU subgradient at exactly 0 is taken as 0;
-    ``upstream`` is not modified.
+    views, the masks and deltas into ``work``'s buffers. The ReLU subgradient
+    at exactly 0 is taken as 0; ``upstream`` is not modified.
     """
-    grad = np.empty(_params_shape(net)) if work is None else work.grad
-    views = layer_views(net, grad) if work is None else work.grad_views
     delta = upstream
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
-        weight_grad, bias_grad = views[i]
+        weight_grad, bias_grad = work.grad_views[i]
         if layer.activation == "relu":
             # The output layer is linear, so delta here is the product the
             # layer above wrote, never ``upstream``: it is masked in place.
-            mask = np.greater(acts[i + 1], 0.0, out=None if work is None else work.masks[i])
+            mask = np.greater(acts[i + 1], 0.0, out=work.masks[i])
             np.multiply(delta, mask, out=delta)
         np.matmul(delta.swapaxes(-1, -2), acts[i], out=weight_grad)
         np.add.reduce(delta, axis=-2, out=bias_grad)  # ndarray.sum's reduce, called directly
-        delta = np.matmul(delta, layer.weight, out=None if work is None else work.deltas[i])
-    return grad, delta
+        delta = np.matmul(delta, layer.weight, out=work.deltas[i])
+    return work.grad, delta
 
 
 def forward_batch(net: DenseNet, V) -> np.ndarray:
@@ -262,7 +259,8 @@ def backward_batch(net: DenseNet, V, upstream) -> tuple[np.ndarray, np.ndarray]:
 
     ``upstream`` holds dL/d(output) per row. Returns the flat gradient, laid
     out like ``net.params``, plus the per-row gradients with respect to the
-    inputs. The ReLU subgradient at exactly 0 is taken as 0.
+    inputs. The ReLU subgradient at exactly 0 is taken as 0. The call builds
+    a :class:`Workspace` of its own, so the arrays it returns are its own.
     """
     acts = _trace(net, V)
     upstream = np.asarray(upstream, dtype=float)
@@ -270,19 +268,18 @@ def backward_batch(net: DenseNet, V, upstream) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"expected upstream of shape {acts[-1].shape}, got {upstream.shape}"
         )
-    return _backprop(net, acts, upstream)
+    return _backprop(net, acts, upstream, workspace(net, upstream.shape[-2]))
 
 
-def loss_and_grad(net: DenseNet, V, Z,
-                  work: Workspace | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+def loss_and_grad(net: DenseNet, V, Z, work: Workspace) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch MSE against targets ``Z`` and its gradients, from one forward pass.
 
     Returns the loss, the flat parameter gradient and the per-row input
     gradients. They equal ``mse_loss(forward_batch(net, V), Z)`` and
     ``backward_batch(net, V, 2 * (pred - Z) / n)`` bit for bit. A stack
-    shares the targets and returns an (S,) array of losses. Given ``work``
-    (:func:`workspace`), the pass writes into its buffers and returns views
-    of them; without it, the pass allocates its own.
+    shares the targets and returns an (S,) array of losses. The pass writes
+    into ``work``'s buffers (:func:`workspace`) and returns views of them,
+    which the next pass into ``work`` overwrites.
     """
     acts = _trace(net, V, work)
     pred = acts[-1]

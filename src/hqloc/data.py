@@ -1,4 +1,4 @@
-"""RSSI fingerprint datasets: CSV ingestion, scaling, splits, synthetic generation.
+"""RSSI fingerprint datasets: CSV ingestion, scaling, synthetic generation.
 
 Canonical CSV schema: five numeric columns ``rssi_a, rssi_b, rssi_c, x, y``
 (RSSI in dBm, position in meters), comma-separated, optional single header
@@ -188,7 +188,8 @@ def load_table(
     byte-order mark is dropped. Malformed rows, bytes that are not UTF-8 and
     fields past the csv module's size limit raise :class:`DataFormatError`
     naming the line; the first fault in file order, and in field order within
-    its row, is the one reported.
+    its row, is the one reported. So does an aggregated position whose
+    readings average beyond the float64 range, naming the position.
     """
     values = array("d")  # raw doubles: a quarter of what a list of Python floats holds
     header: list[str] | None = None
@@ -251,18 +252,31 @@ def load_table(
                 fields.append(value)
             values.extend(fields)
     table = np.frombuffer(values).reshape(-1, len(CANONICAL_FIELDS))
-    return _aggregate_by_position(table) if aggregate_positions else table
+    return _aggregate_by_position(table, path) if aggregate_positions else table
 
 
-def _aggregate_by_position(table: np.ndarray) -> np.ndarray:
+def _aggregate_by_position(table: np.ndarray, path) -> np.ndarray:
+    """One row per distinct (x, y), first-seen order, holding its rows' mean RSSI.
+
+    Finite readings near the float64 limit can average to an infinite one; that
+    raises :class:`DataFormatError` naming the file and the first such position.
+    """
     groups: dict[tuple[float, float], list[int]] = {}
     for i, (x, y) in enumerate(table[:, 3:].tolist()):
         groups.setdefault((x, y), []).append(i)
-    merged = [
-        [*np.mean(table[rows, :3], axis=0).tolist(), *position]
-        for position, rows in groups.items()
-    ]
-    return np.array(merged, dtype=float).reshape(-1, len(CANONICAL_FIELDS))
+    with np.errstate(over="ignore"):  # an overflowing mean is refused below
+        merged = np.array([
+            [*np.mean(table[rows, :3], axis=0).tolist(), *position]
+            for position, rows in groups.items()
+        ], dtype=float).reshape(-1, len(CANONICAL_FIELDS))
+    finite = np.isfinite(merged[:, :3]).all(axis=1)
+    if not finite.all():
+        x, y = merged[finite.argmin(), 3:].tolist()
+        raise DataFormatError(
+            f"{path}: the RSSI readings at position ({x!r}, {y!r}) average beyond "
+            "the float64 range"
+        )
+    return merged
 
 
 def load_csv(
@@ -419,22 +433,6 @@ def gen_synthetic(
     rssi = pl0 - 10.0 * n_exp * np.array([math.log10(r) for r in ratios]).reshape(dists.shape)
     rssi = rssi + rng.normal(0.0, sigma, size=(len(positions), 3))
     return [RssiSample(rssi=tuple(r), position=tuple(pos)) for r, pos in zip(rssi, positions)]
-
-
-def train_test_split(samples, n_train: int, n_test: int, seed: int = 0):
-    """Seeded shuffle, then the first ``n_train`` / next ``n_test`` samples."""
-    for name, count in (("n_train", n_train), ("n_test", n_test)):
-        check_integer(name, count)
-        if count < 0:
-            raise ValueError(f"{name} must be >= 0, got {count}")
-    if n_train + n_test > len(samples):
-        raise ValueError(
-            f"split {n_train}+{n_test} exceeds the {len(samples)} available samples"
-        )
-    order = np.random.default_rng(seed).permutation(len(samples))
-    train = [samples[i] for i in order[:n_train]]
-    test = [samples[i] for i in order[n_train : n_train + n_test]]
-    return train, test
 
 
 def gen_scenario_standin(name: str, technology: str, seed: int = 0, n_test: int | None = None):

@@ -31,16 +31,19 @@ it samples the exact expectations in between, the only sampled path: each
 row's draws are keyed once, on the seed and the row's scaled features. The
 trained model is the same in both cases.
 
-A training run builds its workspace once: Adam's moments and scratch, and the
-gradient buffer and layer buffers of a :class:`classical.Workspace`, for a
-dense network or a hybrid model's head. Every epoch writes into them and
-steps ``params`` in place, so an epoch after the first allocates no array of
-128 KiB or more (a 3-seed 3-128-64-2 stack's arrays are 75-213 KB each), and
-glibc does not unmap and fault in such blocks every epoch. Both kinds run one
-buffered pass of :func:`classical.loss_and_grad`. A hybrid run computes its
-rows' Pauli features once, its exact kernel reads phi's compiled coefficients
-from the quantum layer's cache, and its pass allocates only the (S, n, 3, 6)
-Jacobian and the (S, 200) joint gradient, a few KiB per stack.
+A training run picks its optimizer step once, Adam or SGD, and builds its
+state once: for Adam, one :class:`optim.AdamState` (moments and scratch, with
+Kingma & Ba's fixed betas and epsilon), which every step advances in place,
+and for either, the gradient buffer and layer buffers of a
+:class:`classical.Workspace`, for a dense network or a hybrid model's head.
+Every epoch writes into them and steps ``params`` in place, so an epoch
+after the first allocates no array of 128 KiB or more (a 3-seed 3-128-64-2
+stack's arrays are 75-213 KB each), and glibc does not unmap and fault in
+such blocks every epoch. Both kinds run one buffered pass of
+:func:`classical.loss_and_grad`. A hybrid run computes its rows' Pauli
+features once, its exact kernel reads phi's compiled coefficients from the
+quantum layer's cache, and its pass allocates only the (S, n, 3, 6) Jacobian
+and the (S, 200) joint gradient, a few KiB per stack.
 """
 
 from __future__ import annotations
@@ -122,15 +125,16 @@ def hqnn_grad(model: HybridModel, X, Z) -> np.ndarray:
     """Gradient of the batch MSE with respect to all trainable parameters.
 
     Laid out like ``model.params``; a stacked model gives one gradient row per
-    model. It is the training pass of :func:`_model_ops` with fresh head
-    arrays.
+    model. It is the training pass of :func:`_model_ops`, into a head
+    workspace built for this call.
     """
     X, Z = _batch(X, Z, "gradient batch")
-    return _hqnn_grad(model, pauli_features(encode_batch(check_features(X, N_FEATURES))), Z)
+    features = pauli_features(encode_batch(check_features(X, N_FEATURES)))
+    return _hqnn_grad(model, features, Z, classical.workspace(model.head, len(X)))
 
 
 def _hqnn_grad(model: HybridModel, features: np.ndarray, Z: np.ndarray,
-               work: classical.Workspace | None = None) -> np.ndarray:
+               work: classical.Workspace) -> np.ndarray:
     """The joint gradient over Pauli ``features``: the head's pass into ``work``, then phi's.
 
     Head gradients come from reverse mode; quantum gradients chain the head's
@@ -263,7 +267,11 @@ def train_stack(models, X, Z, config: TrainConfig) -> list[TrainReport | Excepti
     start = time.perf_counter()
     stack = _stack(models)  # copies the models' params unless it is a stack of one
     train_mse, loss_and_grad = _model_ops(stack, X, Z)
-    adam_state = optim.init_adam(stack.params.shape, eta=config.eta)
+    # Looked up in ``optim`` when the run starts, so a step patched there is the one taken.
+    if config.optimizer == "adam":
+        step = partial(optim.adam_step, optim.init_adam(stack.params.shape, eta=config.eta))
+    else:
+        step = partial(optim.sgd_step, eta=config.eta)
     trace = np.empty((config.epochs, len(models)))  # one column per model
 
     def loss_failure(losses, epoch: int) -> RuntimeError | None:
@@ -282,13 +290,10 @@ def train_stack(models, X, Z, config: TrainConfig) -> list[TrainReport | Excepti
             trace[epoch] = losses
             if failure := loss_failure(losses, epoch):
                 break
-            if config.optimizer == "sgd":
-                optim.sgd_step(stack.params, grads, config.eta)
-                continue
             try:
-                adam_state, _ = optim.adam_step(adam_state, stack.params, grads)
+                step(stack.params, grads)
             except ValueError as exc:
-                if np.isfinite(grads).all():  # not a gradient it refuses
+                if np.isfinite(grads).all():  # not a gradient adam_step refuses
                     raise
                 failure = exc
                 break

@@ -23,6 +23,7 @@ from hqloc.classical import (
     loss_and_grad,
     mse_loss,
     stack,
+    workspace,
 )
 
 from oracles import fd_gradient
@@ -209,7 +210,7 @@ class TestLossAndGrad:
         pre = V @ net.layers[0].weight.T + net.layers[0].bias
         assert (pre <= 0.0).any()  # the ReLU mask is exercised
 
-        loss, grad, input_grads = loss_and_grad(net, V, Z)
+        loss, grad, input_grads = loss_and_grad(net, V, Z, workspace(net, n))
         pred = forward_batch(net, V)
         ref_grad, ref_input_grads = backward_batch(net, V, 2.0 * (pred - Z) / n)
         assert loss == mse_loss(pred, Z)
@@ -221,18 +222,18 @@ class TestLossAndGrad:
         V = np.array([[0.3, -0.7], [1.0, 2.0]])
         Z = np.array([[1.0, 0.0], [0.0, 1.0]])
         before = (V.copy(), Z.copy(), net.params.copy())
-        loss_and_grad(net, V, Z)
+        loss_and_grad(net, V, Z, workspace(net, len(V)))
         for a, b in zip((V, Z, net.params), before):
             np.testing.assert_array_equal(a, b)
 
     def test_validation(self):
         net = tiny_net()
         with pytest.raises(ValueError, match="expected batch"):
-            loss_and_grad(net, np.zeros((4, 3)), np.zeros((4, 2)))
+            loss_and_grad(net, np.zeros((4, 3)), np.zeros((4, 2)), workspace(net, 4))
         with pytest.raises(ValueError, match="expected targets of shape"):
-            loss_and_grad(net, np.zeros((4, 2)), np.zeros((3, 2)))
+            loss_and_grad(net, np.zeros((4, 2)), np.zeros((3, 2)), workspace(net, 4))
         with pytest.raises(ValueError, match="at least one sample"):
-            loss_and_grad(net, np.zeros((0, 2)), np.zeros((0, 2)))
+            loss_and_grad(net, np.zeros((0, 2)), np.zeros((0, 2)), workspace(net, 0))
 
 
 class TestParamVector:
@@ -339,13 +340,13 @@ class TestStack:
             Z = rng.uniform(-3.0, 3.0, size=(9, 2))
             upstream = rng.uniform(-1.0, 1.0, size=(n_stack, 9, 2))
             preds = forward_batch(stacked, V)
-            losses, grads, input_grads = loss_and_grad(stacked, V, Z)
+            losses, grads, input_grads = loss_and_grad(stacked, V, Z, workspace(stacked, 9))
             back_grads, back_input_grads = backward_batch(stacked, V, upstream)
             assert preds.shape == (n_stack, 9, 2) and grads.shape == stacked.params.shape
             mse = mse_loss(preds, Z)
             for s, net in enumerate(nets):
                 V_s = V[s] if per_network_batch else V
-                loss, grad, input_grad = loss_and_grad(net, V_s, Z)
+                loss, grad, input_grad = loss_and_grad(net, V_s, Z, workspace(net, 9))
                 assert losses[s] == loss
                 np.testing.assert_array_equal(grads[s], grad)
                 np.testing.assert_array_equal(input_grads[s], input_grad)

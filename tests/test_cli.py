@@ -85,6 +85,17 @@ class TestExitCodes:
         assert code == 1
         assert "no samples" in capsys.readouterr().err
 
+    def test_readings_that_average_beyond_float64_are_one_line_error(self, tmp_path, capsys):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("1e308,0,0,1,2\n1e308,0,0,1,2\n-50,-60,-70,3,4\n", encoding="utf-8")
+        code = main(["train", "--data", str(huge), "--aggregate-positions",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {huge}: the RSSI readings at position (1.0, 2.0) average beyond the "
+            "float64 range"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("content, reason", [
         (b"-50,-60,-70,1,2\n-50,-6\xff0,-70,1,2\n", "byte 0xff"),
         (b"-50,-60,-70,1,2\n" + b"1" * 200_000 + b",1,1,1,1\n", "field larger"),

@@ -29,7 +29,6 @@ from hqloc.data import (
     save_csv,
     scenario_meta,
     targets_matrix,
-    train_test_split,
     transform,
     transform_samples,
 )
@@ -270,10 +269,15 @@ class TestTableMatchesReference:
         args = (path, has_header, mapping, aggregate)
         try:
             expected = load_csv_reference(*args)
-        except (DataFormatError, RuntimeWarning) as exc:
-            # The tests raise numpy's RuntimeWarnings: an aggregated mean of readings near
-            # the float64 limit overflows in both parsers.
-            with pytest.raises(type(exc)) as raised:
+        except RuntimeWarning:
+            # The reference averages readings near the float64 limit into inf, with
+            # numpy's overflow warning, which the tests raise; load_table refuses the file.
+            with pytest.raises(DataFormatError, match=re.escape(f"{path}: the RSSI readings at "
+                                                                "position (")):
+                load_table(*args)
+            return
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as raised:
                 load_table(*args)
             assert str(raised.value) == str(exc)
             return
@@ -416,6 +420,18 @@ class TestAggregation:
         )
         samples = load_csv(path, aggregate_positions=True)
         assert [s.position for s in samples] == [(9.0, 9.0), (0.0, 0.0)]
+
+    def test_readings_that_average_beyond_float64_name_the_file_and_position(self, tmp_path):
+        # Every reading is finite, but the two at (1, 2) sum to inf and the two
+        # at (5, 6) to -inf; the first in file order is named.
+        path = tmp_path / "huge.csv"
+        path.write_text("-40,-41,-42,3,4\n1e308,0,0,1,2\n1e308,0,0,1,2\n-1e308,0,-1e308,5,6\n"
+                        "-1e308,0,-1e308,5,6\n", encoding="utf-8")
+        message = f"{path}: the RSSI readings at position (1.0, 2.0) average beyond the float64 range"
+        for load in (load_table, load_csv):
+            with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+                load(path, aggregate_positions=True)
+        assert load_table(path).shape == (5, 5)  # unaggregated, every row loads
 
 
 class TestScaler:
@@ -675,42 +691,6 @@ class TestSyntheticGenerator:
         meta = scenario_meta("Sc-1", "WiFi")
         with pytest.raises(ValueError, match=re.escape(f"n_points must be an integer, got {n_points!r}")):
             gen_synthetic(meta, n_points=n_points)
-
-
-class TestTrainTestSplit:
-    def test_sizes_and_disjointness(self):
-        rng = np.random.default_rng(6)
-        samples = make_samples(rng, n=20)
-        train, test = train_test_split(samples, 15, 5, seed=1)
-        assert len(train) == 15 and len(test) == 5
-        ids = {id(s) for s in train} | {id(s) for s in test}
-        assert len(ids) == 20
-
-    def test_seeded_shuffle_is_reproducible(self):
-        rng = np.random.default_rng(7)
-        samples = make_samples(rng, n=10)
-        a = train_test_split(samples, 6, 4, seed=3)
-        b = train_test_split(samples, 6, 4, seed=3)
-        c = train_test_split(samples, 6, 4, seed=4)
-        assert a == b
-        assert a != c
-
-    def test_oversized_split_rejected(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(ValueError):
-            train_test_split(make_samples(rng, n=5), 4, 2)
-
-    @pytest.mark.parametrize("n_train, n_test, message", [
-        (-1, 5, "n_train must be >= 0, got -1"),
-        (3, -2, "n_test must be >= 0, got -2"),
-        (2.5, 3, "n_train must be an integer, got 2.5"),
-        (3, 2.5, "n_test must be an integer, got 2.5"),
-        (True, 3, "n_train must be an integer, got True"),
-    ])
-    def test_bad_counts_rejected(self, n_train, n_test, message):
-        samples = make_samples(np.random.default_rng(9), n=10)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            train_test_split(samples, n_train, n_test)
 
 
 class TestScenarioStandins:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hqloc.classical import backward_batch, forward, forward_batch, glorot_net, loss_and_grad, mse_loss
+from hqloc.classical import (backward_batch, forward, forward_batch, glorot_net, loss_and_grad,
+                             mse_loss, workspace)
 from hqloc.model_io import load_model, save_model
 from hqloc.qlayer import encode_batch, pauli_features, q_forward_batch
 from hqloc.train_eval import (
@@ -84,7 +85,10 @@ class TestFlatLayout:
     def test_flat_gradient_matches_finite_differences(self, kind, state, tmp_path):
         model = make_model(kind, state, tmp_path)
         X, Z = problem(11, 4)
-        grad = hqnn_grad(model, X, Z) if kind == "hybrid" else loss_and_grad(model, X, Z)[1]
+        if kind == "hybrid":
+            grad = hqnn_grad(model, X, Z)
+        else:
+            grad = loss_and_grad(model, X, Z, workspace(model, len(X)))[1]
         assert grad.shape == model.params.shape
         if kind == "hybrid":
             # The head's part is backward_batch's flat gradient on the expectations.

@@ -22,6 +22,7 @@ PINNED = {
     "qlayer.q_forward_batch": "sweeps_per_epoch on train",
     "qlayer.q_gradient_batch": "sweeps_per_epoch on train",
     "train_eval.train": "the training span sweeps_per_epoch divides by",
+    "optim.adam_step": "workload.epochs on train, the steps sweeps_per_epoch divides by",
 }
 
 
@@ -84,3 +85,21 @@ def test_the_encode_counter_reads_the_circuits_encoder():
     import hqloc.qlayer
 
     assert hqloc.qlayer.encode_batch is hqloc.circuits.encode_batch
+
+
+def test_a_traced_hybrid_training_counts_14_sweeps_and_one_adam_step_an_epoch(tracing):
+    # The train workload's sweeps_per_epoch and workload.epochs, read off a
+    # 5-epoch run: the tracer must see every sweep and every step, so a training
+    # loop holding an adam_step it took before the tracer was installed fails here.
+    from hqloc import data, train_eval
+
+    _, samples, _ = data.gen_scenario_standin("Sc-1", "WiFi", seed=1)
+    X, Z = data.transform_samples(data.fit_scaler(samples), samples)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        train_eval.train(train_eval.init_hybrid_model(1), X, Z, train_eval.TrainConfig(epochs=5))
+    finally:
+        tracer.uninstall()
+    assert tracer.epoch_sweeps() == (70, 5)
+    assert tracer.summary()["optim.adam_step"]["calls"] == 5

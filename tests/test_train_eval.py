@@ -215,7 +215,7 @@ class TestHybridGradient:
             preds = np.array([dense_forward(probe, x) for x in X])
             return mse_loss(preds, Z)
 
-        analytic = classical.loss_and_grad(net, X, Z)[1]
+        analytic = classical.loss_and_grad(net, X, Z, classical.workspace(net, len(X)))[1]
         numeric = fd_gradient(loss, net.params.copy(), h=1e-5)
         np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-6)
 
@@ -407,6 +407,30 @@ class TestTrainingLoop:
                 expected = mse_loss(classical.forward_batch(model.head, U), Z)
                 loss = report.final_train_mse if epoch == epochs else report.loss_per_epoch[epoch]
                 assert loss == expected, (epoch, loss, expected)
+
+    @pytest.mark.parametrize("make_model", [init_hybrid_model, baseline_net])
+    @pytest.mark.parametrize("seeds", [(1,), (1, 2, 3)])
+    def test_a_run_builds_adam_state_once_and_sgd_none(self, monkeypatch, make_model, seeds):
+        # The step is chosen once per run: an Adam run builds one state whatever
+        # its epoch count or stack size, and an SGD run builds no moments at all.
+        X, Z = small_problem(seed=8, n=7)
+        built, steps = [], []
+
+        def counted(calls, real):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(optim, "init_adam", counted(built, optim.init_adam))
+        monkeypatch.setattr(optim, "sgd_step", counted(steps, optim.sgd_step))
+        for optimizer, n_states, n_steps in (("adam", 1, 0), ("sgd", 0, 4)):
+            built.clear(), steps.clear()
+            models = [make_model(s) for s in seeds]
+            results = train_stack(models, X, Z, TrainConfig(optimizer, 0.01, 4))
+            assert not any(isinstance(r, Exception) for r in results)
+            assert len(built) == n_states and len(steps) == n_steps
 
 
 class TestCircuitCounts:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from hqloc import data, optim
-from hqloc.classical import baseline_net, hqnn_head, loss_and_grad, stack, workspace
+from hqloc.classical import (backward_batch, baseline_net, forward_batch, hqnn_head, loss_and_grad,
+                             mse_loss, stack, workspace)
 from hqloc.train_eval import TrainConfig, init_hybrid_model, train_stack
 
 KIB = 1024
@@ -93,18 +94,19 @@ def test_a_pass_into_a_workspace_equals_a_fresh_one_bit_for_bit(make, per_seed):
         lead = net.params.shape[:-1] if per_seed else ()
         V = rng.normal(size=(*lead, n, net.input_dim))
         Z = rng.normal(size=(n, net.output_dim))
-        loss, fresh_grad, fresh_inputs = loss_and_grad(net, V, Z)
         loss_w, grad_w, inputs_w = loss_and_grad(net, V, Z, work)
+        pred = forward_batch(net, V)
+        fresh_grad, fresh_inputs = backward_batch(net, V, 2.0 * (pred - Z) / n)
         assert grad_w is work.grad
         assert np.shares_memory(inputs_w, work.deltas[0])
-        np.testing.assert_array_equal(loss_w, loss)
+        np.testing.assert_array_equal(loss_w, mse_loss(pred, Z))
         np.testing.assert_array_equal(grad_w, fresh_grad)
         np.testing.assert_array_equal(inputs_w, fresh_inputs)
 
 
 def test_a_workspace_pass_cuts_no_gradient_views(monkeypatch):
     # The workspace cuts its gradient's layer views once; each pass into it
-    # reuses them, and a one-off pass still cuts its own.
+    # reuses them, and a one-off backward_batch cuts them for its own.
     import hqloc.classical as classical
 
     net = stack([baseline_net(s) for s in (1, 2, 3)])
@@ -122,10 +124,11 @@ def test_a_workspace_pass_cuts_no_gradient_views(monkeypatch):
         loss_w, grad_w, inputs_w = loss_and_grad(net, V, Z, work=work)
         assert grad_w is work.grad
         assert cuts == []
-        loss, grad, inputs = loss_and_grad(net, V, Z)
+        pred = forward_batch(net, V)
+        grad, inputs = backward_batch(net, V, 2.0 * (pred - Z) / len(V))
         assert len(cuts) == 1
         cuts.clear()
-        np.testing.assert_array_equal(loss_w, loss)
+        np.testing.assert_array_equal(loss_w, mse_loss(pred, Z))
         np.testing.assert_array_equal(grad_w, grad)
         np.testing.assert_array_equal(inputs_w, inputs)
 
