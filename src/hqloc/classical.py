@@ -29,12 +29,15 @@ gradient into its views of one ``params``-layout array.
 Backprop has one buffer mode: it writes its ReLU masks, input gradients and
 parameter gradient with numpy's ``out=`` into a :class:`Workspace`, which
 holds those buffers and the gradient's layer views, cut once. A training
-loop builds one per run, for a baseline network or a hybrid model's head,
-and :func:`loss_and_grad` writes every epoch's layer outputs and gradients
-into it, so a stack's (S, n, 128)-sized arrays are not made anew each epoch.
-A one-off :func:`backward_batch` builds one for its call. A forward pass
-alone (:func:`forward_batch`, so each live fix) builds none and writes
-fresh arrays.
+loop builds one per run, for a baseline network or a hybrid model's head.
+The workspace also holds views of the network's transposed weights and bias
+rows, made once, and the shapes of the batches it takes, so
+:func:`loss_and_grad` and :func:`loss` check their arguments with one shape
+compare each and write every epoch's layer outputs and gradients into it:
+a stack's (S, n, 128)-sized arrays are not made anew each epoch. A one-off
+:func:`backward_batch` builds one for its call. A forward pass alone
+(:func:`forward_batch`, so each live fix) builds none and writes fresh
+arrays.
 """
 
 from __future__ import annotations
@@ -121,18 +124,26 @@ def layer_views(net: DenseNet, flat: np.ndarray) -> list[tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class Workspace:
-    """Buffers one pass of a network over ``n`` rows writes into, in place of fresh arrays.
+    """What one pass of a network over ``n`` rows reads and writes, built once.
 
-    Layer i has its output, (n, out) or (S, n, out) in a stack; where that
-    output is > 0, for a ReLU layer (None for a linear one); and the product
-    of its weight with the gradient reaching it, which is the gradient with
-    respect to its input, (n, in) or (S, n, in). Backprop masks that product
-    in place for the ReLU layer below. ``grad`` is a parameter gradient in
-    ``params`` layout and ``grad_views`` its :func:`layer_views`. A pass given
-    a workspace returns these buffers or views of them, which the next pass
+    ``params`` is the network's parameter vector as bound when the workspace
+    was built. Layer i has its weight transposed, (in, out) or (S, in, out),
+    and its bias as one (1, out) row, both views of ``params`` that follow its
+    in-place updates; its output, (n, out) or (S, n, out) in a stack; where
+    that output is > 0, for a ReLU layer (None for a linear one); and the
+    product of its weight with the gradient reaching it, which is the gradient
+    with respect to its input, (n, in) or (S, n, in). Backprop masks that
+    product in place for the ReLU layer below. ``batch_shapes`` holds the
+    batch shapes a pass accepts, ``grad`` a parameter gradient in ``params``
+    layout and ``grad_views`` its :func:`layer_views`. A pass given a
+    workspace returns these buffers or views of them, which the next pass
     overwrites.
     """
 
+    params: np.ndarray
+    batch_shapes: tuple[tuple[int, ...], ...]
+    weights_t: list[np.ndarray]
+    biases: list[np.ndarray]
     outs: list[np.ndarray]
     masks: list[np.ndarray | None]
     deltas: list[np.ndarray]
@@ -140,12 +151,20 @@ class Workspace:
     grad_views: list[tuple[np.ndarray, np.ndarray]]
 
 
-def workspace(net: DenseNet, n_rows: int) -> Workspace:
-    """Empty buffers for :func:`loss_and_grad` on ``net`` over batches of ``n_rows`` rows."""
-    grad = np.empty(_params_shape(net))
+def workspace(net: DenseNet, n_rows: int, grad: np.ndarray | None = None) -> Workspace:
+    """Buffers for :func:`loss_and_grad` on ``net`` over batches of ``n_rows`` rows.
+
+    ``grad``, if given, is the ``params``-layout array the gradient goes into,
+    such as a view of a larger joint gradient.
+    """
+    grad = np.empty(_params_shape(net)) if grad is None else grad
     lead = grad.shape[:-1]
     outs = [np.empty((*lead, n_rows, layer.weight.shape[-2])) for layer in net.layers]
     return Workspace(
+        net.params,
+        tuple({(n_rows, net.input_dim), (*lead, n_rows, net.input_dim)}),
+        [layer.weight.swapaxes(-1, -2) for layer in net.layers],
+        [layer.bias[..., None, :] for layer in net.layers],
         outs,
         [np.empty(out.shape, dtype=bool) if layer.activation == "relu" else None
          for layer, out in zip(net.layers, outs)],
@@ -193,25 +212,59 @@ def baseline_net(rng) -> DenseNet:
     return glorot_net(BASELINE_SIZES, rng)
 
 
-def _trace(net: DenseNet, V, work: Workspace | None = None) -> list[np.ndarray]:
-    """Each layer's input and, last, the network output, for an (n, input_dim) batch.
-
-    A stack also takes an (S, n, input_dim) batch. Each layer's product is
-    written into ``work``'s buffer for it, or a fresh array without one, and
-    bias and ReLU act on it in place. A ReLU output is > 0 exactly where its
-    pre-activation is, so backprop reads each ReLU mask off the stored outputs.
-    """
-    V = np.asarray(V, dtype=float)
+def _check_batch(net: DenseNet, V: np.ndarray) -> None:
     if V.ndim not in (2, net.layers[0].weight.ndim) or V.shape[-1] != net.input_dim:
         raise ValueError(f"expected batch of shape (n, {net.input_dim}), got {V.shape}")
+
+
+def _trace(net: DenseNet, V) -> list[np.ndarray]:
+    """Each layer's input and, last, the network output, for an (n, input_dim) batch.
+
+    A stack also takes an (S, n, input_dim) batch. Each layer's product is a
+    fresh array, and bias and ReLU act on it in place. A ReLU output is > 0
+    exactly where its pre-activation is, so backprop reads each ReLU mask off
+    the stored outputs.
+    """
+    V = np.asarray(V, dtype=float)
+    _check_batch(net, V)
     acts = [V]
-    for i, layer in enumerate(net.layers):
-        V = np.matmul(V, layer.weight.swapaxes(-1, -2), out=None if work is None else work.outs[i])
+    for layer in net.layers:
+        V = np.matmul(V, layer.weight.swapaxes(-1, -2))
         V += layer.bias[..., None, :]
         if layer.activation == "relu":
             np.maximum(V, 0.0, out=V)
         acts.append(V)
     return acts
+
+
+def _loss(net: DenseNet, V, Z, work: Workspace):
+    """The trace of :func:`_trace` into ``work``'s buffers, the prediction minus ``Z``, and the MSE.
+
+    Checks the batch and the targets against ``work``'s shapes first.
+    """
+    V = np.asarray(V, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    if net.params is not work.params:
+        raise ValueError("the workspace was built for another network")
+    rows, outputs = work.outs[-1].shape[-2:]
+    if V.shape not in work.batch_shapes:
+        _check_batch(net, V)
+        raise ValueError(
+            f"expected a batch of {rows} rows, as the workspace was built for, got shape {V.shape}"
+        )
+    if Z.shape != (rows, outputs):
+        raise ValueError(f"expected targets of shape {(rows, outputs)}, got {Z.shape}")
+    if not len(Z):
+        raise ValueError("loss_and_grad needs at least one sample")
+    acts = [V]
+    for weight_t, bias, out, mask in zip(work.weights_t, work.biases, work.outs, work.masks):
+        V = np.matmul(V, weight_t, out=out)
+        V += bias
+        if mask is not None:  # only a ReLU layer has a mask
+            np.maximum(V, 0.0, out=V)
+        acts.append(V)
+    diff = V - Z
+    return acts, diff, mean_squared_norm(diff)
 
 
 def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray, work: Workspace):
@@ -271,6 +324,15 @@ def backward_batch(net: DenseNet, V, upstream) -> tuple[np.ndarray, np.ndarray]:
     return _backprop(net, acts, upstream, workspace(net, upstream.shape[-2]))
 
 
+def loss(net: DenseNet, V, Z, work: Workspace):
+    """``mse_loss(forward_batch(net, V), Z)`` bit for bit, from a forward pass into ``work``.
+
+    It checks and refuses what :func:`loss_and_grad` does, and overwrites
+    ``work``'s layer outputs but not its gradients.
+    """
+    return _loss(net, V, Z, work)[2]
+
+
 def loss_and_grad(net: DenseNet, V, Z, work: Workspace) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch MSE against targets ``Z`` and its gradients, from one forward pass.
 
@@ -279,25 +341,24 @@ def loss_and_grad(net: DenseNet, V, Z, work: Workspace) -> tuple[float, np.ndarr
     ``backward_batch(net, V, 2 * (pred - Z) / n)`` bit for bit. A stack
     shares the targets and returns an (S,) array of losses. The pass writes
     into ``work``'s buffers (:func:`workspace`) and returns views of them,
-    which the next pass into ``work`` overwrites.
+    which the next pass into ``work`` overwrites. ``V`` must have the
+    workspace's row count, and ``Z`` its (n, out) shape; ValueError otherwise,
+    or when ``work`` was built for another network or for no rows.
     """
-    acts = _trace(net, V, work)
-    pred = acts[-1]
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape != pred.shape[-2:]:
-        raise ValueError(f"expected targets of shape {pred.shape[-2:]}, got {Z.shape}")
-    if pred.shape[-2] == 0:
-        raise ValueError("loss_and_grad needs at least one sample")
-    diff = pred - Z
-    loss = mean_squared_norm(diff)
+    acts, diff, mse = _loss(net, V, Z, work)
     diff *= 2.0
     diff /= diff.shape[-2]
-    return (loss, *_backprop(net, acts, diff, work))
+    return (mse, *_backprop(net, acts, diff, work))
 
 
 def mean_squared_norm(diff: np.ndarray):
-    """:func:`mse_loss` of an unchecked (n, 2) or (S, n, 2) float difference, without wrappers."""
-    return np.add.reduce(np.add.reduce(diff**2, axis=-1), axis=-1) / diff.shape[-2]
+    """:func:`mse_loss` of an unchecked (n, k) or (S, n, k) float difference, without wrappers."""
+    squares = diff**2
+    # For k = 2 the reduce over a row adds its two squares once, and so does
+    # one add of the two columns, at less call overhead.
+    norms = (squares[..., 0] + squares[..., 1] if squares.shape[-1] == 2
+             else np.add.reduce(squares, axis=-1))
+    return np.add.reduce(norms, axis=-1) / diff.shape[-2]
 
 
 def mse_loss(pred, truth):

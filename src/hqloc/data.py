@@ -258,17 +258,23 @@ def load_table(
 def _aggregate_by_position(table: np.ndarray, path) -> np.ndarray:
     """One row per distinct (x, y), first-seen order, holding its rows' mean RSSI.
 
-    Finite readings near the float64 limit can average to an infinite one; that
-    raises :class:`DataFormatError` naming the file and the first such position.
+    Each group's readings are summed in file order from 0.0, which is how
+    ``np.mean`` sums them, and divided by its row count: the means of a
+    per-group ``np.mean``, bit for bit, from a few calls for the whole
+    table. Finite readings near the float64 limit can average to an infinite
+    one; that raises :class:`DataFormatError` naming the file and the first
+    such position.
     """
-    groups: dict[tuple[float, float], list[int]] = {}
-    for i, (x, y) in enumerate(table[:, 3:].tolist()):
-        groups.setdefault((x, y), []).append(i)
+    groups: dict[tuple[float, float], int] = {}  # -0.0 and 0.0 are one key
+    group = np.array([groups.setdefault((x, y), len(groups)) for x, y in table[:, 3:].tolist()],
+                     dtype=np.intp)
+    first = np.unique(group, return_index=True)[1]  # group ids count up in first-seen order
+    later = np.ones(len(table), dtype=bool)
+    later[first] = False
+    sums = table[first, :3] + 0.0  # np.mean's sum starts at +0.0, so a -0.0 reading sums to 0.0
     with np.errstate(over="ignore"):  # an overflowing mean is refused below
-        merged = np.array([
-            [*np.mean(table[rows, :3], axis=0).tolist(), *position]
-            for position, rows in groups.items()
-        ], dtype=float).reshape(-1, len(CANONICAL_FIELDS))
+        np.add.at(sums, group[later], table[later, :3])
+        merged = np.column_stack((sums / np.bincount(group)[:, None], table[first, 3:]))
     finite = np.isfinite(merged[:, :3]).all(axis=1)
     if not finite.all():
         x, y = merged[finite.argmin(), 3:].tolist()
@@ -393,7 +399,8 @@ def gen_synthetic(
     data. Distances are floored at the 1 m reference distance. When
     ``positions`` is omitted, ``n_points`` positions (default: the scenario's
     train+test count) are drawn uniformly inside the room. A NaN or infinite
-    parameter, room side or position raises ValueError.
+    parameter, room side or position raises ValueError, and so do finite
+    settings whose readings would overflow to a non-finite value.
     """
     w, h_ = meta.room
     for name, value in (
@@ -426,12 +433,21 @@ def gen_synthetic(
             raise ValueError("positions must be finite, got NaN or inf")
     # One pass over all positions: row i is what a loop over positions makes
     # for position i, and one (n, 3) normal draw is the stream of n draws of 3.
-    dists = np.maximum(np.linalg.norm(tx - positions[:, None], axis=-1), REFERENCE_DISTANCE_M)
-    # libm's scalar log10, not np.log10: numpy's SIMD loops for it differ by
-    # up to 2 ulp between CPU dispatch levels, and the readings must not.
-    ratios = (dists / REFERENCE_DISTANCE_M).ravel().tolist()
-    rssi = pl0 - 10.0 * n_exp * np.array([math.log10(r) for r in ratios]).reshape(dists.shape)
-    rssi = rssi + rng.normal(0.0, sigma, size=(len(positions), 3))
+    # Finite settings can still overflow (a distance past ~1.3e154 squares to
+    # inf, and so does 10 * n_exp past ~1.8e307); numpy stays quiet, and the
+    # readings are checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dists = np.maximum(np.linalg.norm(tx - positions[:, None], axis=-1), REFERENCE_DISTANCE_M)
+        # libm's scalar log10, not np.log10: numpy's SIMD loops for it differ by
+        # up to 2 ulp between CPU dispatch levels, and the readings must not.
+        ratios = (dists / REFERENCE_DISTANCE_M).ravel().tolist()
+        rssi = pl0 - 10.0 * n_exp * np.array([math.log10(r) for r in ratios]).reshape(dists.shape)
+        rssi = rssi + rng.normal(0.0, sigma, size=(len(positions), 3))
+    if not np.isfinite(rssi).all():
+        raise ValueError(
+            f"pl0={pl0!r}, n_exp={n_exp!r} and sigma={sigma!r} in a {w!r}x{h_!r} room give "
+            "RSSI readings beyond the float64 range"
+        )
     return [RssiSample(rssi=tuple(r), position=tuple(pos)) for r, pos in zip(rssi, positions)]
 
 

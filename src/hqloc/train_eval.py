@@ -34,16 +34,28 @@ trained model is the same in both cases.
 A training run picks its optimizer step once, Adam or SGD, and builds its
 state once: for Adam, one :class:`optim.AdamState` (moments and scratch, with
 Kingma & Ba's fixed betas and epsilon), which every step advances in place,
-and for either, the gradient buffer and layer buffers of a
-:class:`classical.Workspace`, for a dense network or a hybrid model's head.
-Every epoch writes into them and steps ``params`` in place, so an epoch
-after the first allocates no array of 128 KiB or more (a 3-seed 3-128-64-2
-stack's arrays are 75-213 KB each), and glibc does not unmap and fault in
-such blocks every epoch. Both kinds run one buffered pass of
-:func:`classical.loss_and_grad`. A hybrid run computes its rows' Pauli
-features once, its exact kernel reads phi's compiled coefficients from the
-quantum layer's cache, and its pass allocates only the (S, n, 3, 6) Jacobian
-and the (S, 200) joint gradient, a few KiB per stack.
+and for either, the :class:`classical.Workspace` of a dense network or a
+hybrid model's head: its layer buffers, its views of the transposed weights
+and of the bias rows, and its gradient buffer. A hybrid run's gradient buffer
+is the head's part of one (S, 200) joint gradient, and each epoch's einsum
+writes phi's part of it in place, so nothing joins the two. Every epoch
+writes into these and steps ``params`` in place, so an epoch after the first
+allocates no array of 128 KiB or more (a 3-seed 3-128-64-2 stack's arrays
+are 75-213 KB each), and glibc does not unmap and fault in such blocks every
+epoch. Both kinds run one buffered pass of :func:`classical.loss_and_grad`,
+which checks its batch and targets against the workspace's shapes. A hybrid
+epoch makes two exact forwards, one Jacobian, one head pass and one step:
+the run computes its rows' Pauli features once, all three kernel calls read
+phi's compile from the quantum layer's cache, and the loss forward runs the
+head through :func:`classical.loss` into the same workspace. Its fresh
+arrays are the compile, the forwards' outputs, the (S, n, 3, 6) Jacobian and
+the loss's squares, a few KiB per stack.
+
+Exact predictions depend on the batch a row is in: BLAS takes other paths for
+matrix products of other sizes, so a row's prediction may move by up to
+1e-15 m between batch sizes (the head's output is meters), while a rerun of
+the same batch gives the same bits. Training always runs its whole training
+set as one batch, so its outputs are the same bytes on every rerun.
 """
 
 from __future__ import annotations
@@ -102,7 +114,12 @@ def hqnn_forward(model: HybridModel, x) -> np.ndarray:
 def hqnn_forward_batch(
     model: HybridModel, X, shots: int | None = None, seed: int = 0
 ) -> np.ndarray:
-    """Predicted (x, y) for every row of ``X``; with ``shots``, from sampled expectations."""
+    """Predicted (x, y) for every row of ``X``; with ``shots``, from sampled expectations.
+
+    A row's exact prediction may differ by up to 1e-15 m between batch sizes,
+    because BLAS takes other paths for products of other sizes; the same
+    batch gives the same bits on every rerun.
+    """
     X = np.atleast_2d(check_features(X, N_FEATURES))
     U = q_forward_batch(model.qlayer, pauli_features(encode_batch(X)))
     if shots is not None:  # each row's draws are keyed on its scaled features
@@ -125,27 +142,35 @@ def hqnn_grad(model: HybridModel, X, Z) -> np.ndarray:
     """Gradient of the batch MSE with respect to all trainable parameters.
 
     Laid out like ``model.params``; a stacked model gives one gradient row per
-    model. It is the training pass of :func:`_model_ops`, into a head
-    workspace built for this call.
+    model. It is the training pass of :func:`_model_ops`, into buffers built
+    for this call.
     """
     X, Z = _batch(X, Z, "gradient batch")
     features = pauli_features(encode_batch(check_features(X, N_FEATURES)))
-    return _hqnn_grad(model, features, Z, classical.workspace(model.head, len(X)))
+    return _hqnn_grad(model, features, Z, *_hqnn_buffers(model, len(X)))
+
+
+def _hqnn_buffers(model: HybridModel, n_rows: int):
+    """A joint gradient like ``model.params``, and a head workspace whose gradient is its view."""
+    grad = np.empty(model.params.shape)
+    return classical.workspace(model.head, n_rows, grad[..., N_ANSATZ_PARAMS:]), grad
 
 
 def _hqnn_grad(model: HybridModel, features: np.ndarray, Z: np.ndarray,
-               work: classical.Workspace) -> np.ndarray:
-    """The joint gradient over Pauli ``features``: the head's pass into ``work``, then phi's.
+               work: classical.Workspace, grad: np.ndarray) -> np.ndarray:
+    """The joint gradient over Pauli ``features``, into ``grad``: the head's part, then phi's.
 
-    Head gradients come from reverse mode; quantum gradients chain the head's
-    input gradients through the per-sample shift-rule matrices.
+    Head gradients come from reverse mode, into ``work``'s gradient, which is
+    the head's part of ``grad``. Quantum gradients chain the head's input
+    gradients through the per-sample shift-rule matrices into phi's part.
     """
     U = q_forward_batch(model.qlayer, features)
-    _, head_grad, input_grads = classical.loss_and_grad(model.head, U, Z, work)
+    _, _, input_grads = classical.loss_and_grad(model.head, U, Z, work)
     shift_matrices = q_gradient_batch(model.qlayer, features)
     # A plain einsum (optimize=False) sums row s of a stack as model s alone.
-    phi_grad = np.einsum("...nj,...njk->...k", input_grads, shift_matrices)
-    return np.concatenate([phi_grad, head_grad], axis=-1)
+    np.einsum("...nj,...njk->...k", input_grads, shift_matrices,
+              out=grad[..., :N_ANSATZ_PARAMS])
+    return grad
 
 
 @dataclass
@@ -207,18 +232,18 @@ def _model_ops(model, X, Z):
     """(train_mse, loss_and_grad) for training the stack ``model`` on (``X``, ``Z``).
 
     ``loss_and_grad(model)`` gives one epoch's pre-update MSE and gradient per
-    model, ``train_mse(model)`` the MSE alone. The :class:`classical.Workspace`
-    of the dense network, or of a hybrid model's head, is built here, once per
-    training run, and every epoch's pass overwrites it; a hybrid model's
-    training rows are encoded, and their Pauli features computed, here too.
+    model, ``train_mse(model)`` the MSE alone. What every epoch reads or
+    overwrites is built here, once per training run: the
+    :class:`classical.Workspace` of the dense network, or of a hybrid model's
+    head, and for a hybrid model its training rows' Pauli features and the
+    joint gradient, whose head part is the workspace's gradient.
     """
     if isinstance(model, HybridModel):
         features = pauli_features(encode_batch(check_features(X, N_FEATURES)))
-        work = classical.workspace(model.head, len(X))
+        work, grad = _hqnn_buffers(model, len(X))
 
         def train_mse(stack):
-            U = q_forward_batch(stack.qlayer, features)
-            return classical.mean_squared_norm(classical.forward_batch(stack.head, U) - Z)
+            return classical.loss(stack.head, q_forward_batch(stack.qlayer, features), Z, work)
 
         def loss_and_grad(stack):
             # The loss keeps its own exact forward, so an epoch makes two
@@ -226,10 +251,10 @@ def _model_ops(model, X, Z):
             # 14 ansatz sweeps (13 if the loss were read off the gradient's
             # forward; perfbench/test_perfbench.py pins 14). All three read the
             # run's features and share one compile of phi through qlayer's
-            # cache. The gradient pass goes first: its head checks the targets'
-            # shape, which train_mse leaves unchecked.
-            grads = _hqnn_grad(stack, features, Z, work)
-            return train_mse(stack), grads
+            # cache. The loss forward overwrites the head's layer outputs,
+            # which the gradient pass has used by then, and not its gradients.
+            _hqnn_grad(stack, features, Z, work, grad)
+            return train_mse(stack), grad
 
         return train_mse, loss_and_grad
 

@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written the slow, obvious way (dense matrices, explicit
-loops) so it shares no code paths with the package under test.
+loops) so it shares no code paths with the package under test, but for
+:func:`hybrid_epochs_reference`, which composes the package's own kernels the
+way a training epoch first did.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 
 import numpy as np
 
+from hqloc import classical, optim, qlayer
 from hqloc.data import CANONICAL_FIELDS, DataFormatError, RssiSample, not_utf8
 
 
@@ -332,3 +335,58 @@ def _aggregate_by_position(samples: list[RssiSample]) -> list[RssiSample]:
         mean = np.mean(np.asarray(triples, dtype=float), axis=0)
         merged.append(RssiSample(rssi=tuple(mean), position=position))
     return merged
+
+
+def aggregate_table_reference(table: np.ndarray, path) -> np.ndarray:
+    """``data._aggregate_by_position`` as it was with one ``np.mean`` per position, verbatim."""
+    groups: dict[tuple[float, float], list[int]] = {}
+    for i, (x, y) in enumerate(table[:, 3:].tolist()):
+        groups.setdefault((x, y), []).append(i)
+    with np.errstate(over="ignore"):  # an overflowing mean is refused below
+        merged = np.array([
+            [*np.mean(table[rows, :3], axis=0).tolist(), *position]
+            for position, rows in groups.items()
+        ], dtype=float).reshape(-1, len(CANONICAL_FIELDS))
+    finite = np.isfinite(merged[:, :3]).all(axis=1)
+    if not finite.all():
+        x, y = merged[finite.argmin(), 3:].tolist()
+        raise DataFormatError(
+            f"{path}: the RSSI readings at position ({x!r}, {y!r}) average beyond "
+            "the float64 range"
+        )
+    return merged
+
+
+def hybrid_epochs_reference(model, X, Z, epochs: int, optimizer: str, eta: float):
+    """A hybrid model's training as the epoch was first composed: (loss trace, final MSE).
+
+    This pins how training composes the package's kernels, not the kernels
+    themselves, which the other oracles here check. Each epoch runs the package's kernels in their first order: the exact
+    forward, the head's ``loss_and_grad`` into a workspace, the shift-rule
+    Jacobian, phi's gradient as a plain einsum, the joint gradient by
+    ``np.concatenate``, the loss from a second exact forward through a
+    fresh-array head pass, then one ``adam_step`` or ``sgd_step``. It steps
+    ``model.params`` in place.
+    """
+    features = qlayer.pauli_features(qlayer.encode_batch(X))
+    work = classical.workspace(model.head, len(X))
+    state = optim.init_adam(model.params.shape, eta=eta) if optimizer == "adam" else None
+
+    def train_mse():
+        U = qlayer.q_forward_batch(model.qlayer, features)
+        return classical.mean_squared_norm(classical.forward_batch(model.head, U) - Z)
+
+    trace = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            U = qlayer.q_forward_batch(model.qlayer, features)
+            _, head_grad, input_grads = classical.loss_and_grad(model.head, U, Z, work)
+            shift_matrices = qlayer.q_gradient_batch(model.qlayer, features)
+            phi_grad = np.einsum("...nj,...njk->...k", input_grads, shift_matrices)
+            grads = np.concatenate([phi_grad, head_grad], axis=-1)
+            trace.append(train_mse())
+            if state is None:
+                optim.sgd_step(model.params, grads, eta)
+            else:
+                optim.adam_step(state, model.params, grads)
+        return np.array(trace), train_mse()

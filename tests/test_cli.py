@@ -206,6 +206,21 @@ class TestGenSynthetic:
         assert f"error: {name} must be finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--room", "1e160x1e160"], "in a 1e+160x1e+160 room"),
+        (["--room", "6x5.5", "--path-loss-exp", "1e308"], "n_exp=1e+308"),
+    ])
+    def test_readings_beyond_float64_are_refused_before_writing(self, flags, named, tmp_path,
+                                                                 capsys):
+        # The settings are finite, but the readings would be -inf or nan, which
+        # hqloc train refuses; gen-synthetic refuses them first and writes nothing.
+        out = tmp_path / "x.csv"
+        assert main(["gen-synthetic", *flags, "--n", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert named in err and "beyond the float64 range" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--room", "infx5"], ["--room", "nanx5"], ["--room", "6xinf"],
         ["--room", "6x5.5", "--tx", "nan,0.5", "1,1", "2,2"],

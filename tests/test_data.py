@@ -33,7 +33,8 @@ from hqloc.data import (
     transform_samples,
 )
 
-from oracles import load_csv_reference, synthetic_loop
+from hqloc.data import _aggregate_by_position
+from oracles import aggregate_table_reference, load_csv_reference, synthetic_loop
 
 
 def make_samples(rng, n=12):
@@ -433,6 +434,32 @@ class TestAggregation:
                 load(path, aggregate_positions=True)
         assert load_table(path).shape == (5, 5)  # unaggregated, every row loads
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e308]), min_size=2 * n,
+                 max_size=2 * n),
+        st.lists(st.one_of(
+            st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.7976931348623157e308, 5e-324]),
+            st.floats(-1e3, 1e3),
+        ), min_size=3 * n, max_size=3 * n),
+    )))
+    def test_one_pass_means_equal_the_per_group_loop(self, drawn):
+        # Few distinct positions, so groups are large, and readings at the
+        # float64 limit and at -0.0: the same bits, or the same error.
+        positions, readings = drawn
+        n = len(positions) // 2
+        table = np.column_stack([np.reshape(readings, (n, 3)), np.reshape(positions, (n, 2))])
+        table = table.reshape(-1, 5)
+        try:
+            expected = aggregate_table_reference(table, "survey.csv")
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError, match=f"^{re.escape(str(exc))}$"):
+                _aggregate_by_position(table, "survey.csv")
+        else:
+            got = _aggregate_by_position(table, "survey.csv")
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestScaler:
     def test_train_range_maps_to_unit_interval(self):
@@ -685,6 +712,36 @@ class TestSyntheticGenerator:
             gen_synthetic(meta, tx_positions=[(0.5, 0.5), (np.nan, 1.0), (2.0, 2.0)])
         with pytest.raises(ValueError, match="positions must be finite"):
             gen_synthetic(meta, positions=[(1.0, 1.0), (np.inf, 2.0)])
+
+    @pytest.mark.parametrize("room, model", [
+        ((1e160, 1e160), {}),  # the distances' squares overflow
+        ((1e155, 5.0), {}),
+        ((6.0, 5.5), {"n_exp": 1e308}),  # 10 * n_exp overflows
+        ((6.0, 5.5), {"n_exp": -1e308}),
+        ((6.0, 5.5), {"sigma": 1e308}),  # the shadowing draws overflow
+        ((6.0, 5.5), {"pl0": -1.7e308, "n_exp": 1e307}),  # pl0 minus the path loss overflows
+    ])
+    def test_settings_whose_readings_overflow_are_refused_by_name(self, room, model):
+        # Every setting is finite; the readings are not. pytest's
+        # error::RuntimeWarning filter fails the test if numpy warns first.
+        meta = ScenarioMeta("custom", "custom", room, 5, 0)
+        settings_ = {"pl0": -40.0, "n_exp": 2.5, "sigma": 1.0, **model}
+        message = (f"pl0={settings_['pl0']!r}, n_exp={settings_['n_exp']!r} and "
+                   f"sigma={settings_['sigma']!r} in a {room[0]!r}x{room[1]!r} room give "
+                   "RSSI readings beyond the float64 range")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_synthetic(meta, rng_seed=1, n_points=5, **settings_)
+
+    def test_readings_just_inside_the_float64_range_still_load(self):
+        # A room side of 1e150 keeps every square finite: the readings are
+        # large but finite, and they are what the per-position loop gives.
+        meta = ScenarioMeta("custom", "custom", (1e150, 1e150), 5, 0)
+        tx = default_tx_positions(meta.room)
+        samples = gen_synthetic(meta, rng_seed=2, n_points=5)
+        reference = synthetic_loop(meta.room, tx, -40.0, 2.5, 1.0, rng_seed=2, n_points=5)
+        got = np.array([(*s.rssi, *s.position) for s in samples])
+        assert np.isfinite(got).all()
+        assert got.tobytes() == np.array([(*r, *p) for r, p in reference]).tobytes()
 
     @pytest.mark.parametrize("n_points", [2.7, 3.0, True, "5"])
     def test_non_integer_point_count_rejected(self, n_points):
