@@ -217,20 +217,27 @@ def _check_batch(net: DenseNet, V: np.ndarray) -> None:
         raise ValueError(f"expected batch of shape (n, {net.input_dim}), got {V.shape}")
 
 
-def _trace(net: DenseNet, V) -> list[np.ndarray]:
+def _trace(net: DenseNet, V, work: Workspace | None = None) -> list[np.ndarray]:
     """Each layer's input and, last, the network output, for an (n, input_dim) batch.
 
-    A stack also takes an (S, n, input_dim) batch. Each layer's product is a
-    fresh array, and bias and ReLU act on it in place. A ReLU output is > 0
-    exactly where its pre-activation is, so backprop reads each ReLU mask off
-    the stored outputs.
+    A stack also takes an (S, n, input_dim) batch. Without ``work``, each
+    layer's product is a fresh array, and the batch is checked here. With it,
+    the caller has checked the batch against ``work``, and the products are
+    written into ``work``'s buffers from its weight and bias views. Bias and
+    ReLU act on each product in place. A ReLU output is > 0 exactly where its
+    pre-activation is, so backprop reads each ReLU mask off the stored outputs.
     """
-    V = np.asarray(V, dtype=float)
-    _check_batch(net, V)
+    if work is None:
+        V = np.asarray(V, dtype=float)
+        _check_batch(net, V)
     acts = [V]
-    for layer in net.layers:
-        V = np.matmul(V, layer.weight.swapaxes(-1, -2))
-        V += layer.bias[..., None, :]
+    for i, layer in enumerate(net.layers):
+        if work is None:
+            V = np.matmul(V, layer.weight.swapaxes(-1, -2))
+            V += layer.bias[..., None, :]
+        else:
+            V = np.matmul(V, work.weights_t[i], out=work.outs[i])
+            V += work.biases[i]
         if layer.activation == "relu":
             np.maximum(V, 0.0, out=V)
         acts.append(V)
@@ -256,14 +263,8 @@ def _loss(net: DenseNet, V, Z, work: Workspace):
         raise ValueError(f"expected targets of shape {(rows, outputs)}, got {Z.shape}")
     if not len(Z):
         raise ValueError("loss_and_grad needs at least one sample")
-    acts = [V]
-    for weight_t, bias, out, mask in zip(work.weights_t, work.biases, work.outs, work.masks):
-        V = np.matmul(V, weight_t, out=out)
-        V += bias
-        if mask is not None:  # only a ReLU layer has a mask
-            np.maximum(V, 0.0, out=V)
-        acts.append(V)
-    diff = V - Z
+    acts = _trace(net, V, work)
+    diff = acts[-1] - Z
     return acts, diff, mean_squared_norm(diff)
 
 
@@ -352,13 +353,8 @@ def loss_and_grad(net: DenseNet, V, Z, work: Workspace) -> tuple[float, np.ndarr
 
 
 def mean_squared_norm(diff: np.ndarray):
-    """:func:`mse_loss` of an unchecked (n, k) or (S, n, k) float difference, without wrappers."""
-    squares = diff**2
-    # For k = 2 the reduce over a row adds its two squares once, and so does
-    # one add of the two columns, at less call overhead.
-    norms = (squares[..., 0] + squares[..., 1] if squares.shape[-1] == 2
-             else np.add.reduce(squares, axis=-1))
-    return np.add.reduce(norms, axis=-1) / diff.shape[-2]
+    """:func:`mse_loss` of an unchecked (n, 2) or (S, n, 2) float difference, without wrappers."""
+    return np.add.reduce(np.add.reduce(diff**2, axis=-1), axis=-1) / diff.shape[-2]
 
 
 def mse_loss(pred, truth):

@@ -70,7 +70,7 @@ def adam_step(
     if not np.isfinite(grads).all():
         raise ValueError("non-finite gradient entries")
     state.t += 1
-    m, v, step, update = state.m, state.v, state.scratch[0], state.scratch[1]
+    m, v, (step, update) = state.m, state.v, state.scratch
     # The docstring's expression term by term, with the same operation order.
     np.multiply(grads, 1.0 - BETA1, out=step)
     m *= BETA1

@@ -134,7 +134,6 @@ _STRINGS, _GATHER, _SCATTER = _compile_tables(
     N_ANSATZ_PARAMS,
 )
 _PAULI_MATRICES = _pauli_matrices(_STRINGS, N_FEATURES)
-_ZERO_ONE = np.array([[0.0], [1.0]])  # the first two rows of every compile's slots
 
 
 @dataclass
@@ -167,7 +166,7 @@ def _compile(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (n, m) and contiguous: the trig ufuncs run one loop for a stack and for one vector.
     n, angles = N_ANSATZ_PARAMS, np.ascontiguousarray(phi.reshape(-1, N_ANSATZ_PARAMS).T)
     slots = np.empty((2 + 3 * n, angles.shape[1]))  # rows 0, 1, cos phi, sin phi, -sin phi
-    slots[:2] = _ZERO_ONE
+    slots[0], slots[1] = 0.0, 1.0
     np.cos(angles, out=slots[2 : 2 + n])
     np.negative(np.sin(angles, out=slots[2 + n : 2 + 2 * n]), out=slots[2 + 2 * n :])
     paths = np.multiply.reduce(slots.take(_GATHER, axis=0), axis=0).transpose(2, 0, 1)

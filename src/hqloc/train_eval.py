@@ -52,10 +52,11 @@ arrays are the compile, the forwards' outputs, the (S, n, 3, 6) Jacobian and
 the loss's squares, a few KiB per stack.
 
 Exact predictions depend on the batch a row is in: BLAS takes other paths for
-matrix products of other sizes, so a row's prediction may move by up to
-1e-15 m between batch sizes (the head's output is meters), while a rerun of
-the same batch gives the same bits. Training always runs its whole training
-set as one batch, so its outputs are the same bytes on every rerun.
+matrix products of other sizes, so a row's prediction may move between
+batch sizes by up to 1e-15 of the outputs' size (the largest magnitude among
+them, so a few ulp of it), while a rerun of the same batch gives the same
+bits. Training always runs its whole training set as one batch, so its
+outputs are the same bytes on every rerun.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def hqnn_forward_batch(
 ) -> np.ndarray:
     """Predicted (x, y) for every row of ``X``; with ``shots``, from sampled expectations.
 
-    A row's exact prediction may differ by up to 1e-15 m between batch sizes,
+    A row's exact prediction may differ between batch sizes by up to 1e-15
+    of the outputs' size, as :func:`hqnn_forward`'s does from its row here,
     because BLAS takes other paths for products of other sizes; the same
     batch gives the same bits on every rerun.
     """

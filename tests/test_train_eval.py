@@ -153,21 +153,28 @@ class TestHybridModel:
             hqnn_forward_batch(model, X, shots=8, seed=1)
 
 
-def test_a_rows_exact_prediction_moves_at_most_1e_15_m_with_its_batch_size():
+@pytest.mark.parametrize("scenario, epochs", [("Sc-1", 50), ("Sc-3", 2000)])
+def test_a_rows_exact_prediction_moves_a_few_ulp_of_the_outputs_with_its_batch_size(
+    scenario, epochs
+):
     # hqnn_forward_batch's contract: BLAS takes other paths for other batch
     # sizes, so a row's prediction may move in its last bits with the batch
-    # it is in, by at most 1e-15 m, and every rerun gives the same bits.
-    _, samples, _ = gen_scenario_standin("Sc-1", "WiFi", seed=1)
+    # it is in, by at most 1e-15 of the outputs' size, and every rerun gives
+    # the same bits. The Sc-3 room is 10.8 m wide; its model's predictions
+    # reach past 8 m, where one ulp is already 1.78e-15.
+    _, samples, _ = gen_scenario_standin(scenario, "WiFi", seed=1)
     X_train, Z_train = transform_samples(fit_scaler(samples), samples)
     model = init_hybrid_model(seed=1)
-    train(model, X_train, Z_train, TrainConfig(epochs=50))
+    train(model, X_train, Z_train, TrainConfig(epochs=epochs))
     X = np.random.default_rng(41).uniform(0.0, 1.0, size=(4099, 3))
     whole = hqnn_forward_batch(model, X)
+    size_of_outputs = np.abs(whole).max()
+    assert size_of_outputs >= (8.0 if scenario == "Sc-3" else 0.5)
     assert hqnn_forward_batch(model, X).tobytes() == whole.tobytes()
     for size in (1, 2, 8, 64, 4096):
         chunked = np.concatenate([hqnn_forward_batch(model, X[i : i + size])
                                   for i in range(0, len(X), size)])
-        assert np.abs(chunked - whole).max() <= 1e-15, size
+        assert np.abs(chunked - whole).max() <= 1e-15 * size_of_outputs, size
         rerun = np.concatenate([hqnn_forward_batch(model, X[i : i + size])
                                 for i in range(0, len(X), size)])
         assert rerun.tobytes() == chunked.tobytes(), size
