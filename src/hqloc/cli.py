@@ -9,6 +9,8 @@ error, 1 runtime failure. ``HQLOC_SEED`` provides the default seed when no
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import math
 import os
 import platform
@@ -208,6 +210,40 @@ def _load(args, path, loader):
     return rows
 
 
+def _openblas_core(libraries) -> str | None:
+    """OpenBLAS's runtime core (``SkylakeX``, ``Haswell``, ...) from the first of ``libraries``
+    that loads and exports ``scipy_openblas_get_corename64_``; None when none does."""
+    for path in libraries:
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = (), ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+@functools.cache
+def _runtime() -> dict:
+    """What trained bytes depend on besides the inputs and flags, read once per process.
+
+    numpy picks its SIMD loops, and OpenBLAS its kernels, by the CPU at import; both
+    can move the last digits of trained outputs (README, ``manifest.json``).
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    libraries = sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*"))
+    return {
+        "numpy_simd": {
+            "baseline": list(umath.__cpu_baseline__),
+            "found": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]],
+        },
+        "openblas_core": _openblas_core(libraries),
+    }
+
+
 def _write_manifest(
     out_dir: Path, command: str, config: dict, inputs: dict, outputs, **extra
 ) -> None:
@@ -216,6 +252,7 @@ def _write_manifest(
         "hqloc_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        **_runtime(),
         "config": config,
         "inputs": {
             name: {"path": str(p), "sha256": model_io.file_digest(p)}

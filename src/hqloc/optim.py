@@ -7,16 +7,21 @@ S vectors, each row as it would alone.
 
 Both steps write into ``params`` in place and return it. Adam uses Kingma &
 Ba's defaults, :data:`BETA1`, :data:`BETA2` and :data:`EPS`, which nothing
-overrides; only its learning rate is set. :func:`init_adam` builds one
-:class:`AdamState`, its moments and two scratch arrays of the parameters'
-shape, and every :func:`adam_step` advances that same state in place, so a
-training loop's Adam steps allocate nothing of that size. A step checks its
-arguments before it writes anything: a step Adam refuses leaves the
-parameters and the state as they were.
+overrides; only its learning rate is set. The moments m and v follow the
+textbook recursion (Kingma & Ba, arXiv:1412.6980, Algorithm 1) bit for bit;
+theta follows the efficient form the paper gives at the end of its section 2,
+which folds both bias corrections into two scalars, so a step makes two fewer
+passes over the parameters. :func:`init_adam` builds one :class:`AdamState`,
+its moments and one scratch array of the parameters' shape, and every
+:func:`adam_step` advances that same state in place, so a training loop's
+Adam steps allocate nothing of that size. A step checks its arguments before
+it writes anything: a step Adam refuses leaves the parameters and the state
+as they were.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +35,7 @@ EPS = 1e-8
 class AdamState:
     """Adam's moments after ``t`` steps; :func:`adam_step` advances ``m``, ``v`` and ``t`` in place.
 
-    ``scratch`` holds two arrays of the moments' shape for the step's
+    ``scratch`` is one array of the moments' shape for the step's
     intermediate terms.
     """
 
@@ -41,7 +46,7 @@ class AdamState:
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = np.empty((2, *np.shape(self.m)))
+        self.scratch = np.empty(np.shape(self.m))
 
 
 def init_adam(n_params: int | tuple[int, ...], eta: float = 0.001) -> AdamState:
@@ -54,11 +59,14 @@ def adam_step(
 ) -> tuple[AdamState, np.ndarray]:
     """One Adam update of ``params`` and ``state`` in place; returns both.
 
-    m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2, then bias-corrected
-    m_hat = m/(1-b1^t), v_hat = v/(1-b2^t) with t incremented first, and
-    theta <- theta - eta * m_hat / (sqrt(v_hat) + eps), all elementwise. A
-    shape mismatch or a non-finite gradient raises ValueError before
-    anything is written.
+    With t incremented first, m <- b1*m + (1-b1)*g and v <- b2*v + (1-b2)*g^2,
+    as in the textbook. Then theta <- theta - alpha_t * (m / (sqrt(v) + eps_hat))
+    with the scalars alpha_t = eta*sqrt(1-b2^t)/(1-b1^t) and
+    eps_hat = eps*sqrt(1-b2^t), all elementwise. This is the textbook update
+    eta * m_hat / (sqrt(v_hat) + eps) in another operation order, so theta
+    agrees with it to a few ulp of the update, not bit for bit. A shape
+    mismatch or a non-finite gradient raises ValueError before anything is
+    written.
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
@@ -70,8 +78,7 @@ def adam_step(
     if not np.isfinite(grads).all():
         raise ValueError("non-finite gradient entries")
     state.t += 1
-    m, v, (step, update) = state.m, state.v, state.scratch
-    # The docstring's expression term by term, with the same operation order.
+    m, v, step = state.m, state.v, state.scratch
     np.multiply(grads, 1.0 - BETA1, out=step)
     m *= BETA1
     m += step
@@ -79,13 +86,12 @@ def adam_step(
     step *= 1.0 - BETA2
     v *= BETA2
     v += step
-    np.divide(v, 1.0 - BETA2**state.t, out=step)  # v_hat
-    np.sqrt(step, out=step)
-    step += EPS
-    np.divide(m, 1.0 - BETA1**state.t, out=update)  # m_hat
-    update *= state.eta
-    update /= step
-    params -= update
+    root = math.sqrt(1.0 - BETA2**state.t)
+    np.sqrt(v, out=step)
+    step += EPS * root  # eps_hat
+    np.divide(m, step, out=step)
+    step *= state.eta * root / (1.0 - BETA1**state.t)  # alpha_t
+    params -= step
     return state, params
 
 

@@ -1,5 +1,7 @@
 """Command-line interface tests: exit codes, artifacts, determinism, seeding."""
 
+import ctypes
+import ctypes.util
 import json
 import os
 import platform
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import hqloc
+import hqloc.cli as cli
 
 from hqloc.cli import main
 from hqloc.data import (
@@ -586,6 +589,86 @@ class TestCompare:
         code = main(["compare", "--train", str(train_csv), "--test", str(test_csv),
                      "--scenario", "Sc-9", "--out-dir", str(tmp_path / "c")])
         assert code == 2
+
+
+def numpy_simd():
+    """numpy's SIMD baseline and the dispatch targets this CPU runs, as np.show_runtime() has them."""
+    from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+
+    return {"baseline": list(__cpu_baseline__),
+            "found": [t for t in __cpu_dispatch__ if __cpu_features__[t]]}
+
+
+class TestManifestRuntime:
+    """train, eval and compare manifests record numpy's SIMD targets and OpenBLAS's core."""
+
+    def run_all(self, tmp_path, train_csv, test_csv):
+        """Manifests and output bytes of one train, eval and compare run, under ``tmp_path``."""
+        tr, ev, cmp = tmp_path / "tr", tmp_path / "ev", tmp_path / "cmp"
+        assert main(["train", "--data", str(train_csv), "--epochs", "3", "--out-dir", str(tr)]) == 0
+        assert main(["eval", "--model-file", str(tr / "model.params"), "--data", str(test_csv),
+                     "--out-dir", str(ev)]) == 0
+        assert main(TestCompare().compare_args(train_csv, test_csv, cmp)) == 0
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in (tr, ev, cmp)]
+        outputs = [p.read_bytes() for p in (tr / "model.params", tr / "loss_trace.csv",
+                                            ev / "eval_rmse.csv", cmp / "comparison.csv")]
+        return manifests, outputs
+
+    def test_every_manifest_records_the_simd_targets_and_the_blas_core(
+        self, tmp_path, train_csv, test_csv
+    ):
+        manifests, _ = self.run_all(tmp_path, train_csv, test_csv)
+        core = manifests[0]["openblas_core"]
+        assert core is None or (isinstance(core, str) and core)
+        for doc in manifests:
+            assert doc["numpy_simd"] == numpy_simd()
+            assert doc["openblas_core"] == core
+
+    def test_the_fields_are_records_only(self, tmp_path, train_csv, test_csv, monkeypatch):
+        # Outputs are the same bytes whatever the manifest says the machine ran.
+        _, outputs = self.run_all(tmp_path / "a", train_csv, test_csv)
+        other = {"numpy_simd": {"baseline": [], "found": []}, "openblas_core": "Sandybridge"}
+        monkeypatch.setattr(cli, "_runtime", lambda: other)
+        manifests, again = self.run_all(tmp_path / "b", train_csv, test_csv)
+        assert again == outputs
+        assert all(doc["openblas_core"] == "Sandybridge" for doc in manifests)
+
+    def test_the_runtime_is_read_once_per_process(self, tmp_path, train_csv, monkeypatch):
+        loads = []
+        real = ctypes.CDLL
+
+        def counting(*args, **kwargs):
+            loads.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", counting)
+        cli._runtime.cache_clear()
+        for name in ("a", "b"):
+            assert main(["train", "--data", str(train_csv), "--epochs", "1",
+                         "--out-dir", str(tmp_path / name)]) == 0
+        assert len(loads) <= 1
+        assert cli._runtime() is cli._runtime()
+
+    def test_the_blas_core_is_null_without_the_library_or_its_symbol(self, tmp_path):
+        assert cli._openblas_core([]) is None
+        assert cli._openblas_core([tmp_path / "libscipy_openblas64_.so"]) is None
+        assert cli._openblas_core([ctypes.util.find_library("c")]) is None
+
+    def test_a_child_process_records_what_its_environment_selects(self):
+        if cli._runtime()["openblas_core"] is None:
+            pytest.skip("numpy carries no bundled OpenBLAS here")
+        src = str(Path(hqloc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        env["OPENBLAS_CORETYPE"] = "Sandybridge"
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(numpy_simd()["found"])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, hqloc.cli as c; print(json.dumps(c._runtime()))"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout)
+        assert child["openblas_core"] == "Sandybridge"
+        assert child["numpy_simd"] == {"baseline": numpy_simd()["baseline"], "found": []}
 
 
 class TestOutOfRangeFlags:

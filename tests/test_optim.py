@@ -1,7 +1,8 @@
-"""Optimizer tests: the Adam recursion traced by hand and against its textbook form,
-SGD, and validation."""
+"""Optimizer tests: the Adam recursion traced by hand, against its efficient form written
+out and against its textbook form, SGD, and validation."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ class TestAdamState:
         np.testing.assert_array_equal(state.v, np.zeros(4))
         assert state.t == 0
         assert state.eta == 0.5
-        assert state.scratch.shape == (2, 4)
+        assert state.scratch.shape == (4,)
         # Kingma & Ba's defaults, fixed: neither the state nor init_adam takes others.
         assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-8)
         assert not {"beta1", "beta2", "eps"} & {f.name for f in dataclasses.fields(AdamState)}
@@ -150,7 +151,9 @@ class TestAdamTextbook:
         eta=st.floats(1e-4, 0.5),
     )
     def test_matches_the_textbook_expression_bit_for_bit(self, seed, size, steps, eta):
-        # Kingma & Ba (arXiv:1412.6980), Algorithm 1, started from a random state.
+        # Kingma & Ba (arXiv:1412.6980), Algorithm 1, started from a random state: m, v and t
+        # bit for bit. theta bit for bit against the efficient form at the end of their
+        # section 2, and against Algorithm 1's own update order to 1e-12 of the terms' size.
         rng = np.random.default_rng(seed)
         m = rng.normal(size=size)
         v = rng.uniform(0.0, 2.0, size=size)
@@ -166,12 +169,18 @@ class TestAdamTextbook:
             v = beta2 * v + (1.0 - beta2) * g**2
             m_hat = m / (1.0 - beta1**t)
             v_hat = v / (1.0 - beta2**t)
-            theta = theta - eta * m_hat / (np.sqrt(v_hat) + 1e-8)
+            textbook_update = eta * m_hat / (np.sqrt(v_hat) + 1e-8)
+            textbook = theta - textbook_update
+            alpha = eta * math.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+            eps_hat = 1e-8 * math.sqrt(1.0 - beta2**t)
+            theta = theta - alpha * (m / (np.sqrt(v) + eps_hat))
             state, params = adam_step(state, params, g)
             assert state.t == t
             np.testing.assert_array_equal(state.m, m)
             np.testing.assert_array_equal(state.v, v)
             np.testing.assert_array_equal(params, theta)
+            gap = np.abs(params - textbook)
+            assert (gap <= 1e-12 * (np.abs(params) + np.abs(textbook_update))).all()
 
 
 class TestSgd:

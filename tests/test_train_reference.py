@@ -8,8 +8,8 @@ hand-written backprop, the angle gradient is the two-point shift rule, and
 the update is the Adam or the plain gradient-descent formula written out.
 
 The dense baseline has its own reference: a plain numpy loop with a separate
-forward pass for the loss, textbook backprop and the same update formulas,
-which training must match bit for bit.
+forward pass for the loss, textbook backprop, plain gradient descent or Adam
+in Kingma & Ba's efficient form, which training must match bit for bit.
 """
 
 import math
@@ -175,9 +175,10 @@ def dense_reference_training(params, X, Z, epochs, eta, optimizer, beta1=0.9, be
             continue
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad**2
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        params = params - eta * m_hat / (np.sqrt(v_hat) + eps)
+        # Kingma & Ba's efficient form (arXiv:1412.6980, end of section 2).
+        alpha = eta * math.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+        eps_hat = eps * math.sqrt(1.0 - beta2**t)
+        params = params - alpha * (m / (np.sqrt(v) + eps_hat))
     return np.array(losses), loss(params), params
 
 
