@@ -11,8 +11,8 @@ through the core objects: states, gates, measurement statistics.
 
 import numpy as np
 
-from hqloc.circuits import cx, h, ry
-from hqloc.reference import apply_gate, apply_gates, expect_z, zero_state
+from hqloc.circuits import cx, ry
+from hqloc.reference import apply_gate, apply_gates, expect_z, h, zero_state
 from hqloc.statevector import sample_expect_z
 
 ##############################################################################

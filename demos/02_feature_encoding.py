@@ -11,9 +11,10 @@ baseline, so this script looks at what it actually produces.
 import numpy as np
 
 from hqloc.baselines import build_fingerprint_db, fingerprint_fidelities, fingerprint_predict
-from hqloc.circuits import N_ANSATZ_PARAMS, feature_state, real_amplitudes, zz_feature_map
+from hqloc.circuits import N_ANSATZ_PARAMS, feature_state, real_amplitudes
 from hqloc.data import RssiSample, fit_scaler, transform
 from hqloc.reference import Statevector, apply_gates, fidelity, swap_test_fidelity, zero_state
+from hqloc.reference import zz_feature_map
 
 ##############################################################################
 # Scaling

@@ -196,18 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, path, loader):
-    """``path`` read by ``loader`` (table or samples) with the CSV flags; refuses no rows."""
+def _load(args, path) -> np.ndarray:
+    """``path``'s (n, 5) table, read with the CSV flags; refuses no rows."""
     mapping = data.load_mapping(args.mapping) if args.mapping else None
-    rows = loader(
-        path,
-        has_header=args.has_header,
-        mapping=mapping,
-        aggregate_positions=args.aggregate_positions,
-    )
-    if len(rows) == 0:
+    table = data.load_table(path, args.has_header, mapping, args.aggregate_positions)
+    if len(table) == 0:
         raise ValueError(f"{path}: no samples found")
-    return rows
+    return table
 
 
 def _openblas_core(libraries) -> str | None:
@@ -288,17 +283,17 @@ def _test_rmse(model, X, Z, shots, seed, shots_flag: str) -> float:
 
 
 def cmd_train(args) -> int:
-    train_samples = _load(args, args.data, data.load_csv)
-    test_samples = _load(args, args.test, data.load_csv) if args.test else None
+    train_table = _load(args, args.data)
+    test_table = _load(args, args.test) if args.test else None
     config = train_eval.TrainConfig(
         optimizer=args.optimizer, eta=args.lr, epochs=args.epochs, seed=args.seed
     )
-    scaler = data.fit_scaler(train_samples)
-    X, Z = data.transform_samples(scaler, train_samples)
+    scaler = data.fit_scaler(train_table)
+    X, Z = data.transform_samples(scaler, train_table)
     clamped, test = 0, None
-    if test_samples is not None:
-        clamped = _count_clamped(scaler, data.features_matrix(test_samples), args.test)
-        test = data.transform_samples(scaler, test_samples)
+    if test_table is not None:
+        clamped = _count_clamped(scaler, test_table[:, :3], args.test)
+        test = data.transform_samples(scaler, test_table)
     if args.lr == 0:
         print("warning: learning rate is 0; parameters stay at their initialization",
               file=sys.stderr)
@@ -342,7 +337,7 @@ def cmd_eval(args) -> int:
     if (net.input_dim, net.output_dim) != (N_FEATURES, 2):
         raise ValueError(f"{args.model_file}: the network maps {net.input_dim} inputs to "
                          f"{net.output_dim} outputs; a fix needs {N_FEATURES} in and (x, y) out")
-    table = _load(args, args.data, data.load_table)
+    table = _load(args, args.data)
     X, Z = table[:, :3], table[:, 3:]
     clamped = 0
     if scaler is not None:
@@ -368,8 +363,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    train_samples = _load(args, args.train_csv, data.load_csv)
-    test_samples = _load(args, args.test_csv, data.load_csv)
+    train_table = _load(args, args.train_csv)
+    test_table = _load(args, args.test_csv)
     meta = data.scenario_meta(args.scenario, args.technology)
     config = train_eval.CompareConfig(
         seeds=tuple(args.seeds),
@@ -379,9 +374,8 @@ def cmd_compare(args) -> int:
         shots=args.shots,
         knn_ks=tuple(args.knn_k),
     )
-    clamped = _count_clamped(data.fit_scaler(train_samples), data.features_matrix(test_samples),
-                             args.test_csv)
-    records = train_eval.compare_all(meta, train_samples, test_samples, config)
+    clamped = _count_clamped(data.fit_scaler(train_table), test_table[:, :3], args.test_csv)
+    records = train_eval.compare_all(meta, train_table, test_table, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "comparison.csv"
@@ -440,8 +434,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it refused; a bare one says nothing.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

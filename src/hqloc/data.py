@@ -1,5 +1,12 @@
 """RSSI fingerprint datasets: CSV ingestion, scaling, synthetic generation.
 
+A fingerprint is one row of an (n, 5) float table in ``CANONICAL_FIELDS``
+order: three RSSI readings, then the (x, y) position. :class:`RssiSample`
+is such a row as an immutable tuple that also reads its ``rssi`` and
+``position``, so a list of samples is the same table:
+:func:`fit_scaler`, :func:`transform_samples` and :func:`save_csv` take
+either, and so does ``train_eval.compare_all`` through them.
+
 Canonical CSV schema: five numeric columns ``rssi_a, rssi_b, rssi_c, x, y``
 (RSSI in dBm, position in meters), comma-separated, optional single header
 line, UTF-8, LF or CRLF. Other layouts are adapted through a small key-value
@@ -7,9 +14,8 @@ mapping file naming the source column (by header name or 0-based index) for
 each canonical field.
 
 :func:`load_table` is the one CSV parser: a single pass that checks every
-row and collects its fields into an (n, 5) float table in that column order.
-:func:`load_csv` is the same table viewed as :class:`RssiSample` records,
-for code that works on samples.
+row and collects its fields into the table. :func:`load_csv` gives the same
+rows as a list of samples.
 
 The synthetic generator draws receiver positions uniformly inside the room
 and computes per-transmitter RSSI from the log-distance path-loss model with
@@ -65,12 +71,25 @@ class DataFormatError(ValueError):
     """Malformed dataset file or mapping config."""
 
 
-@dataclass(frozen=True)
-class RssiSample:
-    """One fingerprint: RSSI triple in dBm plus the (x, y) position in meters."""
+class RssiSample(tuple):
+    """One fingerprint as a table row: the RSSI triple in dBm, then the (x, y) position in meters.
 
-    rssi: tuple[float, float, float]
-    position: tuple[float, float]
+    It builds as ``RssiSample(rssi, position)`` and reads both back as plain
+    float tuples; ``np.asarray(samples, float)`` is the samples' (n, 5) table.
+    """
+
+    __slots__ = ()
+    rssi = property(itemgetter(slice(3)))
+    position = property(itemgetter(slice(3, None)))
+
+    def __new__(cls, rssi, position):
+        if (len(rssi), len(position)) != (3, 2):
+            raise ValueError("a sample is 3 RSSI readings and an (x, y) position, "
+                             f"got {tuple(rssi)} and {tuple(position)}")
+        return super().__new__(cls, map(float, (*rssi, *position)))
+
+    def __getnewargs__(self):  # what copy and pickle rebuild a sample from
+        return self.rssi, self.position
 
 
 @dataclass(frozen=True)
@@ -293,26 +312,22 @@ def load_csv(
 ) -> list[RssiSample]:
     """:func:`load_table`'s rows as samples, with the same arguments, checks and errors."""
     table = load_table(path, has_header, mapping, aggregate_positions)
-    return [RssiSample(rssi=tuple(row[:3]), position=tuple(row[3:])) for row in table.tolist()]
+    return [RssiSample(row[:3], row[3:]) for row in table.tolist()]
+
+
+def _table(samples) -> np.ndarray:
+    """``samples``, an (n, 5) table or a list of samples, as an (n, 5) float table."""
+    return np.asarray(samples, dtype=float).reshape(len(samples), len(CANONICAL_FIELDS))
 
 
 def save_csv(samples, path, header: bool = True) -> None:
-    """Write samples in the canonical schema; floats keep full precision."""
+    """Write an (n, 5) table or samples in the canonical schema; floats keep full precision."""
+    rows = _table(samples).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if header:
             writer.writerow(CANONICAL_FIELDS)
-        for s in samples:
-            writer.writerow([repr(float(v)) for v in (*s.rssi, *s.position)])
-
-
-def features_matrix(samples) -> np.ndarray:
-    """RSSI triples as an (n, 3) matrix, (0, 3) for no samples."""
-    return np.array([s.rssi for s in samples], dtype=float).reshape(len(samples), 3)
-
-
-def targets_matrix(samples) -> np.ndarray:
-    return np.array([s.position for s in samples], dtype=float)
+        writer.writerows([repr(v) for v in row] for row in rows)
 
 
 @dataclass(frozen=True)
@@ -324,8 +339,11 @@ class Scaler:
 
 
 def fit_scaler(train_samples) -> Scaler:
-    """Learn per-feature dBm ranges; rejects non-finite readings and constant columns."""
-    feats = features_matrix(train_samples)
+    """Learn per-feature dBm ranges from an (n, 5) table or samples.
+
+    Rejects non-finite readings and constant columns.
+    """
+    feats = _table(train_samples)[:, :3]
     if len(feats) == 0:
         raise ValueError("cannot fit a scaler on an empty training set")
     bad = np.flatnonzero(~np.isfinite(feats).all(axis=0))
@@ -355,8 +373,13 @@ def transform(scaler: Scaler, rssi) -> np.ndarray:
 
 
 def transform_samples(scaler: Scaler, samples) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled feature matrix plus target coordinates for a sample list."""
-    return transform(scaler, features_matrix(samples)), targets_matrix(samples)
+    """Scaled features and target coordinates of an (n, 5) table or samples, each C-ordered.
+
+    Training reads both every epoch, so the targets are copied out of the
+    table's strided columns once, here.
+    """
+    table = _table(samples)
+    return transform(scaler, table[:, :3]), table[:, 3:].copy()
 
 
 def default_tx_positions(room: tuple[float, float]) -> tuple[tuple[float, float], ...]:
@@ -448,7 +471,7 @@ def gen_synthetic(
             f"pl0={pl0!r}, n_exp={n_exp!r} and sigma={sigma!r} in a {w!r}x{h_!r} room give "
             "RSSI readings beyond the float64 range"
         )
-    return [RssiSample(rssi=tuple(r), position=tuple(pos)) for r, pos in zip(rssi, positions)]
+    return [RssiSample(row[:3], row[3:]) for row in np.column_stack((rssi, positions)).tolist()]
 
 
 def gen_scenario_standin(name: str, technology: str, seed: int = 0, n_test: int | None = None):

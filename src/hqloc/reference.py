@@ -1,8 +1,10 @@
-"""References that no runtime module imports: the gate-level simulator, the swap test, RMSEs.
+"""References that no runtime module imports: the gate level, the swap test, RMSEs.
 
-The simulator applies the gate lists of :mod:`hqloc.circuits` one gate at a
-time to a dense amplitude vector (qubit 0 is the least significant bit of
-the basis index; a gate returns a fresh state), so tests and demos can check
+The gate level is the feature map's gate list, :func:`zz_feature_map`, its
+H, RZ and P builders, and a simulator that applies gate lists, these and
+:mod:`hqloc.circuits`' ansatz, one gate at a time to a dense amplitude vector
+(qubit 0 is the least significant bit of the basis index; a gate returns a
+fresh state). The runtime runs none of it: tests and demos use it to check
 the closed forms the runtime computes. :func:`swap_test_fidelity` runs the
 swap test of quantum fingerprinting (Buhrman et al., PRL 87, 167902, 2001)
 on it. ``REFERENCE_RMSE_M`` holds the published RMSEs (meters) on the public
@@ -19,8 +21,41 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import MAX_QUBITS, Gate, cx, h, p
+from .circuits import Gate, cx
 from .statevector import check_integer
+
+MAX_QUBITS = 20  # the widest register simulated: 2**n amplitudes
+
+
+def h(target: int) -> Gate:
+    return Gate("H", target)
+
+
+def rz(angle: float, target: int) -> Gate:
+    return Gate("RZ", target, angle=angle)
+
+
+def p(angle: float, target: int) -> Gate:
+    return Gate("P", target, angle=angle)
+
+
+def zz_feature_map(x) -> list[Gate]:
+    """Angle-encoding feature map with linearly entangled pair phases, one repetition.
+
+    Layout: H on every qubit, phase ``2 * x[q]`` on each qubit q, then for each
+    neighbouring pair (i, i+1) the sandwich CX / phase
+    ``2 * (pi - x[i]) * (pi - x[i+1])`` on i+1 / CX. One qubit per feature.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError(f"feature map needs a nonempty feature vector, got shape {x.shape}")
+    n = x.size
+    gates = [h(q) for q in range(n)]
+    gates += [p(2.0 * float(x[q]), q) for q in range(n)]
+    for i in range(n - 1):
+        angle = 2.0 * (math.pi - float(x[i])) * (math.pi - float(x[i + 1]))
+        gates += [cx(i, i + 1), p(angle, i + 1), cx(i, i + 1)]
+    return gates
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,8 @@ def _model_ops(model, X, Z):
     """(train_mse, loss_and_grad) for training the stack ``model`` on (``X``, ``Z``).
 
     ``loss_and_grad(model)`` gives one epoch's pre-update MSE and gradient per
-    model, ``train_mse(model)`` the MSE alone. What every epoch reads or
+    model, ``train_mse(model)`` the MSE alone, from one forward of
+    :func:`classical.loss` into the run's workspace. What every epoch reads or
     overwrites is built here, once per training run: the
     :class:`classical.Workspace` of the dense network, or of a hybrid model's
     head, and for a hybrid model its training rows' Pauli features and the
@@ -263,7 +264,7 @@ def _model_ops(model, X, Z):
     work = classical.workspace(model, len(X))
 
     def train_mse(stack):
-        return classical.mean_squared_norm(classical.forward_batch(stack, X) - Z)
+        return classical.loss(stack, X, Z, work)
 
     def loss_and_grad(stack):
         return classical.loss_and_grad(stack, X, Z, work)[:2]
@@ -413,7 +414,8 @@ def compare_all(
     expectations, and the same trained hybrid model evaluated with sampled
     expectations. Seeded methods get one record per seed plus a mean record
     when several seeds are given. A method that raises is recorded with a
-    null RMSE and the run continues.
+    null RMSE and the run continues. Each split is an (n, 5) table or a list
+    of samples, its rows.
     """
     scaler = data.fit_scaler(train_samples)
     X_train, Z_train = data.transform_samples(scaler, train_samples)

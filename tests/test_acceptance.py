@@ -25,7 +25,7 @@ from hqloc.baselines import (
     fit_knn,
     knn_predict,
 )
-from hqloc.circuits import cx, feature_state, h, p, ry, rz
+from hqloc.circuits import cx, feature_state, ry
 from hqloc.cli import main as cli_main
 from hqloc.data import (
     SCENARIOS,
@@ -37,7 +37,16 @@ from hqloc.data import (
 )
 from hqloc.optim import adam_step, init_adam
 from hqloc.qlayer import q_forward
-from hqloc.reference import REFERENCE_RMSE_M, apply_gate, apply_gates, expect_z, zero_state
+from hqloc.reference import (
+    REFERENCE_RMSE_M,
+    apply_gate,
+    apply_gates,
+    expect_z,
+    h,
+    p,
+    rz,
+    zero_state,
+)
 from hqloc.train_eval import (
     TrainConfig,
     evaluate_rmse,

@@ -22,9 +22,8 @@ from hqloc.circuits import (
     encode_batch,
     feature_state,
     real_amplitudes,
-    zz_feature_map,
 )
-from hqloc.reference import apply_gates, zero_state
+from hqloc.reference import MAX_QUBITS, apply_gates, zero_state, zz_feature_map
 
 from oracles import circuit_matrix, encode_reference
 
@@ -191,7 +190,7 @@ class TestClosedFormKernel:
 
     def test_the_widest_encoding_is_nine_features(self):
         # Nine features are the widest state the swap test compares: 2 * 9 + 1 qubits.
-        assert MAX_ENCODED_FEATURES == 9
+        assert MAX_ENCODED_FEATURES == 9 == (MAX_QUBITS - 1) // 2
         X = np.random.default_rng(5).uniform(-0.5, 1.5, size=(3, 9))
         assert encode_batch(X).tobytes() == encode_reference(X).tobytes()
         assert feature_state(X[0]).shape == (2**9,)

@@ -146,6 +146,30 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: learning rate must be finite")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 14.9 GiB for an array with shape (1000000000, 2)"),
+         "error: Unable to allocate 14.9 GiB for an array with shape (1000000000, 2)"),
+        (MemoryError(), "error: MemoryError"),
+    ])
+    def test_running_out_of_memory_is_one_line_error(
+        self, train_csv, tmp_path, capsys, monkeypatch, error, line
+    ):
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli.data, "gen_synthetic", refuse)
+        monkeypatch.setattr(cli.train_eval, "train", refuse)
+        runs = [
+            ["gen-synthetic", "--room", "6x5", "--n", "1000000000",
+             "--out", str(tmp_path / "big.csv")],
+            ["train", "--data", str(train_csv), "--epochs", "1000000000",
+             "--out-dir", str(tmp_path / "out")],
+        ]
+        for argv in runs:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == line + "\n"
+        assert not (tmp_path / "big.csv").exists()
+
 
 class TestGenSynthetic:
     def test_row_count_and_schema(self, tmp_path, capsys):
@@ -589,6 +613,24 @@ class TestCompare:
         code = main(["compare", "--train", str(train_csv), "--test", str(test_csv),
                      "--scenario", "Sc-9", "--out-dir", str(tmp_path / "c")])
         assert code == 2
+
+
+def test_train_compare_and_eval_parse_into_the_table_alone(
+    tmp_path, train_csv, test_csv, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command built samples")
+
+    monkeypatch.setattr(cli.data, "RssiSample", refuse)
+    monkeypatch.setattr(cli.data, "load_csv", refuse)
+    model = tmp_path / "train" / "model.params"
+    assert main(["train", "--data", str(train_csv), "--test", str(test_csv), "--epochs", "2",
+                 "--out-dir", str(tmp_path / "train")]) == 0
+    assert main(["eval", "--model-file", str(model), "--data", str(test_csv),
+                 "--out-dir", str(tmp_path / "eval")]) == 0
+    assert main(["compare", "--train", str(train_csv), "--test", str(test_csv), "--seeds", "1",
+                 "--epochs", "2", "--shots", "64", "--out-dir", str(tmp_path / "cmp")]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def numpy_simd():

@@ -1,6 +1,8 @@
 """Dataset layer tests: CSV parsing, scaling, the synthetic channel model."""
 
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -18,7 +20,6 @@ from hqloc.data import (
     Scaler,
     ScenarioMeta,
     default_tx_positions,
-    features_matrix,
     fit_scaler,
     gen_scenario_standin,
     gen_synthetic,
@@ -28,7 +29,6 @@ from hqloc.data import (
     load_table,
     save_csv,
     scenario_meta,
-    targets_matrix,
     transform,
     transform_samples,
 )
@@ -466,6 +466,62 @@ class TestAggregation:
             assert got.tobytes() == expected.tobytes()
 
 
+class TestSamplesAreTableRows:
+    def test_a_sample_is_a_row_of_five_floats(self):
+        sample = RssiSample(rssi=np.array([-50, -60.5, -70.0]), position=(1, np.float64(2.5)))
+        assert sample == (-50.0, -60.5, -70.0, 1.0, 2.5)
+        assert sample.rssi == (-50.0, -60.5, -70.0) and sample.position == (1.0, 2.5)
+        assert {type(v) for v in (*sample, *sample.rssi, *sample.position)} == {float}
+        assert np.asarray([sample, sample], dtype=float).shape == (2, 5)
+        with pytest.raises(AttributeError):
+            sample.rssi = (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("rssi, position", [
+        ((-50.0, -60.0), (1.0, 2.0, 3.0)), ((-50.0, -60.0, -70.0), (1.0,)), ((), ()),
+    ])
+    def test_a_row_of_other_widths_is_refused(self, rssi, position):
+        with pytest.raises(ValueError, match="3 RSSI readings and an"):
+            RssiSample(rssi, position)
+
+    def test_copies_and_pickles_rebuild_the_sample(self):
+        sample = RssiSample((-50.0, -0.0, -70.0), (1.0, 2.0))
+        for twin in (copy.copy(sample), copy.deepcopy(sample), pickle.loads(pickle.dumps(sample))):
+            assert type(twin) is RssiSample and twin == sample
+            assert math.copysign(1.0, twin.rssi[1]) == -1.0
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(
+        st.tuples(*[st.floats(-200.0, 200.0)] * 5), min_size=1, max_size=4,
+    ).flatmap(lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=9)))
+    @example(rows=[(-50.0, -60.0, -70.0, 1.0, 2.0)])  # one row: every column is constant
+    @example(rows=[(-0.0, -60.0, -70.0, -0.0, 0.0), (-0.0, -60.0, -70.0, -0.0, 0.0),
+                   (3.0, -40.0, -71.0, 1.0, -0.0)])
+    def test_a_table_and_its_samples_give_the_same_bytes(self, rows, tmp_path):
+        table = np.array(rows, dtype=float)
+        samples = [RssiSample(row[:3], row[3:]) for row in rows]
+        fitted = []
+        for given_rows in (table, samples):
+            try:
+                scaler = fit_scaler(given_rows)
+            except ValueError as exc:
+                fitted.append(str(exc))
+            else:
+                fitted.append(scaler.lo.tobytes() + scaler.hi.tobytes())
+        assert fitted[0] == fitted[1]
+        # A lo of 0.0 scales a -0.0 reading to -0.0, whichever way the rows come.
+        scaler = Scaler(lo=np.array([0.0, -100.0, -100.0]), hi=np.array([150.0, 0.0, 100.0]))
+        scaled = [transform_samples(scaler, given_rows) for given_rows in (table, samples)]
+        for a, b in zip(*scaled):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags.c_contiguous and b.flags.c_contiguous  # training reads them per epoch
+        save_csv(table, tmp_path / "table.csv")
+        save_csv(samples, tmp_path / "samples.csv")
+        written = (tmp_path / "table.csv").read_bytes()
+        assert written == (tmp_path / "samples.csv").read_bytes()
+        assert load_table(tmp_path / "table.csv", has_header=True).tobytes() == table.tobytes()
+
+
 class TestScaler:
     def test_train_range_maps_to_unit_interval(self):
         rng = np.random.default_rng(2)
@@ -476,7 +532,7 @@ class TestScaler:
         assert np.all(feats >= 0.0) and np.all(feats <= 1.0)
         np.testing.assert_allclose(feats.min(axis=0), 0.0, rtol=0, atol=1e-15)
         np.testing.assert_allclose(feats.max(axis=0), 1.0, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(targs, targets_matrix(samples))
+        np.testing.assert_array_equal(targs, np.asarray(samples)[:, 3:])
 
     def test_out_of_range_values_clamp(self):
         samples = [
@@ -503,7 +559,7 @@ class TestScaler:
         samples = make_samples(rng, n=50)
         rows = np.array([transform(scaler, s.rssi) for s in samples])
         assert np.any(rows == 0.0) and np.any(rows == 1.0)
-        np.testing.assert_array_equal(transform(scaler, features_matrix(samples)), rows)
+        np.testing.assert_array_equal(transform(scaler, np.asarray(samples)[:, :3]), rows)
         np.testing.assert_array_equal(transform_samples(scaler, samples)[0], rows)
         assert transform_samples(scaler, [])[0].shape == (0, 3)
 
@@ -631,7 +687,7 @@ class TestSyntheticGenerator:
     def test_positions_inside_room(self):
         meta = scenario_meta("Sc-2", "Bluetooth")
         samples = gen_synthetic(meta, rng_seed=4, n_points=200)
-        pos = targets_matrix(samples)
+        pos = np.asarray(samples)[:, 3:]
         assert np.all(pos >= 0.0)
         assert np.all(pos[:, 0] <= meta.room[0])
         assert np.all(pos[:, 1] <= meta.room[1])
@@ -679,7 +735,7 @@ class TestSyntheticGenerator:
             for samples, reference in runs:
                 got = np.array([(*s.rssi, *s.position) for s in samples])
                 assert got.tobytes() == np.array([(*r, *p) for r, p in reference]).tobytes()
-                assert {type(v) for s in samples for v in (*s.rssi, *s.position)} == {np.float64}
+                assert {type(v) for s in samples for v in s} == {float}  # a row of 5 floats
 
     def test_validation(self):
         meta = scenario_meta("Sc-1", "WiFi")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hqloc import data, qlayer, statevector, train_eval
-from hqloc.circuits import cx, feature_state, h, real_amplitudes, ry, rz, zz_feature_map
+from hqloc.circuits import cx, feature_state, real_amplitudes, ry
 from hqloc.qlayer import (
     QuantumLayer,
     encode_batch,
@@ -18,7 +18,8 @@ from hqloc.qlayer import (
     q_forward_batch,
     q_gradient_batch,
 )
-from hqloc.reference import Statevector, apply_gate, apply_gates, expect_z, zero_state
+from hqloc.reference import Statevector, apply_gate, apply_gates, expect_z, h, rz, zero_state
+from hqloc.reference import zz_feature_map
 from hqloc.statevector import check_seed, sample_batch
 
 from oracles import (

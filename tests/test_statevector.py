@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqloc.circuits import MAX_QUBITS, Gate, cx, h, p, ry, rz
-from hqloc.reference import Statevector, apply_gate, apply_gates, expect_z, zero_state
+from hqloc.circuits import Gate, cx, ry
+from hqloc.reference import MAX_QUBITS, Statevector, apply_gate, apply_gates, expect_z, h, p, rz
+from hqloc.reference import zero_state
 from hqloc.statevector import MAX_SHOTS, check_shots, sample_batch, sample_expect_z
 
 from oracles import circuit_matrix, expect_z_oracle, shot_estimates_oracle

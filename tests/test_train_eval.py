@@ -649,6 +649,12 @@ class TestCompareAll:
         b = compare_all(meta, train_s, test_s, config)
         assert a == b
 
+    def test_a_table_gives_the_records_of_its_samples(self):
+        meta, train_s, test_s = gen_scenario_standin("Sc-3", "Bluetooth", seed=2)
+        config = CompareConfig(seeds=(1, 2), epochs=2, shots=64)
+        tables = [np.asarray(samples, dtype=float) for samples in (train_s, test_s)]
+        assert compare_all(meta, *tables, config) == compare_all(meta, train_s, test_s, config)
+
     def test_digest_tracks_config_and_meta(self):
         meta = scenario_meta("Sc-1", "WiFi")
         a = config_digest(meta, CompareConfig())

@@ -211,6 +211,7 @@ def test_dense_training_makes_one_pass_per_epoch(monkeypatch):
         raise AssertionError("dense training ran a separate backward pass")
 
     monkeypatch.setattr(classical, "loss_and_grad", counting("pass", classical.loss_and_grad))
+    monkeypatch.setattr(classical, "loss", counting("loss", classical.loss))
     monkeypatch.setattr(classical, "forward_batch", counting("forward", classical.forward_batch))
     monkeypatch.setattr(classical, "backward_batch", forbidden)
     rng = np.random.default_rng(29)
@@ -219,8 +220,8 @@ def test_dense_training_makes_one_pass_per_epoch(monkeypatch):
     for optimizer in ("adam", "sgd"):
         calls.clear()
         train(baseline_net(1), X, Z, TrainConfig(optimizer=optimizer, epochs=7, eta=0.01))
-        # One fused pass per epoch, then one forward for the final training MSE.
-        assert calls == ["pass"] * 7 + ["forward"]
+        # One fused pass per epoch, then one loss forward for the final training MSE.
+        assert calls == ["pass"] * 7 + ["loss"]
 
 
 def test_compare_makes_one_optimizer_step_per_epoch_per_method(monkeypatch):
