@@ -13,8 +13,10 @@ line, UTF-8, LF or CRLF. Other layouts are adapted through a small key-value
 mapping file naming the source column (by header name or 0-based index) for
 each canonical field.
 
-:func:`load_table` is the one CSV parser: a single pass that checks every
-row and collects its fields into the table. :func:`load_csv` gives the same
+:func:`load_table` is the one CSV parser. A file without a mapping is
+converted in bulk, a few thousand rows at a time; a file with a mapping, or
+one with any irregular row, takes a single checked pass over its rows,
+which is the only code that names a fault. :func:`load_csv` gives the same
 rows as a list of samples.
 
 The synthetic generator draws receiver positions uniformly inside the room
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import re
 import sys
@@ -40,6 +43,8 @@ from .statevector import check_integer
 
 CANONICAL_FIELDS = ("rssi_a", "rssi_b", "rssi_c", "x", "y")
 REFERENCE_DISTANCE_M = 1.0
+# Rows a canonical CSV converts at a time (load_table): the most it holds as strings.
+_BULK_ROWS = 4096
 # A survey grid keeps this far (m) off the walls, as in a physical survey.
 GRID_MARGIN_M = 0.5
 
@@ -209,7 +214,51 @@ def load_table(
     naming the line; the first fault in file order, and in field order within
     its row, is the one reported. So does an aggregated position whose
     readings average beyond the float64 range, naming the position.
+
+    Without a mapping the rows are read in chunks of ``_BULK_ROWS``; each
+    chunk's fields go through ``float()`` into the table at once and are
+    tested once for finiteness. A chunk with a blank row, a row of other
+    than five fields or a field that is not a finite number, or a csv or
+    decoding error, is discarded, and the file is parsed again from the top
+    by the checked row loop, so the values and the first fault named are
+    the loop's. Parsing holds at most one chunk of rows as strings.
     """
+    values = None if mapping is not None else _bulk_values(path, has_header)
+    if values is None:
+        values = _checked_values(path, has_header, mapping)
+    table = np.frombuffer(values).reshape(-1, len(CANONICAL_FIELDS))
+    return _aggregate_by_position(table, path) if aggregate_positions else table
+
+
+def _bulk_values(path, has_header: bool) -> array | None:
+    """A canonical file's fields as raw doubles, or None at its first irregular chunk.
+
+    As in the checked loop, the first non-blank row is the header if
+    ``has_header``. :func:`load_table` says what makes a chunk irregular.
+    """
+    values = array("d")
+    try:
+        with _csv_reader(path) as reader:
+            if has_header:
+                for row in reader:
+                    if any(map(str.strip, row)):
+                        break
+            while chunk := list(itertools.islice(reader, _BULK_ROWS)):
+                if set(map(len, chunk)) != {len(CANONICAL_FIELDS)}:
+                    return None
+                start = len(values)
+                values.extend(map(float, itertools.chain.from_iterable(chunk)))
+                # One expression, so the view is gone before the array grows again.
+                if not np.isfinite(np.frombuffer(values, offset=8 * start)).all():
+                    return None
+                del chunk  # before the next chunk is read, so one is held at a time
+    except ValueError:  # float() refused a field, or a DataFormatError
+        return None
+    return values
+
+
+def _checked_values(path, has_header: bool, mapping) -> array:
+    """:func:`load_table`'s fields as raw doubles, row by row; the first fault raises."""
     values = array("d")  # raw doubles: a quarter of what a list of Python floats holds
     header: list[str] | None = None
     columns: list[int] | None = None
@@ -270,8 +319,7 @@ def load_table(
                     )
                 fields.append(value)
             values.extend(fields)
-    table = np.frombuffer(values).reshape(-1, len(CANONICAL_FIELDS))
-    return _aggregate_by_position(table, path) if aggregate_positions else table
+    return values
 
 
 def _aggregate_by_position(table: np.ndarray, path) -> np.ndarray:

@@ -5,9 +5,11 @@ gives the probability (1 - <Z>) / 2 of measuring 1, and draws the count of 1
 outcomes from one binomial distribution rather than simulating each shot.
 :func:`sample_batch` keys each row once: one module-level PCG64 stream is
 re-keyed from a blake2b digest of the seed and the row's scaled features,
-and the row's qubits are then drawn from it in order. So a row's estimates
-depend only on the seed, the shot budget, its features and its exact
-expectations, never on its batch, earlier draws or other threads.
+and the row's qubits are then drawn from it in order. The digests are all
+taken before the stream's lock, which a batch then holds once while it
+re-keys and draws row by row. So a row's estimates depend only on the seed,
+the shot budget, its features and its exact expectations, never on its
+batch, earlier draws or other threads.
 
 No state is simulated here: the gate-level simulator is the reference in
 :mod:`hqloc.reference`. The module keeps its name because the benchmark
@@ -53,8 +55,8 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be an integer in [0, 2**63 - 1], got {seed}")
 
 
-# The one stream behind every sampled row. Each row re-keys it under the lock,
-# so the key and the draws it feeds are never split by another thread.
+# The one stream behind every sampled row. A batch re-keys it for each row under
+# the lock, so no row's key and the draws it feeds are split by another thread.
 _SHOT_BITS = np.random.PCG64()
 _SHOT_RNG = np.random.Generator(_SHOT_BITS)
 _SHOT_LOCK = threading.Lock()
@@ -68,11 +70,14 @@ def sample_expect_z(expectation: float, *, shots: int, rng: np.random.Generator)
     is one ``rng.binomial`` draw with that probability, which has the
     distribution of ``shots`` independent measurements at a cost that does
     not grow with ``shots``. Raises ValueError for an expectation that is
-    NaN or outside [-1, 1]. Returns (n_plus - n_minus) / shots.
+    NaN or outside [-1, 1], then for a budget :func:`check_shots` refuses;
+    a plain int in range passes with one type test and one comparison.
+    Returns (n_plus - n_minus) / shots.
     """
     if not -1.0 <= expectation <= 1.0:
         raise ValueError(f"expectation must be in [-1, 1], got {expectation!r}")
-    check_shots(shots)
+    if type(shots) is not int or not 1 <= shots <= MAX_SHOTS:  # the common case in one test
+        check_shots(shots)
     return 1.0 - 2.0 * int(rng.binomial(shots, (1.0 - expectation) / 2.0)) / shots
 
 
@@ -83,9 +88,13 @@ def sample_batch(expectations, X, *, shots: int, seed: int) -> np.ndarray:
     the little-endian int64 bytes of ``seed`` and float64 bytes of X[i], the
     row's scaled features: the first 16 bytes set the 128-bit state, the
     last 16 the increment, forced odd. Its qubits are then drawn in order,
-    one :func:`sample_expect_z` each. A row's estimates do not depend on the
-    rest of the batch. ``shots`` and ``seed`` are checked even for zero
-    rows, and a stack's (S, n_rows, n_qubits) expectations are refused.
+    one :func:`sample_expect_z` each. Every row's digest is taken before the
+    stream's lock, and the batch holds the lock once for all its rows, so
+    a row's estimates do not depend on the rest of the batch or on other
+    threads. ``shots`` and ``seed`` are checked even for zero rows, and a
+    stack's (S, n_rows, n_qubits) expectations are refused. An expectation
+    :func:`sample_expect_z` refuses raises its ValueError and releases the
+    lock.
     """
     check_shots(shots)
     check_seed(seed)
@@ -99,16 +108,17 @@ def sample_batch(expectations, X, *, shots: int, seed: int) -> np.ndarray:
     prefix = int(seed).to_bytes(8, "little")
     raw, width = X.tobytes(), 8 * X.shape[1]
     digest, from_bytes = hashlib.blake2b, int.from_bytes
+    # Stable across runs: Python's hash() is salted, so hash the bytes instead.
+    keys = [digest(prefix + raw[start:start + width], digest_size=32).digest()
+            for start in itertools.islice(itertools.count(0, width), len(X))]
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
     row_key = state["state"]  # only its state and increment change from row to row
     draws = array("d")  # raw doubles: a quarter of what a list of Python floats holds
-    for start, row_expectations in zip(itertools.count(0, width), expectations.tolist()):
-        # Stable across runs: Python's hash() is salted, so hash the bytes instead.
-        key = digest(prefix + raw[start:start + width], digest_size=32).digest()
-        with _SHOT_LOCK:
+    with _SHOT_LOCK:
+        for key, row_expectations in zip(keys, expectations.tolist()):
             row_key["state"] = from_bytes(key[:16], "little")
             row_key["inc"] = from_bytes(key[16:], "little") | 1
             _SHOT_BITS.state = state
-            draws.extend([sample_expect_z(e, shots=shots, rng=_SHOT_RNG)
-                          for e in row_expectations])
+            for e in row_expectations:
+                draws.append(sample_expect_z(e, shots=shots, rng=_SHOT_RNG))
     return np.frombuffer(draws).reshape(expectations.shape)
