@@ -13,11 +13,10 @@ line, UTF-8, LF or CRLF. Other layouts are adapted through a small key-value
 mapping file naming the source column (by header name or 0-based index) for
 each canonical field.
 
-:func:`load_table` is the one CSV parser. A file without a mapping is
-converted in bulk, a few thousand rows at a time; a file with a mapping, or
-one with any irregular row, takes a single checked pass over its rows,
-which is the only code that names a fault. :func:`load_csv` gives the same
-rows as a list of samples.
+:func:`load_table` is the one CSV parser. A well-formed file, mapped or
+not, is converted in bulk a few thousand rows at a time; any other file
+takes a single checked pass over its rows, which is the only code that
+names a fault. :func:`load_csv` gives the same rows as a list of samples.
 
 The synthetic generator draws receiver positions uniformly inside the room
 and computes per-transmitter RSSI from the log-distance path-loss model with
@@ -32,7 +31,6 @@ import csv
 import itertools
 import math
 import re
-import sys
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
@@ -43,7 +41,7 @@ from .statevector import check_integer
 
 CANONICAL_FIELDS = ("rssi_a", "rssi_b", "rssi_c", "x", "y")
 REFERENCE_DISTANCE_M = 1.0
-# Rows a canonical CSV converts at a time (load_table): the most it holds as strings.
+# Rows a CSV converts at a time (load_table): the most it holds as strings.
 _BULK_ROWS = 4096
 # A survey grid keeps this far (m) off the walls, as in a physical survey.
 GRID_MARGIN_M = 0.5
@@ -215,44 +213,50 @@ def load_table(
     its row, is the one reported. So does an aggregated position whose
     readings average beyond the float64 range, naming the position.
 
-    Without a mapping the rows are read in chunks of ``_BULK_ROWS``; each
-    chunk's fields go through ``float()`` into the table at once and are
-    tested once for finiteness. A chunk with a blank row, a row of other
-    than five fields or a field that is not a finite number, or a csv or
-    decoding error, is discarded, and the file is parsed again from the top
-    by the checked row loop, so the values and the first fault named are
-    the loop's. Parsing holds at most one chunk of rows as strings.
+    The rows are read in chunks of ``_BULK_ROWS``, empty rows dropped; each
+    chunk's (mapped) fields go through ``float()`` into the table at once and
+    are tested once for finiteness. Any other row, a mapping the header does
+    not resolve, or a csv or decoding error sends the file through the
+    checked row loop from the top, so the values and the first fault named
+    are the loop's. Parsing holds at most one chunk of rows as strings.
     """
-    values = None if mapping is not None else _bulk_values(path, has_header)
+    values = _bulk_values(path, has_header, mapping)
     if values is None:
         values = _checked_values(path, has_header, mapping)
     table = np.frombuffer(values).reshape(-1, len(CANONICAL_FIELDS))
     return _aggregate_by_position(table, path) if aggregate_positions else table
 
 
-def _bulk_values(path, has_header: bool) -> array | None:
-    """A canonical file's fields as raw doubles, or None at its first irregular chunk.
+def _bulk_values(path, has_header: bool, mapping) -> array | None:
+    """A well-formed file's fields as raw doubles, or None at the first chunk it cannot take.
 
     As in the checked loop, the first non-blank row is the header if
-    ``has_header``. :func:`load_table` says what makes a chunk irregular.
+    ``has_header``, and a mapping's columns resolve against it.
     """
     values = array("d")
     try:
         with _csv_reader(path) as reader:
+            header = None
             if has_header:
                 for row in reader:
                     if any(map(str.strip, row)):
+                        header = [cell.strip() for cell in row]
                         break
+            pick = None if mapping is None else itemgetter(*_resolve_columns(mapping, header, path))
             while chunk := list(itertools.islice(reader, _BULK_ROWS)):
-                if set(map(len, chunk)) != {len(CANONICAL_FIELDS)}:
+                if pick is not None:
+                    rows = map(pick, filter(None, chunk))  # IndexError on a row too short
+                elif {0, len(CANONICAL_FIELDS)}.issuperset(map(len, chunk)):
+                    rows = chunk  # an empty row ([] from the csv reader) adds no fields
+                else:
                     return None
                 start = len(values)
-                values.extend(map(float, itertools.chain.from_iterable(chunk)))
+                values.extend(map(float, itertools.chain.from_iterable(rows)))
                 # One expression, so the view is gone before the array grows again.
                 if not np.isfinite(np.frombuffer(values, offset=8 * start)).all():
                     return None
-                del chunk  # before the next chunk is read, so one is held at a time
-    except ValueError:  # float() refused a field, or a DataFormatError
+                del chunk, rows  # before the next chunk is read, so one is held at a time
+    except (ValueError, LookupError):  # float() refused a field, a DataFormatError, a short row
         return None
     return values
 
@@ -262,25 +266,11 @@ def _checked_values(path, has_header: bool, mapping) -> array:
     values = array("d")  # raw doubles: a quarter of what a list of Python floats holds
     header: list[str] | None = None
     columns: list[int] | None = None
-    pick = None  # the mapped columns' getter; without a mapping a row is its five fields
-    lo, hi = 1, 0  # the field counts a data row may have; none until the first data row
     with _csv_reader(path) as reader:
         start = 1
         for row in reader:
             lineno, start = start, reader.line_num + 1  # a row's line is where it starts
-            # float() strips what str.strip() strips whenever it parses, and a finite sum
-            # means finite fields, so a well-formed data row needs nothing more. Every other
-            # row, the header and a sum that overflows included, takes the full checks.
-            if lo <= len(row) <= hi:
-                try:
-                    rssi_a, rssi_b, rssi_c, x, y = map(float, row if pick is None else pick(row))
-                except ValueError:
-                    pass
-                else:
-                    if math.isfinite(rssi_a + rssi_b + rssi_c + x + y):
-                        values.extend((rssi_a, rssi_b, rssi_c, x, y))
-                        continue
-            if not row or all(not cell.strip() for cell in row):
+            if not any(map(str.strip, row)):
                 continue
             row = [cell.strip() for cell in row]
             if has_header and header is None:
@@ -289,11 +279,8 @@ def _checked_values(path, has_header: bool, mapping) -> array:
             if columns is None:
                 if mapping is None:
                     columns = list(range(len(CANONICAL_FIELDS)))
-                    lo = hi = len(CANONICAL_FIELDS)
                 else:
                     columns = _resolve_columns(mapping, header, path)
-                    pick = itemgetter(*columns)
-                    lo, hi = max(columns) + 1, sys.maxsize
             if mapping is None and len(row) != len(CANONICAL_FIELDS):
                 raise DataFormatError(
                     f"{path}: line {lineno}: expected {len(CANONICAL_FIELDS)} "
@@ -389,7 +376,8 @@ class Scaler:
 def fit_scaler(train_samples) -> Scaler:
     """Learn per-feature dBm ranges from an (n, 5) table or samples.
 
-    Rejects non-finite readings and constant columns.
+    Rejects non-finite readings, constant columns and columns whose span
+    ``hi - lo`` overflows the float64 range.
     """
     feats = _table(train_samples)[:, :3]
     if len(feats) == 0:
@@ -402,7 +390,16 @@ def fit_scaler(train_samples) -> Scaler:
     flat = np.flatnonzero(hi <= lo)
     if flat.size:
         raise ValueError(f"constant feature column(s) {flat.tolist()}: cannot scale")
+    wide = unscalable_spans(lo, hi)
+    if wide:
+        raise ValueError(f"feature column(s) {wide} span beyond the float64 range: cannot scale")
     return Scaler(lo, hi)
+
+
+def unscalable_spans(lo, hi) -> list[int]:
+    """The features whose span ``hi - lo`` overflows to inf; :func:`transform` divides by it."""
+    with np.errstate(over="ignore"):
+        return np.flatnonzero(np.isinf(np.subtract(hi, lo))).tolist()
 
 
 def transform(scaler: Scaler, rssi) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import classical
 from .circuits import N_ANSATZ_PARAMS, N_FEATURES
-from .data import Scaler, not_utf8
+from .data import Scaler, not_utf8, unscalable_spans
 from .qlayer import QuantumLayer
 from .train_eval import HybridModel
 
@@ -147,6 +147,11 @@ def load_model(path):
             raise ModelFormatError(
                 f"{path}: scaler_hi must exceed scaler_lo, fails for feature(s) "
                 f"{np.flatnonzero(~(hi > lo)).tolist()}"
+            )
+        wide = unscalable_spans(lo, hi)
+        if wide:
+            raise ModelFormatError(
+                f"{path}: scaler_hi - scaler_lo overflows the float64 range for feature(s) {wide}"
             )
         scaler = Scaler(lo=lo, hi=hi)
 

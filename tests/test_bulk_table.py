@@ -1,6 +1,6 @@
-"""load_table's bulk conversion of canonical files, and its fall-back to the checked row loop.
+"""load_table's bulk conversion of well-formed files, and its fall-back to the checked row loop.
 
-A file without a mapping is converted a chunk of rows at a time; any chunk
+A file, mapped or not, is converted a chunk of rows at a time; any chunk
 the bulk path cannot take sends the whole file through the row loop, which
 names the first fault. These files are built so that a fault sits in a
 chosen chunk, and the values or error must be the row loop's.
@@ -33,6 +33,17 @@ def _rows(n):
     return [f"-{50 + i % 40},-{60 + i % 7}.5,-70,{i}.25,{i % 13}" for i in range(n)]
 
 
+# A layout of other people's surveys: a site label, the position reversed, the readings reversed.
+REORDERED_HEADER = "site,py,px,zigbee,bluetooth,wifi"
+BY_INDEX = {"rssi_a": 5, "rssi_b": 4, "rssi_c": 3, "x": 2, "y": 1}
+BY_NAME = {"rssi_a": "wifi", "rssi_b": "bluetooth", "rssi_c": "zigbee", "x": "px", "y": "py"}
+
+
+def _reordered(line):
+    """A canonical row in the ``REORDERED_HEADER`` layout."""
+    return ",".join(["A", *reversed(line.split(","))])
+
+
 def _loop_table(path, has_header=False):
     """The row loop's table."""
     return np.frombuffer(data._checked_values(path, has_header, None)).reshape(-1, 5)
@@ -58,12 +69,25 @@ class TestBulkPath:
         table = _same_as_the_loop_and_reference(_write(tmp_path, [HEADER, *lines]), True)
         assert len(table) == len(lines)
 
-    def test_the_loop_is_not_run_for_a_regular_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("lines, has_header, mapping", [
+        pytest.param([HEADER, *_rows(5)], True, None, id="canonical"),
+        pytest.param([HEADER, *_rows(5), ""], True, None, id="trailing-blank-line"),
+        pytest.param([HEADER, *_rows(3), *[""] * (2 * _BULK_ROWS), *_rows(9)[3:]], True, None,
+                     id="blank-chunks-mid-file"),
+        pytest.param([*map(_reordered, _rows(5)), ""], False, BY_INDEX, id="mapped-by-index"),
+        pytest.param([REORDERED_HEADER, *map(_reordered, _rows(5))], True, BY_NAME,
+                     id="mapped-by-name"),
+    ])
+    def test_the_loop_is_not_run_for_a_regular_file(self, tmp_path, monkeypatch, lines,
+                                                     has_header, mapping):
         def refuse(*args):
             raise AssertionError("fell back on a regular file")
 
+        path = _write(tmp_path, lines)
+        expected = [[*s.rssi, *s.position] for s in load_csv_reference(path, has_header, mapping)]
         monkeypatch.setattr(data, "_checked_values", refuse)
-        assert load_table(_write(tmp_path, [HEADER, *_rows(5)]), has_header=True).shape == (5, 5)
+        table = load_table(path, has_header, mapping)
+        assert table.tolist() == expected and len(expected) == sum(map(bool, lines)) - has_header
 
     def test_a_byte_order_mark_is_dropped(self, tmp_path):
         for has_header, lines in ((False, _rows(3)), (True, [HEADER, *_rows(3)])):
@@ -158,6 +182,6 @@ def test_bulk_parsing_peaks_at_the_row_loops_bytes_plus_one_chunk(tmp_path, monk
 
     chunk = _traced_peak(one_chunk)
     bulk = _traced_peak(lambda: load_table(path, has_header=True))
-    monkeypatch.setattr(data, "_bulk_values", lambda path, has_header: None)
+    monkeypatch.setattr(data, "_bulk_values", lambda *args: None)
     loop = _traced_peak(lambda: load_table(path, has_header=True))
     assert bulk <= loop + chunk, (bulk, loop, chunk)

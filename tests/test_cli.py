@@ -99,6 +99,23 @@ class TestExitCodes:
             "float64 range"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--epochs", "3"], ["compare", "--epochs", "2", "--seeds", "1"],
+    ], ids=["train", "compare"])
+    def test_a_feature_span_beyond_float64_is_one_line_error(self, tmp_path, capsys, command):
+        # Finite readings 6e307 dB apart: hi - lo overflows. A numpy warning fails the test.
+        wide = tmp_path / "wide.csv"
+        assert main(["gen-synthetic", "--room", "6x5", "--n", "20", "--sigma", "6e307",
+                     "--pl0", "0", "--seed", "1", "--out", str(wide)]) == 0
+        capsys.readouterr()
+        inputs = ["--data", str(wide)] if command[0] == "train" else [
+            "--train", str(wide), "--test", str(wide)]
+        code = main([*command, *inputs, "--has-header", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: feature column(s) [2] span beyond the float64 range: cannot scale"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("content, reason", [
         (b"-50,-60,-70,1,2\n-50,-6\xff0,-70,1,2\n", "byte 0xff"),
         (b"-50,-60,-70,1,2\n" + b"1" * 200_000 + b",1,1,1,1\n", "field larger"),

@@ -606,6 +606,18 @@ class TestScaler:
         with pytest.raises(ValueError, match=r"\[1\]"):
             fit_scaler(samples)
 
+    def test_a_span_beyond_float64_is_rejected_by_column(self):
+        # hi - lo would be inf, and every scaled reading 0 or NaN.
+        table = np.array([[-1e308, -60.0, 1.7e308, 0.0, 0.0],
+                          [1e308, -50.0, -1e308, 1.0, 1.0]])
+        with pytest.raises(ValueError, match=re.escape(
+                "feature column(s) [0, 2] span beyond the float64 range: cannot scale")):
+            fit_scaler(table)
+        table[:, 0] = -1e308, 7.9e307  # a span just inside the float64 range
+        table[:, 2] = -1e308, 1.0
+        scaler = fit_scaler(table)
+        assert np.isfinite(scaler.hi - scaler.lo).all()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_readings_rejected_by_column(self, bad):
         # NaN would become the column's bounds; an inf would scale every

@@ -17,7 +17,7 @@ from hqloc.classical import (
     forward,
     glorot_net,
 )
-from hqloc.data import Scaler
+from hqloc.data import Scaler, unscalable_spans
 from hqloc.model_io import (
     FORMAT_HEADER,
     ModelFormatError,
@@ -59,8 +59,9 @@ def models(draw):
 @st.composite
 def scalers(draw):
     a, b = (draw(arrays(float, (3,), elements=finite)) for _ in range(2))
-    assume(np.all(a != b))
-    return Scaler(lo=np.minimum(a, b), hi=np.maximum(a, b))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    assume(np.all(a != b) and not unscalable_spans(lo, hi))
+    return Scaler(lo=lo, hi=hi)
 
 
 def stored_arrays(model):
@@ -347,6 +348,13 @@ class TestScalerChecks:
             tmp_path, [-90.0, -90.0, -60.0], [-40.0, -40.0, -60.0]
         )
         assert "feature(s) [2]" in message
+
+    def test_a_span_beyond_float64_is_rejected(self, tmp_path):
+        # Finite bounds whose difference is inf would scale every reading to 0 or NaN.
+        message = self.load_with_scaler(
+            tmp_path, [-90.0, -1e308, -90.0], [-40.0, 1e308, -40.0]
+        )
+        assert message.endswith("overflows the float64 range for feature(s) [1]")
 
     def test_two_entry_scaler_rejected(self, tmp_path):
         message = self.load_with_scaler(tmp_path, [-90.0, -90.0], [-40.0, -40.0])
