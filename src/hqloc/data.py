@@ -13,10 +13,9 @@ line, UTF-8, LF or CRLF. Other layouts are adapted through a small key-value
 mapping file naming the source column (by header name or 0-based index) for
 each canonical field.
 
-:func:`load_table` is the one CSV parser. A well-formed file, mapped or
-not, is converted in bulk a few thousand rows at a time; any other file
-takes a single checked pass over its rows, which is the only code that
-names a fault. :func:`load_csv` gives the same rows as a list of samples.
+:func:`load_table` is the one CSV parser. numpy's C reader parses a
+well-formed file, mapped or not, in one call; any other file takes a single
+checked pass over its rows, which is the only code that names a fault.
 
 The synthetic generator draws receiver positions uniformly inside the room
 and computes per-transmitter RSSI from the log-distance path-loss model with
@@ -28,9 +27,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
+import functools
 import math
+import os
 import re
+import warnings
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
@@ -41,8 +42,6 @@ from .statevector import check_integer
 
 CANONICAL_FIELDS = ("rssi_a", "rssi_b", "rssi_c", "x", "y")
 REFERENCE_DISTANCE_M = 1.0
-# Rows a CSV converts at a time (load_table): the most it holds as strings.
-_BULK_ROWS = 4096
 # A survey grid keeps this far (m) off the walls, as in a physical survey.
 GRID_MARGIN_M = 0.5
 
@@ -213,100 +212,91 @@ def load_table(
     its row, is the one reported. So does an aggregated position whose
     readings average beyond the float64 range, naming the position.
 
-    The rows are read in chunks of ``_BULK_ROWS``, empty rows dropped; each
-    chunk's (mapped) fields go through ``float()`` into the table at once and
-    are tested once for finiteness. Any other row, a mapping the header does
-    not resolve, or a csv or decoding error sends the file through the
-    checked row loop from the top, so the values and the first fault named
-    are the loop's. Parsing holds at most one chunk of rows as strings.
+    The csv reader takes the header. numpy's C reader then parses a
+    well-formed file, mapped or not, in one call. A file it refuses, warns on
+    or reads a non-finite value from, a mapping the header does not resolve,
+    or a file that may hold a field past the size limit goes on through the
+    checked row loop instead, from the row after the header, so the values
+    and the first fault named are the loop's.
     """
-    values = _bulk_values(path, has_header, mapping)
-    if values is None:
-        values = _checked_values(path, has_header, mapping)
-    table = np.frombuffer(values).reshape(-1, len(CANONICAL_FIELDS))
+    with _csv_reader(path) as reader:
+        header = None
+        if has_header:  # the first non-blank row
+            header = next(([cell.strip() for cell in row] for row in reader
+                           if any(map(str.strip, row))), None)
+        table = _loadtxt_table(path, reader.line_num, header, mapping)
+        if table is None:
+            table = _checked_values(path, reader, header, mapping)
     return _aggregate_by_position(table, path) if aggregate_positions else table
 
 
-def _bulk_values(path, has_header: bool, mapping) -> array | None:
-    """A well-formed file's fields as raw doubles, or None at the first chunk it cannot take.
+def _loadtxt_table(path, skip: int, header, mapping) -> np.ndarray | None:
+    """The table of a well-formed file past its first ``skip`` lines, from ``np.loadtxt``.
 
-    As in the checked loop, the first non-blank row is the header if
-    ``has_header``, and a mapping's columns resolve against it.
+    None sends the file to the row loop. The csv reader counted the ``skip``
+    lines the header spans, a quoted line break included, as ``skiprows``
+    counts them. loadtxt has no field size limit, so a file larger than the
+    csv module's is taken only if it holds no quote (each field then lies
+    within a line) and no line past the limit.
     """
-    values = array("d")
+    limit = csv.field_size_limit()
     try:
-        with _csv_reader(path) as reader:
-            header = None
-            if has_header:
-                for row in reader:
-                    if any(map(str.strip, row)):
-                        header = [cell.strip() for cell in row]
-                        break
-            pick = None if mapping is None else itemgetter(*_resolve_columns(mapping, header, path))
-            while chunk := list(itertools.islice(reader, _BULK_ROWS)):
-                if pick is not None:
-                    rows = map(pick, filter(None, chunk))  # IndexError on a row too short
-                elif {0, len(CANONICAL_FIELDS)}.issuperset(map(len, chunk)):
-                    rows = chunk  # an empty row ([] from the csv reader) adds no fields
-                else:
+        columns = None if mapping is None else _resolve_columns(mapping, header, path)
+        if os.path.getsize(path) > limit:
+            with open(path, "rb") as fh:
+                longest = max(map(len, fh))
+                fh.seek(0)
+                if longest > limit or b'"' in fh.read():
                     return None
-                start = len(values)
-                values.extend(map(float, itertools.chain.from_iterable(rows)))
-                # One expression, so the view is gone before the array grows again.
-                if not np.isfinite(np.frombuffer(values, offset=8 * start)).all():
-                    return None
-                del chunk, rows  # before the next chunk is read, so one is held at a time
-    except (ValueError, LookupError):  # float() refused a field, a DataFormatError, a short row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt only warns on a file with no rows
+            # comments=None: numpy's default "#" would cut a row such as "1,2,3,4,5#x" short.
+            table = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                               encoding="utf-8-sig", skiprows=skip, usecols=columns)
+    except (OSError, ValueError, UserWarning):  # a DataFormatError, or a field loadtxt refuses
         return None
-    return values
+    finite = table.shape[1] == len(CANONICAL_FIELDS) and np.isfinite(table).all()
+    return table if finite else None
 
 
-def _checked_values(path, has_header: bool, mapping) -> array:
-    """:func:`load_table`'s fields as raw doubles, row by row; the first fault raises."""
+def _checked_values(path, reader, header, mapping) -> np.ndarray:
+    """Rows left in ``reader`` as :func:`load_table`'s table, checked; the first fault raises."""
     values = array("d")  # raw doubles: a quarter of what a list of Python floats holds
-    header: list[str] | None = None
-    columns: list[int] | None = None
-    with _csv_reader(path) as reader:
-        start = 1
-        for row in reader:
-            lineno, start = start, reader.line_num + 1  # a row's line is where it starts
-            if not any(map(str.strip, row)):
-                continue
-            row = [cell.strip() for cell in row]
-            if has_header and header is None:
-                header = row
-                continue
-            if columns is None:
-                if mapping is None:
-                    columns = list(range(len(CANONICAL_FIELDS)))
-                else:
-                    columns = _resolve_columns(mapping, header, path)
-            if mapping is None and len(row) != len(CANONICAL_FIELDS):
+    columns = list(range(len(CANONICAL_FIELDS))) if mapping is None else None
+    start = reader.line_num + 1
+    for row in reader:
+        lineno, start = start, reader.line_num + 1  # a row's line is where it starts
+        if not any(map(str.strip, row)):
+            continue
+        row = [cell.strip() for cell in row]
+        if columns is None:
+            columns = _resolve_columns(mapping, header, path)
+        if mapping is None and len(row) != len(CANONICAL_FIELDS):
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected {len(CANONICAL_FIELDS)} "
+                f"fields, got {len(row)}"
+            )
+        if max(columns) >= len(row):
+            raise DataFormatError(
+                f"{path}: line {lineno}: row has {len(row)} fields, "
+                f"mapping needs column {max(columns)}"
+            )
+        fields = []
+        for field, col in zip(CANONICAL_FIELDS, columns):
+            try:
+                value = float(row[col])
+            except ValueError:
                 raise DataFormatError(
-                    f"{path}: line {lineno}: expected {len(CANONICAL_FIELDS)} "
-                    f"fields, got {len(row)}"
-                )
-            if max(columns) >= len(row):
+                    f"{path}: line {lineno}: non-numeric value {row[col]!r} "
+                    f"for field {field!r}"
+                ) from None
+            if not math.isfinite(value):
                 raise DataFormatError(
-                    f"{path}: line {lineno}: row has {len(row)} fields, "
-                    f"mapping needs column {max(columns)}"
+                    f"{path}: line {lineno}: non-finite value for field {field!r}"
                 )
-            fields = []
-            for field, col in zip(CANONICAL_FIELDS, columns):
-                try:
-                    value = float(row[col])
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: non-numeric value {row[col]!r} "
-                        f"for field {field!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: non-finite value for field {field!r}"
-                    )
-                fields.append(value)
-            values.extend(fields)
-    return values
+            fields.append(value)
+        values.extend(fields)
+    return np.frombuffer(values).reshape(-1, len(CANONICAL_FIELDS))
 
 
 def _aggregate_by_position(table: np.ndarray, path) -> np.ndarray:
@@ -339,17 +329,6 @@ def _aggregate_by_position(table: np.ndarray, path) -> np.ndarray:
     return merged
 
 
-def load_csv(
-    path,
-    has_header: bool = False,
-    mapping: dict[str, int | str] | None = None,
-    aggregate_positions: bool = False,
-) -> list[RssiSample]:
-    """:func:`load_table`'s rows as samples, with the same arguments, checks and errors."""
-    table = load_table(path, has_header, mapping, aggregate_positions)
-    return [RssiSample(row[:3], row[3:]) for row in table.tolist()]
-
-
 def _table(samples) -> np.ndarray:
     """``samples``, an (n, 5) table or a list of samples, as an (n, 5) float table."""
     return np.asarray(samples, dtype=float).reshape(len(samples), len(CANONICAL_FIELDS))
@@ -371,6 +350,20 @@ class Scaler:
 
     lo: np.ndarray
     hi: np.ndarray
+
+    @functools.cached_property
+    def _floor_and_span(self) -> tuple[np.ndarray, np.ndarray]:
+        """``lo - span`` and ``span = hi - lo``: :func:`transform` clamps readings into [floor, hi].
+
+        A reading below the floor scales to 0.0, as it would unclamped, and
+        ``reading - lo`` cannot overflow for a clamped one. A floor past the
+        float64 range is -inf, which clamps nothing: ``lo`` is then negative.
+        Computed once per scaler, so a fix pays neither the two subtractions
+        nor ``np.errstate``; ``lo`` and ``hi`` are not to be changed in place.
+        """
+        span = self.hi - self.lo
+        with np.errstate(over="ignore"):
+            return self.lo - span, span
 
 
 def fit_scaler(train_samples) -> Scaler:
@@ -409,12 +402,16 @@ def transform(scaler: Scaler, rssi) -> np.ndarray:
         raise ValueError(f"a scaler maps {scaler.lo.size} RSSI features, got shape {rssi.shape}")
     if not np.isfinite(rssi).all():
         raise ValueError("RSSI readings must be finite, got NaN or inf")
-    scaled = (rssi - scaler.lo) / (scaler.hi - scaler.lo)
-    # Clip in place with two ufuncs: np.clip's wrapper costs more than a fix's
-    # arithmetic. Each bound goes first because np.maximum returns its second
-    # operand of two equal zeros, so a -0.0 stays -0.0, as np.clip keeps it.
-    np.maximum(0.0, scaled, out=scaled)
-    return np.minimum(1.0, scaled, out=scaled)
+    # Five ufuncs, each in place but the first: np.clip's wrapper costs more
+    # than a fix's arithmetic. np.maximum returns its second operand of two
+    # equal zeros, so a -0.0 reading at lo = 0.0 scales to -0.0, as np.clip
+    # of the unclamped ratio keeps it.
+    floor, span = scaler._floor_and_span
+    scaled = np.maximum(floor, rssi)
+    np.minimum(scaler.hi, scaled, out=scaled)
+    scaled -= scaler.lo
+    scaled /= span
+    return np.maximum(0.0, scaled, out=scaled)
 
 
 def transform_samples(scaler: Scaler, samples) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from hqloc.data import (
     TECHNOLOGIES,
     fit_scaler,
     gen_scenario_standin,
-    load_csv,
+    load_table,
     transform_samples,
 )
 from hqloc.optim import adam_step, init_adam
@@ -85,7 +85,7 @@ def _load_cell_csv(path):
         has_header = False
     except ValueError:
         has_header = True
-    return load_csv(path, has_header=has_header)
+    return load_table(path, has_header=has_header)
 
 
 def _real_cell(scenario, technology):

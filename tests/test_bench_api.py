@@ -94,7 +94,7 @@ def test_checker_catches_each_form():
         "train_eval.TrainConfig(epochs=1, eta=0.1, seed=3)",
         "train_eval.train(m, X, Z, c).config",
         "train_eval.train(m, X, Z, c).final_train_mse",
-        "data.load_csv(path, *extra, header=True)",
+        "data.load_table(path, *extra, header=True)",
         "cli.main(argv, 1)",
         "oracle.anything(1, 2, 3)",
     ])

@@ -1,9 +1,9 @@
-"""load_table's bulk conversion of well-formed files, and its fall-back to the checked row loop.
+"""load_table's bulk parse of well-formed files, and its fall-back to the checked row loop.
 
-A file, mapped or not, is converted a chunk of rows at a time; any chunk
-the bulk path cannot take sends the whole file through the row loop, which
-names the first fault. These files are built so that a fault sits in a
-chosen chunk, and the values or error must be the row loop's.
+numpy's C reader parses a file, mapped or not, in one call; any file it
+cannot take goes through the row loop, which names the first fault. These
+files are built so that a fault sits thousands of rows deep, past rows that
+parse, and the values or error must be the row loop's.
 """
 
 import csv
@@ -14,11 +14,14 @@ import numpy as np
 import pytest
 
 from hqloc import data
-from hqloc.data import _BULK_ROWS, DataFormatError, load_table
+from hqloc.data import DataFormatError, load_table
 
 from oracles import load_csv_reference
 
 BOM = "\ufeff".encode()  # the UTF-8 byte-order mark
+# A stretch of rows in these files, and the most rows a parse may hold as
+# strings above the row loop's peak (the memory test).
+_BULK_ROWS = 4096
 HEADER = "rssi_a,rssi_b,rssi_c,x,y"
 
 
@@ -46,7 +49,9 @@ def _reordered(line):
 
 def _loop_table(path, has_header=False):
     """The row loop's table."""
-    return np.frombuffer(data._checked_values(path, has_header, None)).reshape(-1, 5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_loadtxt_table", lambda *args: None)
+        return load_table(path, has_header)
 
 
 def _same_as_the_loop_and_reference(path, has_header=False):
@@ -182,6 +187,6 @@ def test_bulk_parsing_peaks_at_the_row_loops_bytes_plus_one_chunk(tmp_path, monk
 
     chunk = _traced_peak(one_chunk)
     bulk = _traced_peak(lambda: load_table(path, has_header=True))
-    monkeypatch.setattr(data, "_bulk_values", lambda *args: None)
+    monkeypatch.setattr(data, "_loadtxt_table", lambda *args: None)
     loop = _traced_peak(lambda: load_table(path, has_header=True))
     assert bulk <= loop + chunk, (bulk, loop, chunk)

@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hqloc.data import (
     fit_scaler,
     gen_scenario_standin,
     gen_synthetic,
-    load_csv,
+    load_table,
     save_csv,
     scenario_meta,
     transform_samples,
@@ -195,11 +196,10 @@ class TestGenSynthetic:
                      "--sigma", "0", "--seed", "1", "--out", str(out)])
         assert code == 0
         assert "49" in capsys.readouterr().out
-        samples = load_csv(out, has_header=True)
-        assert len(samples) == 49
-        for s in samples:
-            assert 0.0 <= s.position[0] <= 6.0
-            assert 0.0 <= s.position[1] <= 5.5
+        table = load_table(out, has_header=True)
+        assert len(table) == 49
+        assert ((0.0 <= table[:, 3]) & (table[:, 3] <= 6.0)).all()
+        assert ((0.0 <= table[:, 4]) & (table[:, 4] <= 5.5)).all()
 
     def test_same_seed_gives_identical_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -228,7 +228,7 @@ class TestGenSynthetic:
         code = main(["gen-synthetic", "--room", "4x4", "--n", "5",
                      "--tx", "0,0", "4,0", "2,4", "--out", str(out)])
         assert code == 0
-        assert len(load_csv(out, has_header=True)) == 5
+        assert len(load_table(out, has_header=True)) == 5
 
     @pytest.mark.parametrize("room", ["6", "ax5", "6x-2", "0x5"])
     def test_bad_room_rejected(self, room, tmp_path):
@@ -528,13 +528,12 @@ class TestEval:
 
     def test_clamped_features_are_counted_and_reported(self, tmp_path, train_csv, capsys):
         model_file = self.run_train(tmp_path, train_csv)
-        samples = load_csv(train_csv)
+        table = load_table(train_csv)
         in_range = tmp_path / "in_range.csv"
-        save_csv(samples, in_range, header=False)
-        rssi = samples[0].rssi
-        samples[0] = RssiSample((rssi[0], rssi[1] - 100.0, rssi[2]), samples[0].position)
+        save_csv(table, in_range, header=False)
+        table[0, 1] -= 100.0
         out_of_range = tmp_path / "out_of_range.csv"
-        save_csv(samples, out_of_range, header=False)
+        save_csv(table, out_of_range, header=False)
         capsys.readouterr()
         # eval's --data and train's --test are counted against the same training range.
         commands = {
@@ -551,6 +550,25 @@ class TestEval:
                             if line.startswith("warning:")]
                 assert len(warnings) == count
         assert warnings[0].startswith(f"warning: 1 feature value(s) in {out_of_range} lie outside")
+
+    def test_a_reading_past_float64_of_the_training_range_clamps_without_a_numpy_warning(
+        self, tmp_path, capsys
+    ):
+        # rssi_a trained near -1e308: an rssi_a of 1e308 lies farther from the
+        # scaler's lo than float64 holds, so it must be clamped before scaling.
+        train_csv = tmp_path / "far.csv"
+        train_csv.write_text("".join(f"{-1e308 + i * 1e306!r},{-50 - i},{-60 - i},{i},{i}\n"
+                                     for i in range(3)), encoding="utf-8")
+        model_file = self.run_train(tmp_path, train_csv)
+        data_csv = tmp_path / "far_fix.csv"
+        data_csv.write_text("1e308,-51,-61,0.5,0.5\n", encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["eval", "--model-file", str(model_file), "--data", str(data_csv),
+                         "--out-dir", str(tmp_path / "e")])
+        assert code == 0 and not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().err.startswith(f"warning: 1 feature value(s) in {data_csv}")
 
     def test_shots_on_classical_model_warn(self, tmp_path, train_csv, test_csv, capsys):
         model_file = self.run_train(tmp_path, train_csv, extra=("--model", "classical"))
@@ -608,11 +626,11 @@ class TestCompare:
         assert not (out_dir / "comparison.csv").exists()
 
     def test_clamped_features_are_counted_and_reported(self, tmp_path, train_csv, capsys):
-        samples = load_csv(train_csv)
-        rssi = samples[0].rssi
-        samples[0] = RssiSample((rssi[0] + 100.0, rssi[1], rssi[2] - 100.0), samples[0].position)
+        table = load_table(train_csv)
+        table[0, 0] += 100.0
+        table[0, 2] -= 100.0
         out_of_range = tmp_path / "out_of_range.csv"
-        save_csv(samples, out_of_range, header=False)
+        save_csv(table, out_of_range, header=False)
         capsys.readouterr()
         for test_csv, name, count in ((train_csv, "c0", 0), (out_of_range, "c1", 2)):
             out_dir = tmp_path / name
@@ -639,7 +657,6 @@ def test_train_compare_and_eval_parse_into_the_table_alone(
         raise AssertionError("a command built samples")
 
     monkeypatch.setattr(cli.data, "RssiSample", refuse)
-    monkeypatch.setattr(cli.data, "load_csv", refuse)
     model = tmp_path / "train" / "model.params"
     assert main(["train", "--data", str(train_csv), "--test", str(test_csv), "--epochs", "2",
                  "--out-dir", str(tmp_path / "train")]) == 0

@@ -2,9 +2,12 @@
 
 ``gen-synthetic`` runs with settings drawn from edge sets (zero, one, the
 float64 extremes, infinities and NaN, a one-row file), then ``train`` and
-``eval`` run on the file it wrote. Each ``main(argv)`` call either returns 0
-and every file it wrote loads back finite, or returns 1 or 2 with one
-``error:`` line on stderr; none raises or lets numpy warn.
+``eval`` run on the file it wrote. ``train --test`` and ``eval --shots`` then
+read a hand-written file beside it: empty, blank lines only, the survey's
+first row, or the survey with a byte-order mark or CRLF line ends. Each
+``main(argv)`` call either returns 0 and every file it wrote loads back
+finite, or returns 1 or 2 with one ``error:`` line on stderr; none raises or
+lets numpy warn.
 """
 
 import contextlib
@@ -67,6 +70,18 @@ def _run(argv, out: Path) -> int:
     return code
 
 
+def _hand_written(kind: str, survey: bytes) -> bytes:
+    """A test CSV of ``kind`` beside ``survey``, whose header and rows gen-synthetic wrote."""
+    header, first = survey.split(b"\n")[:2]
+    return {
+        "empty": b"",
+        "blank-only": b"\n \r\n\t\n",
+        "one-row": header + b"\n" + first + b"\n",
+        "bom": "\ufeff".encode() + survey,
+        "crlf": survey.replace(b"\n", b"\r\n"),
+    }[kind]
+
+
 def _edge_or(default):
     """An edge value, or (half the time) the flag's default, so that some files reach ``train``."""
     return st.just(default) | st.sampled_from(EDGES)
@@ -75,10 +90,13 @@ def _edge_or(default):
 @settings(max_examples=300, deadline=None)
 @given(room=st.sampled_from(ROOMS), n=st.sampled_from([1, 2, 20]), sigma=_edge_or(1.0),
        pl0=_edge_or(-40.0), n_exp=_edge_or(2.5), seed=st.integers(0, 3),
-       model=st.sampled_from(["hqnn", "classical"]))
-@example(room="6x5", n=20, sigma=6e307, pl0=0.0, n_exp=2.5, seed=1, model="hqnn")
+       model=st.sampled_from(["hqnn", "classical"]),
+       test_kind=st.sampled_from(["empty", "blank-only", "one-row", "bom", "crlf"]),
+       shots=st.sampled_from([1, 64, 4096]))
+@example(room="6x5", n=20, sigma=6e307, pl0=0.0, n_exp=2.5, seed=1, model="hqnn",
+         test_kind="crlf", shots=64)
 def test_what_gen_synthetic_writes_trains_and_evaluates_or_fails_in_one_line(
-    room, n, sigma, pl0, n_exp, seed, model
+    room, n, sigma, pl0, n_exp, seed, model, test_kind, shots
 ):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -92,3 +110,10 @@ def test_what_gen_synthetic_writes_trains_and_evaluates_or_fails_in_one_line(
             return
         _run(["eval", "--model-file", str(out / "train" / "model.params"), "--data", str(survey),
               "--has-header", "--out-dir", str(out / "eval")], out)
+        test = out / "test.csv"
+        test.write_bytes(_hand_written(test_kind, survey.read_bytes()))
+        _run(["train", "--data", str(survey), "--test", str(test), "--has-header", "--model", model,
+              "--epochs", "2", "--out-dir", str(out / "train_test")], out)
+        _run(["eval", "--model-file", str(out / "train" / "model.params"), "--data", str(test),
+              "--has-header", "--shots", str(shots), "--seed", str(seed),
+              "--out-dir", str(out / "eval_shots")], out)

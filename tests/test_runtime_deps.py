@@ -61,7 +61,7 @@ def test_checker_catches_each_form():
     source = "\n".join([
         "import json, scipy.linalg",
         "from numpy.linalg import norm",
-        "from hqloc.data import load_csv",
+        "from hqloc.data import load_table",
         "from . import circuits",
         "from .statevector import Gate",
         "import pandas as pd",
