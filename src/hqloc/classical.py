@@ -21,20 +21,24 @@ have one slice per network, (S, n, in). Network s of a stack computes bit for
 bit what it computes alone; losses and gradients gain the leading axis.
 
 One forward trace keeps every layer's input and output, and one backprop reads
-it: :func:`backward_batch` runs both for a given upstream gradient, and
-:func:`loss_and_grad` takes the MSE and its gradient from a single forward
-pass, so a training epoch runs the network once. Backprop writes each layer's
-gradient into its views of one ``params``-layout array.
+it: :func:`backward_batch` runs both for a given upstream gradient. Three
+passes against targets share one checked trace, which also gives the
+prediction minus the targets: :func:`loss` returns the MSE alone,
+:func:`loss_and_grad` the MSE, the parameter gradient and the input
+gradients, and :func:`mse_grad` the two gradients alone, with no MSE
+reduced. So a training epoch runs the network once for its gradient.
+Backprop writes each layer's gradient into its views of one
+``params``-layout array.
 
 Backprop has one buffer mode: it writes its ReLU masks, input gradients and
 parameter gradient with numpy's ``out=`` into a :class:`Workspace`, which
 holds those buffers and the gradient's layer views, cut once. A training
 loop builds one per run, for a baseline network or a hybrid model's head.
 The workspace also holds views of the network's transposed weights and bias
-rows, made once, and the shapes of the batches it takes, so
-:func:`loss_and_grad` and :func:`loss` check their arguments with one shape
-compare each and write every epoch's layer outputs and gradients into it:
-a stack's (S, n, 128)-sized arrays are not made anew each epoch. A one-off
+rows, made once, and the shapes of the batches it takes, so the three
+passes check their arguments with one shape compare each and write every
+epoch's layer outputs and gradients into it: a stack's (S, n, 128)-sized
+arrays are not made anew each epoch. A one-off
 :func:`backward_batch` builds one for its call. A forward pass alone
 (:func:`forward_batch`, so each live fix) builds none and writes fresh
 arrays.
@@ -244,10 +248,12 @@ def _trace(net: DenseNet, V, work: Workspace | None = None) -> list[np.ndarray]:
     return acts
 
 
-def _loss(net: DenseNet, V, Z, work: Workspace):
-    """The trace of :func:`_trace` into ``work``'s buffers, the prediction minus ``Z``, and the MSE.
+def _checked_trace(net: DenseNet, V, Z, work: Workspace):
+    """The trace of :func:`_trace` into ``work``'s buffers, and the prediction minus ``Z``.
 
-    Checks the batch and the targets against ``work``'s shapes first.
+    Checks the batch and the targets against ``work``'s shapes first. The
+    three buffered passes share it; only :func:`loss` and :func:`loss_and_grad`
+    reduce the difference to the MSE.
     """
     V = np.asarray(V, dtype=float)
     Z = np.asarray(Z, dtype=float)
@@ -264,8 +270,14 @@ def _loss(net: DenseNet, V, Z, work: Workspace):
     if not len(Z):
         raise ValueError("loss_and_grad needs at least one sample")
     acts = _trace(net, V, work)
-    diff = acts[-1] - Z
-    return acts, diff, mean_squared_norm(diff)
+    return acts, acts[-1] - Z
+
+
+def _mse_backprop(net: DenseNet, acts: list[np.ndarray], diff: np.ndarray, work: Workspace):
+    """:func:`_backprop` of the MSE's upstream gradient 2 * ``diff`` / n, scaled in ``diff``."""
+    diff *= 2.0
+    diff /= diff.shape[-2]
+    return _backprop(net, acts, diff, work)
 
 
 def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray, work: Workspace):
@@ -329,9 +341,9 @@ def loss(net: DenseNet, V, Z, work: Workspace):
     """``mse_loss(forward_batch(net, V), Z)`` bit for bit, from a forward pass into ``work``.
 
     It checks and refuses what :func:`loss_and_grad` does, and overwrites
-    ``work``'s layer outputs but not its gradients.
+    ``work``'s layer outputs but not its gradients. Returns the MSE alone.
     """
-    return _loss(net, V, Z, work)[2]
+    return mean_squared_norm(_checked_trace(net, V, Z, work)[1])
 
 
 def loss_and_grad(net: DenseNet, V, Z, work: Workspace) -> tuple[float, np.ndarray, np.ndarray]:
@@ -346,10 +358,18 @@ def loss_and_grad(net: DenseNet, V, Z, work: Workspace) -> tuple[float, np.ndarr
     workspace's row count, and ``Z`` its (n, out) shape; ValueError otherwise,
     or when ``work`` was built for another network or for no rows.
     """
-    acts, diff, mse = _loss(net, V, Z, work)
-    diff *= 2.0
-    diff /= diff.shape[-2]
-    return (mse, *_backprop(net, acts, diff, work))
+    acts, diff = _checked_trace(net, V, Z, work)
+    return (mean_squared_norm(diff), *_mse_backprop(net, acts, diff, work))
+
+
+def mse_grad(net: DenseNet, V, Z, work: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`loss_and_grad` without the loss: the parameter and per-row input gradients.
+
+    The same checked pass, bit for bit the same gradients into the same
+    buffers, with no MSE reduced. A training loop that takes its loss from
+    a forward of its own (a hybrid model's, :func:`loss`) runs this one.
+    """
+    return _mse_backprop(net, *_checked_trace(net, V, Z, work), work)
 
 
 def mean_squared_norm(diff: np.ndarray):

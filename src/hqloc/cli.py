@@ -3,7 +3,8 @@
 Every command is deterministic for fixed flags and input files; the manifest
 is the only artifact carrying a timestamp. Exit codes: 0 success, 2 usage
 error, 1 runtime failure. ``HQLOC_SEED`` provides the default seed when no
---seed flag is given.
+--seed flag is given; :func:`main` reads it on every call, while it builds its
+argparse parser once per process.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .statevector import check_seed
 
 # Counts reach numpy as int64; larger flag values are usage errors.
 _INT64_MAX = 2**63 - 1
+
+# A --seed flag's default is None, replaced per call by HQLOC_SEED or 0. The
+# empty "%(default).0s" keeps ArgumentDefaultsHelpFormatter from adding "(default: None)".
+_SEED_DEFAULT = "(default: $HQLOC_SEED, else 0)%(default).0s"
 
 
 class UsageError(Exception):
@@ -128,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(func=None)
     subs = parser.add_subparsers(dest="command")
-    seed_default = _env_seed()
 
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
@@ -141,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, default=0.001,
                          help="learning rate; 0 is allowed but leaves parameters frozen")
     p_train.add_argument("--optimizer", choices=train_eval.OPTIMIZERS, default="adam")
-    p_train.add_argument("--seed", type=_seed, default=seed_default)
+    p_train.add_argument("--seed", type=_seed, help=f"seed of the initial model {_SEED_DEFAULT}")
     p_train.add_argument("--shots-eval", type=_positive_int, default=None,
                          help="sample expectations with this many shots for the test RMSE")
     p_train.add_argument("--out-dir", default="hqloc_train")
@@ -154,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True, help="test CSV (canonical schema)")
     p_eval.add_argument("--shots", type=_positive_int, default=None,
                         help="sample expectations instead of computing them exactly")
-    p_eval.add_argument("--seed", type=_seed, default=seed_default,
-                        help="seed for sampled expectations")
+    p_eval.add_argument("--seed", type=_seed,
+                        help=f"seed for sampled expectations {_SEED_DEFAULT}")
     p_eval.add_argument("--out-dir", default="hqloc_eval")
     _add_io_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
@@ -183,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=_positive_int, required=True, help="number of samples")
     p_gen.add_argument("--sigma", type=float, default=1.0,
                        help="shadowing standard deviation in dB")
-    p_gen.add_argument("--seed", type=_seed, default=seed_default)
+    p_gen.add_argument("--seed", type=_seed,
+                       help=f"seed of the positions and shadowing {_SEED_DEFAULT}")
     p_gen.add_argument("--tx", type=_point, nargs=3, default=None, metavar="X,Y",
                        help="three transmitter positions (default: (0.5, 0.5), (W - 0.5, 0.5) "
                             "and (W / 2, H - 0.5) in a W x H room)")
@@ -416,21 +421,25 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` parses with, built once per process; it holds no environment."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
+    parser = _parser()
     try:
-        parser = build_parser()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        seed = _env_seed()  # read on every call, before the flags, whatever they are
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.func is None:
-        parser.print_help()
-        return 2
-    try:
+        if args.func is None:
+            parser.print_help()
+            return 2
+        if getattr(args, "seed", 0) is None:  # compare's --seeds has a default of its own
+            args.seed = seed
         return args.func(args)
+    except SystemExit as exc:  # argparse's exit, after --help or a usage message
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,11 @@ into it. Training is full batch: each epoch makes one loss-and-gradient
 pass, which gives the pre-update MSE and the joint gradient (reverse mode
 through the head, shift rule through the quantum layer) in that same layout,
 then writes one optimizer step into ``params`` in place. A dense network's
-pass is one forward and one backward run of :func:`classical.loss_and_grad`.
+pass is one forward and one backward run of :func:`classical.loss_and_grad`,
+which returns the MSE and both gradients. A hybrid model's gradient pass
+runs its head through :func:`classical.mse_grad`, which returns the
+parameter and input gradients alone, and its MSE comes from a loss forward
+through :func:`classical.loss`, which returns the MSE alone.
 
 There is one training loop, :func:`train_stack`. It trains S models of one
 kind under one :class:`TrainConfig` as one stack with a leading seed axis:
@@ -25,11 +29,11 @@ and runs each baseline's predictor once over the whole test matrix.
 
 Training never sees a test set. Evaluation is a separate, batched step on
 the trained model: :func:`evaluate_rmse` calls its predictor once on the
-whole test matrix, and :func:`hqnn_forward_batch` runs every row through one
-exact quantum kernel pass and one head pass. Given a shot budget and a seed,
-it samples the exact expectations in between, the only sampled path: each
-row's draws are keyed once, on the seed and the row's scaled features. The
-trained model is the same in both cases.
+whole test matrix, and :func:`hqnn_forward_batch` runs each block of up to
+4096 rows through one exact quantum kernel pass and one head pass, into one
+output. Given a shot budget and a seed, it samples the exact expectations in
+between, the only sampled path: each row's draws are keyed once, on the seed
+and the row's scaled features. The trained model is the same in both cases.
 
 A training run picks its optimizer step once, Adam or SGD, and builds its
 state once: for Adam, one :class:`optim.AdamState` (moments and scratch, with
@@ -42,8 +46,9 @@ writes phi's part of it in place, so nothing joins the two. Every epoch
 writes into these and steps ``params`` in place, so an epoch after the first
 allocates no array of 128 KiB or more (a 3-seed 3-128-64-2 stack's arrays
 are 75-213 KB each), and glibc does not unmap and fault in such blocks every
-epoch. Both kinds run one buffered pass of :func:`classical.loss_and_grad`,
-which checks its batch and targets against the workspace's shapes. A hybrid
+epoch. Each epoch runs one buffered gradient pass, which checks its batch
+and targets against the workspace's shapes: :func:`classical.loss_and_grad`
+for a dense network, :func:`classical.mse_grad` for a hybrid head. A hybrid
 epoch makes two exact forwards, one Jacobian, one head pass and one step:
 the run computes its rows' Pauli features once, all three kernel calls read
 phi's compile from the quantum layer's cache, and the loss forward runs the
@@ -71,7 +76,7 @@ from functools import partial
 import numpy as np
 
 from . import baselines, classical, data, optim
-from .circuits import N_ANSATZ_PARAMS, N_FEATURES, check_features
+from .circuits import N_ANSATZ_PARAMS, N_FEATURES, check_features, check_finite
 from .qlayer import QuantumLayer, encode_batch, pauli_features, q_forward, q_forward_batch
 from .qlayer import q_gradient_batch
 from .statevector import check_integer, check_seed, check_shots, sample_batch
@@ -112,21 +117,35 @@ def hqnn_forward(model: HybridModel, x) -> np.ndarray:
     return classical.forward(model.head, q_forward(model.qlayer, x))
 
 
+# Rows evaluated at once. A block's intermediates take ~800 B a row, so a
+# large survey costs a few MiB beyond its output, and inputs of up to this many
+# rows, every benchmark input among them, run as one block.
+_BLOCK_ROWS = 4096
+
+
 def hqnn_forward_batch(
     model: HybridModel, X, shots: int | None = None, seed: int = 0
 ) -> np.ndarray:
     """Predicted (x, y) for every row of ``X``; with ``shots``, from sampled expectations.
 
-    A row's exact prediction may differ between batch sizes by up to 1e-15
-    of the outputs' size, as :func:`hqnn_forward`'s does from its row here,
-    because BLAS takes other paths for products of other sizes; the same
-    batch gives the same bits on every rerun.
+    Rows run in blocks of :data:`_BLOCK_ROWS`, each written into one output,
+    so the memory a call takes beyond its output does not grow with the row
+    count. A row's exact prediction may differ between batch (or block)
+    sizes by up to 1e-15 of the outputs' size, as :func:`hqnn_forward`'s
+    does from its row here, because BLAS takes other paths for products of
+    other sizes; the same batch gives the same bits on every rerun. Sampled
+    draws are keyed by row, so blocks do not move them.
     """
     X = np.atleast_2d(check_features(X, N_FEATURES))
-    U = q_forward_batch(model.qlayer, pauli_features(encode_batch(X)))
-    if shots is not None:  # each row's draws are keyed on its scaled features
-        U = sample_batch(U, X, shots=shots, seed=seed)
-    return classical.forward_batch(model.head, U)
+    check_finite("features", X)  # a refusal names rows of X, not of a block
+    out = np.empty((*model.params.shape[:-1], len(X), model.head.output_dim))
+    for start in range(0, max(len(X), 1), _BLOCK_ROWS):  # zero rows still check shots and seed
+        rows = X[start:start + _BLOCK_ROWS]
+        U = q_forward_batch(model.qlayer, pauli_features(encode_batch(rows)))
+        if shots is not None:  # each row's draws are keyed on its scaled features
+            U = sample_batch(U, rows, shots=shots, seed=seed)
+        out[..., start:start + len(rows), :] = classical.forward_batch(model.head, U)
+    return out
 
 
 def _batch(X, Z, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -165,9 +184,12 @@ def _hqnn_grad(model: HybridModel, features: np.ndarray, Z: np.ndarray,
     Head gradients come from reverse mode, into ``work``'s gradient, which is
     the head's part of ``grad``. Quantum gradients chain the head's input
     gradients through the per-sample shift-rule matrices into phi's part.
+    Returns ``grad`` alone: the head's pass is :func:`classical.mse_grad`,
+    which reduces no MSE, and a training epoch takes its loss from a forward
+    of its own.
     """
     U = q_forward_batch(model.qlayer, features)
-    _, _, input_grads = classical.loss_and_grad(model.head, U, Z, work)
+    _, input_grads = classical.mse_grad(model.head, U, Z, work)
     shift_matrices = q_gradient_batch(model.qlayer, features)
     # A plain einsum (optimize=False) sums row s of a stack as model s alone.
     np.einsum("...nj,...njk->...k", input_grads, shift_matrices,
@@ -254,8 +276,9 @@ def _model_ops(model, X, Z):
             # 14 ansatz sweeps (13 if the loss were read off the gradient's
             # forward; perfbench/test_perfbench.py pins 14). All three read the
             # run's features and share one compile of phi through qlayer's
-            # cache. The loss forward overwrites the head's layer outputs,
-            # which the gradient pass has used by then, and not its gradients.
+            # cache. The gradient pass reduces no MSE; the loss forward
+            # overwrites the head's layer outputs, which the gradient pass has
+            # used by then, and not its gradients.
             _hqnn_grad(stack, features, Z, work, grad)
             return train_mse(stack), grad
 

@@ -21,6 +21,7 @@ from hqloc.classical import (
     hqnn_head,
     layer_views,
     loss_and_grad,
+    mse_grad,
     mse_loss,
     stack,
     workspace,
@@ -234,6 +235,36 @@ class TestLossAndGrad:
             loss_and_grad(net, np.zeros((4, 2)), np.zeros((3, 2)), workspace(net, 4))
         with pytest.raises(ValueError, match="at least one sample"):
             loss_and_grad(net, np.zeros((0, 2)), np.zeros((0, 2)), workspace(net, 0))
+
+
+class TestMseGrad:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.sampled_from([HEAD_SIZES, BASELINE_SIZES]),
+        n_stack=st.integers(0, 4),  # 0: a lone network, with no seed axis
+        per_network_batch=st.booleans(),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_loss_and_grads_gradients_bit_for_bit(
+        self, sizes, n_stack, per_network_batch, n, seed
+    ):
+        rng = np.random.default_rng(seed)
+        nets = [glorot_net(sizes, rng) for _ in range(max(n_stack, 1))]
+        for net in nets:  # biases off zero switch off a share of the ReLU units
+            net.params[:] += rng.uniform(-0.5, 0.5, size=net.params.shape)
+        net = stack(nets) if n_stack else nets[0]
+        lead = (n_stack,) if n_stack and per_network_batch else ()
+        V = rng.uniform(-1.0, 1.0, size=(*lead, n, sizes[0]))
+        Z = rng.uniform(-3.0, 3.0, size=(n, sizes[-1]))
+        work = workspace(net, n)
+        grad, input_grads = mse_grad(net, V, Z, work)
+        assert grad is work.grad  # the same buffers loss_and_grad writes
+        grad, input_grads = grad.copy(), input_grads.copy()
+        _, ref_grad, ref_input_grads = loss_and_grad(net, V, Z, work)
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert input_grads.shape == ref_input_grads.shape
+        assert input_grads.tobytes() == ref_input_grads.tobytes()
 
 
 class TestParamVector:

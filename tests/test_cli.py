@@ -864,3 +864,69 @@ class TestEnvSeed:
             "error: HQLOC_SEED must be an integer in [0, 2**63 - 1], got '-1'\n"
         )
         assert not (tmp_path / "x.csv").exists()
+
+    def test_a_changed_env_seed_counts_between_calls(self, tmp_path, monkeypatch):
+        # The parser is built once per process; the variable is read on every call.
+        def survey(name, *flags):
+            path = tmp_path / name
+            assert main(["gen-synthetic", "--room", "6x5.5", "--n", "5", *flags,
+                         "--out", str(path)]) == 0
+            return path.read_bytes()
+
+        monkeypatch.setenv("HQLOC_SEED", "3")
+        three = survey("three.csv")
+        monkeypatch.setenv("HQLOC_SEED", "4")
+        four = survey("four.csv")
+        monkeypatch.delenv("HQLOC_SEED")
+        unset = survey("unset.csv")
+        assert four != three
+        assert four == survey("flag4.csv", "--seed", "4")
+        assert unset == survey("flag0.csv", "--seed", "0")
+        monkeypatch.setenv("HQLOC_SEED", "3")
+        assert survey("three_again.csv") == three
+
+    @pytest.mark.parametrize("flags", [["--seed", "4"], ["--help"]], ids=["seed", "help"])
+    def test_a_malformed_env_seed_is_a_usage_error_whatever_the_flags(
+        self, tmp_path, monkeypatch, capsys, flags
+    ):
+        monkeypatch.setenv("HQLOC_SEED", "not-a-number")
+        code = main(["gen-synthetic", "--room", "6x5.5", "--n", "5", *flags,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: HQLOC_SEED must be an integer in [0, 2**63 - 1], got 'not-a-number'\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_the_seed_help_names_the_variable_and_no_none_default(self, capsys):
+        for command in ("train", "eval", "gen-synthetic"):
+            assert main([command, "--help"]) == 0
+            text = " ".join(capsys.readouterr().out.split())
+            assert "(default: $HQLOC_SEED, else 0)" in text
+            assert "else 0) (default" not in text
+
+
+class TestParserOncePerProcess:
+    def test_repeated_main_calls_build_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(None)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for i in range(3):
+                assert main(["gen-synthetic", "--room", "6x5.5", "--n", "5",
+                             "--out", str(tmp_path / f"{i}.csv")]) == 0
+            assert main([]) == 2
+            assert main(["train", "--bogus"]) == 2
+        finally:
+            cli._parser.cache_clear()  # later callers build from the real builder
+        assert len(built) == 1
+
+    def test_build_parser_still_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()

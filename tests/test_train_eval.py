@@ -125,6 +125,55 @@ class TestHybridModel:
             tracemalloc.stop()
         assert retained < 16 * 1024, f"{retained / 1024:.1f} KiB retained"
 
+    def test_a_large_exact_evaluation_peaks_at_its_output_plus_a_multiple_of_one_block(self):
+        # Rows run in blocks, so beyond the (n, 2) output, which is 16 B a row,
+        # the peak is what one block takes, not ~800 B for each of the n rows.
+        import tracemalloc
+
+        import hqloc.train_eval as train_eval
+
+        model = init_hybrid_model(seed=1)
+        X = np.random.default_rng(10).uniform(0.0, 1.0, size=(200_000, 3))
+        hqnn_forward_batch(model, X[:5])  # compiles phi, fills lazy tables
+        peaks = {}
+        for n in (train_eval._BLOCK_ROWS, len(X)):
+            tracemalloc.start()
+            try:
+                out = hqnn_forward_batch(model, X[:n])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        block = peaks[train_eval._BLOCK_ROWS]
+        assert peaks[len(X)] <= out.nbytes + 2 * block, {n: p / 2**20 for n, p in peaks.items()}
+
+    @pytest.mark.parametrize("n_stack, shots", [(0, None), (0, 64), (3, None)])
+    def test_blocks_write_what_each_block_gives_alone(self, monkeypatch, n_stack, shots):
+        # n_stack 0 is one model; shot sampling takes one layer, not a stack.
+        import hqloc.train_eval as train_eval
+
+        models = [init_hybrid_model(s) for s in range(max(n_stack, 1))]
+        model = train_eval._stack(models) if n_stack else models[0]
+        X = np.random.default_rng(11).uniform(0.0, 1.0, size=(20, 3))
+        monkeypatch.setattr(train_eval, "_BLOCK_ROWS", 7)
+        blocked = hqnn_forward_batch(model, X, shots, 5)
+        alone = np.concatenate([hqnn_forward_batch(model, X[i:i + 7], shots, 5)
+                                for i in range(0, len(X), 7)], axis=-2)
+        assert blocked.shape == alone.shape == (*model.params.shape[:-1], 20, 2)
+        assert blocked.tobytes() == alone.tobytes()
+
+    def test_a_blocked_refusal_names_its_row_of_the_whole_batch(self, monkeypatch):
+        import hqloc.train_eval as train_eval
+
+        monkeypatch.setattr(train_eval, "_BLOCK_ROWS", 7)
+        model = init_hybrid_model(seed=3)
+        X = np.full((20, 3), 0.5)
+        X[[15, 18], 2] = np.nan
+        for shots in (None, 8):
+            with pytest.raises(ValueError, match=r"in 2 row\(s\), first row 15$"):
+                hqnn_forward_batch(model, X, shots, 1)
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            hqnn_forward_batch(model, np.zeros((0, 3)), 0, 1)
+
     @pytest.mark.parametrize("width", [1, 2, 4])
     def test_wrong_feature_width_names_the_three_features(self, width):
         model = init_hybrid_model(seed=3)
@@ -216,8 +265,8 @@ class TestHybridGradient:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(train_eval, "q_gradient_batch",
                           lambda layer, rows: shift_matrices.reshape(*lead, n, 3, 6))
-            patch.setattr(classical, "loss_and_grad", lambda head, U, Z, work: (
-                None, np.zeros((*lead, 0)), input_grads.reshape(*lead, n, 3)))
+            patch.setattr(classical, "mse_grad", lambda head, U, Z, work: (
+                np.zeros((*lead, 0)), input_grads.reshape(*lead, n, 3)))
             phi_grad = hqnn_grad(model, X, Z)[..., :6].reshape(S, 6)
         for s in range(S):
             solo = np.einsum("nj,njk->k", input_grads[s], shift_matrices[s])

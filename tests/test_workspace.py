@@ -212,14 +212,16 @@ def test_an_epoch_makes_two_forwards_one_jacobian_one_pass_and_one_step(
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((train_eval, "q_forward_batch"), (train_eval, "q_gradient_batch"),
-                         (classical, "loss_and_grad"), (optim, "adam_step"), (optim, "sgd_step")):
+                         (classical, "loss_and_grad"), (classical, "mse_grad"),
+                         (optim, "adam_step"), (optim, "sgd_step")):
         counting(module, name)
     X, Z = sc1_wifi()
     epochs = 4
     step = f"{optimizer}_step"
     train_stack([init_hybrid_model(s) for s in seeds], X, Z,
                 TrainConfig(optimizer=optimizer, eta=0.001, epochs=epochs))
-    epoch = ["q_forward_batch", "loss_and_grad", "q_gradient_batch", "q_forward_batch", step]
+    # The head's gradient pass is mse_grad, which reduces no MSE: loss_and_grad is never called.
+    epoch = ["q_forward_batch", "mse_grad", "q_gradient_batch", "q_forward_batch", step]
     assert calls == epoch * epochs + ["q_forward_batch"]
 
 
@@ -250,11 +252,11 @@ def test_a_pass_refuses_a_batch_or_targets_of_another_shape(V_shape, Z_shape, me
     # The checks compare shapes with the workspace's. Width, rank and targets
     # fail with the messages they always had; another row count, which numpy's
     # matmul used to refuse mid-pass, now fails first, with a message of its own.
-    from hqloc.classical import loss
+    from hqloc.classical import loss, mse_grad
 
     net = tiny_head()
     work = workspace(net, 4)
-    for pass_ in (loss_and_grad, loss):
+    for pass_ in (loss_and_grad, loss, mse_grad):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pass_(net, np.zeros(V_shape), np.zeros(Z_shape), work)
 
