@@ -18,7 +18,6 @@ from hqloc.qlayer import (
     QuantumLayer,
     encode_batch,
     pauli_features,
-    q_forward,
     q_forward_batch,
     q_gradient_batch,
 )
@@ -54,7 +53,7 @@ layer = QuantumLayer(phi=rng.uniform(-np.pi, np.pi, size=6))
 x = rng.uniform(0.0, 1.0, size=3)
 features = pauli_features(encode_batch(x[None]))
 
-outputs = q_forward(layer, x)
+outputs = q_forward_batch(layer, features)[0]
 jacobian = q_gradient_batch(layer, features)[0]
 print("\nlayer outputs:", np.round(outputs, 6))
 print("Jacobian d<Z_j>/dphi_k:")
@@ -92,7 +91,7 @@ for k in range(layer.phi.size):
     down = QuantumLayer(phi=layer.phi.copy())
     up.phi[k] += h
     down.phi[k] -= h
-    numeric[:, k] = (q_forward(up, x) - q_forward(down, x)) / (2 * h)
+    numeric[:, k] = (q_forward_batch(up, features)[0] - q_forward_batch(down, features)[0]) / (2 * h)
 
 print("\nmax |shift rule - finite differences| =", np.abs(jacobian - numeric).max())
 

@@ -3,12 +3,12 @@
 Two network shapes are used by the toolkit: the small regression head sitting
 on top of the quantum layer (3 -> 32 -> 2) and the wider standalone baseline
 network (3 -> 128 -> 64 -> 2). Output layers are always linear because the
-targets are coordinates in meters. Forward and backward passes take a batch
-of rows; :func:`forward` is the batch-of-one case.
+targets are coordinates in meters. Every pass takes a batch of rows; a
+single input is a batch of one.
 
 A network owns one flat ``params`` vector laid out per layer as the weight
 (row-major) then the bias; each layer's ``weight`` and ``bias`` are views into
-it, cut by :func:`layer_views`. :func:`backward_batch` returns its parameter
+it, cut by :func:`layer_views`. :func:`loss_and_grad` returns its parameter
 gradient in the same layout, so an optimizer updates ``params`` in place.
 
 :func:`stack` turns S networks of one shape into one network with a leading
@@ -20,15 +20,13 @@ matrix product per network. A batch may be shared by the stack, (n, in), or
 have one slice per network, (S, n, in). Network s of a stack computes bit for
 bit what it computes alone; losses and gradients gain the leading axis.
 
-One forward trace keeps every layer's input and output, and one backprop reads
-it: :func:`backward_batch` runs both for a given upstream gradient. Three
-passes against targets share one checked trace, which also gives the
-prediction minus the targets: :func:`loss` returns the MSE alone,
-:func:`loss_and_grad` the MSE, the parameter gradient and the input
-gradients, and :func:`mse_grad` the two gradients alone, with no MSE
-reduced. So a training epoch runs the network once for its gradient.
-Backprop writes each layer's gradient into its views of one
-``params``-layout array.
+One forward trace keeps every layer's input and output, and one backprop of
+the MSE reads it. Three passes against targets share one checked trace, which
+also gives the prediction minus the targets: :func:`loss` returns the MSE
+alone, :func:`loss_and_grad` the MSE, the parameter gradient and the input
+gradients, and :func:`mse_grad` the two gradients alone, with no MSE reduced.
+So a training epoch runs the network once for its gradient. Backprop writes
+each layer's gradient into its views of one ``params``-layout array.
 
 Backprop has one buffer mode: it writes its ReLU masks, input gradients and
 parameter gradient with numpy's ``out=`` into a :class:`Workspace`, which
@@ -38,8 +36,7 @@ The workspace also holds views of the network's transposed weights and bias
 rows, made once, and the shapes of the batches it takes, so the three
 passes check their arguments with one shape compare each and write every
 epoch's layer outputs and gradients into it: a stack's (S, n, 128)-sized
-arrays are not made anew each epoch. A one-off
-:func:`backward_batch` builds one for its call. A forward pass alone
+arrays are not made anew each epoch. A forward pass alone
 (:func:`forward_batch`, so each live fix) builds none and writes fresh
 arrays.
 """
@@ -273,27 +270,23 @@ def _checked_trace(net: DenseNet, V, Z, work: Workspace):
     return acts, acts[-1] - Z
 
 
-def _mse_backprop(net: DenseNet, acts: list[np.ndarray], diff: np.ndarray, work: Workspace):
-    """:func:`_backprop` of the MSE's upstream gradient 2 * ``diff`` / n, scaled in ``diff``."""
+def _backprop(net: DenseNet, acts: list[np.ndarray], diff: np.ndarray, work: Workspace):
+    """Parameter gradient (``params`` layout) and input gradients of the MSE from a forward trace.
+
+    ``diff`` is the prediction minus the targets; the MSE's upstream gradient
+    2 * ``diff`` / n is scaled in place in it. The parameter gradient is
+    written into ``work``'s gradient through its views, the masks and deltas
+    into ``work``'s buffers. The ReLU subgradient at exactly 0 is taken as 0.
+    """
     diff *= 2.0
     diff /= diff.shape[-2]
-    return _backprop(net, acts, diff, work)
-
-
-def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray, work: Workspace):
-    """Parameter gradient (``params`` layout) and input gradients from a forward trace.
-
-    The parameter gradient is written into ``work``'s gradient through its
-    views, the masks and deltas into ``work``'s buffers. The ReLU subgradient
-    at exactly 0 is taken as 0; ``upstream`` is not modified.
-    """
-    delta = upstream
+    delta = diff
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         weight_grad, bias_grad = work.grad_views[i]
         if layer.activation == "relu":
             # The output layer is linear, so delta here is the product the
-            # layer above wrote, never ``upstream``: it is masked in place.
+            # layer above wrote, never ``diff``: it is masked in place.
             mask = np.greater(acts[i + 1], 0.0, out=work.masks[i])
             np.multiply(delta, mask, out=delta)
         np.matmul(delta.swapaxes(-1, -2), acts[i], out=weight_grad)
@@ -305,36 +298,6 @@ def _backprop(net: DenseNet, acts: list[np.ndarray], upstream: np.ndarray, work:
 def forward_batch(net: DenseNet, V) -> np.ndarray:
     """Forward pass over a whole (n_samples, input_dim) batch at once."""
     return _trace(net, V)[-1]
-
-
-def forward(net: DenseNet, v) -> np.ndarray:
-    """Forward pass for one input vector: a batch of one; a stack's outputs are (S, out).
-
-    A stack of S networks also takes (S, input_dim), one input per network.
-    """
-    v = np.asarray(v, dtype=float)
-    lead = net.layers[0].weight.shape[:-2]
-    if v.shape[-1:] != (net.input_dim,) or v.shape[:-1] not in ((), lead):
-        stacked = f" or {(*lead, net.input_dim)}" if lead else ""
-        raise ValueError(f"expected input of shape ({net.input_dim},){stacked}, got {v.shape}")
-    return forward_batch(net, v[..., None, :])[..., 0, :]
-
-
-def backward_batch(net: DenseNet, V, upstream) -> tuple[np.ndarray, np.ndarray]:
-    """Exact reverse mode over a batch: the parameter gradient summed over the rows.
-
-    ``upstream`` holds dL/d(output) per row. Returns the flat gradient, laid
-    out like ``net.params``, plus the per-row gradients with respect to the
-    inputs. The ReLU subgradient at exactly 0 is taken as 0. The call builds
-    a :class:`Workspace` of its own, so the arrays it returns are its own.
-    """
-    acts = _trace(net, V)
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != acts[-1].shape:
-        raise ValueError(
-            f"expected upstream of shape {acts[-1].shape}, got {upstream.shape}"
-        )
-    return _backprop(net, acts, upstream, workspace(net, upstream.shape[-2]))
 
 
 def loss(net: DenseNet, V, Z, work: Workspace):
@@ -350,16 +313,15 @@ def loss_and_grad(net: DenseNet, V, Z, work: Workspace) -> tuple[float, np.ndarr
     """Batch MSE against targets ``Z`` and its gradients, from one forward pass.
 
     Returns the loss, the flat parameter gradient and the per-row input
-    gradients. They equal ``mse_loss(forward_batch(net, V), Z)`` and
-    ``backward_batch(net, V, 2 * (pred - Z) / n)`` bit for bit. A stack
-    shares the targets and returns an (S,) array of losses. The pass writes
-    into ``work``'s buffers (:func:`workspace`) and returns views of them,
-    which the next pass into ``work`` overwrites. ``V`` must have the
+    gradients; the loss equals ``mse_loss(forward_batch(net, V), Z)`` bit for
+    bit. A stack shares the targets and returns an (S,) array of losses. The
+    pass writes into ``work``'s buffers (:func:`workspace`) and returns views
+    of them, which the next pass into ``work`` overwrites. ``V`` must have the
     workspace's row count, and ``Z`` its (n, out) shape; ValueError otherwise,
     or when ``work`` was built for another network or for no rows.
     """
     acts, diff = _checked_trace(net, V, Z, work)
-    return (mean_squared_norm(diff), *_mse_backprop(net, acts, diff, work))
+    return (mean_squared_norm(diff), *_backprop(net, acts, diff, work))
 
 
 def mse_grad(net: DenseNet, V, Z, work: Workspace) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +331,7 @@ def mse_grad(net: DenseNet, V, Z, work: Workspace) -> tuple[np.ndarray, np.ndarr
     buffers, with no MSE reduced. A training loop that takes its loss from
     a forward of its own (a hybrid model's, :func:`loss`) runs this one.
     """
-    return _mse_backprop(net, *_checked_trace(net, V, Z, work), work)
+    return _backprop(net, *_checked_trace(net, V, Z, work), work)
 
 
 def mean_squared_norm(diff: np.ndarray):

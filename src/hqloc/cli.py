@@ -43,14 +43,14 @@ def _env_seed() -> int:
         return 0
     try:
         return _seed(raw)
-    except (ValueError, argparse.ArgumentTypeError):
+    except argparse.ArgumentTypeError:
         raise UsageError(
             f"HQLOC_SEED must be an integer in [0, 2**63 - 1], got {raw!r}"
         ) from None
 
 
-_SCENARIO_ALIASES = {"sc-1": "Sc-1", "sc1": "Sc-1", "sc-2": "Sc-2", "sc2": "Sc-2",
-                     "sc-3": "Sc-3", "sc3": "Sc-3"}
+_SCENARIO_ALIASES = {alias: name for name in data.SCENARIOS
+                     for alias in (name.lower(), name.lower().replace("-", ""))}
 _TECHNOLOGY_ALIASES = {t.lower(): t for t in data.TECHNOLOGIES}
 
 
@@ -100,20 +100,23 @@ def _point(value: str) -> tuple[float, float]:
 
 
 def _positive_int(value: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0  # refused below, in the range's words
     if not 1 <= n <= _INT64_MAX:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer no larger than 2**63 - 1, got {value}"
-        )
+            f"expected a positive integer no larger than 2**63 - 1, got {value}")
     return n
 
 
 def _seed(value: str) -> int:
-    n = int(value)
     try:
+        n = int(value)
         check_seed(n)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2**63 - 1], got {value}") from None
     return n
 
 

@@ -20,8 +20,9 @@ clip(F @ C) and the shift-rule Jacobian is F @ dC, with no 2**n x 2**n matrix.
 The kernel takes F: :func:`pauli_features` is where encoded rows enter, and it
 refuses rows that do not hold ``N_FEATURES`` features. :func:`q_forward_batch`
 and :func:`q_gradient_batch` refuse features of any shape but (n, n_strings)
-before any product. The owner of a batch computes its features once, and
-:func:`q_forward` is the batch of one. A layer refuses non-finite angles.
+before any product. The owner of a batch computes its features once; a
+single fix is a batch of one (``train_eval.hqnn_forward``). A layer refuses
+non-finite angles.
 
 The layer computes exact expectations only, and applies no gate. Sampling is
 a later step on them, :func:`hqloc.statevector.sample_batch`, since qubit j
@@ -50,8 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # encode_batch is re-exported: callers encode here and pass the rows to pauli_features.
-from .circuits import N_ANSATZ_PARAMS, N_FEATURES, check_features, encode_batch
-from .circuits import feature_state, real_amplitudes
+from .circuits import N_ANSATZ_PARAMS, N_FEATURES, encode_batch, real_amplitudes
 
 
 def _pauli_paths(gates, n_qubits: int, n_angles: int) -> list[tuple[int, int, int, int, tuple]]:
@@ -246,8 +246,3 @@ def q_gradient_batch(layer: QuantumLayer, features: np.ndarray) -> np.ndarray:
     grads = np.matmul(features, derivatives)
     return grads.reshape(*layer.phi.shape[:-1], len(features), N_FEATURES, N_ANSATZ_PARAMS)
 
-
-def q_forward(layer: QuantumLayer, x) -> np.ndarray:
-    """Exact Z expectations of one feature vector scaled to [0, 1]; a stack's are (S, 3)."""
-    rows = feature_state(check_features(x, N_FEATURES))[None]
-    return q_forward_batch(layer, pauli_features(rows))[..., 0, :]

@@ -76,9 +76,8 @@ from functools import partial
 import numpy as np
 
 from . import baselines, classical, data, optim
-from .circuits import N_ANSATZ_PARAMS, N_FEATURES, check_features, check_finite
-from .qlayer import QuantumLayer, encode_batch, pauli_features, q_forward, q_forward_batch
-from .qlayer import q_gradient_batch
+from .circuits import N_ANSATZ_PARAMS, N_FEATURES, check_features, check_finite, feature_state
+from .qlayer import QuantumLayer, encode_batch, pauli_features, q_forward_batch, q_gradient_batch
 from .statevector import check_integer, check_seed, check_shots, sample_batch
 
 OPTIMIZERS = ("adam", "sgd")
@@ -114,7 +113,9 @@ def hqnn_forward(model: HybridModel, x) -> np.ndarray:
     outputs' size, but not bit for bit: the row encodes to the same bytes,
     and a one-row matrix product then takes another BLAS path than a batch's.
     """
-    return classical.forward(model.head, q_forward(model.qlayer, x))
+    rows = feature_state(check_features(x, N_FEATURES))[None]
+    U = q_forward_batch(model.qlayer, pauli_features(rows))
+    return classical.forward_batch(model.head, U)[..., 0, :]
 
 
 # Rows evaluated at once. A block's intermediates take ~800 B a row, so a
@@ -157,44 +158,6 @@ def _batch(X, Z, name: str) -> tuple[np.ndarray, np.ndarray]:
     if len(Z) != len(X):
         raise ValueError(f"{name} mismatch: {len(X)} inputs vs {len(Z)} targets")
     return X, Z
-
-
-def hqnn_grad(model: HybridModel, X, Z) -> np.ndarray:
-    """Gradient of the batch MSE with respect to all trainable parameters.
-
-    Laid out like ``model.params``; a stacked model gives one gradient row per
-    model. It is the training pass of :func:`_model_ops`, into buffers built
-    for this call.
-    """
-    X, Z = _batch(X, Z, "gradient batch")
-    features = pauli_features(encode_batch(check_features(X, N_FEATURES)))
-    return _hqnn_grad(model, features, Z, *_hqnn_buffers(model, len(X)))
-
-
-def _hqnn_buffers(model: HybridModel, n_rows: int):
-    """A joint gradient like ``model.params``, and a head workspace whose gradient is its view."""
-    grad = np.empty(model.params.shape)
-    return classical.workspace(model.head, n_rows, grad[..., N_ANSATZ_PARAMS:]), grad
-
-
-def _hqnn_grad(model: HybridModel, features: np.ndarray, Z: np.ndarray,
-               work: classical.Workspace, grad: np.ndarray) -> np.ndarray:
-    """The joint gradient over Pauli ``features``, into ``grad``: the head's part, then phi's.
-
-    Head gradients come from reverse mode, into ``work``'s gradient, which is
-    the head's part of ``grad``. Quantum gradients chain the head's input
-    gradients through the per-sample shift-rule matrices into phi's part.
-    Returns ``grad`` alone: the head's pass is :func:`classical.mse_grad`,
-    which reduces no MSE, and a training epoch takes its loss from a forward
-    of its own.
-    """
-    U = q_forward_batch(model.qlayer, features)
-    _, input_grads = classical.mse_grad(model.head, U, Z, work)
-    shift_matrices = q_gradient_batch(model.qlayer, features)
-    # A plain einsum (optimize=False) sums row s of a stack as model s alone.
-    np.einsum("...nj,...njk->...k", input_grads, shift_matrices,
-              out=grad[..., :N_ANSATZ_PARAMS])
-    return grad
 
 
 @dataclass
@@ -265,21 +228,29 @@ def _model_ops(model, X, Z):
     """
     if isinstance(model, HybridModel):
         features = pauli_features(encode_batch(check_features(X, N_FEATURES)))
-        work, grad = _hqnn_buffers(model, len(X))
+        grad = np.empty(model.params.shape)
+        work = classical.workspace(model.head, len(X), grad[..., N_ANSATZ_PARAMS:])
 
         def train_mse(stack):
             return classical.loss(stack.head, q_forward_batch(stack.qlayer, features), Z, work)
 
         def loss_and_grad(stack):
-            # The loss keeps its own exact forward, so an epoch makes two
-            # forwards and one Jacobian, which the benchmark's tracer counts as
-            # 14 ansatz sweeps (13 if the loss were read off the gradient's
-            # forward; perfbench/test_perfbench.py pins 14). All three read the
-            # run's features and share one compile of phi through qlayer's
-            # cache. The gradient pass reduces no MSE; the loss forward
-            # overwrites the head's layer outputs, which the gradient pass has
-            # used by then, and not its gradients.
-            _hqnn_grad(stack, features, Z, work, grad)
+            # The head's gradient goes into ``work``'s gradient, the head's
+            # part of ``grad``; phi's part chains the head's input gradients
+            # through the shift-rule Jacobian. The loss keeps its own exact
+            # forward, so an epoch makes two forwards and one Jacobian, which
+            # the benchmark's tracer counts as 14 ansatz sweeps (13 if the
+            # loss were read off the gradient's forward;
+            # perfbench/test_perfbench.py pins 14). All three read the run's
+            # features and share one compile of phi through qlayer's cache.
+            # The gradient pass reduces no MSE; the loss forward overwrites
+            # the head's layer outputs, which the gradient pass has used by
+            # then, and not its gradients.
+            U = q_forward_batch(stack.qlayer, features)
+            _, input_grads = classical.mse_grad(stack.head, U, Z, work)
+            # A plain einsum (optimize=False) sums row s of a stack as model s alone.
+            np.einsum("...nj,...njk->...k", input_grads,
+                      q_gradient_batch(stack.qlayer, features), out=grad[..., :N_ANSATZ_PARAMS])
             return train_mse(stack), grad
 
         return train_mse, loss_and_grad

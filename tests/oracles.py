@@ -163,6 +163,31 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     return grad
 
 
+def backprop_reference(net, V: np.ndarray, upstream: np.ndarray):
+    """Reverse mode through ``net`` taken layer by layer: (flat gradient, input gradients).
+
+    ``upstream`` holds dL/d(output) for each row of the (n, in) batch ``V``,
+    or of a stack's (n, in) or (S, n, in) batch. Each layer's forward, mask and
+    products are fresh arrays; the ReLU subgradient at exactly 0 is 0. The
+    flat gradient is laid out like ``net.params``: per layer, the weight
+    (row-major), then the bias.
+    """
+    acts = [np.asarray(V, dtype=float)]
+    for layer in net.layers:
+        out = acts[-1] @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
+        acts.append(np.maximum(out, 0.0) if layer.activation == "relu" else out)
+    delta = np.asarray(upstream, dtype=float)
+    parts = []
+    for i in reversed(range(len(net.layers))):
+        if net.layers[i].activation == "relu":
+            delta = delta * (acts[i + 1] > 0.0)
+        weight_grad = delta.swapaxes(-1, -2) @ acts[i]
+        lead = weight_grad.shape[:-2]
+        parts[:0] = [weight_grad.reshape(*lead, -1), delta.sum(axis=-2)]
+        delta = delta @ net.layers[i].weight
+    return np.concatenate(parts, axis=-1), delta
+
+
 def knn_oracle(features: np.ndarray, targets: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """Brute-force KNN mean: sort by (distance, row index), average first k."""
     scored = []

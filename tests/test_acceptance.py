@@ -36,7 +36,7 @@ from hqloc.data import (
     transform_samples,
 )
 from hqloc.optim import adam_step, init_adam
-from hqloc.qlayer import q_forward
+from hqloc.qlayer import encode_batch, pauli_features, q_forward_batch
 from hqloc.reference import (
     REFERENCE_RMSE_M,
     apply_gate,
@@ -49,10 +49,10 @@ from hqloc.reference import (
 )
 from hqloc.train_eval import (
     TrainConfig,
+    _model_ops,
     evaluate_rmse,
     hqnn_forward,
     hqnn_forward_batch,
-    hqnn_grad,
     init_hybrid_model,
     train,
 )
@@ -158,10 +158,8 @@ def inverse_gates(gates):
 def _hidden_kink_gap(model, X):
     """Smallest |pre-activation| of the ReLU layer over a batch."""
     layer0 = model.head.layers[0]
-    return min(
-        float(np.min(np.abs(layer0.weight @ q_forward(model.qlayer, x) + layer0.bias)))
-        for x in X
-    )
+    U = q_forward_batch(model.qlayer, pauli_features(encode_batch(X)))
+    return float(np.min(np.abs(U @ layer0.weight.T + layer0.bias)))
 
 
 def test_criterion_01_hybrid_gradient_matches_finite_differences():
@@ -188,7 +186,7 @@ def test_criterion_01_hybrid_gradient_matches_finite_differences():
             preds = np.array([hqnn_forward(probe, x) for x in X])
             return float(np.mean(np.sum((preds - Z) ** 2, axis=1)))
 
-        analytic = hqnn_grad(model, X, Z)
+        analytic = _model_ops(model, X, Z)[1](model)[1]  # the training pass's gradient
         theta = model.params.copy()
         numeric = np.empty_like(theta)
         for k in range(theta.size):

@@ -13,9 +13,7 @@ from hqloc.classical import (
     HEAD_SIZES,
     DenseLayer,
     DenseNet,
-    backward_batch,
     baseline_net,
-    forward,
     forward_batch,
     glorot_net,
     hqnn_head,
@@ -27,7 +25,7 @@ from hqloc.classical import (
     workspace,
 )
 
-from oracles import fd_gradient
+from oracles import backprop_reference, fd_gradient
 
 
 def tiny_net():
@@ -80,8 +78,8 @@ class TestForward:
     def test_tiny_net_by_hand(self):
         # Hidden pre-acts for x=(1, 2): (1, 2.5, -1.25) -> relu (1, 2.5, 0);
         # outputs (1 + 5 + 0 + 0.1, -1 + 0 + 0 - 0.2).
-        out = forward(tiny_net(), np.array([1.0, 2.0]))
-        np.testing.assert_allclose(out, [6.1, -1.2], rtol=0, atol=1e-12)
+        out = forward_batch(tiny_net(), np.array([[1.0, 2.0]]))
+        np.testing.assert_allclose(out, [[6.1, -1.2]], rtol=0, atol=1e-12)
 
     def test_relu_clips_negative_preactivations(self):
         net = DenseNet(
@@ -90,15 +88,15 @@ class TestForward:
                 DenseLayer(np.array([[1.0]]), np.array([0.0]), "linear"),
             ]
         )
-        assert forward(net, np.array([-3.0]))[0] == 0.0
-        assert forward(net, np.array([3.0]))[0] == 3.0
+        np.testing.assert_array_equal(forward_batch(net, np.array([[-3.0], [3.0]])), [[0.0], [3.0]])
 
     def test_rejects_wrong_input_shape(self):
+        # One input is a batch of one row; a bare vector is refused.
         net = tiny_net()
-        with pytest.raises(ValueError):
-            forward(net, np.zeros(3))
-        with pytest.raises(ValueError):
-            forward(net, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"expected batch of shape \(n, 2\)"):
+            forward_batch(net, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"expected batch of shape \(n, 2\)"):
+            forward_batch(net, np.zeros(2))
 
 
 class TestBackwardAgainstFiniteDifferences:
@@ -106,15 +104,15 @@ class TestBackwardAgainstFiniteDifferences:
         rng = np.random.default_rng(2)
         for trial in range(20):
             net = glorot_net((3, 6, 4, 2), rng)
-            x = rng.uniform(-1.0, 1.0, size=3)
-            upstream = rng.normal(size=2)
+            X = rng.uniform(-1.0, 1.0, size=(1, 3))
+            Z = rng.normal(size=(1, 2))
 
             def loss(vec):
                 probe = glorot_net((3, 6, 4, 2), 0)
                 probe.params[:] = vec
-                return float(upstream @ forward(probe, x))
+                return mse_loss(forward_batch(probe, X), Z)
 
-            analytic, _ = backward_batch(net, x[None], upstream[None])
+            _, analytic, _ = loss_and_grad(net, X, Z, workspace(net, 1))
             numeric = fd_gradient(loss, net.params.copy(), h=1e-6)
             np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-7)
 
@@ -123,12 +121,12 @@ class TestBackwardAgainstFiniteDifferences:
         for trial in range(20):
             net = glorot_net((4, 5, 2), rng)
             x = rng.uniform(-1.0, 1.0, size=4)
-            upstream = rng.normal(size=2)
+            z = rng.normal(size=(1, 2))
 
             def loss(v):
-                return float(upstream @ forward(net, v))
+                return mse_loss(forward_batch(net, v[None]), z)
 
-            _, dx = backward_batch(net, x[None], upstream[None])
+            _, _, dx = loss_and_grad(net, x[None], z, workspace(net, 1))
             np.testing.assert_allclose(dx[0], fd_gradient(loss, x, h=1e-6), rtol=0, atol=1e-7)
 
     def test_relu_dead_units_get_zero_gradient(self):
@@ -138,24 +136,27 @@ class TestBackwardAgainstFiniteDifferences:
                 DenseLayer(np.array([[2.0]]), np.array([0.0]), "linear"),
             ]
         )
-        grad, dx = backward_batch(net, np.array([[-1.0]]), np.array([[1.0]]))
+        # The output is 0 against a target of 1, so the upstream gradient is -2.
+        _, grad, dx = loss_and_grad(net, np.array([[-1.0]]), np.array([[1.0]]), workspace(net, 1))
         # First-layer weight sees no signal through the clipped unit.
         assert layer_views(net, grad)[0][0][0, 0] == 0.0
+        assert grad[-1] == -2.0  # the output bias does
         assert dx[0, 0] == 0.0
 
     def test_gradient_layout_matches_param_vector(self):
-        # Bumping entry i of net.params in place must move the loss by grad[i]*h.
+        # Bumping entry i of net.params in place by +-h must move the loss by +-grad[i]*h.
         net = tiny_net()
-        x = np.array([0.3, -0.7])
-        upstream = np.array([1.0, -2.0])
-        flat, _ = backward_batch(net, x[None], upstream[None])
+        X = np.array([[0.3, -0.7]])
+        Z = np.array([[1.0, -2.0]])
+        _, flat, _ = loss_and_grad(net, X, Z, workspace(net, 1))
         assert flat.shape == net.params.shape
-        base = upstream @ forward(net, x)
         for i in range(net.params.size):
             net.params[i] += 1e-6
-            delta = upstream @ forward(net, x) - base
-            net.params[i] -= 1e-6
-            np.testing.assert_allclose(delta / 1e-6, flat[i], rtol=0, atol=1e-5)
+            up = mse_loss(forward_batch(net, X), Z)
+            net.params[i] -= 2e-6
+            delta = up - mse_loss(forward_batch(net, X), Z)
+            net.params[i] += 1e-6
+            np.testing.assert_allclose(delta / 2e-6, flat[i], rtol=0, atol=1e-5)
 
 
 class TestBatchedPath:
@@ -166,21 +167,26 @@ class TestBatchedPath:
         out = forward_batch(net, V)
         assert out.shape == (12, 2)
         for i in range(12):
-            np.testing.assert_allclose(out[i], forward(net, V[i]), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(out[i], forward_batch(net, V[i : i + 1])[0], rtol=0,
+                                       atol=1e-14)
 
-    def test_backward_batch_sums_per_sample(self):
+    def test_batch_gradient_averages_per_sample(self):
+        # The batch MSE is the mean of the rows' squared errors, so its
+        # gradients are the mean of each row's alone, and row i's input
+        # gradient is row i's alone over n.
         rng = np.random.default_rng(5)
         net = glorot_net((3, 7, 4, 2), rng)
         V = rng.uniform(-1.0, 1.0, size=(8, 3))
-        upstream = rng.normal(size=(8, 2))
-        batch_grad, batch_dx = backward_batch(net, V, upstream)
+        Z = rng.normal(size=(8, 2))
+        _, batch_grad, batch_dx = loss_and_grad(net, V, Z, workspace(net, 8))
         assert batch_dx.shape == (8, 3)
         summed = np.zeros_like(net.params)
+        work = workspace(net, 1)
         for i in range(8):
-            grad, dx = backward_batch(net, V[i : i + 1], upstream[i : i + 1])
-            np.testing.assert_allclose(batch_dx[i], dx[0], rtol=0, atol=1e-12)
+            _, grad, dx = loss_and_grad(net, V[i : i + 1], Z[i : i + 1], work)
+            np.testing.assert_allclose(8 * batch_dx[i], dx[0], rtol=0, atol=1e-12)
             summed += grad
-        np.testing.assert_allclose(batch_grad, summed, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch_grad, summed / 8, rtol=0, atol=1e-12)
 
     def test_batch_shape_validation(self):
         net = tiny_net()
@@ -189,7 +195,7 @@ class TestBatchedPath:
         with pytest.raises(ValueError):
             forward_batch(net, np.zeros(2))
         with pytest.raises(ValueError):
-            backward_batch(net, np.zeros((4, 2)), np.zeros((3, 2)))
+            loss_and_grad(net, np.zeros((4, 2)), np.zeros((3, 2)), workspace(net, 4))
 
 
 class TestLossAndGrad:
@@ -200,7 +206,7 @@ class TestLossAndGrad:
         seed=st.integers(0, 2**32 - 1),
         shift=st.floats(-0.5, 0.0),
     )
-    def test_equals_separate_loss_and_backward_bit_for_bit(self, sizes, n, seed, shift):
+    def test_equals_separate_loss_and_reference_backprop(self, sizes, n, seed, shift):
         rng = np.random.default_rng(seed)
         net = glorot_net(sizes, rng)
         # Negative biases switch off a share of the ReLU units on every row.
@@ -213,10 +219,10 @@ class TestLossAndGrad:
 
         loss, grad, input_grads = loss_and_grad(net, V, Z, workspace(net, n))
         pred = forward_batch(net, V)
-        ref_grad, ref_input_grads = backward_batch(net, V, 2.0 * (pred - Z) / n)
+        ref_grad, ref_input_grads = backprop_reference(net, V, 2.0 * (pred - Z) / n)
         assert loss == mse_loss(pred, Z)
-        np.testing.assert_array_equal(grad, ref_grad)
-        np.testing.assert_array_equal(input_grads, ref_input_grads)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(input_grads, ref_input_grads, rtol=0, atol=1e-12)
 
     def test_does_not_modify_inputs(self):
         net = tiny_net()
@@ -369,10 +375,8 @@ class TestStack:
             shape = (n_stack, 9, 3) if per_network_batch else (9, 3)
             V = rng.uniform(-1.0, 1.0, size=shape)
             Z = rng.uniform(-3.0, 3.0, size=(9, 2))
-            upstream = rng.uniform(-1.0, 1.0, size=(n_stack, 9, 2))
             preds = forward_batch(stacked, V)
             losses, grads, input_grads = loss_and_grad(stacked, V, Z, workspace(stacked, 9))
-            back_grads, back_input_grads = backward_batch(stacked, V, upstream)
             assert preds.shape == (n_stack, 9, 2) and grads.shape == stacked.params.shape
             mse = mse_loss(preds, Z)
             for s, net in enumerate(nets):
@@ -384,36 +388,30 @@ class TestStack:
                 pred = forward_batch(net, V_s)
                 np.testing.assert_array_equal(preds[s], pred)
                 assert mse[s] == mse_loss(pred, Z)
-                back_grad, back_input_grad = backward_batch(net, V_s, upstream[s])
-                np.testing.assert_array_equal(back_grads[s], back_grad)
-                np.testing.assert_array_equal(back_input_grads[s], back_input_grad)
 
     @pytest.mark.parametrize("sizes", [HEAD_SIZES, BASELINE_SIZES])
     def test_one_input_through_a_stack_gives_each_networks_output(self, sizes):
         rng = np.random.default_rng(9)
         for n_stack in range(1, 5):
             nets = [glorot_net(sizes, seed) for seed in range(4, 4 + n_stack)]
-            v = rng.uniform(-1.0, 1.0, size=3)
-            out = forward(stack(nets), v)
-            assert out.shape == (n_stack, 2)
+            v = rng.uniform(-1.0, 1.0, size=(1, 3))
+            out = forward_batch(stack(nets), v)
+            assert out.shape == (n_stack, 1, 2)
             for s, net in enumerate(nets):
-                np.testing.assert_array_equal(out[s], forward(net, v))
+                np.testing.assert_array_equal(out[s], forward_batch(net, v))
 
     @pytest.mark.parametrize("sizes", [HEAD_SIZES, BASELINE_SIZES])
     def test_one_input_per_network_gives_each_networks_output(self, sizes):
         rng = np.random.default_rng(10)
         for n_stack in range(2, 5):
             nets = [glorot_net(sizes, seed) for seed in range(4, 4 + n_stack)]
-            V = rng.uniform(-1.0, 1.0, size=(n_stack, 3))
-            out = forward(stack(nets), V)
-            assert out.shape == (n_stack, 2)
+            V = rng.uniform(-1.0, 1.0, size=(n_stack, 1, 3))
+            out = forward_batch(stack(nets), V)
+            assert out.shape == (n_stack, 1, 2)
             for s, net in enumerate(nets):
-                np.testing.assert_array_equal(out[s], forward(net, V[s]))
-            for bad in (V[:-1], V[None], np.zeros((n_stack, 4))):
-                with pytest.raises(ValueError, match=rf"shape \(3,\) or \({n_stack}, 3\)"):
-                    forward(stack(nets), bad)
-        with pytest.raises(ValueError, match=r"expected input of shape \(3,\), got \(2, 3\)"):
-            forward(glorot_net(sizes, 4), np.zeros((2, 3)))
+                np.testing.assert_array_equal(out[s], forward_batch(net, V[s]))
+            with pytest.raises(ValueError, match=r"expected batch of shape \(n, 3\)"):
+                forward_batch(stack(nets), np.zeros((n_stack, 1, 4)))
 
     def test_refuses_networks_of_different_shapes(self):
         with pytest.raises(ValueError, match="networks of one shape"):

@@ -5,6 +5,7 @@ import ctypes.util
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -65,9 +66,22 @@ class TestExitCodes:
         assert main([]) == 2
         assert "usage:" in capsys.readouterr().out
 
-    def test_unknown_flag(self):
-        # argparse exits with 2; main converts that into a return code.
-        assert main(["train", "--data", "x.csv", "--bogus"]) == 2
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--data", "x.csv", "--bogus"], "--bogus"),
+        (["train", "--data", "x.csv", "--epochs", "abc"], "--epochs"),
+        (["gen-synthetic", "--room", "6x5", "--n", "1.5"], "--n"),
+        (["train", "--data", "x.csv", "--seed", "x"], "--seed"),
+        (["compare", "--train", "a.csv", "--test", "b.csv", "--seeds", "1", "y"], "--seeds"),
+        (["compare", "--train", "a.csv", "--test", "b.csv", "--knn-k", "z"], "--knn-k"),
+        (["eval", "--model-file", "m", "--data", "d.csv", "--shots", "0x10"], "--shots"),
+    ], ids=["unknown", "epochs", "n", "seed", "seeds", "knn_k", "shots"])
+    def test_unknown_flag(self, argv, flag, capsys):
+        # argparse exits with 2; main converts that into a return code. The
+        # message names the flag, and no private function of the parser.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err or f"unrecognized arguments: {flag}" in err
+        assert not re.search(r"(?<!\w)_\w", err), err
 
     def test_missing_input_file_is_runtime_error(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "absent.csv"),
@@ -579,15 +593,18 @@ class TestEval:
 
 
 class TestCompare:
-    def compare_args(self, train_csv, test_csv, out_dir):
+    def compare_args(self, train_csv, test_csv, out_dir, scenario="sc1"):
         return ["compare", "--train", str(train_csv), "--test", str(test_csv),
-                "--scenario", "sc1", "--technology", "wifi",
+                "--scenario", scenario, "--technology", "wifi",
                 "--seeds", "1", "--epochs", "2", "--shots", "32",
                 "--knn-k", "1", "--out-dir", str(out_dir)]
 
-    def test_table_lists_every_method(self, tmp_path, train_csv, test_csv, capsys):
+    @pytest.mark.parametrize("scenario, name", [
+        ("Sc-1", "Sc-1"), ("sc-2", "Sc-2"), ("SC3", "Sc-3"), ("sc1", "Sc-1"),
+    ])
+    def test_table_lists_every_method(self, tmp_path, train_csv, test_csv, capsys, scenario, name):
         out_dir = tmp_path / "cmp"
-        code = main(self.compare_args(train_csv, test_csv, out_dir))
+        code = main(self.compare_args(train_csv, test_csv, out_dir, scenario))
         assert code == 0
         out = capsys.readouterr().out
         for method in ("classical_nn", "knn", "quantum_fingerprint",
@@ -595,7 +612,7 @@ class TestCompare:
             assert method in out
         table = (out_dir / "comparison.csv").read_text().splitlines()
         assert table[0] == "scenario,technology,method,seed,rmse_m,note,config_digest"
-        assert all(line.startswith("Sc-1,WiFi") for line in table[1:])
+        assert all(line.startswith(f"{name},WiFi") for line in table[1:])
 
     def test_reruns_are_byte_identical(self, tmp_path, train_csv, test_csv):
         tables = []

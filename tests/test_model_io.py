@@ -14,7 +14,7 @@ from hqloc.classical import (
     DenseLayer,
     DenseNet,
     baseline_net,
-    forward,
+    forward_batch,
     glorot_net,
 )
 from hqloc.data import Scaler, unscalable_spans
@@ -93,8 +93,8 @@ class TestModelRoundTrip:
         assert scaler is None
         np.testing.assert_array_equal(loaded.params, net.params)
         assert [l.activation for l in loaded.layers] == ["relu", "relu", "linear"]
-        x = np.array([0.1, 0.2, 0.3])
-        np.testing.assert_array_equal(forward(loaded, x), forward(net, x))
+        X = np.array([[0.1, 0.2, 0.3]])
+        np.testing.assert_array_equal(forward_batch(loaded, X), forward_batch(net, X))
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

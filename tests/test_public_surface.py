@@ -2,25 +2,21 @@
 
 This walks the syntax tree of every module under ``src/hqloc`` but
 ``reference`` and lists its public top-level functions, classes and
-constants. Each must be referenced from one of three places:
+constants. Each must be referenced from one of two places:
 
 - runtime code other than its own definition: a name read in its module, a
   ``from .module import name``, or ``module.name`` on an imported module;
 - ``perfbench/workloads.py``, as ``module.name`` on a module it imports from
-  hqloc;
-- the tracer's table, ``TRACED`` in ``perfbench/tracing.py``, read without
-  installing the tracer.
+  hqloc.
 
 A name that only tests, demos or the reference simulator use belongs with
-them. The names that pass through ``TRACED`` alone are the ones the benchmark
-upkeep may retire with the table.
+them. The tracer's table, ``TRACED`` in ``perfbench/tracing.py``, does not
+count: it names functions to time where they exist, and skips the ones that
+do not, so a name listed there alone has no caller.
 """
 
 import ast
-import importlib.util
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hqloc"
@@ -88,11 +84,10 @@ def runtime_uses(sources: dict[str, str]) -> set[tuple[str, str]]:
     return used
 
 
-def unreferenced(sources: dict[str, str], workloads: str, traced: dict) -> list[str]:
-    """``module.name`` of each public runtime name that nothing in the three places references."""
+def unreferenced(sources: dict[str, str], workloads: str) -> list[str]:
+    """``module.name`` of each public runtime name that nothing in the two places references."""
     tree = ast.parse(workloads)
     used = runtime_uses(sources) | _attribute_uses(tree, _module_aliases(tree, "hqloc", sources))
-    used |= {(module, name) for module, names in traced.items() for name in names}
     return sorted(
         f"{module}.{name}"
         for module, source in sources.items()
@@ -101,20 +96,10 @@ def unreferenced(sources: dict[str, str], workloads: str, traced: dict) -> list[
     )
 
 
-@pytest.fixture(scope="module")
-def traced():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TRACED
-
-
-def test_every_public_runtime_name_is_used(traced):
+def test_every_public_runtime_name_is_used():
     sources = {name: path.read_text(encoding="utf-8") for name, path in RUNTIME.items()}
     workloads = (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")
-    assert unreferenced(sources, workloads, traced) == []
+    assert unreferenced(sources, workloads) == []
 
 
 def test_checker_catches_each_form():
@@ -128,7 +113,7 @@ def test_checker_catches_each_form():
         "def rz(q): return rz(q)",  # only its own body calls it
         "def zz_feature_map(x): return [h(0), p(0)]",
         "def ry(q, width=WIDTH): return Gate()",
-        "def traced_only(): pass",
+        "def traced_only(): pass",  # a name the tracer's table lists is still unused
     ])
     sources = {
         "circuits": circuits,
@@ -137,7 +122,7 @@ def test_checker_catches_each_form():
         "cli": "def main(): pass\n",
     }
     workloads = "from hqloc import cli, data\ndata.fit()\ncli.main()\nother.unused()\n"
-    traced = {"circuits": {"traced_only": None}}
-    assert unreferenced(sources, workloads, traced) == [
-        "circuits.GATE_KINDS", "circuits.rz", "circuits.zz_feature_map", "data.unused",
+    assert unreferenced(sources, workloads) == [
+        "circuits.GATE_KINDS", "circuits.rz", "circuits.traced_only", "circuits.zz_feature_map",
+        "data.unused",
     ]

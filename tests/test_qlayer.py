@@ -14,7 +14,6 @@ from hqloc.qlayer import (
     QuantumLayer,
     encode_batch,
     pauli_features,
-    q_forward,
     q_forward_batch,
     q_gradient_batch,
 )
@@ -56,6 +55,11 @@ def features_of(X):
     return pauli_features(encode_batch(np.atleast_2d(X)))
 
 
+def one_row(layer, x):
+    """The layer's exact expectations of the one scaled row ``x``: the kernel on a batch of one."""
+    return q_forward_batch(layer, features_of(x))[..., 0, :]
+
+
 def sample_rows(layer, X, shots, seed=0):
     """Shot estimates of the layer on the rows of ``X``, drawn as an evaluation draws them."""
     X = np.atleast_2d(X)
@@ -73,7 +77,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         for trial in range(20):
             layer = make_layer(rng)
-            out = q_forward(layer, rng.uniform(0, 1, size=3))
+            out = one_row(layer, rng.uniform(0, 1, size=3))
             assert out.shape == (3,)
             assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
@@ -81,14 +85,14 @@ class TestForward:
         rng = np.random.default_rng(1)
         layer = make_layer(rng)
         x = np.array([0.2, 0.7, 0.4])
-        np.testing.assert_array_equal(q_forward(layer, x), q_forward(layer, x))
+        np.testing.assert_array_equal(one_row(layer, x), one_row(layer, x))
 
     def test_zero_ansatz_reproduces_feature_map_expectations(self):
         x = np.array([0.3, 0.6, 0.9])
         layer = QuantumLayer(phi=np.zeros(6))
         encoded = Statevector(3, feature_state(x))
         expected = [expect_z(encoded, q) for q in range(3)]
-        np.testing.assert_allclose(q_forward(layer, x), expected, atol=1e-12)
+        np.testing.assert_allclose(one_row(layer, x), expected, atol=1e-12)
 
     def test_sampled_forward_reproducible_and_decorrelated(self):
         rng = np.random.default_rng(2)
@@ -103,7 +107,7 @@ class TestForward:
         layer = make_layer(rng)
         x = np.array([0.4, 0.1, 0.9])
         np.testing.assert_allclose(
-            sample_rows(layer, x, 100_000, seed=7)[0], q_forward(layer, x), atol=0.02
+            sample_rows(layer, x, 100_000, seed=7)[0], one_row(layer, x), atol=0.02
         )
 
 
@@ -130,7 +134,7 @@ class TestShiftRule:
             assert grad.shape == (3, 6)
             for j in range(3):
                 def expectation(phi, j=j, x=x):
-                    return q_forward(QuantumLayer(phi=phi), x)[j]
+                    return one_row(QuantumLayer(phi=phi), x)[j]
 
                 fd = fd_gradient(lambda v, j=j: expectation(v, j), layer.phi.copy(), h=1e-5)
                 np.testing.assert_allclose(grad[j], fd, atol=1e-6)
@@ -142,7 +146,7 @@ class TestBatchedPath:
     def test_forward_batch_matches_per_sample(self, phi, X):
         layer = QuantumLayer(phi=phi)
         batch = q_forward_batch(layer, features_of(X))
-        loop = np.array([q_forward(layer, x) for x in X])
+        loop = np.array([one_row(layer, x) for x in X])
         np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-14)
 
     @settings(max_examples=50, deadline=None)
@@ -179,7 +183,6 @@ class TestBatchedPath:
         X = rng.uniform(0, 1, size=(2, 3))
         features = features_of(X)
         for call in (lambda: q_forward_batch(layer, features, shots=64),
-                     lambda: q_forward(layer, X[0], shots=64),
                      lambda: q_gradient_batch(layer, features, shots=64)):
             with pytest.raises(TypeError):
                 call()
@@ -335,14 +338,13 @@ class TestValidation:
         monkeypatch.setattr(qlayer, "_compile", no_product)
         monkeypatch.setattr(qlayer, "_PAULI_MATRICES", None)  # a features product would fail
         monkeypatch.setattr(qlayer, "_last_compile", None)
-        layer = QuantumLayer(phi=np.zeros(6))
         rows = encode_batch(np.full((4, width), 0.5))
         shape = re.escape(str(rows.shape))
         with pytest.raises(ValueError, match=rf"3 features .*got shape {shape}"):
             pauli_features(rows)
         x = np.full(width, 0.5)
         with pytest.raises(ValueError, match=rf"3 features, got shape \({width},\)"):
-            q_forward(layer, x)
+            train_eval.hqnn_forward(train_eval.init_hybrid_model(0), x)  # one fix
 
     @pytest.mark.parametrize("features", [
         encode_batch(np.full((4, 3), 0.5)),  # encoded rows, not their features
@@ -684,10 +686,10 @@ class TestStackedLayer:
         x=arrays(float, (3,), elements=st.floats(0.0, 1.0)),
     )
     def test_one_fix_on_a_stack_gives_each_models_row(self, stacked, x):
-        out = q_forward(QuantumLayer(phi=stacked), x)
+        out = one_row(QuantumLayer(phi=stacked), x)
         assert out.shape == (len(stacked), 3)
         for s, phi in enumerate(stacked):
-            np.testing.assert_array_equal(out[s], q_forward(QuantumLayer(phi=phi.copy()), x))
+            np.testing.assert_array_equal(out[s], one_row(QuantumLayer(phi=phi.copy()), x))
 
     def test_shapes_and_shots_are_refused(self):
         with pytest.raises(ValueError, match="or a stack of them"):

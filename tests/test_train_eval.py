@@ -10,21 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqloc import classical, optim
-from hqloc.classical import forward as dense_forward
-from hqloc.classical import baseline_net, mse_loss
+from hqloc.classical import baseline_net, forward_batch, mse_loss
 from hqloc.data import fit_scaler, gen_scenario_standin, scenario_meta, gen_synthetic, transform_samples
 from hqloc.qlayer import encode_batch, pauli_features, q_forward_batch
 from hqloc.train_eval import (
     CompareConfig,
     HybridModel,
     TrainConfig,
+    _model_ops,
     compare_all,
     config_digest,
     evaluate_rmse,
     format_comparison,
     hqnn_forward,
     hqnn_forward_batch,
-    hqnn_grad,
     init_hybrid_model,
     records_to_csv_rows,
     train,
@@ -185,7 +184,7 @@ class TestHybridModel:
             hqnn_forward_batch(model, np.zeros((4, width)), shots=8, seed=1)
         X, Z = np.full((4, width), 0.5), np.zeros((4, 2))
         with pytest.raises(ValueError, match=rf"3 features, got shape \(4, {width}\)"):
-            hqnn_grad(model, X, Z)
+            _model_ops(model, X, Z)
         with pytest.raises(ValueError, match=rf"3 features, got shape \(4, {width}\)"):
             train(model, X, Z, TrainConfig(epochs=1))
 
@@ -242,7 +241,7 @@ class TestHybridGradient:
                 probe.params[:] = vec
                 return batch_mse(probe, X, Z)
 
-            analytic = hqnn_grad(model, X, Z)
+            analytic = _model_ops(model, X, Z)[1](model)[1]  # the training pass's gradient
             numeric = fd_gradient(loss, model.params.copy(), h=1e-5)
             np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-6)
 
@@ -267,17 +266,17 @@ class TestHybridGradient:
                           lambda layer, rows: shift_matrices.reshape(*lead, n, 3, 6))
             patch.setattr(classical, "mse_grad", lambda head, U, Z, work: (
                 np.zeros((*lead, 0)), input_grads.reshape(*lead, n, 3)))
-            phi_grad = hqnn_grad(model, X, Z)[..., :6].reshape(S, 6)
+            phi_grad = _model_ops(model, X, Z)[1](model)[1][..., :6].reshape(S, 6)
         for s in range(S):
             solo = np.einsum("nj,njk->k", input_grads[s], shift_matrices[s])
             np.testing.assert_array_equal(phi_grad[s], solo)
 
     def test_batch_validation(self):
         model = init_hybrid_model(seed=0)
-        with pytest.raises(ValueError):
-            hqnn_grad(model, np.zeros((0, 3)), np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            hqnn_grad(model, np.zeros((3, 3)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="training set is empty"):
+            train(model, np.zeros((0, 3)), np.zeros((0, 2)), TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="training set mismatch: 3 inputs vs 2 targets"):
+            train(model, np.zeros((3, 3)), np.zeros((2, 2)), TrainConfig(epochs=1))
 
     def test_dense_grad_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -288,7 +287,7 @@ class TestHybridGradient:
         def loss(vec):
             probe = baseline_net(0)
             probe.params[:] = vec
-            preds = np.array([dense_forward(probe, x) for x in X])
+            preds = np.array([forward_batch(probe, x[None])[0] for x in X])
             return mse_loss(preds, Z)
 
         analytic = classical.loss_and_grad(net, X, Z, classical.workspace(net, len(X)))[1]
@@ -606,15 +605,15 @@ class TestCircuitCounts:
             assert seen[0].shape == (7, 20)
 
     def test_a_fix_encodes_its_features_once(self, monkeypatch):
-        import hqloc.qlayer as qlayer
+        import hqloc.train_eval as train_eval
 
-        real_state, states = qlayer.feature_state, []
+        real_state, states = train_eval.feature_state, []
 
         def counted(x):
             states.append(1)
             return real_state(x)
 
-        monkeypatch.setattr(qlayer, "feature_state", counted)
+        monkeypatch.setattr(train_eval, "feature_state", counted)
         model = init_hybrid_model(3)
         X, _ = small_problem(seed=3, n=5)
         for n_fixes, x in enumerate(X, start=1):
