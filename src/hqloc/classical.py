@@ -28,17 +28,22 @@ gradients, and :func:`mse_grad` the two gradients alone, with no MSE reduced.
 So a training epoch runs the network once for its gradient. Backprop writes
 each layer's gradient into its views of one ``params``-layout array.
 
+The layouts a pass reads depend on the network alone, so
+:meth:`DenseNet.bind` builds them once per bind, as the network's
+``views``: each layer's transposed weight and (1, out) bias row, views of
+``params`` that follow its in-place updates, and its ReLU flag. Every pass,
+fresh or buffered, runs one loop over them.
+
 Backprop has one buffer mode: it writes its ReLU masks, input gradients and
 parameter gradient with numpy's ``out=`` into a :class:`Workspace`, which
 holds those buffers and the gradient's layer views, cut once. A training
 loop builds one per run, for a baseline network or a hybrid model's head.
-The workspace also holds views of the network's transposed weights and bias
-rows, made once, and the shapes of the batches it takes, so the three
+The workspace also holds the shapes of the batches it takes, so the three
 passes check their arguments with one shape compare each and write every
 epoch's layer outputs and gradients into it: a stack's (S, n, 128)-sized
 arrays are not made anew each epoch. A forward pass alone
-(:func:`forward_batch`, so each live fix) builds none and writes fresh
-arrays.
+(:func:`forward_batch`, so each live fix) builds no workspace and writes
+fresh arrays.
 """
 
 from __future__ import annotations
@@ -73,6 +78,10 @@ class DenseLayer:
 class DenseNet:
     layers: list[DenseLayer]
     params: np.ndarray = field(init=False, repr=False)
+    # Per layer: the weight transposed, (in, out) or (S, in, out), the bias as
+    # one (1, out) or (S, 1, out) row, both views of ``params``, and whether
+    # the layer is ReLU. Built by :meth:`bind`, read by every pass.
+    views: list[tuple[np.ndarray, np.ndarray, bool]] = field(init=False, repr=False)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -84,12 +93,18 @@ class DenseNet:
         self.bind(np.empty(_params_shape(self)))
 
     def bind(self, params: np.ndarray) -> None:
-        """Copy the current weights into ``params`` and make the layers views of it."""
+        """Copy the current weights into ``params`` and make the layers views of it.
+
+        Also builds :attr:`views` from the new views, once per bind; an
+        in-place update of ``params`` shows through them.
+        """
         for layer, (weight, bias) in zip(self.layers, layer_views(self, params)):
             weight[...] = layer.weight
             bias[...] = layer.bias
             layer.weight, layer.bias = weight, bias
         self.params = params
+        self.views = [(layer.weight.swapaxes(-1, -2), layer.bias[..., None, :],
+                       layer.activation == "relu") for layer in self.layers]
 
     @property
     def input_dim(self) -> int:
@@ -128,23 +143,20 @@ class Workspace:
     """What one pass of a network over ``n`` rows reads and writes, built once.
 
     ``params`` is the network's parameter vector as bound when the workspace
-    was built. Layer i has its weight transposed, (in, out) or (S, in, out),
-    and its bias as one (1, out) row, both views of ``params`` that follow its
-    in-place updates; its output, (n, out) or (S, n, out) in a stack; where
-    that output is > 0, for a ReLU layer (None for a linear one); and the
-    product of its weight with the gradient reaching it, which is the gradient
-    with respect to its input, (n, in) or (S, n, in). Backprop masks that
-    product in place for the ReLU layer below. ``batch_shapes`` holds the
-    batch shapes a pass accepts, ``grad`` a parameter gradient in ``params``
-    layout and ``grad_views`` its :func:`layer_views`. A pass given a
-    workspace returns these buffers or views of them, which the next pass
+    was built; the weights and biases a pass reads are the network's own
+    :attr:`DenseNet.views`. Layer i has its output, (n, out) or (S, n, out) in
+    a stack; where that output is > 0, for a ReLU layer (None for a linear
+    one); and the product of its weight with the gradient reaching it, which
+    is the gradient with respect to its input, (n, in) or (S, n, in). Backprop
+    masks that product in place for the ReLU layer below. ``batch_shapes``
+    holds the batch shapes a pass accepts, ``grad`` a parameter gradient in
+    ``params`` layout and ``grad_views`` its :func:`layer_views`. A pass given
+    a workspace returns these buffers or views of them, which the next pass
     overwrites.
     """
 
     params: np.ndarray
     batch_shapes: tuple[tuple[int, ...], ...]
-    weights_t: list[np.ndarray]
-    biases: list[np.ndarray]
     outs: list[np.ndarray]
     masks: list[np.ndarray | None]
     deltas: list[np.ndarray]
@@ -164,8 +176,6 @@ def workspace(net: DenseNet, n_rows: int, grad: np.ndarray | None = None) -> Wor
     return Workspace(
         net.params,
         tuple({(n_rows, net.input_dim), (*lead, n_rows, net.input_dim)}),
-        [layer.weight.swapaxes(-1, -2) for layer in net.layers],
-        [layer.bias[..., None, :] for layer in net.layers],
         outs,
         [np.empty(out.shape, dtype=bool) if layer.activation == "relu" else None
          for layer, out in zip(net.layers, outs)],
@@ -221,25 +231,22 @@ def _check_batch(net: DenseNet, V: np.ndarray) -> None:
 def _trace(net: DenseNet, V, work: Workspace | None = None) -> list[np.ndarray]:
     """Each layer's input and, last, the network output, for an (n, input_dim) batch.
 
-    A stack also takes an (S, n, input_dim) batch. Without ``work``, each
-    layer's product is a fresh array, and the batch is checked here. With it,
-    the caller has checked the batch against ``work``, and the products are
-    written into ``work``'s buffers from its weight and bias views. Bias and
-    ReLU act on each product in place. A ReLU output is > 0 exactly where its
-    pre-activation is, so backprop reads each ReLU mask off the stored outputs.
+    A stack also takes an (S, n, input_dim) batch. Every pass reads the
+    network's :attr:`DenseNet.views`. Without ``work``, each layer's product
+    is a fresh array, and the batch is checked here. With it, the caller has
+    checked the batch against ``work``, and the products are written into
+    ``work``'s buffers. Bias and ReLU act on each product in place. A ReLU
+    output is > 0 exactly where its pre-activation is, so backprop reads each
+    ReLU mask off the stored outputs.
     """
     if work is None:
         V = np.asarray(V, dtype=float)
         _check_batch(net, V)
     acts = [V]
-    for i, layer in enumerate(net.layers):
-        if work is None:
-            V = np.matmul(V, layer.weight.swapaxes(-1, -2))
-            V += layer.bias[..., None, :]
-        else:
-            V = np.matmul(V, work.weights_t[i], out=work.outs[i])
-            V += work.biases[i]
-        if layer.activation == "relu":
+    for i, (weight_t, bias_row, relu) in enumerate(net.views):
+        V = np.matmul(V, weight_t, out=None if work is None else work.outs[i])
+        V += bias_row
+        if relu:
             np.maximum(V, 0.0, out=V)
         acts.append(V)
     return acts

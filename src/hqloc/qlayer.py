@@ -40,8 +40,11 @@ The cached arrays are read-only.
 A layer may also hold a stack of S angle vectors, phi of shape (S, n_params),
 as the seed-stacked training loop does: one compile then covers all S angle
 vectors, one ``np.matmul`` applies the S coefficient matrices to the shared
-features, and every result gains a leading axis of length S. Row s of a
-stack computes bit for bit what the layer of phi[s] computes alone.
+features, and every result gains a leading axis of length S. The compile
+gives C and dC phi's own leading axes, (n_strings, N_FEATURES) for one angle
+vector and (S, n_strings, N_FEATURES) for a stack, so each kernel call's
+product already has the shape it returns. Row s of a stack computes bit for
+bit what the layer of phi[s] computes alone.
 """
 
 from __future__ import annotations
@@ -157,8 +160,11 @@ class QuantumLayer:
 
 
 def _compile(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C and dC of each of the m angle vectors in ``phi``, shapes (m, n_strings, n) and
-    (m, n_strings, n * n_params): column j * n_params + k of dC is C's column j
+    """C and dC of the m angle vectors in ``phi``, with phi's own leading axes.
+
+    A solo phi gives C of shape (n_strings, n) and dC of shape (n_strings, n * n_params),
+    a stack of S gives (S, n_strings, n) and (S, n_strings, n * n_params), so a kernel
+    call returns its product as it is. Column j * n_params + k of dC is C's column j
     differentiated in phi_k. The slots hold one column per angle vector, so the gather of
     the angle-major table is (n_params, 1 + n_params, n_paths, m), and its product over
     the outer axis multiplies each path's factors in angle order.
@@ -171,8 +177,9 @@ def _compile(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.negative(np.sin(angles, out=slots[2 + n : 2 + 2 * n]), out=slots[2 + 2 * n :])
     paths = np.multiply.reduce(slots.take(_GATHER, axis=0), axis=0).transpose(2, 0, 1)
     table = (paths @ _SCATTER).reshape(len(paths), 1 + n, len(_STRINGS), N_FEATURES)
-    coefficients = np.ascontiguousarray(table[:, 0])
-    return coefficients, table[:, 1:].transpose(0, 2, 3, 1).reshape(len(table), len(_STRINGS), -1)
+    lead = (*phi.shape[:-1], len(_STRINGS))
+    coefficients = np.ascontiguousarray(table[:, 0]).reshape(*lead, N_FEATURES)
+    return coefficients, table[:, 1:].transpose(0, 2, 3, 1).reshape(*lead, -1)
 
 
 def pauli_features(encoded_rows) -> np.ndarray:
@@ -212,7 +219,7 @@ def _compiled(layer: QuantumLayer, features) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"expected Pauli features of shape (n, {len(_STRINGS)}), got shape {shape}"
         )
-    key = (layer.phi.dtype.str, layer.phi.shape, layer.phi.tobytes())
+    key = (layer.phi.dtype, layer.phi.shape, layer.phi.tobytes())
     if _last_compile is not None and _last_compile[0] == key:
         return _last_compile[1]
     value = _compile(layer.phi)
@@ -228,7 +235,7 @@ def q_forward_batch(layer: QuantumLayer, features: np.ndarray) -> np.ndarray:
     out = np.matmul(features, coefficients)
     # Clip in place with two ufuncs: np.clip's wrapper costs more than the product.
     np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
-    return out.reshape(*layer.phi.shape[:-1], *out.shape[1:])
+    return out
 
 
 def q_gradient_batch(layer: QuantumLayer, features: np.ndarray) -> np.ndarray:
@@ -244,5 +251,5 @@ def q_gradient_batch(layer: QuantumLayer, features: np.ndarray) -> np.ndarray:
     """
     _, derivatives = _compiled(layer, features)
     grads = np.matmul(features, derivatives)
-    return grads.reshape(*layer.phi.shape[:-1], len(features), N_FEATURES, N_ANSATZ_PARAMS)
+    return grads.reshape(*grads.shape[:-1], N_FEATURES, N_ANSATZ_PARAMS)
 

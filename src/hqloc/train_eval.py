@@ -39,8 +39,10 @@ A training run picks its optimizer step once, Adam or SGD, and builds its
 state once: for Adam, one :class:`optim.AdamState` (moments and scratch, with
 Kingma & Ba's fixed betas and epsilon), which every step advances in place,
 and for either, the :class:`classical.Workspace` of a dense network or a
-hybrid model's head: its layer buffers, its views of the transposed weights
-and of the bias rows, and its gradient buffer. A hybrid run's gradient buffer
+hybrid model's head: its layer buffers and its gradient buffer. The
+transposed weights and bias rows every pass reads are the network's own
+views, built when its parameters are bound, and phi's C and dC come from the
+quantum layer's compile cache. A hybrid run's gradient buffer
 is the head's part of one (S, 200) joint gradient, and each epoch's einsum
 writes phi's part of it in place, so nothing joins the two. Every epoch
 writes into these and steps ``params`` in place, so an epoch after the first

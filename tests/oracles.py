@@ -163,6 +163,19 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     return grad
 
 
+def forward_reference(net, V: np.ndarray) -> list[np.ndarray]:
+    """Each layer's input and, last, the output of ``net`` on the batch ``V``.
+
+    Reads each layer's ``weight``, ``bias`` and ``activation`` afresh, into
+    fresh arrays, so it sees no layout the network built for itself.
+    """
+    acts = [np.asarray(V, dtype=float)]
+    for layer in net.layers:
+        out = acts[-1] @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
+        acts.append(np.maximum(out, 0.0) if layer.activation == "relu" else out)
+    return acts
+
+
 def backprop_reference(net, V: np.ndarray, upstream: np.ndarray):
     """Reverse mode through ``net`` taken layer by layer: (flat gradient, input gradients).
 
@@ -172,10 +185,7 @@ def backprop_reference(net, V: np.ndarray, upstream: np.ndarray):
     flat gradient is laid out like ``net.params``: per layer, the weight
     (row-major), then the bias.
     """
-    acts = [np.asarray(V, dtype=float)]
-    for layer in net.layers:
-        out = acts[-1] @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
-        acts.append(np.maximum(out, 0.0) if layer.activation == "relu" else out)
+    acts = forward_reference(net, V)
     delta = np.asarray(upstream, dtype=float)
     parts = []
     for i in reversed(range(len(net.layers))):

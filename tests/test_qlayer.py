@@ -374,10 +374,8 @@ compile_phi = qlayer._compile
 
 def uncached_forward(phi, features):
     """Exact expectations of ``phi`` on Pauli ``features`` from a fresh compile."""
-    phi = np.array(phi)
-    coefficients, _ = compile_phi(phi)
-    out = np.clip(np.matmul(features, coefficients), -1.0, 1.0)
-    return out.reshape(*phi.shape[:-1], *out.shape[1:])
+    coefficients, _ = compile_phi(np.array(phi))  # with phi's leading axes
+    return np.clip(np.matmul(features, coefficients), -1.0, 1.0)
 
 
 @pytest.fixture
@@ -566,7 +564,9 @@ class TestPauliCompile:
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(phis, stacks))
     def test_the_coefficients_and_derivatives_sum_to_the_observables(self, phi):
-        coefficients, derivatives = qlayer._compile(phi)
+        # One (C, dC) pair per angle vector, a solo phi's 2-D pair as a stack of one.
+        coefficients, derivatives = (part.reshape(-1, *part.shape[-2:])
+                                     for part in qlayer._compile(phi))
         strings = np.array([pauli_matrix(x, z) for x, z in qlayer._STRINGS])
         for s, angles in enumerate(np.atleast_2d(phi)):
             np.testing.assert_allclose(
@@ -618,10 +618,23 @@ class TestPauliCompile:
         # The angle-major gather multiplies each path's factors over its outer
         # axis in angle order, as prod(axis=-1) over the path-major gather did.
         paths = qlayer._pauli_paths(real_amplitudes(3, np.arange(6)), 3, 6)
-        expected = compile_reference(phi, paths, qlayer._SCATTER)
+        expected = compile_reference(phi, paths, qlayer._SCATTER)  # (m, ...) for m vectors
         for got, want in zip(qlayer._compile(phi), expected):
+            want = want.reshape(got.shape)  # phi's own leading axes
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # zeros too
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["solo", "stack_of_1", "stack_of_3"])
+    def test_the_compile_takes_phis_leading_axes(self, lead):
+        # A solo phi compiles to 2-D C and dC, a stack to 3-D, so a kernel
+        # call returns its product with no reshape.
+        phi = np.random.default_rng(26).uniform(-np.pi, np.pi, size=(*lead, 6))
+        coefficients, derivatives = qlayer._compile(phi)
+        assert coefficients.shape == (*lead, 20, 3)
+        assert derivatives.shape == (*lead, 20, 18)
+        layer, features = QuantumLayer(phi=phi), features_of(np.full((4, 3), 0.5))
+        assert q_forward_batch(layer, features).shape == (*lead, 4, 3)
+        assert q_gradient_batch(layer, features).shape == (*lead, 4, 3, 6)
 
     def test_the_ansatz_has_24_paths_over_20_strings(self):
         assert len(qlayer._SCATTER) == 6 + 8 + 10  # Z_0, Z_1 and Z_2's paths

@@ -2,16 +2,20 @@
 
 import dataclasses
 import math
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqloc import classical, optim
+import hqloc
+from hqloc import classical, model_io, optim
 from hqloc.classical import baseline_net, forward_batch, mse_loss
-from hqloc.data import fit_scaler, gen_scenario_standin, scenario_meta, gen_synthetic, transform_samples
+from hqloc.data import (fit_scaler, gen_scenario_standin, scenario_meta, gen_synthetic, transform,
+                        transform_samples)
 from hqloc.qlayer import encode_batch, pauli_features, q_forward_batch
 from hqloc.train_eval import (
     CompareConfig,
@@ -619,6 +623,30 @@ class TestCircuitCounts:
         for n_fixes, x in enumerate(X, start=1):
             hqnn_forward(model, x)
             assert len(states) == n_fixes
+
+    # How many hqloc functions one live fix enters. A helper that builds a
+    # layout per call, instead of per bind or compile, adds to it.
+    FIX_ENTRIES = 13
+
+    def test_a_fix_enters_a_pinned_number_of_functions(self, tmp_path):
+        _, samples, test = gen_scenario_standin("Sc-1", "WiFi", seed=1)
+        model_io.save_model(tmp_path / "model.params", init_hybrid_model(1), fit_scaler(samples))
+        model, scaler = model_io.load_model(tmp_path / "model.params")
+        package = os.path.dirname(hqloc.__file__) + os.sep
+        entries = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                entries.append(frame.f_code.co_name)
+
+        hqnn_forward(model, transform(scaler, test[0].rssi))  # compiles phi
+        sys.setprofile(profile)
+        try:
+            fix = hqnn_forward(model, transform(scaler, test[1].rssi))
+        finally:
+            sys.setprofile(None)
+        assert fix.shape == (2,)
+        assert len(entries) == self.FIX_ENTRIES, entries
 
 
 class TestEvaluateRmse:

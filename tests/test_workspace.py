@@ -12,9 +12,9 @@ import pytest
 from hqloc import data, optim
 from hqloc.classical import (baseline_net, forward_batch, hqnn_head, loss_and_grad, mse_loss, stack,
                              workspace)
-from hqloc.train_eval import TrainConfig, init_hybrid_model, train_stack
+from hqloc.train_eval import TrainConfig, _stack, init_hybrid_model, train_stack
 
-from oracles import backprop_reference, hybrid_epochs_reference
+from oracles import backprop_reference, forward_reference, hybrid_epochs_reference
 
 KIB = 1024
 
@@ -290,4 +290,57 @@ def test_a_workspaces_views_follow_in_place_parameter_updates(make):
         before = net.params.copy()
         net.params -= 0.05 * grad_w  # an optimizer's in-place step
         assert not np.array_equal(net.params, before)
-    assert all(np.shares_memory(view, net.params) for view in work.weights_t + work.biases)
+    assert all(np.shares_memory(view, net.params)
+               for weight_t, bias_row, _ in net.views for view in (weight_t, bias_row))
+
+
+def assert_views_follow(net):
+    """``net``'s views are its current weights, cut from its ``params``, and a
+    fresh forward pass through them equals the reference's."""
+    assert len(net.views) == len(net.layers)
+    for layer, (weight_t, bias_row, relu) in zip(net.layers, net.views):
+        assert np.shares_memory(weight_t, net.params) and np.shares_memory(bias_row, net.params)
+        assert np.array_equal(weight_t, layer.weight.swapaxes(-1, -2))
+        assert np.array_equal(bias_row, layer.bias[..., None, :])
+        assert relu == (layer.activation == "relu")
+    V = np.random.default_rng(13).normal(size=(5, net.input_dim))
+    assert forward_batch(net, V).tobytes() == forward_reference(net, V)[-1].tobytes()
+
+
+def test_the_networks_views_follow_a_bind():
+    net = tiny_head()
+    old = net.params
+    net.bind(np.empty_like(old))  # copies the weights, then cuts the views from the new array
+    assert_views_follow(net)
+    net.params[:] = np.linspace(-0.5, 0.5, net.params.size)
+    old[:] = 7.0  # the array bound before no longer counts
+    assert_views_follow(net)
+
+
+@pytest.mark.parametrize("make", [tiny_head, lambda: stack([baseline_net(s) for s in (1, 2)])],
+                         ids=["solo", "stack"])
+def test_the_networks_views_follow_in_place_steps(make):
+    net = make()
+    assert_views_follow(net)
+    for _ in range(3):
+        net.params -= 0.05 * np.sign(net.params + 0.01)  # an optimizer's in-place step
+        assert_views_follow(net)
+
+
+def test_a_stacks_views_are_its_own():
+    nets = [tiny_head() for _ in range(3)]
+    stacked = stack(nets)
+    assert all(not np.shares_memory(stacked.params, net.params) for net in nets)
+    for net in nets:
+        net.params[:] = 0.0  # the stack copied its rows
+    assert_views_follow(stacked)
+
+
+@pytest.mark.parametrize("seeds", [(4,), (4, 5, 6)], ids=["solo", "stack"])
+def test_a_hybrid_models_binding_rebuilds_its_heads_views(seeds):
+    model = _stack([init_hybrid_model(seed) for seed in seeds])
+    head = model.head
+    assert np.shares_memory(head.params, model.params)
+    assert_views_follow(head)
+    model.params -= 0.01  # a step over the joint vector moves the head too
+    assert_views_follow(head)
